@@ -9,15 +9,19 @@
 //! intermediate *additions*, whose alignment-sensitive carries eliminate
 //! the false positives (prune).
 //!
-//! Two modes are provided:
+//! Only the prune reads the *other* mantissa half (the additions mix
+//! both), so [`recover_coefficient`] extends each half **once** and its
+//! alternating cross-half refinement re-runs only the prune.
 //!
-//! * [`recover_coefficient`] — incremental extend-and-prune: the secret
-//!   halves are grown LSB-first in `step_bits` windows under a beam,
-//!   exact full recovery with tractable compute (the low `m` bits of a
-//!   product depend only on the low `m` bits of each factor);
-//! * [`monolithic_correlations`] — the paper's one-shot enumeration of a
-//!   whole window (up to the full 2^25/2^27 guess space) producing the
-//!   correlation matrices behind Figure 4.
+//! Two extend modes are provided ([`AttackConfig::monolithic_keep`]):
+//!
+//! * incremental: the secret halves are grown LSB-first in `step_bits`
+//!   windows under a beam, exact full recovery with tractable compute
+//!   (the low `m` bits of a product depend only on the low `m` bits of
+//!   each factor);
+//! * monolithic: the paper's one-shot enumeration of a whole window (up
+//!   to the full 2^25/2^27 guess space); [`monolithic_correlations`]
+//!   produces the correlation matrices behind Figure 4.
 
 use crate::cpa::{CorrMatrix, PearsonSums, SampleSums};
 use crate::error::Result;
@@ -50,14 +54,31 @@ fn fetch_block<S: ColumnSource + ?Sized>(src: &S, target: usize) -> TargetBlock<
 struct AttackMetrics {
     /// Full Pearson correlations evaluated (one per scored candidate).
     correlations: Arc<obs::Counter>,
+    /// The part of `correlations` scored by mantissa extend stages.
+    extend: Arc<obs::Counter>,
+    /// The part of `correlations` scored by mantissa prune stages.
+    prune: Arc<obs::Counter>,
     /// Candidate-set size per extend/prune stage.
     candidates: Arc<obs::Histogram>,
+}
+
+impl AttackMetrics {
+    /// Accounts one mantissa extend or prune stage (`phase` is
+    /// [`extend`](Self::extend) or [`prune`](Self::prune)) of `n` scored
+    /// candidates.
+    fn stage(&self, phase: &obs::Counter, n: u64) {
+        self.candidates.record(n as f64);
+        self.correlations.add(n);
+        phase.add(n);
+    }
 }
 
 fn attack_metrics() -> &'static AttackMetrics {
     static M: OnceLock<AttackMetrics> = OnceLock::new();
     M.get_or_init(|| AttackMetrics {
         correlations: obs::counter("attack.correlations"),
+        extend: obs::counter("attack.extend_correlations"),
+        prune: obs::counter("attack.prune_correlations"),
         candidates: obs::metrics().histogram(
             "attack.candidate_set_size",
             &[16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0],
@@ -262,6 +283,64 @@ fn top_two(scored: &[(u64, f64)]) -> ComponentResult {
     ComponentResult { value: best.0, corr: best.1, runner_up: second }
 }
 
+/// Bit width of a mantissa half (the high half includes the implicit
+/// leading one).
+fn half_width(half: SecretHalf) -> u32 {
+    match half {
+        SecretHalf::Low => 25,
+        SecretHalf::High => 28,
+    }
+}
+
+/// The span a mantissa half's extend and prune stages nest under.
+fn half_span(half: SecretHalf) -> obs::Span {
+    obs::span(match half {
+        SecretHalf::Low => "attack.mant_lo",
+        SecretHalf::High => "attack.mant_hi",
+    })
+}
+
+/// One mantissa half after its extend phase: the half's columns and its
+/// final candidate set. Extend never reads the other half, so one
+/// `Extended` serves every prune round of a coefficient's refinement.
+struct Extended<'a> {
+    half: SecretHalf,
+    tc: TargetColumns<'a>,
+    cands: Vec<u64>,
+}
+
+impl<'a> Extended<'a> {
+    /// Runs the extend phase: `survivors` scores guesses against the
+    /// half's product columns and returns the ones it keeps, whose shift
+    /// families are then closed.
+    fn new(
+        block: &'a TargetBlock<'a>,
+        half: SecretHalf,
+        survivors: impl FnOnce(&TargetColumns<'a>) -> Vec<u64>,
+    ) -> Self {
+        let _half = half_span(half);
+        let _span = obs::span("attack.extend");
+        let tc = product_columns(block, half);
+        let cands = shift_family_closure(&survivors(&tc), half_width(half), half);
+        Extended { half, tc, cands }
+    }
+
+    /// Prune phase: re-ranks the candidate set against the intermediate
+    /// additions, the only model that reads `other_half`.
+    fn prune(&self, other_half: Option<u64>) -> ComponentResult {
+        let _half = half_span(self.half);
+        let _span = obs::span("attack.prune");
+        let m = attack_metrics();
+        m.stage(&m.prune, self.cands.len() as u64);
+        let psums = self.tc.prune_sums();
+        let scores = exec::map_with(&self.cands, Vec::new, |scratch, &c| {
+            self.tc.prune_score(scratch, self.half, c, other_half, &psums)
+        });
+        let scored: Vec<(u64, f64)> = self.cands.iter().copied().zip(scores).collect();
+        top_two(&scored)
+    }
+}
+
 /// Recovers one mantissa half by incremental extend-and-prune.
 ///
 /// Generic over [`ColumnSource`]: the resident
@@ -289,16 +368,15 @@ pub fn recover_mantissa_half_block(
     other_half: Option<u64>,
     cfg: &AttackConfig,
 ) -> ComponentResult {
-    let _span = obs::span(match half {
-        SecretHalf::Low => "attack.mant_lo",
-        SecretHalf::High => "attack.mant_hi",
-    });
+    Extended::new(block, half, |tc| beam_survivors(tc, half, cfg)).prune(other_half)
+}
+
+/// The incremental extend: grows the half LSB-first in `step_bits`
+/// windows, keeping the best `beam_width` candidates of each level plus
+/// the low-variance ones the correlation ranking handicaps.
+fn beam_survivors(tc: &TargetColumns<'_>, half: SecretHalf, cfg: &AttackConfig) -> Vec<u64> {
     let m = attack_metrics();
-    let full_width = match half {
-        SecretHalf::Low => 25,
-        SecretHalf::High => 28,
-    };
-    let tc = product_columns(block, half);
+    let full_width = half_width(half);
     let mut beam: Vec<u64> = vec![0];
     let mut m_bits = 0u32;
     while m_bits < full_width {
@@ -317,8 +395,7 @@ pub fn recover_mantissa_half_block(
         // Intermediate levels subsample the campaign; the final level is
         // scored on everything.
         let max_points = if next == full_width { usize::MAX } else { 4000 };
-        m.candidates.record(cands.len() as f64);
-        m.correlations.add(cands.len() as u64);
+        m.stage(&m.extend, cands.len() as u64);
         // Sample-side sums once per level, not once per candidate.
         let col_sums = tc.extend_sums(max_points);
         let scores = exec::map_with(&cands, Vec::new, |scratch, &c| {
@@ -351,18 +428,7 @@ pub fn recover_mantissa_half_block(
         beam.append(&mut protected);
         m_bits = next;
     }
-    let final_set = shift_family_closure(&beam, full_width, half);
-
-    // Prune phase: re-rank the candidates against the intermediate
-    // addition.
-    m.candidates.record(final_set.len() as f64);
-    m.correlations.add(final_set.len() as u64);
-    let psums = tc.prune_sums();
-    let scores = exec::map_with(&final_set, Vec::new, |scratch, &c| {
-        tc.prune_score(scratch, half, c, other_half, &psums)
-    });
-    let scored: Vec<(u64, f64)> = final_set.into_iter().zip(scores).collect();
-    top_two(&scored)
+    beam
 }
 
 /// The multiplication cannot separate shift families at all: for even
@@ -437,22 +503,28 @@ pub fn recover_mantissa_half_monolithic_block(
     rest: u64,
     keep: usize,
 ) -> ComponentResult {
-    let _span = obs::span("attack.monolithic");
-    let m = attack_metrics();
-    let full_width = match half {
-        SecretHalf::Low => 25,
-        SecretHalf::High => 28,
-    };
+    Extended::new(block, half, |tc| window_survivors(tc, half, width, rest, keep)).prune(other_half)
+}
+
+/// The monolithic extend: scores every guess of the window and keeps
+/// the top `keep`, plus the unfalsifiable all-zero window.
+fn window_survivors(
+    tc: &TargetColumns<'_>,
+    half: SecretHalf,
+    width: u32,
+    rest: u64,
+    keep: usize,
+) -> Vec<u64> {
+    let full_width = half_width(half);
     let keep = keep.max(1);
-    let tc = product_columns(block, half);
     // Monolithic scoring always uses the whole campaign: one shot is the
     // point.
     let col_sums = tc.extend_sums(usize::MAX);
     const BLOCK: u64 = 4096;
     let total = 1u64 << width;
     let blocks: Vec<u64> = (0..total.div_ceil(BLOCK)).collect();
-    m.candidates.record(total as f64);
-    m.correlations.add(total);
+    let m = attack_metrics();
+    m.stage(&m.extend, total);
     let block_tops = exec::map_with(&blocks, Vec::new, |scratch: &mut Vec<f64>, &blk| {
         let (start, end) = (blk * BLOCK, (blk * BLOCK + BLOCK).min(total));
         let mut top: Vec<(u64, f64)> = Vec::with_capacity(2 * keep + 1);
@@ -490,15 +562,7 @@ pub fn recover_mantissa_half_monolithic_block(
     if zero_plausible && !survivors.contains(&zero_cand) {
         survivors.push(zero_cand);
     }
-    let final_set = shift_family_closure(&survivors, full_width, half);
-    m.candidates.record(final_set.len() as f64);
-    m.correlations.add(final_set.len() as u64);
-    let psums = tc.prune_sums();
-    let scores = exec::map_with(&final_set, Vec::new, |scratch, &c| {
-        tc.prune_score(scratch, half, c, other_half, &psums)
-    });
-    let scored: Vec<(u64, f64)> = final_set.into_iter().zip(scores).collect();
-    top_two(&scored)
+    survivors
 }
 
 /// Recovers the sign bit by correlating the XOR step.
@@ -707,32 +771,6 @@ pub fn recover_exponent<S: ColumnSource + ?Sized>(
     top_two(&scored)
 }
 
-/// One mantissa half via the mode the config selects: incremental
-/// extend-and-prune, or the paper's monolithic full-width enumeration.
-fn recover_half(
-    block: &TargetBlock<'_>,
-    half: SecretHalf,
-    other_half: Option<u64>,
-    cfg: &AttackConfig,
-) -> ComponentResult {
-    if cfg.monolithic_keep > 0 {
-        let full_width = match half {
-            SecretHalf::Low => 25,
-            SecretHalf::High => 28,
-        };
-        recover_mantissa_half_monolithic_block(
-            block,
-            half,
-            other_half,
-            full_width,
-            0,
-            cfg.monolithic_keep,
-        )
-    } else {
-        recover_mantissa_half_block(block, half, other_half, cfg)
-    }
-}
-
 /// Recovers one full `FFT(f)` coefficient by divide-and-conquer.
 ///
 /// The target's columns are fetched from the source **once** and shared
@@ -766,23 +804,32 @@ pub fn try_recover_coefficient<S: ColumnSource + ?Sized>(
 pub fn recover_coefficient_block(block: &TargetBlock<'_>, cfg: &AttackConfig) -> CoefficientResult {
     let _span = obs::span("attack.coefficient");
     // Alternating refinement: each half's *extend* targets are
-    // independent of the other half, but the *prune* additions mix the
-    // halves (`zu = C·A + carries(D)`), so the halves are re-pruned with
-    // each other's latest estimate until the pair is stable. This also
-    // resolves the degenerate all-zero low half, which is invisible to
-    // its own products and only betrayed by the cross-half accumulation.
-    let mut mant_lo = recover_half(block, SecretHalf::Low, None, cfg);
-    let mut mant_hi = recover_half(block, SecretHalf::High, Some(mant_lo.value), cfg);
+    // independent of the other half, so each half is extended once. The
+    // *prune* additions mix the halves (`zu = C·A + carries(D)`), so the
+    // halves are re-pruned with each other's latest estimate until the
+    // pair is stable. This also resolves the degenerate all-zero low
+    // half, which is invisible to its own products and only betrayed by
+    // the cross-half accumulation.
+    let extend = |half| {
+        Extended::new(block, half, |tc| match cfg.monolithic_keep {
+            0 => beam_survivors(tc, half, cfg),
+            keep => window_survivors(tc, half, half_width(half), 0, keep),
+        })
+    };
+    let lo_set = extend(SecretHalf::Low);
+    let mut mant_lo = lo_set.prune(None);
+    let hi_set = extend(SecretHalf::High);
+    let mut mant_hi = hi_set.prune(Some(mant_lo.value));
     for _ in 0..2 {
-        let lo = recover_half(block, SecretHalf::Low, Some(mant_hi.value), cfg);
+        let lo = lo_set.prune(Some(mant_hi.value));
         let lo_stable = lo.value == mant_lo.value;
         mant_lo = lo;
         if lo_stable {
-            // Fixed point: the high half was computed from this very low
-            // half, so re-running it would reproduce itself.
+            // Fixed point: the high half was pruned against this very low
+            // half, so re-pruning it would reproduce itself.
             break;
         }
-        let hi = recover_half(block, SecretHalf::High, Some(mant_lo.value), cfg);
+        let hi = hi_set.prune(Some(mant_lo.value));
         let hi_stable = hi.value == mant_hi.value;
         mant_hi = hi;
         if hi_stable {
@@ -881,10 +928,7 @@ pub fn monolithic_correlations<S: ColumnSource + ?Sized>(
     let guesses: Vec<u64> = (0..(1u64 << width)).map(|g| (rest << width) | g).collect();
     let mut extend = CorrMatrix::new(guesses.len(), StepKind::COUNT);
     let mut prune = CorrMatrix::new(guesses.len(), StepKind::COUNT);
-    let full_width = match half {
-        SecretHalf::Low => 25,
-        SecretHalf::High => 28,
-    };
+    let full_width = half_width(half);
     let wmask = (1u64 << width) - 1;
     for trace in 0..block.traces() {
         for occ in 0..2 {

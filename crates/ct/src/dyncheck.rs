@@ -331,6 +331,58 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_checkers_record_complete_traces() {
+        use falcon_fpr::ctcheck::sites;
+        use std::sync::Barrier;
+        // Forced interleaving: the second thread arms, records and
+        // disarms entirely inside the first thread's armed window, then
+        // the first thread records. A process-wide gate would let that
+        // disarm silence the first thread's whole trace.
+        let barrier = Barrier::new(2);
+        let x = Fpr::from_f64(3.5);
+        let y = Fpr::from_f64(-1.25);
+        let (first, second) = std::thread::scope(|s| {
+            let first = s.spawn(|| {
+                ctcheck::arm();
+                barrier.wait();
+                barrier.wait();
+                let _ = x.div(y);
+                ctcheck::disarm()
+            });
+            let second = s.spawn(|| {
+                barrier.wait();
+                ctcheck::arm();
+                let _ = x.sqrt();
+                let sig = ctcheck::disarm();
+                barrier.wait();
+                sig
+            });
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        assert_eq!(first.iter().filter(|&&s| s == sites::DIV_LOOP).count(), 56);
+        assert!(!first.contains(&sites::SQRT_LOOP), "the other thread's sites leaked in");
+        assert_eq!(second.iter().filter(|&&s| s == sites::SQRT_LOOP).count(), 55);
+        assert!(!second.contains(&sites::DIV_LOOP), "the other thread's sites leaked in");
+
+        // Two whole checkers running side by side agree with a serial run.
+        let cfg = DynConfig { iters: 16, seed: 7 };
+        let serial = check_all(&cfg);
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| check_all(&cfg));
+            let b = s.spawn(|| check_all(&cfg));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for run in [a, b] {
+            for (x, y) in run.iter().zip(&serial) {
+                assert_eq!(
+                    (x.sig_len, x.constant_time, x.runs),
+                    (y.sig_len, y.constant_time, y.runs)
+                );
+            }
+        }
+    }
+
+    #[test]
     fn same_seed_is_deterministic() {
         let cfg = DynConfig { iters: 16, seed: 42 };
         let a = check_all(&cfg);

@@ -748,9 +748,11 @@ pub fn lint_tree(root: &Path, allow: &CallAllowlist) -> std::io::Result<TreeOutc
 }
 
 /// Collects workspace-relative `/`-separated paths of every `.rs` file
-/// under `dir`, skipping `target/` and hidden directories. Shared by the
-/// region lint, the interprocedural pass and the audit passes so all of
-/// them see the same tree.
+/// under `dir`, skipping `target/`, hidden directories and nested cargo
+/// workspaces (a subdirectory whose `Cargo.toml` declares its own
+/// `[workspace]` is a separate build, not part of this one). Shared by
+/// the region lint, the interprocedural pass and the audit passes so all
+/// of them see the same tree.
 pub(crate) fn collect_rs_files(
     root: &Path,
     dir: &Path,
@@ -761,7 +763,7 @@ pub(crate) fn collect_rs_files(
         let path = entry.path();
         let name = entry.file_name().to_string_lossy().into_owned();
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
+            if name == "target" || name.starts_with('.') || is_own_workspace(&path) {
                 continue;
             }
             collect_rs_files(root, &path, out)?;
@@ -777,4 +779,11 @@ pub(crate) fn collect_rs_files(
         }
     }
     Ok(())
+}
+
+/// Whether `dir` holds a cargo manifest with a `[workspace]` table of
+/// its own.
+fn is_own_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
 }

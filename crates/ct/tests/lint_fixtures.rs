@@ -327,3 +327,22 @@ fn violations_carry_location_and_fingerprint() {
     let shown = v.to_string();
     assert!(shown.starts_with("crates/x/src/f.rs:3: [secret-branch]"), "{shown}");
 }
+
+#[test]
+fn tree_scan_skips_nested_cargo_workspaces() {
+    // A subdirectory whose manifest declares its own `[workspace]` is a
+    // separate build (like `attackbench/`), outside this workspace's
+    // contract; a plain member crate is scanned.
+    let root = std::env::temp_dir().join(format!("falcon-ct-nested-{}", std::process::id()));
+    let leaky = "// ct: secret(k)\nif k > 0 { }\n// ct: end\n";
+    for (dir, manifest) in [("member", "[package]\n"), ("nested", "[package]\n\n[workspace]\n")] {
+        std::fs::create_dir_all(root.join(dir).join("src")).unwrap();
+        std::fs::write(root.join(dir).join("Cargo.toml"), manifest).unwrap();
+        std::fs::write(root.join(dir).join("src/lib.rs"), leaky).unwrap();
+    }
+    let out = falcon_ct::lint_tree(&root, &CallAllowlist::workspace_default()).unwrap();
+    std::fs::remove_dir_all(&root).ok();
+    assert_eq!(out.files, 1);
+    let files: Vec<&str> = out.violations.iter().map(|v| v.file.as_str()).collect();
+    assert_eq!(files, ["member/src/lib.rs"]);
+}

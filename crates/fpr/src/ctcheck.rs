@@ -11,9 +11,10 @@
 //! count shows up as a signature mismatch.
 //!
 //! Without the feature the hooks are empty `#[inline(always)]` functions
-//! and compile to nothing; with the feature but no armed recorder each
-//! hook is a single relaxed atomic load (the same cheap-off-path pattern
-//! as `falcon_obs::emit`).
+//! and compile to nothing; with the feature but no armed recorder on any
+//! thread each hook is a single relaxed atomic load (the same
+//! cheap-off-path pattern as `falcon_obs::emit`). Arming is per thread:
+//! concurrent checkers on different threads record independently.
 
 /// Trace site identifiers, one per instrumented control-flow location.
 ///
@@ -57,12 +58,16 @@ pub mod sites {
 #[cfg(feature = "ct-check")]
 mod imp {
     use std::cell::RefCell;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Process-wide fast gate: when false (the default), hooks cost one
-    /// relaxed load. Arming is only meaningful for the arming thread —
-    /// recording state itself is thread-local.
-    static ARMED: AtomicBool = AtomicBool::new(false);
+    /// Process-wide fast gate: the number of threads currently armed.
+    /// While it is zero (the default), hooks cost one relaxed load. It
+    /// only gates the thread-local check: whether a site is recorded is
+    /// decided by the executing thread's own recorder, so one thread's
+    /// [`disarm`] never silences another thread's recording. `Relaxed`
+    /// suffices: the counter publishes no data, and an armed thread
+    /// always observes its own increment.
+    static ARMED_THREADS: AtomicUsize = AtomicUsize::new(0);
 
     thread_local! {
         static TRACE: RefCell<Option<Vec<u32>>> = const { RefCell::new(None) };
@@ -71,7 +76,7 @@ mod imp {
     /// Records an executed control-flow site (when armed on this thread).
     #[inline]
     pub fn site(id: u32) {
-        if ARMED.load(Ordering::Relaxed) {
+        if ARMED_THREADS.load(Ordering::Relaxed) != 0 {
             TRACE.with(|t| {
                 if let Some(v) = t.borrow_mut().as_mut() {
                     v.push(id);
@@ -85,7 +90,7 @@ mod imp {
     /// lookups diverge across operand classes.
     #[inline]
     pub fn index(id: u32, idx: usize) {
-        if ARMED.load(Ordering::Relaxed) {
+        if ARMED_THREADS.load(Ordering::Relaxed) != 0 {
             TRACE.with(|t| {
                 if let Some(v) = t.borrow_mut().as_mut() {
                     v.push(id);
@@ -95,16 +100,25 @@ mod imp {
         }
     }
 
-    /// Starts recording on the current thread with an empty trace.
+    /// Starts recording on the current thread with an empty trace
+    /// (re-arming an armed thread restarts its trace).
     pub fn arm() {
-        TRACE.with(|t| *t.borrow_mut() = Some(Vec::with_capacity(128)));
-        ARMED.store(true, Ordering::Relaxed);
+        let was_armed = TRACE.with(|t| t.borrow_mut().replace(Vec::with_capacity(128)).is_some());
+        if !was_armed {
+            ARMED_THREADS.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
-    /// Stops recording and returns the trace captured on this thread.
+    /// Stops recording on the current thread and returns its trace
+    /// (empty if the thread was not armed).
     pub fn disarm() -> Vec<u32> {
-        ARMED.store(false, Ordering::Relaxed);
-        TRACE.with(|t| t.borrow_mut().take().unwrap_or_default())
+        match TRACE.with(|t| t.borrow_mut().take()) {
+            Some(trace) => {
+                ARMED_THREADS.fetch_sub(1, Ordering::Relaxed);
+                trace
+            }
+            None => Vec::new(),
+        }
     }
 }
 
