@@ -219,46 +219,14 @@ impl Dataset {
         Ok(())
     }
 
-    /// Rebuilds a dataset from **row-major** raw storage — `knowns` keyed
-    /// `[trace][target][occ]`, `points` keyed `[trace][target][occ·14 +
-    /// step]`, the v1 on-disk order. The data is transposed once into the
-    /// columnar layout.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed error when the component lengths are inconsistent
-    /// with the dimensions or a target is out of range.
-    pub fn try_from_raw_parts(
-        n: usize,
-        targets: Vec<usize>,
-        traces: usize,
-        knowns: Vec<u64>,
-        points: Vec<f32>,
-    ) -> Result<Dataset> {
-        Self::check_shapes(n, &targets, traces, knowns.len(), points.len())?;
-        // Transpose row-major [trace][column] → columnar [column][trace].
-        let kc = targets.len() * 2;
-        let pc = targets.len() * POINTS_PER_TARGET;
-        let mut col_knowns = vec![0u64; knowns.len()];
-        let mut col_points = vec![0f32; points.len()];
-        for trace in 0..traces {
-            for c in 0..kc {
-                col_knowns[c * traces + trace] = knowns[trace * kc + c];
-            }
-            for c in 0..pc {
-                col_points[c * traces + trace] = points[trace * pc + c];
-            }
-        }
-        Ok(Dataset { n, targets, traces, knowns: col_knowns, points: col_points })
-    }
-
     /// Rebuilds a dataset from **columnar** raw storage — the internal
     /// `[target][occ][trace]` / `[target][occ][step][trace]` layout, as
     /// serialised by the v2 on-disk format. No transpose.
     ///
     /// # Errors
     ///
-    /// Same shape checks as [`Dataset::try_from_raw_parts`].
+    /// Returns a typed error when the component lengths are inconsistent
+    /// with the dimensions or a target is out of range.
     pub fn try_from_columnar_parts(
         n: usize,
         targets: Vec<usize>,
@@ -268,27 +236,6 @@ impl Dataset {
     ) -> Result<Dataset> {
         Self::check_shapes(n, &targets, traces, knowns.len(), points.len())?;
         Ok(Dataset { n, targets, traces, knowns, points })
-    }
-
-    /// Panicking convenience wrapper around
-    /// [`Dataset::try_from_raw_parts`] (row-major input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the component lengths are inconsistent with the
-    /// dimensions.
-    #[track_caller]
-    pub fn from_raw_parts(
-        n: usize,
-        targets: Vec<usize>,
-        traces: usize,
-        knowns: Vec<u64>,
-        points: Vec<f32>,
-    ) -> Dataset {
-        match Dataset::try_from_raw_parts(n, targets, traces, knowns, points) {
-            Ok(ds) => ds,
-            Err(e) => panic!("Dataset::from_raw_parts failed: {e}"),
-        }
     }
 
     /// Ring degree.
@@ -547,29 +494,6 @@ mod tests {
         let a = ds.sample_column(1, 0, StepKind::ALL[0]).as_ptr() as usize;
         let b = ds.sample_column(1, 0, StepKind::ALL[1]).as_ptr() as usize;
         assert_eq!(b - a, ds.traces() * core::mem::size_of::<f32>());
-    }
-
-    #[test]
-    fn row_major_and_columnar_constructors_agree() {
-        let mut d = device(0.5);
-        let mut mrng = Prng::from_seed(b"ctor msgs");
-        let ds = Dataset::collect(&mut d, &[2, 6], 7, &mut mrng);
-        // Rebuild row-major from accessors, then re-construct.
-        let mut knowns = Vec::new();
-        let mut points = Vec::new();
-        for trace in 0..ds.traces() {
-            for &t in ds.targets() {
-                for occ in 0..2 {
-                    knowns.push(ds.known(trace, t, occ));
-                }
-                points.extend(ds.window(trace, t));
-            }
-        }
-        let rm =
-            Dataset::try_from_raw_parts(ds.n(), ds.targets().to_vec(), ds.traces(), knowns, points)
-                .unwrap();
-        assert_eq!(rm.knowns_columnar(), ds.knowns_columnar());
-        assert_eq!(rm.points_columnar(), ds.points_columnar());
     }
 
     #[test]

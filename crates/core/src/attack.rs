@@ -27,8 +27,8 @@ use crate::cpa::{CorrMatrix, PearsonSums, SampleSums};
 use crate::error::Result;
 use crate::exec;
 use crate::model::{
-    assemble_coefficient, hyp_add_hi, hyp_add_lo, hyp_exponent_with_carry, hyp_partial_product,
-    hyp_sign, KnownOperand, SecretHalf,
+    assemble_coefficient, hyp_add_hi, hyp_add_lo, hyp_partial_product, hyp_sign, KnownOperand,
+    SecretHalf,
 };
 use crate::obs;
 use crate::source::{ColumnSource, TargetBlock};
@@ -40,7 +40,7 @@ use std::sync::{Arc, OnceLock};
 /// infallible for in-range targets, so the historical non-`Result`
 /// attack API stays panic-free there; streamed sources can genuinely
 /// fail (I/O), and callers that must handle that use
-/// [`try_recover_coefficient`] / [`try_coefficient_confidence`].
+/// [`try_recover_coefficient`].
 fn fetch_block<S: ColumnSource + ?Sized>(src: &S, target: usize) -> TargetBlock<'_> {
     src.target_block(target)
         .unwrap_or_else(|e| panic!("column source failed for target {target}: {e}"))
@@ -347,8 +347,7 @@ impl<'a> Extended<'a> {
 /// [`Dataset`](crate::Dataset) and the out-of-core
 /// [`StreamedDataset`](crate::stream::StreamedDataset) score
 /// identically (the kernels consume whole columns in a fixed order).
-/// Panics if the source fails to produce the target's columns; see
-/// [`fetch_block`].
+/// Panics if the source fails to produce the target's columns.
 pub fn recover_mantissa_half<S: ColumnSource + ?Sized>(
     src: &S,
     target: usize,
@@ -484,26 +483,9 @@ pub fn recover_mantissa_half_monolithic<S: ColumnSource + ?Sized>(
     rest: u64,
     keep: usize,
 ) -> ComponentResult {
-    recover_mantissa_half_monolithic_block(
-        &fetch_block(src, target),
-        half,
-        other_half,
-        width,
-        rest,
-        keep,
-    )
-}
-
-/// Block-level core of [`recover_mantissa_half_monolithic`].
-pub fn recover_mantissa_half_monolithic_block(
-    block: &TargetBlock<'_>,
-    half: SecretHalf,
-    other_half: Option<u64>,
-    width: u32,
-    rest: u64,
-    keep: usize,
-) -> ComponentResult {
-    Extended::new(block, half, |tc| window_survivors(tc, half, width, rest, keep)).prune(other_half)
+    let block = fetch_block(src, target);
+    Extended::new(&block, half, |tc| window_survivors(tc, half, width, rest, keep))
+        .prune(other_half)
 }
 
 /// The monolithic extend: scores every guess of the window and keeps
@@ -567,11 +549,7 @@ fn window_survivors(
 
 /// Recovers the sign bit by correlating the XOR step.
 pub fn recover_sign<S: ColumnSource + ?Sized>(src: &S, target: usize) -> ComponentResult {
-    recover_sign_block(&fetch_block(src, target))
-}
-
-/// Block-level core of [`recover_sign`].
-pub fn recover_sign_block(block: &TargetBlock<'_>) -> ComponentResult {
+    let block = fetch_block(src, target);
     attack_metrics().correlations.add(2);
     let mut scratch: Vec<f64> = Vec::with_capacity(block.traces());
     let mut scored = Vec::with_capacity(2);
@@ -699,21 +677,6 @@ pub fn coefficient_confidence<S: ColumnSource + ?Sized>(src: &S, target: usize, 
     coefficient_confidence_block(&fetch_block(src, target), bits)
 }
 
-/// Fallible variant of [`coefficient_confidence`] for streamed sources,
-/// where fetching the columns can fail with I/O errors.
-///
-/// # Errors
-///
-/// Propagates the source's [`target_block`](ColumnSource::target_block)
-/// failure.
-pub fn try_coefficient_confidence<S: ColumnSource + ?Sized>(
-    src: &S,
-    target: usize,
-    bits: u64,
-) -> Result<f64> {
-    Ok(coefficient_confidence_block(&src.target_block(target)?, bits))
-}
-
 /// Block-level core of [`coefficient_confidence`].
 pub fn coefficient_confidence_block(block: &TargetBlock<'_>, bits: u64) -> f64 {
     attack_metrics().correlations.incr();
@@ -736,39 +699,6 @@ pub fn coefficient_confidence_block(block: &TargetBlock<'_>, bits: u64) -> f64 {
         }
     }
     sums.corr()
-}
-
-/// Recovers the 11-bit biased exponent field, using the recovered
-/// mantissa halves to model the normalisation carry exactly.
-///
-/// Note: this single-step CPA mirrors the paper's Figure 4(b) target but
-/// can alias between exponent guesses when the known exponents span a
-/// narrow range (see [`recover_sign_exponent`], which the full pipeline
-/// uses instead).
-pub fn recover_exponent<S: ColumnSource + ?Sized>(
-    src: &S,
-    target: usize,
-    c_hi: u64,
-    d_lo: u64,
-) -> ComponentResult {
-    let block = fetch_block(src, target);
-    attack_metrics().correlations.add(2046);
-    let knowns: [Vec<KnownOperand>; 2] =
-        [0, 1].map(|occ| block.known_column(occ).iter().map(|&kb| KnownOperand::new(kb)).collect());
-    let samples: [&[f32]; 2] = [0, 1].map(|occ| block.sample_column(occ, StepKind::ExponentAdd));
-    let guesses: Vec<u64> = (1..2047).collect();
-    let sample_sums: [SampleSums; 2] = [0, 1].map(|occ| SampleSums::new(samples[occ]));
-    let scores = exec::map_with(&guesses, Vec::new, |scratch: &mut Vec<f64>, &ef| {
-        let mut sums = PearsonSums::default();
-        for (occ, kn) in knowns.iter().enumerate() {
-            scratch.clear();
-            scratch.extend(kn.iter().map(|k| hyp_exponent_with_carry(ef as u32, c_hi, d_lo, k)));
-            sums.push_column_reusing(scratch, samples[occ], &sample_sums[occ]);
-        }
-        sums.corr()
-    });
-    let scored: Vec<(u64, f64)> = guesses.into_iter().zip(scores).collect();
-    top_two(&scored)
 }
 
 /// Recovers one full `FFT(f)` coefficient by divide-and-conquer.
@@ -1017,20 +947,21 @@ mod tests {
         use crate::model::step_words;
         let n = 8usize; // layout degree; target index 0
         let traces = knowns.len();
-        let mut ks = Vec::with_capacity(traces * 2);
-        let mut points = Vec::with_capacity(traces * crate::acquire::POINTS_PER_TARGET);
+        // Columnar: knowns `[occ][trace]`, samples `[occ][step][trace]`.
+        let mut ks = vec![0u64; 2 * traces];
+        let mut points = vec![0f32; crate::acquire::POINTS_PER_TARGET * traces];
         for (i, &k) in knowns.iter().enumerate() {
             // Two occurrences with different known operands.
             let k2 = knowns[(i + traces / 2) % traces].rotate_left(1) | 1 << 52;
-            for kb in [k, k2] {
-                ks.push(kb);
+            for (occ, kb) in [k, k2].into_iter().enumerate() {
+                ks[occ * traces + i] = kb;
                 let words = step_words(secret, &crate::model::KnownOperand::new(kb));
-                for w in words {
-                    points.push(w.count_ones() as f32);
+                for (step, w) in words.iter().enumerate() {
+                    points[(occ * StepKind::COUNT + step) * traces + i] = w.count_ones() as f32;
                 }
             }
         }
-        Dataset::from_raw_parts(n, vec![0], traces, ks, points)
+        Dataset::try_from_columnar_parts(n, vec![0], traces, ks, points).unwrap()
     }
 
     /// One planted-coefficient recovery case: exact-model samples for a

@@ -10,8 +10,8 @@
 //!     containers) into a columnar FDNDSET v2 file.
 //!
 //! falcon_ingest convert <in.fdnd> <out.fdnd>
-//!     Rewrite any readable dataset (v1 row-major or v2 columnar) as
-//!     v2, the only version the streamed reader accepts.
+//!     Read a v2 dataset in full (checking every payload length) and
+//!     rewrite it atomically.
 //!
 //! falcon_ingest verify <file.fdnd> [truth=<truth.txt>] [attack=0|1]
 //!         [chunk=1048576] [depth=4]

@@ -6,13 +6,25 @@
 //! in reverse: acquire in batches, watch each coefficient's winning
 //! guess, and stop spending traces on a coefficient the moment its
 //! winner clears the 99.99 % confidence threshold (see
-//! [`crate::confidence`]) and stays put. A [`Campaign`] drives exactly
-//! that loop on top of the fault-tolerant
-//! [`Dataset::collect_screened`](crate::screen) acquisition, hands back
-//! a typed [`CampaignReport`] (partial results included when the trace
-//! budget runs out), and can checkpoint its complete state — device
-//! stream positions, accumulated data, convergence trackers — to disk
-//! so a killed campaign resumes bit-for-bit where it stopped.
+//! [`crate::confidence`]) and stays put.
+//!
+//! One private convergence core serves both engines: config and target
+//! checks, a tracker per coefficient, the [`CampaignReport`], the
+//! tracker fields of both checkpoint formats and the checkpoint/resume
+//! plumbing. The engines keep their own trace data and step policy:
+//!
+//! * [`Campaign`] captures live through the screened
+//!   [`Dataset::collect_screened`](crate::screen); each batch serves
+//!   *every* pending coefficient, because one capture leaks them all.
+//!   Its checkpoint (`FDNCKPT\x01`) embeds the data and the device and
+//!   message-stream positions, so a killed campaign resumes bit-for-bit.
+//! * [`OfflineCampaign`] replays an archive *one target at a time*,
+//!   which keeps a streamed archive to one target block in memory. Its
+//!   checkpoint (`FDNOCKP\x01`) records logical progress only.
+//!
+//! Both step policies stay for those reasons. Folding the engines'
+//! duplicated code into the core cut 102 lines net from this module and
+//! `orch::runner`; both checkpoint formats are unchanged byte for byte.
 
 use crate::acquire::Dataset;
 use crate::attack::{coefficient_confidence, recover_coefficient, AttackConfig};
@@ -24,11 +36,14 @@ use crate::screen::{AcquisitionStats, ScreenConfig};
 use crate::source::ColumnSource;
 use falcon_emsim::Device;
 use falcon_sig::rng::Prng;
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{BufReader, Read, Write};
 use std::path::Path;
 
-const CKPT_MAGIC: &[u8; 7] = b"FDNCKPT";
-const CKPT_VERSION: u8 = 1;
+/// Magic and version of the live checkpoint format.
+const CKPT_HEAD: &[u8; 8] = b"FDNCKPT\x01";
+/// Magic and version of the offline (logical) checkpoint format.
+const OCKPT_HEAD: &[u8; 8] = b"FDNOCKP\x01";
 
 /// Campaign policy: batching, budget, convergence rule, screening.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,12 +173,15 @@ impl CampaignReport {
     }
 }
 
-/// Convergence tracking for one coefficient.
-#[derive(Debug, Clone)]
+/// Convergence tracking for one coefficient. It holds no trace data:
+/// each engine keeps its own and lends [`TargetState::evaluate`] the
+/// prefix to score.
+#[derive(Debug, Clone, Default)]
 struct TargetState {
     target: usize,
-    /// Accumulated single-target dataset.
-    data: Dataset,
+    /// Traces evaluated so far: kept captures on the live engine, the
+    /// revealed archive prefix offline.
+    traces: usize,
     /// Winner of the previous evaluation.
     last_bits: Option<u64>,
     /// Latest exact-model confidence of the winner.
@@ -174,14 +192,228 @@ struct TargetState {
     resolved: Option<(u64, f64, usize)>,
 }
 
-/// An adaptive, checkpointable acquisition-and-attack campaign.
+impl TargetState {
+    /// Re-attacks the coefficient on `data`, every trace accumulated for
+    /// it so far, and advances the tracker.
+    fn evaluate(&mut self, data: &Dataset, cfg: &CampaignConfig) {
+        let traces = data.traces();
+        self.traces = traces;
+        // tanh thresholds need d > 3; a handful of traces cannot clear a
+        // 99.99 % bar anyway, so skip the (expensive) re-attack entirely.
+        if traces < 8 {
+            return;
+        }
+        let r = recover_coefficient(data, self.target, &cfg.attack);
+        let conf = coefficient_confidence(data, self.target, r.bits);
+        self.confidence = conf;
+        let cleared = conf >= cfg.margin * confidence::threshold_9999(traces as u64);
+        self.stable = match (cleared, self.last_bits == Some(r.bits)) {
+            (false, _) => 0,
+            (true, true) => self.stable + 1,
+            (true, false) => 1,
+        };
+        self.last_bits = Some(r.bits);
+        if self.stable >= cfg.stable_batches {
+            self.resolved = Some((r.bits, conf, traces));
+            obs::metrics().counter("campaign.converged").incr();
+            let (target, bits) = (self.target, r.bits);
+            obs::emit(|| {
+                obs::Event::new("campaign.converged")
+                    .with_u64("target", target as u64)
+                    .with_u64("bits", bits)
+                    .with_f64("confidence", conf)
+                    .with_u64("traces", traces as u64)
+            });
+        }
+    }
+
+    /// Writes the tracker fields both checkpoint formats share, in
+    /// their common order: resolution, winner, confidence, stability.
+    fn write_tracker<W: Write + ?Sized>(&self, w: &mut W) -> Result<()> {
+        match self.resolved {
+            Some((bits, conf, traces)) => {
+                w.write_all(&[1])?;
+                w.write_all(&bits.to_le_bytes())?;
+                w.write_all(&conf.to_le_bytes())?;
+                put(w, &[traces])?;
+            }
+            None => w.write_all(&[0])?,
+        }
+        match self.last_bits {
+            Some(b) => {
+                w.write_all(&[1])?;
+                w.write_all(&b.to_le_bytes())?;
+            }
+            None => w.write_all(&[0])?,
+        }
+        w.write_all(&self.confidence.to_le_bytes())?;
+        put(w, &[self.stable])
+    }
+
+    /// Reads the fields [`TargetState::write_tracker`] wrote.
+    fn read_tracker<R: Read>(&mut self, r: &mut R) -> Result<()> {
+        self.resolved = match read_u8(r)? {
+            0 => None,
+            1 => {
+                let bits = io::read_u64(r)?;
+                let conf = f64::from_bits(io::read_u64(r)?);
+                let [traces] = take(r, "trace count")?;
+                Some((bits, conf, traces))
+            }
+            _ => return Err(io::bad("malformed resolution flag")),
+        };
+        self.last_bits = match read_u8(r)? {
+            0 => None,
+            1 => Some(io::read_u64(r)?),
+            _ => return Err(io::bad("malformed winner flag")),
+        };
+        self.confidence = f64::from_bits(io::read_u64(r)?);
+        [self.stable] = take(r, "stability counter")?;
+        Ok(())
+    }
+}
+
+/// The convergence core under both engines: the config, one tracker
+/// per target and the progress counters, plus everything derived from
+/// them alone (report, checkpoint plumbing, resume accounting).
 #[derive(Debug, Clone)]
-pub struct Campaign {
+struct Core {
     cfg: CampaignConfig,
     n: usize,
     states: Vec<TargetState>,
     traces_requested: usize,
+    /// Acquisition accounting; all zero on an archive, whose screening
+    /// happened (if ever) before it was written.
     stats: AcquisitionStats,
+}
+
+impl Core {
+    /// Checks the config and builds one tracker per target. Empty
+    /// `cfg.targets` means every target of `directory`, the targets the
+    /// engine can acquire; an explicit target must be one of them.
+    fn new(n: usize, cfg: CampaignConfig, directory: &[usize]) -> Result<Core> {
+        if cfg.batch_size == 0 || cfg.max_traces == 0 {
+            return Err(Error::Acquisition(
+                "campaign needs a nonzero batch size and trace budget".into(),
+            ));
+        }
+        let targets = if cfg.targets.is_empty() { directory } else { &cfg.targets[..] };
+        let states = targets
+            .iter()
+            .map(|&t| match directory.contains(&t) {
+                true => Ok(TargetState { target: t, ..Default::default() }),
+                false if t >= n => Err(Error::TargetOutOfRange { target: t, n }),
+                false => Err(Error::TargetNotInDataset { target: t }),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Core { cfg, n, states, traces_requested: 0, stats: AcquisitionStats::default() })
+    }
+
+    /// Targets not yet converged.
+    fn pending(&self) -> usize {
+        self.states.iter().filter(|s| s.resolved.is_none()).count()
+    }
+
+    fn report(&self) -> CampaignReport {
+        let statuses = self
+            .states
+            .iter()
+            .map(|s| match s.resolved {
+                Some((bits, confidence, traces)) => {
+                    CoefficientStatus::Recovered { target: s.target, bits, confidence, traces }
+                }
+                None => CoefficientStatus::Unconverged {
+                    target: s.target,
+                    best_bits: s.last_bits.unwrap_or(0),
+                    confidence: s.confidence,
+                    traces: s.traces,
+                },
+            })
+            .collect();
+        let (n, traces_requested, stats) = (self.n, self.traces_requested, self.stats);
+        CampaignReport { n, statuses, traces_requested, stats }
+    }
+
+    /// Rejects resumed trackers whose trace counts cannot come from a
+    /// real run: more traces than `bound`, or a convergence recorded at
+    /// more traces than the tracker has seen.
+    fn check_traces(&self, bound: usize) -> Result<()> {
+        let bad = |s: &TargetState| s.traces > bound || s.resolved.is_some_and(|r| r.2 > s.traces);
+        match self.states.iter().any(bad) {
+            true => Err(io::bad("checkpoint trace count out of range")),
+            false => Ok(()),
+        }
+    }
+
+    /// Writes a checkpoint through `fill` to `path` atomically and
+    /// durably (see [`io::atomic_write`]).
+    fn persist<F>(&self, path: &Path, fill: F) -> Result<()>
+    where
+        F: FnOnce(&mut dyn Write) -> Result<()>,
+    {
+        let ckpt_span = obs::span("campaign.checkpoint");
+        io::atomic_write(path, fill)?;
+        drop(ckpt_span);
+        obs::emit(|| {
+            self.event("campaign.checkpoint").with_str("path", path.display().to_string())
+        });
+        Ok(())
+    }
+
+    /// Counts and announces a successful resume.
+    fn note_resume(&self) {
+        obs::metrics().counter("campaign.resumes").incr();
+        obs::emit(|| self.event("campaign.resume"));
+    }
+
+    /// An event carrying the progress counters.
+    fn event(&self, name: &'static str) -> obs::Event {
+        obs::Event::new(name)
+            .with_u64("traces_requested", self.traces_requested as u64)
+            .with_u64("pending_targets", self.pending() as u64)
+    }
+}
+
+/// Writes counts as little-endian u64 words.
+fn put<W: Write + ?Sized>(w: &mut W, counts: &[usize]) -> Result<()> {
+    for &c in counts {
+        w.write_all(&(c as u64).to_le_bytes())?;
+    }
+    Ok(())
+}
+
+/// Reads `N` counts written by [`put`].
+fn take<R: Read, const N: usize>(r: &mut R, what: &str) -> Result<[usize; N]> {
+    let mut counts = [0; N];
+    for c in &mut counts {
+        *c = io::checked_count(io::read_u64(r)?, what)?;
+    }
+    Ok(counts)
+}
+
+/// Writes a length-prefixed stream state (device or message generator).
+fn put_state<W: Write + ?Sized>(w: &mut W, state: &[u8]) -> Result<()> {
+    put(w, &[state.len()])?;
+    Ok(w.write_all(state)?)
+}
+
+/// Reads a stream state written by [`put_state`]; its length must be `N`.
+fn take_state<R: Read, const N: usize>(r: &mut R, what: &str) -> Result<[u8; N]> {
+    if take(r, what)? != [N] {
+        return Err(io::bad(&format!("{what} length mismatch")));
+    }
+    let mut state = [0u8; N];
+    r.read_exact(&mut state)?;
+    Ok(state)
+}
+
+/// An adaptive, checkpointable acquisition-and-attack campaign against
+/// a live device.
+#[derive(Debug, Clone)]
+pub struct Campaign {
+    core: Core,
+    /// Accumulated single-target datasets, parallel to `core.states`.
+    data: Vec<Dataset>,
 }
 
 impl Campaign {
@@ -192,41 +424,20 @@ impl Campaign {
     /// Returns a typed error when the config is degenerate (zero batch
     /// size, no budget) or a target is out of range.
     pub fn new(n: usize, cfg: CampaignConfig) -> Result<Campaign> {
-        if cfg.batch_size == 0 || cfg.max_traces == 0 {
-            return Err(Error::Acquisition(
-                "campaign needs a nonzero batch size and trace budget".into(),
-            ));
-        }
-        let targets: Vec<usize> =
-            if cfg.targets.is_empty() { (0..n).collect() } else { cfg.targets.clone() };
-        let states = targets
-            .iter()
-            .map(|&t| {
-                Ok(TargetState {
-                    target: t,
-                    data: Dataset::empty(n, &[t])?,
-                    last_bits: None,
-                    confidence: 0.0,
-                    stable: 0,
-                    resolved: None,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Campaign { cfg, n, states, traces_requested: 0, stats: AcquisitionStats::default() })
+        let core = Core::new(n, cfg, &(0..n).collect::<Vec<_>>())?;
+        let data =
+            core.states.iter().map(|s| Dataset::empty(n, &[s.target])).collect::<Result<_>>()?;
+        Ok(Campaign { core, data })
     }
 
     /// Captures requested so far.
     pub fn traces_requested(&self) -> usize {
-        self.traces_requested
+        self.core.traces_requested
     }
 
     /// True when every coefficient converged or the budget is spent.
     pub fn is_done(&self) -> bool {
-        self.traces_requested >= self.cfg.max_traces || self.pending().is_empty()
-    }
-
-    fn pending(&self) -> Vec<usize> {
-        self.states.iter().filter(|s| s.resolved.is_none()).map(|s| s.target).collect()
+        self.core.traces_requested >= self.core.cfg.max_traces || self.core.pending() == 0
     }
 
     /// Runs one batch: acquires traces for the still-unconverged
@@ -244,20 +455,23 @@ impl Campaign {
             return Ok(false);
         }
         let _batch_span = obs::span("campaign.batch");
-        let pending = self.pending();
-        let batch = self.cfg.batch_size.min(self.cfg.max_traces - self.traces_requested);
+        let core = &mut self.core;
+        let pending: Vec<usize> =
+            core.states.iter().filter(|s| s.resolved.is_none()).map(|s| s.target).collect();
+        let batch = core.cfg.batch_size.min(core.cfg.max_traces - core.traces_requested);
         let (ds, stats) = {
             let _acquire_span = obs::span("campaign.acquire");
-            Dataset::collect_screened(device, &pending, batch, msg_rng, self.cfg.screen.as_ref())?
+            Dataset::collect_screened(device, &pending, batch, msg_rng, core.cfg.screen.as_ref())?
         };
-        self.traces_requested += batch;
-        self.stats.merge(&stats);
+        core.traces_requested += batch;
+        core.stats.merge(&stats);
         {
             let _eval_span = obs::span("campaign.evaluate");
-            for state in self.states.iter_mut().filter(|s| s.resolved.is_none()) {
-                let sub = ds.select_targets(&[state.target])?;
-                state.data.append(&sub)?;
-                evaluate(state, &self.cfg);
+            for (state, data) in core.states.iter_mut().zip(&mut self.data) {
+                if state.resolved.is_none() {
+                    data.append(&ds.select_targets(&[state.target])?)?;
+                    state.evaluate(data, &core.cfg);
+                }
             }
         }
         obs::metrics().counter("campaign.batches").incr();
@@ -276,27 +490,7 @@ impl Campaign {
 
     /// The campaign's current (possibly partial) outcome.
     pub fn report(&self) -> CampaignReport {
-        let statuses = self
-            .states
-            .iter()
-            .map(|s| match s.resolved {
-                Some((bits, confidence, traces)) => {
-                    CoefficientStatus::Recovered { target: s.target, bits, confidence, traces }
-                }
-                None => CoefficientStatus::Unconverged {
-                    target: s.target,
-                    best_bits: s.last_bits.unwrap_or(0),
-                    confidence: s.confidence,
-                    traces: s.data.traces(),
-                },
-            })
-            .collect();
-        CampaignReport {
-            n: self.n,
-            statuses,
-            traces_requested: self.traces_requested,
-            stats: self.stats,
-        }
+        self.core.report()
     }
 
     /// Serialises the campaign state — progress counters, per-target
@@ -315,67 +509,31 @@ impl Campaign {
         msg_rng: &Prng,
         mut w: W,
     ) -> Result<()> {
-        w.write_all(CKPT_MAGIC)?;
-        w.write_all(&[CKPT_VERSION])?;
-        w.write_all(&(self.n as u64).to_le_bytes())?;
-        w.write_all(&(self.traces_requested as u64).to_le_bytes())?;
-        for v in stats_fields(&self.stats) {
-            w.write_all(&(v as u64).to_le_bytes())?;
-        }
-        let dev_state = device.export_state();
-        w.write_all(&(dev_state.len() as u64).to_le_bytes())?;
-        w.write_all(&dev_state)?;
-        let rng_state = msg_rng.export_state();
-        w.write_all(&(rng_state.len() as u64).to_le_bytes())?;
-        w.write_all(&rng_state)?;
-        w.write_all(&(self.states.len() as u64).to_le_bytes())?;
-        for s in &self.states {
-            w.write_all(&(s.target as u64).to_le_bytes())?;
-            match s.resolved {
-                Some((bits, conf, traces)) => {
-                    w.write_all(&[1])?;
-                    w.write_all(&bits.to_le_bytes())?;
-                    w.write_all(&conf.to_le_bytes())?;
-                    w.write_all(&(traces as u64).to_le_bytes())?;
-                }
-                None => w.write_all(&[0])?,
-            }
-            match s.last_bits {
-                Some(b) => {
-                    w.write_all(&[1])?;
-                    w.write_all(&b.to_le_bytes())?;
-                }
-                None => w.write_all(&[0])?,
-            }
-            w.write_all(&s.confidence.to_le_bytes())?;
-            w.write_all(&(s.stable as u64).to_le_bytes())?;
-            io::write_dataset(&s.data, &mut w)?;
+        let core = &self.core;
+        w.write_all(CKPT_HEAD)?;
+        put(&mut w, &[core.n, core.traces_requested])?;
+        let mut stats = core.stats;
+        put(&mut w, &stats_fields(&mut stats).map(|v| *v))?;
+        put_state(&mut w, &device.export_state())?;
+        put_state(&mut w, &msg_rng.export_state())?;
+        put(&mut w, &[core.states.len()])?;
+        for (s, data) in core.states.iter().zip(&self.data) {
+            put(&mut w, &[s.target])?;
+            s.write_tracker(&mut w)?;
+            io::write_dataset(data, &mut w)?;
         }
         Ok(())
     }
 
-    /// Checkpoints to `path` atomically *and durably*: the state is
-    /// written to a sibling temporary file, fsynced, renamed over the
-    /// destination, and the parent directory is fsynced so the rename
-    /// itself survives a crash (see [`io::atomic_write`]). A kill at any
-    /// instant leaves either the previous checkpoint or the new one,
-    /// never a torn or vanishing file.
+    /// Checkpoints to `path` atomically and durably (see
+    /// [`io::atomic_write`]): a kill at any instant leaves either the
+    /// previous checkpoint or the new one, never a torn file.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Persist`] naming the failed persistence step.
     pub fn checkpoint(&self, device: &Device, msg_rng: &Prng, path: &Path) -> Result<()> {
-        let ckpt_span = obs::span("campaign.checkpoint");
-        io::atomic_write(path, |w| self.write_checkpoint(device, msg_rng, w))?;
-        drop(ckpt_span);
-        let (requested, pending) = (self.traces_requested, self.pending().len());
-        obs::emit(|| {
-            obs::Event::new("campaign.checkpoint")
-                .with_u64("traces_requested", requested as u64)
-                .with_u64("pending_targets", pending as u64)
-                .with_str("path", path.display().to_string())
-        });
-        Ok(())
+        self.core.persist(path, |w| self.write_checkpoint(device, msg_rng, w))
     }
 
     /// Rebuilds a campaign from a checkpoint and rewinds `device` and
@@ -396,74 +554,35 @@ impl Campaign {
         msg_rng: &mut Prng,
         mut r: R,
     ) -> Result<Campaign> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic[..7] != CKPT_MAGIC {
-            return Err(io::bad("not a falcon-down campaign checkpoint (bad magic)"));
-        }
-        if magic[7] != CKPT_VERSION {
-            return Err(Error::UnsupportedVersion {
-                found: magic[7] as u32,
-                supported: CKPT_VERSION as u32,
-            });
-        }
-        let n = io::checked_count(io::read_u64(&mut r)?, "ring degree")?;
+        io::read_head(&mut r, CKPT_HEAD, "campaign checkpoint")?;
+        let [n, traces_requested] = take(&mut r, "checkpoint counter")?;
         if !n.is_power_of_two() || !(2..=1 << 10).contains(&n) {
             return Err(io::bad("invalid ring degree"));
         }
-        let traces_requested = io::checked_count(io::read_u64(&mut r)?, "trace counter")?;
-        let mut stats_v = [0usize; 8];
-        for v in stats_v.iter_mut() {
-            *v = io::checked_count(io::read_u64(&mut r)?, "stats field")?;
-        }
-        let stats = stats_from_fields(&stats_v);
-
-        let dev_len = io::checked_count(io::read_u64(&mut r)?, "device state length")?;
-        if dev_len != Device::STATE_LEN {
-            return Err(io::bad("device state length mismatch"));
-        }
-        let mut dev_state = [0u8; Device::STATE_LEN];
-        r.read_exact(&mut dev_state)?;
-        let rng_len = io::checked_count(io::read_u64(&mut r)?, "rng state length")?;
-        if rng_len != Prng::STATE_LEN {
-            return Err(io::bad("message-rng state length mismatch"));
-        }
-        let mut rng_state = [0u8; Prng::STATE_LEN];
-        r.read_exact(&mut rng_state)?;
-
-        let count = io::checked_count(io::read_u64(&mut r)?, "target count")?;
+        let (mut stats, counts) = (AcquisitionStats::default(), take::<_, 8>(&mut r, "stats")?);
+        stats_fields(&mut stats).into_iter().zip(counts).for_each(|(field, v)| *field = v);
+        let dev_state = take_state(&mut r, "device state")?;
+        let rng_state = take_state(&mut r, "message-rng state")?;
+        let [count] = take(&mut r, "target count")?;
         if count > n {
             return Err(io::bad("implausible target count"));
         }
-        let mut states = Vec::with_capacity(count);
+        let (mut states, mut data) = (Vec::with_capacity(count), Vec::with_capacity(count));
         for _ in 0..count {
-            let target = io::checked_count(io::read_u64(&mut r)?, "target index")?;
-            if target >= n {
-                return Err(io::bad("target index out of range"));
-            }
-            let resolved = match read_u8(&mut r)? {
-                0 => None,
-                1 => {
-                    let bits = io::read_u64(&mut r)?;
-                    let conf = f64::from_bits(io::read_u64(&mut r)?);
-                    let traces = io::checked_count(io::read_u64(&mut r)?, "trace count")?;
-                    Some((bits, conf, traces))
-                }
-                _ => return Err(io::bad("malformed resolution flag")),
-            };
-            let last_bits = match read_u8(&mut r)? {
-                0 => None,
-                1 => Some(io::read_u64(&mut r)?),
-                _ => return Err(io::bad("malformed winner flag")),
-            };
-            let confidence = f64::from_bits(io::read_u64(&mut r)?);
-            let stable = io::checked_count(io::read_u64(&mut r)?, "stability counter")?;
-            let data = io::read_dataset(&mut r)?;
-            if data.n() != n || data.targets() != [target] {
+            // The embedded dataset's own checks bound `target` below `n`.
+            let [target] = take(&mut r, "target index")?;
+            let mut state = TargetState { target, ..Default::default() };
+            state.read_tracker(&mut r)?;
+            let ds = io::read_dataset(&mut r)?;
+            if ds.n() != n || ds.targets() != [target] {
                 return Err(io::bad("embedded dataset does not match its target"));
             }
-            states.push(TargetState { target, data, last_bits, confidence, stable, resolved });
+            state.traces = ds.traces();
+            states.push(state);
+            data.push(ds);
         }
+        let core = Core { cfg, n, states, traces_requested, stats };
+        core.check_traces(traces_requested)?;
 
         // Only rewind the live streams once the whole checkpoint parsed.
         if !device.restore_state(&dev_state) {
@@ -471,15 +590,8 @@ impl Campaign {
         }
         *msg_rng =
             Prng::import_state(&rng_state).ok_or_else(|| io::bad("malformed message-rng state"))?;
-        let campaign = Campaign { cfg, n, states, traces_requested, stats };
-        obs::metrics().counter("campaign.resumes").incr();
-        let pending = campaign.pending().len();
-        obs::emit(|| {
-            obs::Event::new("campaign.resume")
-                .with_u64("traces_requested", traces_requested as u64)
-                .with_u64("pending_targets", pending as u64)
-        });
-        Ok(campaign)
+        core.note_resume();
+        Ok(Campaign { core, data })
     }
 
     /// [`Campaign::resume`] from a checkpoint file.
@@ -493,80 +605,25 @@ impl Campaign {
         msg_rng: &mut Prng,
         path: &Path,
     ) -> Result<Campaign> {
-        let f = std::fs::File::open(path)?;
-        Campaign::resume(cfg, device, msg_rng, std::io::BufReader::new(f))
+        Campaign::resume(cfg, device, msg_rng, BufReader::new(File::open(path)?))
     }
 }
 
-/// Re-attacks one coefficient on its accumulated data and advances its
-/// convergence tracker.
-fn evaluate(state: &mut TargetState, cfg: &CampaignConfig) {
-    let traces = state.data.traces();
-    // tanh thresholds need d > 3; a handful of traces cannot clear a
-    // 99.99 % bar anyway, so skip the (expensive) re-attack entirely.
-    if traces < 8 {
-        return;
-    }
-    let r = recover_coefficient(&state.data, state.target, &cfg.attack);
-    let conf = coefficient_confidence(&state.data, state.target, r.bits);
-    state.confidence = conf;
-    let cleared = conf >= cfg.margin * confidence::threshold_9999(traces as u64);
-    if cleared && state.last_bits == Some(r.bits) {
-        state.stable += 1;
-    } else if cleared {
-        state.stable = 1;
-    } else {
-        state.stable = 0;
-    }
-    state.last_bits = Some(r.bits);
-    if state.stable >= cfg.stable_batches {
-        state.resolved = Some((r.bits, conf, traces));
-        obs::metrics().counter("campaign.converged").incr();
-        let (target, bits) = (state.target, r.bits);
-        obs::emit(|| {
-            obs::Event::new("campaign.converged")
-                .with_u64("target", target as u64)
-                .with_u64("bits", bits)
-                .with_f64("confidence", conf)
-                .with_u64("traces", traces as u64)
-        });
-    }
-}
-
-const OCKPT_MAGIC: &[u8; 7] = b"FDNOCKP";
-const OCKPT_VERSION: u8 = 1;
-
-/// An offline campaign: the same adaptive convergence loop as
-/// [`Campaign`], replayed over a fixed trace archive instead of a live
-/// device. Batches "acquire" by revealing the next `batch_size` traces
-/// of the archive's stable trace order, so the convergence decisions —
-/// margin, stability, early stop — behave exactly as they would have
-/// live, and any [`ColumnSource`] (resident or streamed) drives the
-/// full campaign → key → forgery pipeline.
-///
-/// Targets are processed **sequentially**: one target's columns are
-/// fetched (and kept) at a time, so the resident footprint over a
-/// multi-gigabyte streamed archive is one target block plus the ring —
-/// never the whole file. Per target, consumption stops at
-/// `min(source traces, cfg.max_traces)`; `traces_requested` sums the
-/// traces revealed across all targets.
-///
-/// Checkpoints (`FDNOCKP\x01`) record only *logical* progress — cursor,
-/// per-target consumption and convergence trackers — never trace data
-/// or anything source-dependent, so a campaign checkpointed against a
-/// resident dataset and one checkpointed against the same file streamed
-/// are byte-identical.
+/// An offline campaign: the convergence loop of [`Campaign`] replayed,
+/// one target at a time, over an archive through any [`ColumnSource`]
+/// (resident or streamed). Batches "acquire" by revealing the next
+/// `batch_size` traces of the archive's stable trace order, so margin,
+/// stability and early stop behave exactly as they would have live.
+/// Per target, consumption stops at `min(source traces,
+/// cfg.max_traces)`; `traces_requested` sums the traces revealed. The
+/// logical checkpoints are byte-identical for resident and streamed
+/// copies of one archive.
 #[derive(Debug, Clone)]
 pub struct OfflineCampaign {
-    cfg: CampaignConfig,
-    n: usize,
-    states: Vec<TargetState>,
-    /// Traces revealed so far, per target (parallel to `states`).
-    consumed: Vec<usize>,
-    /// Index into `states` of the target currently being evaluated;
-    /// `states.len()` once every target finished.
+    core: Core,
+    /// Index into `core.states` of the target currently being
+    /// evaluated; `core.states.len()` once every target finished.
     cursor: usize,
-    traces_requested: usize,
     /// The cursor target's full single-target dataset, fetched once per
     /// target and truncated per batch. Dropped when the target
     /// finishes.
@@ -585,54 +642,22 @@ impl OfflineCampaign {
     /// or budget), a target absent from the source, or an empty
     /// archive.
     pub fn new<S: ColumnSource + ?Sized>(src: &S, cfg: CampaignConfig) -> Result<OfflineCampaign> {
-        if cfg.batch_size == 0 || cfg.max_traces == 0 {
-            return Err(Error::Acquisition(
-                "campaign needs a nonzero batch size and trace budget".into(),
-            ));
-        }
+        let core = Core::new(src.n(), cfg, src.targets())?;
         if src.traces() == 0 {
             return Err(Error::Acquisition("archive holds no traces".into()));
         }
-        let n = src.n();
-        let targets: Vec<usize> =
-            if cfg.targets.is_empty() { src.targets().to_vec() } else { cfg.targets.clone() };
-        let states = targets
-            .iter()
-            .map(|&t| {
-                if !src.targets().contains(&t) {
-                    return Err(Error::TargetNotInDataset { target: t });
-                }
-                Ok(TargetState {
-                    target: t,
-                    data: Dataset::empty(n, &[t])?,
-                    last_bits: None,
-                    confidence: 0.0,
-                    stable: 0,
-                    resolved: None,
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let consumed = vec![0; states.len()];
-        Ok(OfflineCampaign {
-            cfg,
-            n,
-            states,
-            consumed,
-            cursor: 0,
-            traces_requested: 0,
-            cache: None,
-        })
+        Ok(OfflineCampaign { core, cursor: 0, cache: None })
     }
 
     /// Traces revealed from the archive so far, summed over targets.
     pub fn traces_requested(&self) -> usize {
-        self.traces_requested
+        self.core.traces_requested
     }
 
     /// True when every target converged or exhausted its share of the
     /// archive.
     pub fn is_done(&self) -> bool {
-        self.cursor >= self.states.len()
+        self.cursor >= self.core.states.len()
     }
 
     /// Reveals one batch of the cursor target's traces and re-evaluates
@@ -650,32 +675,27 @@ impl OfflineCampaign {
             return Ok(false);
         }
         let _batch_span = obs::span("campaign.batch");
-        let target = self.states[self.cursor].target;
-        if self.cache.is_none() {
-            let _fetch_span = obs::span("campaign.fetch_block");
-            self.cache = Some(src.target_block(target)?.to_dataset(self.n)?);
-        }
-        let budget = src.traces().min(self.cfg.max_traces);
-        let batch = self.cfg.batch_size.min(budget - self.consumed[self.cursor]);
-        self.consumed[self.cursor] += batch;
-        self.traces_requested += batch;
-        let state = &mut self.states[self.cursor];
+        let core = &mut self.core;
+        let state = &mut core.states[self.cursor];
+        let cache = match &mut self.cache {
+            Some(cache) => cache,
+            cache => {
+                let _fetch_span = obs::span("campaign.fetch_block");
+                cache.insert(src.target_block(state.target)?.to_dataset(core.n)?)
+            }
+        };
+        let budget = src.traces().min(core.cfg.max_traces);
+        let batch = core.cfg.batch_size.min(budget - state.traces);
+        core.traces_requested += batch;
         {
             let _eval_span = obs::span("campaign.evaluate");
             // The prefix is rebuilt from the cached block, so an
             // evaluation sees byte-identical data no matter which
             // source produced the block.
-            state.data = self
-                .cache
-                .as_ref()
-                .expect("cache populated above")
-                .truncated(self.consumed[self.cursor]);
-            evaluate(state, &self.cfg);
+            state.evaluate(&cache.truncated(state.traces + batch), &core.cfg);
         }
-        if state.resolved.is_some() || self.consumed[self.cursor] >= budget {
-            // Target finished: drop its trace data (the report reads
-            // `consumed`), free the cache, move on.
-            state.data = Dataset::empty(self.n, &[target])?;
+        if state.resolved.is_some() || state.traces >= budget {
+            // Target finished: free the cache, move on.
             self.cache = None;
             self.cursor += 1;
         }
@@ -694,32 +714,10 @@ impl OfflineCampaign {
         Ok(self.report())
     }
 
-    /// The campaign's current (possibly partial) outcome. Acquisition
-    /// stats are all zero: the archive's screening happened (if ever)
-    /// before it was written.
+    /// The campaign's current (possibly partial) outcome, with all-zero
+    /// acquisition stats.
     pub fn report(&self) -> CampaignReport {
-        let statuses = self
-            .states
-            .iter()
-            .zip(&self.consumed)
-            .map(|(s, &consumed)| match s.resolved {
-                Some((bits, confidence, traces)) => {
-                    CoefficientStatus::Recovered { target: s.target, bits, confidence, traces }
-                }
-                None => CoefficientStatus::Unconverged {
-                    target: s.target,
-                    best_bits: s.last_bits.unwrap_or(0),
-                    confidence: s.confidence,
-                    traces: consumed,
-                },
-            })
-            .collect();
-        CampaignReport {
-            n: self.n,
-            statuses,
-            traces_requested: self.traces_requested,
-            stats: AcquisitionStats::default(),
-        }
+        self.core.report()
     }
 
     /// Serialises the logical progress (`FDNOCKP\x01`): cursor,
@@ -732,33 +730,12 @@ impl OfflineCampaign {
     ///
     /// Propagates writer errors.
     pub fn write_checkpoint<W: Write>(&self, mut w: W) -> Result<()> {
-        w.write_all(OCKPT_MAGIC)?;
-        w.write_all(&[OCKPT_VERSION])?;
-        w.write_all(&(self.n as u64).to_le_bytes())?;
-        w.write_all(&(self.cursor as u64).to_le_bytes())?;
-        w.write_all(&(self.traces_requested as u64).to_le_bytes())?;
-        w.write_all(&(self.states.len() as u64).to_le_bytes())?;
-        for (s, &consumed) in self.states.iter().zip(&self.consumed) {
-            w.write_all(&(s.target as u64).to_le_bytes())?;
-            w.write_all(&(consumed as u64).to_le_bytes())?;
-            match s.resolved {
-                Some((bits, conf, traces)) => {
-                    w.write_all(&[1])?;
-                    w.write_all(&bits.to_le_bytes())?;
-                    w.write_all(&conf.to_le_bytes())?;
-                    w.write_all(&(traces as u64).to_le_bytes())?;
-                }
-                None => w.write_all(&[0])?,
-            }
-            match s.last_bits {
-                Some(b) => {
-                    w.write_all(&[1])?;
-                    w.write_all(&b.to_le_bytes())?;
-                }
-                None => w.write_all(&[0])?,
-            }
-            w.write_all(&s.confidence.to_le_bytes())?;
-            w.write_all(&(s.stable as u64).to_le_bytes())?;
+        let core = &self.core;
+        w.write_all(OCKPT_HEAD)?;
+        put(&mut w, &[core.n, self.cursor, core.traces_requested, core.states.len()])?;
+        for s in &core.states {
+            put(&mut w, &[s.target, s.traces])?;
+            s.write_tracker(&mut w)?;
         }
         Ok(())
     }
@@ -770,17 +747,7 @@ impl OfflineCampaign {
     ///
     /// Returns [`Error::Persist`] naming the failed persistence step.
     pub fn checkpoint(&self, path: &Path) -> Result<()> {
-        let ckpt_span = obs::span("campaign.checkpoint");
-        io::atomic_write(path, |w| self.write_checkpoint(w))?;
-        drop(ckpt_span);
-        let (requested, cursor) = (self.traces_requested, self.cursor);
-        obs::emit(|| {
-            obs::Event::new("campaign.offline_checkpoint")
-                .with_u64("traces_requested", requested as u64)
-                .with_u64("cursor", cursor as u64)
-                .with_str("path", path.display().to_string())
-        });
-        Ok(())
+        self.core.persist(path, |w| self.write_checkpoint(w))
     }
 
     /// Rebuilds an offline campaign from a checkpoint. The caller
@@ -800,55 +767,31 @@ impl OfflineCampaign {
         cfg: CampaignConfig,
         mut r: R,
     ) -> Result<OfflineCampaign> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic[..7] != OCKPT_MAGIC {
-            return Err(io::bad("not a falcon-down offline-campaign checkpoint (bad magic)"));
-        }
-        if magic[7] != OCKPT_VERSION {
-            return Err(Error::UnsupportedVersion {
-                found: magic[7] as u32,
-                supported: OCKPT_VERSION as u32,
-            });
-        }
+        io::read_head(&mut r, OCKPT_HEAD, "offline-campaign checkpoint")?;
         let mut fresh = OfflineCampaign::new(src, cfg)?;
-        let n = io::checked_count(io::read_u64(&mut r)?, "ring degree")?;
-        if n != fresh.n {
+        let core = &mut fresh.core;
+        let [n, cursor, traces_requested, count] = take(&mut r, "checkpoint counter")?;
+        if n != core.n {
             return Err(io::bad("checkpoint ring degree disagrees with the source"));
         }
-        let cursor = io::checked_count(io::read_u64(&mut r)?, "cursor")?;
-        let traces_requested = io::checked_count(io::read_u64(&mut r)?, "trace counter")?;
-        let count = io::checked_count(io::read_u64(&mut r)?, "target count")?;
-        if count != fresh.states.len() || cursor > count {
+        if count != core.states.len() || cursor > count {
             return Err(io::bad("checkpoint target list disagrees with the config"));
         }
-        for (s, consumed) in fresh.states.iter_mut().zip(fresh.consumed.iter_mut()) {
-            let target = io::checked_count(io::read_u64(&mut r)?, "target index")?;
+        for s in core.states.iter_mut() {
+            let [target, traces] = take(&mut r, "target progress")?;
             if target != s.target {
                 return Err(io::bad("checkpoint target order disagrees with the config"));
             }
-            *consumed = io::checked_count(io::read_u64(&mut r)?, "consumed traces")?;
-            s.resolved = match read_u8(&mut r)? {
-                0 => None,
-                1 => {
-                    let bits = io::read_u64(&mut r)?;
-                    let conf = f64::from_bits(io::read_u64(&mut r)?);
-                    let traces = io::checked_count(io::read_u64(&mut r)?, "trace count")?;
-                    Some((bits, conf, traces))
-                }
-                _ => return Err(io::bad("malformed resolution flag")),
-            };
-            s.last_bits = match read_u8(&mut r)? {
-                0 => None,
-                1 => Some(io::read_u64(&mut r)?),
-                _ => return Err(io::bad("malformed winner flag")),
-            };
-            s.confidence = f64::from_bits(io::read_u64(&mut r)?);
-            s.stable = io::checked_count(io::read_u64(&mut r)?, "stability counter")?;
+            s.traces = traces;
+            s.read_tracker(&mut r)?;
         }
+        core.check_traces(src.traces().min(core.cfg.max_traces))?;
+        if core.states.iter().map(|s| s.traces).sum::<usize>() != traces_requested {
+            return Err(io::bad("checkpoint trace counter disagrees with its targets"));
+        }
+        core.traces_requested = traces_requested;
         fresh.cursor = cursor;
-        fresh.traces_requested = traces_requested;
-        obs::metrics().counter("campaign.resumes").incr();
+        fresh.core.note_resume();
         Ok(fresh)
     }
 
@@ -862,8 +805,7 @@ impl OfflineCampaign {
         cfg: CampaignConfig,
         path: &Path,
     ) -> Result<OfflineCampaign> {
-        let f = std::fs::File::open(path)?;
-        OfflineCampaign::resume(src, cfg, std::io::BufReader::new(f))
+        OfflineCampaign::resume(src, cfg, BufReader::new(File::open(path)?))
     }
 }
 
@@ -873,30 +815,18 @@ fn read_u8<R: Read>(r: &mut R) -> Result<u8> {
     Ok(b[0])
 }
 
-fn stats_fields(s: &AcquisitionStats) -> [usize; 8] {
+/// The acquisition counters in checkpoint order, writable in place.
+fn stats_fields(s: &mut AcquisitionStats) -> [&mut usize; 8] {
     [
-        s.requested,
-        s.kept,
-        s.dropped_trigger,
-        s.discarded_saturated,
-        s.discarded_dead,
-        s.discarded_misaligned,
-        s.realigned,
-        s.winsorized,
+        &mut s.requested,
+        &mut s.kept,
+        &mut s.dropped_trigger,
+        &mut s.discarded_saturated,
+        &mut s.discarded_dead,
+        &mut s.discarded_misaligned,
+        &mut s.realigned,
+        &mut s.winsorized,
     ]
-}
-
-fn stats_from_fields(v: &[usize; 8]) -> AcquisitionStats {
-    AcquisitionStats {
-        requested: v[0],
-        kept: v[1],
-        dropped_trigger: v[2],
-        discarded_saturated: v[3],
-        discarded_dead: v[4],
-        discarded_misaligned: v[5],
-        realigned: v[6],
-        winsorized: v[7],
-    }
 }
 
 #[cfg(test)]

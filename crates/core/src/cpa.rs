@@ -336,7 +336,8 @@ pub fn pearson(hyps: &[f64], samples: &[f32]) -> f64 {
     }
 }
 
-/// [`pearson`] against one sample column of a [`ColumnSource`]: the
+/// [`pearson`] against one sample column of a
+/// [`ColumnSource`](crate::source::ColumnSource): the
 /// column-level seam used by ingest verification and the streaming
 /// bench, identical for resident and streamed sources.
 ///

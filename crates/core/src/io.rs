@@ -7,35 +7,33 @@
 //!
 //! # Versions
 //!
-//! * **v1** (`FDNDSET\x01`): row-major payload — knowns keyed
-//!   `[trace][target][occ]`, samples `[trace][target][occ·14+step]`.
-//!   Still readable; transposed into the columnar layout on load.
-//! * **v2** (`FDNDSET\x02`, current): columnar payload — knowns keyed
-//!   `[target][occ][trace]`, samples `[target][occ][step][trace]`, a
-//!   byte-for-byte dump of the in-memory [`Dataset`] buffers. Writing
-//!   and loading are bulk copies with no transpose.
+//! * **v2** (`FDNDSET\x02`, the only version read or written):
+//!   columnar payload — knowns keyed `[target][occ][trace]`, samples
+//!   `[target][occ][step][trace]`, a byte-for-byte dump of the in-memory
+//!   [`Dataset`] buffers. Writing and loading are bulk copies with no
+//!   transpose.
 //!
-//! Unknown versions are rejected with
-//! [`Error::UnsupportedVersion`](crate::error::Error::UnsupportedVersion).
+//! Every other version, including the row-major v1 (`FDNDSET\x01`) that
+//! only early builds of this crate wrote, is rejected with
+//! [`Error::UnsupportedVersion`].
 
 use crate::acquire::{Dataset, POINTS_PER_TARGET};
 use crate::error::{Error, Result};
 use std::io::{Read, Write};
 use std::path::Path;
 
-const MAGIC_PREFIX: &[u8; 7] = b"FDNDSET";
-const VERSION_V1: u8 = 1;
+const HEAD: &[u8; 8] = b"FDNDSET\x02";
 /// Current (columnar) dataset format version.
 pub const VERSION_V2: u8 = 2;
 
 /// The parsed header of a serialised dataset: everything up to (and
 /// including) the column directory, with **no payload read**. Besides
-/// the dimensions, it knows the byte geometry of the v2 columnar
-/// payload, so out-of-core readers can address any target's contiguous
+/// the dimensions, it knows the byte geometry of the columnar payload,
+/// so out-of-core readers can address any target's contiguous
 /// known/sample regions directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatasetHeader {
-    /// On-disk format version (1 row-major, 2 columnar).
+    /// On-disk format version (always [`VERSION_V2`]).
     pub version: u8,
     /// Ring degree.
     pub n: usize,
@@ -73,19 +71,17 @@ impl DatasetHeader {
     }
 
     /// Byte range `(offset, len)` of target slot `ti`'s known-operand
-    /// block (`[occ][trace]`, `2·traces` u64 words). **v2 only** — the
-    /// v1 row-major payload interleaves targets per trace and has no
-    /// contiguous per-target region.
+    /// block (`[occ][trace]`, `2·traces` u64 words).
     pub fn target_knowns_range(&self, ti: usize) -> (u64, u64) {
-        debug_assert!(self.version == VERSION_V2 && ti < self.targets.len());
+        debug_assert!(ti < self.targets.len());
         let len = 2 * self.traces as u64 * 8;
         (self.header_len() + ti as u64 * len, len)
     }
 
     /// Byte range `(offset, len)` of target slot `ti`'s sample block
-    /// (`[occ][step][trace]`, `28·traces` f32 samples). **v2 only.**
+    /// (`[occ][step][trace]`, `28·traces` f32 samples).
     pub fn target_points_range(&self, ti: usize) -> (u64, u64) {
-        debug_assert!(self.version == VERSION_V2 && ti < self.targets.len());
+        debug_assert!(ti < self.targets.len());
         let len = POINTS_PER_TARGET as u64 * self.traces as u64 * 4;
         (self.points_offset() + ti as u64 * len, len)
     }
@@ -107,18 +103,7 @@ impl DatasetHeader {
 /// overflowing dimensions, [`Error::UnsupportedVersion`] on a version
 /// this build does not understand, and [`Error::Io`] on truncation.
 pub fn read_dataset_header<R: Read>(r: &mut R) -> Result<DatasetHeader> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic[..7] != MAGIC_PREFIX {
-        return Err(bad("not a falcon-down dataset (bad magic)"));
-    }
-    let version = magic[7];
-    if version != VERSION_V1 && version != VERSION_V2 {
-        return Err(Error::UnsupportedVersion {
-            found: u32::from(version),
-            supported: u32::from(VERSION_V2),
-        });
-    }
+    read_head(r, HEAD, "dataset")?;
     let n = checked_count(read_u64(r)?, "ring degree")?;
     if !n.is_power_of_two() || !(2..=1 << 10).contains(&n) {
         return Err(bad("invalid ring degree"));
@@ -148,7 +133,7 @@ pub fn read_dataset_header<R: Read>(r: &mut R) -> Result<DatasetHeader> {
         .checked_mul(n_targets)
         .and_then(|v| v.checked_mul(POINTS_PER_TARGET))
         .ok_or_else(|| bad("sample count overflows"))?;
-    Ok(DatasetHeader { version, n, targets, traces })
+    Ok(DatasetHeader { version: VERSION_V2, n, targets, traces })
 }
 
 /// Serialises a dataset in the current (v2, columnar) format.
@@ -158,8 +143,7 @@ pub fn read_dataset_header<R: Read>(r: &mut R) -> Result<DatasetHeader> {
 /// Propagates I/O errors from the writer. The format is
 /// platform-independent (fixed-width little-endian fields).
 pub fn write_dataset<W: Write>(ds: &Dataset, mut w: W) -> Result<()> {
-    w.write_all(MAGIC_PREFIX)?;
-    w.write_all(&[VERSION_V2])?;
+    w.write_all(HEAD)?;
     w.write_all(&(ds.n() as u64).to_le_bytes())?;
     w.write_all(&(ds.targets().len() as u64).to_le_bytes())?;
     w.write_all(&(ds.traces() as u64).to_le_bytes())?;
@@ -270,6 +254,24 @@ where
     Ok(())
 }
 
+/// Reads and checks an 8-byte magic-and-version header: seven magic
+/// bytes naming the record type (`what`), then the one version byte
+/// this build reads.
+pub(crate) fn read_head<R: Read>(r: &mut R, head: &[u8; 8], what: &str) -> Result<()> {
+    let mut got = [0u8; 8];
+    r.read_exact(&mut got)?;
+    if got[..7] != head[..7] {
+        return Err(Error::invalid(format!("not a falcon-down {what} (bad magic)")));
+    }
+    if got[7] != head[7] {
+        return Err(Error::UnsupportedVersion {
+            found: u32::from(got[7]),
+            supported: u32::from(head[7]),
+        });
+    }
+    Ok(())
+}
+
 pub(crate) fn read_u64<R: Read>(r: &mut R) -> Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
@@ -326,8 +328,7 @@ pub(crate) fn read_f32s<R: Read>(r: &mut R, count: usize) -> Result<Vec<f32>> {
     Ok(out)
 }
 
-/// Deserialises a dataset written by [`write_dataset`] — the current v2
-/// format or the legacy v1 row-major format (transposed on load).
+/// Deserialises a dataset written by [`write_dataset`].
 ///
 /// # Errors
 ///
@@ -341,12 +342,7 @@ pub fn read_dataset<R: Read>(mut r: R) -> Result<Dataset> {
     let hdr = read_dataset_header(&mut r)?;
     let knowns = read_u64s(&mut r, hdr.knowns_len())?;
     let points = read_f32s(&mut r, hdr.points_len())?;
-    let DatasetHeader { version, n, targets, traces } = hdr;
-    if version == VERSION_V1 {
-        Dataset::try_from_raw_parts(n, targets, traces, knowns, points)
-    } else {
-        Dataset::try_from_columnar_parts(n, targets, traces, knowns, points)
-    }
+    Dataset::try_from_columnar_parts(hdr.n, hdr.targets, hdr.traces, knowns, points)
 }
 
 #[cfg(test)]
@@ -368,34 +364,6 @@ mod tests {
         let mut dev = Device::new(kp.into_parts().0, chain, b"io bench");
         let mut msgs = Prng::from_seed(b"io msgs");
         Dataset::collect(&mut dev, &[0, 2, 5], 12, &mut msgs)
-    }
-
-    /// Writes `ds` in the legacy v1 row-major format, byte-for-byte what
-    /// the pre-columnar builds produced. Kept test-local: the library
-    /// only *reads* v1.
-    fn write_dataset_v1(ds: &Dataset, w: &mut Vec<u8>) {
-        w.extend_from_slice(MAGIC_PREFIX);
-        w.push(VERSION_V1);
-        w.extend_from_slice(&(ds.n() as u64).to_le_bytes());
-        w.extend_from_slice(&(ds.targets().len() as u64).to_le_bytes());
-        w.extend_from_slice(&(ds.traces() as u64).to_le_bytes());
-        for &t in ds.targets() {
-            w.extend_from_slice(&(t as u64).to_le_bytes());
-        }
-        for trace in 0..ds.traces() {
-            for &t in ds.targets() {
-                for occ in 0..2 {
-                    w.extend_from_slice(&ds.known(trace, t, occ).to_le_bytes());
-                }
-            }
-        }
-        for trace in 0..ds.traces() {
-            for &t in ds.targets() {
-                for v in ds.window(trace, t) {
-                    w.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
     }
 
     fn assert_datasets_equal(a: &Dataset, b: &Dataset) {
@@ -462,12 +430,17 @@ mod tests {
     }
 
     #[test]
-    fn reads_legacy_v1_row_major() {
+    fn rejects_legacy_v1_row_major() {
+        // Row-major v1 is rejected like any other unknown version; the
+        // header check fires before the payload layout matters.
         let ds = sample_dataset();
         let mut v1 = Vec::new();
-        write_dataset_v1(&ds, &mut v1);
-        let back = read_dataset(&v1[..]).unwrap();
-        assert_datasets_equal(&back, &ds);
+        write_dataset(&ds, &mut v1).unwrap();
+        v1[7] = 1;
+        assert!(matches!(
+            read_dataset(&v1[..]),
+            Err(Error::UnsupportedVersion { found: 1, supported: 2 })
+        ));
     }
 
     #[test]

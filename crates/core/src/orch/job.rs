@@ -17,10 +17,8 @@ use falcon_sig::rng::Prng;
 use falcon_sig::{KeyPair, LogN, VerifyingKey};
 use std::io::{Read, Write};
 
-const SPEC_MAGIC: &[u8; 7] = b"FDNJSPC";
-const SPEC_VERSION: u8 = 2;
-const STATE_MAGIC: &[u8; 7] = b"FDNJSTA";
-const STATE_VERSION: u8 = 1;
+const SPEC_HEAD: &[u8; 8] = b"FDNJSPC\x02";
+const STATE_HEAD: &[u8; 8] = b"FDNJSTA\x01";
 
 /// Longest accepted job name; names key the on-disk files.
 pub const MAX_NAME_LEN: usize = 64;
@@ -155,7 +153,8 @@ impl JobSpec {
     }
 
     /// The prefetch-ring configuration for a streamed job; zero fields
-    /// fall back to the [`RingConfig`] defaults.
+    /// fall back to the [`RingConfig`](crate::stream::RingConfig)
+    /// defaults.
     pub fn ring_config(&self) -> crate::stream::RingConfig {
         let default = crate::stream::RingConfig::default();
         crate::stream::RingConfig {
@@ -214,8 +213,7 @@ impl JobSpec {
     ///
     /// Propagates writer errors.
     pub fn write<W: Write>(&self, mut w: W) -> Result<()> {
-        w.write_all(SPEC_MAGIC)?;
-        w.write_all(&[SPEC_VERSION])?;
+        w.write_all(SPEC_HEAD)?;
         write_str(&mut w, &self.name)?;
         w.write_all(&u64::from(self.logn).to_le_bytes())?;
         w.write_all(&self.noise_sigma.to_le_bytes())?;
@@ -249,7 +247,7 @@ impl JobSpec {
     /// Returns [`Error::InvalidData`] / [`Error::UnsupportedVersion`] on
     /// malformed input, [`Error::Io`] on truncation.
     pub fn read<R: Read>(mut r: R) -> Result<JobSpec> {
-        let version = read_magic(&mut r, SPEC_MAGIC, SPEC_VERSION)?;
+        io::read_head(&mut r, SPEC_HEAD, "job spec")?;
         let name = read_str(&mut r, MAX_NAME_LEN, "job name")?;
         let logn = u32::try_from(io::read_u64(&mut r)?)
             .map_err(|_| io::bad("implausible ring-degree exponent"))?;
@@ -268,13 +266,9 @@ impl JobSpec {
         let panic_steps = read_u64_list(&mut r, "panic-step list")?;
         let stall_steps = read_u64_list(&mut r, "stall-step list")?;
         let stall_ms = io::read_u64(&mut r)?;
-        // v1 specs predate streamed jobs; they read back as simulated
-        // victims with default ring parameters.
-        let (dataset, ring_chunk_bytes, ring_depth) = if version >= 2 {
-            (read_str(&mut r, 4096, "dataset path")?, io::read_u64(&mut r)?, io::read_u64(&mut r)?)
-        } else {
-            (String::new(), 0, 0)
-        };
+        let dataset = read_str(&mut r, 4096, "dataset path")?;
+        let ring_chunk_bytes = io::read_u64(&mut r)?;
+        let ring_depth = io::read_u64(&mut r)?;
         let spec = JobSpec {
             name,
             logn,
@@ -440,8 +434,7 @@ impl JobStatus {
     ///
     /// Propagates writer errors.
     pub fn write<W: Write>(&self, mut w: W) -> Result<()> {
-        w.write_all(STATE_MAGIC)?;
-        w.write_all(&[STATE_VERSION])?;
+        w.write_all(STATE_HEAD)?;
         w.write_all(&[self.state.tag()])?;
         for v in [
             u64::from(self.retries),
@@ -465,7 +458,7 @@ impl JobStatus {
     /// Returns [`Error::InvalidData`] / [`Error::UnsupportedVersion`] on
     /// malformed input, [`Error::Io`] on truncation.
     pub fn read<R: Read>(mut r: R) -> Result<JobStatus> {
-        read_magic(&mut r, STATE_MAGIC, STATE_VERSION)?;
+        io::read_head(&mut r, STATE_HEAD, "job status")?;
         let mut tag = [0u8; 1];
         r.read_exact(&mut tag)?;
         let state = JobState::from_tag(tag[0]).ok_or_else(|| io::bad("malformed job state"))?;
@@ -501,21 +494,6 @@ impl JobStatus {
 /// Reads and checks a magic/version preamble, accepting any version in
 /// `1..=max_version` and returning the version found (callers branch on
 /// it for back-compat fields).
-fn read_magic<R: Read>(r: &mut R, magic: &[u8; 7], max_version: u8) -> Result<u8> {
-    let mut head = [0u8; 8];
-    r.read_exact(&mut head)?;
-    if &head[..7] != magic {
-        return Err(io::bad("bad magic for an orchestrator record"));
-    }
-    if head[7] == 0 || head[7] > max_version {
-        return Err(Error::UnsupportedVersion {
-            found: u32::from(head[7]),
-            supported: u32::from(max_version),
-        });
-    }
-    Ok(head[7])
-}
-
 fn write_str<W: Write>(w: &mut W, s: &str) -> Result<()> {
     w.write_all(&(s.len() as u64).to_le_bytes())?;
     w.write_all(s.as_bytes())?;
@@ -630,34 +608,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_specs_still_read_as_simulated_jobs() {
-        // A byte-exact v1 stream (the pre-streaming writer layout).
-        let s = spec();
+    fn v1_specs_are_rejected_as_unsupported() {
+        // A v1 spec lacks the streamed-dataset fields: the reader names
+        // its version rather than guessing them.
         let mut buf = Vec::new();
-        buf.extend_from_slice(SPEC_MAGIC);
-        buf.push(1);
-        write_str(&mut buf, &s.name).unwrap();
-        buf.extend_from_slice(&u64::from(s.logn).to_le_bytes());
-        buf.extend_from_slice(&s.noise_sigma.to_le_bytes());
-        write_str(&mut buf, &s.seed).unwrap();
-        for v in [
-            s.batch_size as u64,
-            s.max_traces as u64,
-            u64::from(s.steps_per_slice),
-            u64::from(s.max_retries),
-            s.step_deadline_ms,
-            s.job_deadline_ms,
-            s.backoff_base_ms,
-            s.backoff_cap_ms,
-        ] {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        write_u64_list(&mut buf, &s.panic_steps).unwrap();
-        write_u64_list(&mut buf, &s.stall_steps).unwrap();
-        buf.extend_from_slice(&s.stall_ms.to_le_bytes());
-        let read = JobSpec::read(&buf[..]).unwrap();
-        assert_eq!(read, s);
-        assert!(!read.is_streamed());
+        spec().write(&mut buf).unwrap();
+        buf[7] = 1;
+        assert!(matches!(
+            JobSpec::read(&buf[..]),
+            Err(Error::UnsupportedVersion { found: 1, supported: 2 })
+        ));
     }
 
     #[test]

@@ -67,21 +67,10 @@ impl FaultInjector {
 /// The two acquisition engines a job can run on: a seeded simulated
 /// victim (live capture), or an archived dataset streamed from disk.
 enum Engine {
-    /// Simulated victim: acquisition drives the instrumented device.
-    Device {
-        /// The reconstructed victim bench (boxed: the device dwarfs the
-        /// streamed variant).
-        victim: Box<Victim>,
-        /// The device-backed resumable campaign.
-        campaign: Campaign,
-    },
+    /// Simulated victim, boxed: the device dwarfs the streamed variant.
+    Device { victim: Box<Victim>, campaign: Campaign },
     /// Streamed archive: acquisition is a bounded-ring file read.
-    Stream {
-        /// The chunk-streamed dataset.
-        source: StreamedDataset,
-        /// The source-agnostic offline campaign.
-        campaign: OfflineCampaign,
-    },
+    Stream { source: StreamedDataset, campaign: OfflineCampaign },
 }
 
 /// One job's in-memory execution state: acquisition engine plus
@@ -94,14 +83,10 @@ pub struct JobRuntime {
 }
 
 impl JobRuntime {
-    /// Reconstructs a job's runtime. For a simulated job this builds
-    /// the seeded victim and either resumes the persisted checkpoint
-    /// (rewinding the device and message streams to their checkpointed
-    /// positions) or starts a fresh campaign. For a streamed job
-    /// (`spec.dataset` non-empty) it opens the archive through the
-    /// prefetch ring and builds/resumes an [`OfflineCampaign`], whose
-    /// checkpoints carry logical progress only — the archive itself is
-    /// the replay source.
+    /// Reconstructs a job's runtime: the seeded victim, or for a
+    /// streamed job (`spec.dataset` non-empty) the archive behind a
+    /// prefetch ring, then the campaign resumed from the persisted
+    /// checkpoint or started fresh.
     ///
     /// # Errors
     ///
@@ -109,35 +94,28 @@ impl JobRuntime {
     /// campaign construction errors.
     pub fn prepare(spec: &JobSpec, store: &JobStore) -> Result<JobRuntime> {
         spec.validate()?;
-        let ckpt = store.checkpoint_path(&spec.name);
+        let (ckpt, cfg) = (store.checkpoint_path(&spec.name), spec.campaign_config());
         let engine = if spec.is_streamed() {
             let source = StreamedDataset::open(&spec.dataset, spec.ring_config())?;
             let campaign = if ckpt.exists() {
-                OfflineCampaign::resume_from_path(&source, spec.campaign_config(), &ckpt)?
+                OfflineCampaign::resume_from_path(&source, cfg, &ckpt)?
             } else {
-                OfflineCampaign::new(&source, spec.campaign_config())?
+                OfflineCampaign::new(&source, cfg)?
             };
             Engine::Stream { source, campaign }
         } else {
             let mut victim = spec.build_victim()?;
             let campaign = if ckpt.exists() {
-                Campaign::resume_from_path(
-                    spec.campaign_config(),
-                    &mut victim.device,
-                    &mut victim.msgs,
-                    &ckpt,
-                )?
+                Campaign::resume_from_path(cfg, &mut victim.device, &mut victim.msgs, &ckpt)?
             } else {
-                Campaign::new(spec.n(), spec.campaign_config())?
+                Campaign::new(spec.n(), cfg)?
             };
             Engine::Device { victim: Box::new(victim), campaign }
         };
-        let traces = match &engine {
-            Engine::Device { campaign, .. } => campaign.traces_requested(),
-            Engine::Stream { campaign, .. } => campaign.traces_requested(),
-        };
-        let batches_done = (traces as u64).div_ceil(spec.batch_size as u64);
-        Ok(JobRuntime { spec: spec.clone(), engine, batches_done })
+        let mut rt = JobRuntime { spec: spec.clone(), engine, batches_done: 0 };
+        let traces = rt.report().traces_requested as u64;
+        rt.batches_done = traces.div_ceil(spec.batch_size as u64);
+        Ok(rt)
     }
 
     /// The job's spec.
@@ -176,37 +154,27 @@ impl JobRuntime {
         let mut done = false;
         for _ in 0..self.spec.steps_per_slice {
             injector.fire(&self.spec, self.batches_done);
-            let advanced = match &mut self.engine {
+            let (advanced, finished) = match &mut self.engine {
                 Engine::Device { victim, campaign } => {
-                    campaign.step(&mut victim.device, &mut victim.msgs)?
+                    (campaign.step(&mut victim.device, &mut victim.msgs)?, campaign.is_done())
                 }
-                Engine::Stream { source, campaign } => campaign.step(source)?,
+                Engine::Stream { source, campaign } => (campaign.step(source)?, campaign.is_done()),
             };
-            if !advanced {
-                done = true;
-                break;
+            if advanced {
+                self.batches_done += 1;
+                steps += 1;
             }
-            self.batches_done += 1;
-            steps += 1;
-            let finished = match &self.engine {
-                Engine::Device { campaign, .. } => campaign.is_done(),
-                Engine::Stream { campaign, .. } => campaign.is_done(),
-            };
-            if finished {
+            if !advanced || finished {
                 done = true;
                 break;
             }
         }
         let report = self.report();
-        let traces_requested = match &self.engine {
-            Engine::Device { campaign, .. } => campaign.traces_requested(),
-            Engine::Stream { campaign, .. } => campaign.traces_requested(),
-        };
         Ok(SliceOutcome {
             steps,
             done,
             complete: report.is_complete(),
-            traces_requested,
+            traces_requested: report.traces_requested,
             recovered: report.recovered_count(),
         })
     }

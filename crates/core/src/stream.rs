@@ -30,7 +30,7 @@
 //! larger than the ring.
 
 use crate::error::{Error, Result};
-use crate::io::{read_dataset_header, DatasetHeader, VERSION_V2};
+use crate::io::{read_dataset_header, DatasetHeader};
 use crate::source::{ColumnSource, TargetBlock};
 use std::borrow::Cow;
 use std::fs::File;
@@ -135,20 +135,13 @@ impl StreamedDataset {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidData`] for v1 archives (row-major
-    /// payloads have no contiguous per-target region — convert with
-    /// `falcon_ingest convert` first), for a length mismatch, or a bad
-    /// ring; plus everything [`read_dataset_header`] returns.
+    /// Returns [`Error::InvalidData`] for a length mismatch or a bad
+    /// ring, plus everything [`read_dataset_header`] returns.
     pub fn open(path: impl AsRef<Path>, ring: RingConfig) -> Result<Self> {
         ring.validate()?;
         let path = path.as_ref().to_path_buf();
         let mut r = BufReader::new(File::open(&path)?);
         let header = read_dataset_header(&mut r)?;
-        if header.version != VERSION_V2 {
-            return Err(Error::invalid(
-                "v1 row-major archives cannot stream; convert to v2 with `falcon_ingest convert`",
-            ));
-        }
         drop(r);
         let actual = std::fs::metadata(&path)?.len();
         if actual != header.file_len() {
@@ -446,8 +439,8 @@ mod tests {
     #[test]
     fn v1_archives_refuse_to_stream() {
         let ds = sample_dataset(4);
-        // Hand-roll a v1 header over an empty payload: version gate
-        // fires before any payload read.
+        // Hand-roll a v1 header over an empty payload: the header parse
+        // rejects the version before any payload read.
         let mut buf = Vec::new();
         buf.extend_from_slice(b"FDNDSET\x01");
         buf.extend_from_slice(&(ds.n() as u64).to_le_bytes());
@@ -457,8 +450,8 @@ mod tests {
         let path = std::env::temp_dir().join(format!("falcon-stream-v1-{}", std::process::id()));
         std::fs::write(&path, &buf).unwrap();
         match StreamedDataset::open_default(&path) {
-            Err(Error::InvalidData(msg)) => assert!(msg.contains("convert"), "{msg}"),
-            other => panic!("expected InvalidData, got {other:?}"),
+            Err(Error::UnsupportedVersion { found: 1, supported: 2 }) => {}
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -27,7 +27,7 @@
 //!   in `dema::cpa`/`dema::exec` carry reviewed allows.
 //!
 //! **Atomics audit** (`atomics-order`): in the concurrency-bearing
-//! modules ([`ATOMICS_AUDITED_PATHS`]: the campaign orchestrator and
+//! modules (`ATOMICS_AUDITED_PATHS`: the campaign orchestrator and
 //! the serving layer) every atomic access must use an ordering that
 //! establishes a happens-before edge — `Ordering::Relaxed` is flagged
 //! unless a `// ct: allow(reason)` marks it reviewed. Pinned now, at

@@ -24,7 +24,7 @@
 //!   function taints the binding it is assigned to; a `return` (or
 //!   trailing expression) mentioning local taint sets `returns_secret`
 //!   on the enclosing function. Calls cross the graph only when
-//!   resolution is unambiguous — see [`calls_in`] for the policy.
+//!   resolution is unambiguous — see `calls_in` for the policy.
 //!
 //! Summaries are computed to a fixpoint, then a reporting pass replays
 //! each tainted function's body with the *same* rule checks the region

@@ -11,7 +11,7 @@
 //!   [`Counter`]s, [`Gauge`]s and monotonic [`Histogram`]s, snapshotted
 //!   into deterministic [`MetricsSnapshot`]s (sorted keys) so benchmark
 //!   harnesses can diff before/after states per pipeline stage;
-//! * [`span`] — scoped wall-clock timing: a [`span`](span()) guard
+//! * [`mod@span`] — scoped wall-clock timing: a [`span`](span()) guard
 //!   records its lifetime into a `span.<name>` duration histogram and,
 //!   when a sink is installed, emits a structured event with its
 //!   thread-local nesting depth;

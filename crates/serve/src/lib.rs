@@ -6,9 +6,9 @@
 //!
 //! * [`rpc`] — the flat-JSON wire format (requests, replies, per-job
 //!   status lines), parseable with `falcon_obs::parse_jsonl`;
-//! * [`server`] — [`bind`](server::bind) / [`serve`](server::serve):
+//! * [`server`] — [`server::bind`] / [`server::serve`]:
 //!   thread-per-connection dispatch against a shared supervisor;
-//! * [`client`] — a small blocking [`Client`](client::Client) used by
+//! * [`client`] — a small blocking [`client::Client`] used by
 //!   the torture tests and CI drivers.
 //!
 //! # Daemon usage
