@@ -19,6 +19,7 @@ use falcon_dema::attack::{recover_mantissa_half, AttackConfig};
 use falcon_dema::confidence::threshold_9999;
 use falcon_dema::cpa::CorrMatrix;
 use falcon_dema::model::{hyp_exponent_with_carry, hyp_sign, KnownOperand, SecretHalf};
+use falcon_dema::source::ColumnSource;
 use falcon_dema::{monolithic_correlations, Dataset};
 use falcon_emsim::StepKind;
 use falcon_sig::rng::Prng;
@@ -89,8 +90,9 @@ fn main() {
     // Attacker-side mantissa recovery feeds the exponent carry model and
     // the monolithic window's high bits.
     let cfg = AttackConfig::default();
-    let lo = recover_mantissa_half(&ds, coeff, SecretHalf::Low, None, &cfg);
-    let hi = recover_mantissa_half(&ds, coeff, SecretHalf::High, Some(lo.value), &cfg);
+    let block = ds.target_block(coeff).expect("resident block");
+    let lo = recover_mantissa_half(&block, SecretHalf::Low, None, &cfg);
+    let hi = recover_mantissa_half(&block, SecretHalf::High, Some(lo.value), &cfg);
     println!(
         "incremental mantissa recovery: low {:#09x} (true {true_d:#09x}), high {:#09x} (true {true_c:#09x})",
         lo.value, hi.value
@@ -122,7 +124,7 @@ fn main() {
     // guesses tied (Pearson is blind to constant hypothesis offsets when
     // the known exponents span a narrow range); the pipeline's joint
     // sign+exponent model resolves it (see EXPERIMENTS.md, deviation D2).
-    let (j_sign, j_exp) = falcon_dema::recover_sign_exponent(&ds, coeff, hi.value, lo.value);
+    let (j_sign, j_exp) = falcon_dema::recover_sign_exponent(&block, hi.value, lo.value);
     println!(
         "\njoint sign+exponent recovery: sign={} exponent={:#05x} (true {}/{:#05x}) corr {:.4} vs runner-up {:.4}",
         j_sign.value,
@@ -135,8 +137,7 @@ fn main() {
 
     // Panels (c)/(d): monolithic mantissa window on the low half.
     let rest = lo.value >> width;
-    let (guesses, extend, prune) =
-        monolithic_correlations(&ds, coeff, SecretHalf::Low, width, rest, 0);
+    let (guesses, extend, prune) = monolithic_correlations(&block, SecretHalf::Low, width, rest, 0);
     panel_report("(c) mantissa multiplication (extend)", &extend, &guesses, true_d, d);
     panel_report("(d) mantissa addition (prune)", &prune, &guesses, true_d, d);
 

@@ -33,6 +33,7 @@ use falcon_dema::cpa::simd::{self, KernelChoice};
 use falcon_dema::cpa::{PearsonSums, SampleSums};
 use falcon_dema::model::SecretHalf;
 use falcon_dema::recover_mantissa_half_monolithic;
+use falcon_dema::source::{ColumnSource, TargetBlock};
 use falcon_obs as obs;
 use std::hint::black_box;
 use std::time::Instant;
@@ -74,7 +75,7 @@ fn tile_corr_per_sec(choice: KernelChoice, reuse: bool, h: &[f64], t: &[f32]) ->
 /// asserted by the caller.
 fn monolithic_leg(
     choice: KernelChoice,
-    ds: &Dataset,
+    block: &TargetBlock<'_>,
     width: u32,
     rest: u64,
     c_hi: u64,
@@ -83,7 +84,7 @@ fn monolithic_leg(
     let name = simd::active_kernel().name();
     let before = obs::metrics().snapshot();
     let t0 = Instant::now();
-    let r = recover_mantissa_half_monolithic(ds, 0, SecretHalf::Low, Some(c_hi), width, rest, 64);
+    let r = recover_mantissa_half_monolithic(block, SecretHalf::Low, Some(c_hi), width, rest, 64);
     let secs = t0.elapsed().as_secs_f64();
     let after = obs::metrics().snapshot();
     simd::set_kernel(None);
@@ -128,13 +129,14 @@ fn main() {
     let (mut device, _vk, truth) = victim(3, noise, "kernel bench");
     let mut msgs = falcon_sig::rng::Prng::from_seed(b"kernel bench msgs");
     let ds = Dataset::collect(&mut device, &[0], traces, &mut msgs);
+    let block = ds.target_block(0).expect("resident block");
     let m = falcon_fpr::Fpr::from_bits(truth[0]).mantissa_bits() | (1 << 52);
     let (d_lo, c_hi) = (m & 0x1FF_FFFF, m >> 25);
 
     let (scalar_gps, scalar_val, _) =
-        monolithic_leg(KernelChoice::Scalar, &ds, width, d_lo >> width, c_hi);
+        monolithic_leg(KernelChoice::Scalar, &block, width, d_lo >> width, c_hi);
     let (auto_gps, auto_val, _) =
-        monolithic_leg(KernelChoice::Auto, &ds, width, d_lo >> width, c_hi);
+        monolithic_leg(KernelChoice::Auto, &block, width, d_lo >> width, c_hi);
     assert_eq!(scalar_val, d_lo, "scalar monolithic window must recover the true low half");
     assert_eq!(auto_val, d_lo, "SIMD monolithic window must recover the true low half");
     let proj_25 = (1u64 << 25) as f64 / auto_gps;
@@ -144,7 +146,7 @@ fn main() {
     let full_run = (full != 0).then(|| {
         simd::set_kernel(Some(KernelChoice::Auto));
         let t0 = Instant::now();
-        let r = recover_mantissa_half_monolithic(&ds, 0, SecretHalf::Low, Some(c_hi), 25, 0, 64);
+        let r = recover_mantissa_half_monolithic(&block, SecretHalf::Low, Some(c_hi), 25, 0, 64);
         let secs = t0.elapsed().as_secs_f64();
         simd::set_kernel(None);
         assert_eq!(r.value, d_lo, "full 2^25 monolithic run must recover the true low half");

@@ -19,7 +19,7 @@ use falcon_bench::json::Json;
 use falcon_bench::report::{arg_or, print_table};
 use falcon_bench::setup::victim;
 use falcon_dema::acquire::Dataset;
-use falcon_dema::attack::{recover_coefficient, AttackConfig};
+use falcon_dema::attack::{recover_coefficient_block, AttackConfig};
 use falcon_dema::source::ColumnSource;
 use falcon_dema::stream::{self, RingConfig, StreamedDataset};
 use falcon_obs as obs;
@@ -31,8 +31,14 @@ use std::time::Instant;
 /// the wall seconds.
 fn sweep<S: ColumnSource + ?Sized>(src: &S, cfg: &AttackConfig) -> (Vec<u64>, f64) {
     let t0 = Instant::now();
-    let bits: Vec<u64> =
-        src.targets().iter().map(|&t| recover_coefficient(src, t, cfg).bits).collect();
+    let bits: Vec<u64> = src
+        .targets()
+        .iter()
+        .map(|&t| {
+            let block = src.target_block(t).expect("column source failed");
+            recover_coefficient_block(&block, cfg).bits
+        })
+        .collect();
     (bits, t0.elapsed().as_secs_f64())
 }
 

@@ -104,6 +104,22 @@ pub(crate) fn scatter_rows(
     Dataset::try_from_columnar_parts(n, targets.to_vec(), traces, knowns, points)
 }
 
+/// Rejects a target list that names a coefficient twice: each target
+/// owns one column block, and a repeat would let a key look complete
+/// with a coefficient never attacked.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidData`] naming the first repeated target.
+pub(crate) fn check_distinct_targets(targets: &[usize]) -> Result<()> {
+    let mut sorted = targets.to_vec();
+    sorted.sort_unstable();
+    match sorted.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(Error::invalid(format!("target {} is listed more than once", w[0]))),
+        None => Ok(()),
+    }
+}
+
 impl Dataset {
     /// Runs an acquisition campaign: `n_traces` signatures over random
     /// messages drawn from `msg_rng`, keeping the windows for `targets`
@@ -216,7 +232,7 @@ impl Dataset {
         if let Some(&t) = targets.iter().find(|&&t| t >= n) {
             return Err(Error::TargetOutOfRange { target: t, n });
         }
-        Ok(())
+        check_distinct_targets(targets)
     }
 
     /// Rebuilds a dataset from **columnar** raw storage — the internal
@@ -226,7 +242,7 @@ impl Dataset {
     /// # Errors
     ///
     /// Returns a typed error when the component lengths are inconsistent
-    /// with the dimensions or a target is out of range.
+    /// with the dimensions, or a target is out of range or repeated.
     pub fn try_from_columnar_parts(
         n: usize,
         targets: Vec<usize>,

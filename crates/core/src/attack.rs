@@ -10,8 +10,15 @@
 //! the false positives (prune).
 //!
 //! Only the prune reads the *other* mantissa half (the additions mix
-//! both), so [`recover_coefficient`] extends each half **once** and its
-//! alternating cross-half refinement re-runs only the prune.
+//! both), so [`recover_coefficient_block`] extends each half **once** and
+//! its alternating cross-half refinement re-runs only the prune.
+//!
+//! Each component is one function over the target's [`TargetBlock`]:
+//! the caller fetches the block once from whatever [`ColumnSource`]
+//! holds the traces (and handles that source's errors), and every
+//! component scores the same borrowed columns. [`recover_coefficient`]
+//! and [`recover_all_verified`] are the two whole-attack conveniences
+//! over a resident [`Dataset`].
 //!
 //! Two extend modes are provided ([`AttackConfig::monolithic_keep`]):
 //!
@@ -23,28 +30,16 @@
 //!   to the full 2^25/2^27 guess space); [`monolithic_correlations`]
 //!   produces the correlation matrices behind Figure 4.
 
+use crate::acquire::Dataset;
 use crate::cpa::{CorrMatrix, PearsonSums, SampleSums};
-use crate::error::Result;
 use crate::exec;
 use crate::model::{
-    assemble_coefficient, hyp_add_hi, hyp_add_lo, hyp_partial_product, hyp_sign, KnownOperand,
-    SecretHalf,
+    assemble_coefficient, hyp_add_hi, hyp_add_lo, hyp_partial_product, KnownOperand, SecretHalf,
 };
 use crate::obs;
 use crate::source::{ColumnSource, TargetBlock};
 use falcon_emsim::StepKind;
 use std::sync::{Arc, OnceLock};
-
-/// Fetches one target's column set from a source, panicking on source
-/// failure. The resident [`Dataset`](crate::Dataset) implementation is
-/// infallible for in-range targets, so the historical non-`Result`
-/// attack API stays panic-free there; streamed sources can genuinely
-/// fail (I/O), and callers that must handle that use
-/// [`try_recover_coefficient`].
-fn fetch_block<S: ColumnSource + ?Sized>(src: &S, target: usize) -> TargetBlock<'_> {
-    src.target_block(target)
-        .unwrap_or_else(|e| panic!("column source failed for target {target}: {e}"))
-}
 
 /// Metric handles for the attack hot paths, resolved once. The counters
 /// take *bulk* adds at stage granularity (one add per beam level, not
@@ -343,25 +338,10 @@ impl<'a> Extended<'a> {
 
 /// Recovers one mantissa half by incremental extend-and-prune.
 ///
-/// Generic over [`ColumnSource`]: the resident
-/// [`Dataset`](crate::Dataset) and the out-of-core
+/// Blocks from the resident [`Dataset`] and the out-of-core
 /// [`StreamedDataset`](crate::stream::StreamedDataset) score
 /// identically (the kernels consume whole columns in a fixed order).
-/// Panics if the source fails to produce the target's columns.
-pub fn recover_mantissa_half<S: ColumnSource + ?Sized>(
-    src: &S,
-    target: usize,
-    half: SecretHalf,
-    other_half: Option<u64>,
-    cfg: &AttackConfig,
-) -> ComponentResult {
-    recover_mantissa_half_block(&fetch_block(src, target), half, other_half, cfg)
-}
-
-/// Block-level core of [`recover_mantissa_half`]: scores against an
-/// already-fetched column set, so multi-component recoveries fetch a
-/// streamed target once instead of once per component.
-pub fn recover_mantissa_half_block(
+pub fn recover_mantissa_half(
     block: &TargetBlock<'_>,
     half: SecretHalf,
     other_half: Option<u64>,
@@ -474,18 +454,15 @@ fn shift_family_closure(beam: &[u64], full_width: u32, half: SecretHalf) -> Vec<
 ///
 /// `keep` bounds the survivors handed to the prune step (their shift
 /// families are closed first, exactly like the incremental path).
-pub fn recover_mantissa_half_monolithic<S: ColumnSource + ?Sized>(
-    src: &S,
-    target: usize,
+pub fn recover_mantissa_half_monolithic(
+    block: &TargetBlock<'_>,
     half: SecretHalf,
     other_half: Option<u64>,
     width: u32,
     rest: u64,
     keep: usize,
 ) -> ComponentResult {
-    let block = fetch_block(src, target);
-    Extended::new(&block, half, |tc| window_survivors(tc, half, width, rest, keep))
-        .prune(other_half)
+    Extended::new(block, half, |tc| window_survivors(tc, half, width, rest, keep)).prune(other_half)
 }
 
 /// The monolithic extend: scores every guess of the window and keeps
@@ -547,27 +524,6 @@ fn window_survivors(
     survivors
 }
 
-/// Recovers the sign bit by correlating the XOR step.
-pub fn recover_sign<S: ColumnSource + ?Sized>(src: &S, target: usize) -> ComponentResult {
-    let block = fetch_block(src, target);
-    attack_metrics().correlations.add(2);
-    let mut scratch: Vec<f64> = Vec::with_capacity(block.traces());
-    let mut scored = Vec::with_capacity(2);
-    for guess in 0u32..2 {
-        let mut sums = PearsonSums::default();
-        for occ in 0..2 {
-            let knowns = block.known_column(occ);
-            scratch.clear();
-            scratch.extend(knowns.iter().map(|&kb| hyp_sign(guess, &KnownOperand::new(kb))));
-            sums.push_column(&scratch, block.sample_column(occ, StepKind::SignXor));
-        }
-        scored.push((guess as u64, sums.corr()));
-    }
-    // The correct sign yields the positive correlation (the wrong one is
-    // its mirror image), as the paper observes for Figure 4(e).
-    top_two(&scored)
-}
-
 /// Jointly recovers the sign bit and the 11-bit biased exponent field
 /// given fully recovered mantissa halves.
 ///
@@ -580,17 +536,7 @@ pub fn recover_sign<S: ColumnSource + ?Sized>(src: &S, target: usize) -> Compone
 /// the tie exactly, so the joint recovery scores each `(sign, exponent)`
 /// pair with the exact micro-op models of the `OperandLoad`,
 /// `ExponentAdd` and `SignXor` steps together.
-pub fn recover_sign_exponent<S: ColumnSource + ?Sized>(
-    src: &S,
-    target: usize,
-    c_hi: u64,
-    d_lo: u64,
-) -> (ComponentResult, ComponentResult) {
-    recover_sign_exponent_block(&fetch_block(src, target), c_hi, d_lo)
-}
-
-/// Block-level core of [`recover_sign_exponent`].
-pub fn recover_sign_exponent_block(
+pub fn recover_sign_exponent(
     block: &TargetBlock<'_>,
     c_hi: u64,
     d_lo: u64,
@@ -673,12 +619,7 @@ pub fn recover_sign_exponent_block(
 /// sample of the coefficient's two multiplications. Correct recoveries
 /// score near the channel's SNR ceiling; a wrong mantissa or exponent
 /// drags the score down measurably.
-pub fn coefficient_confidence<S: ColumnSource + ?Sized>(src: &S, target: usize, bits: u64) -> f64 {
-    coefficient_confidence_block(&fetch_block(src, target), bits)
-}
-
-/// Block-level core of [`coefficient_confidence`].
-pub fn coefficient_confidence_block(block: &TargetBlock<'_>, bits: u64) -> f64 {
+pub fn coefficient_confidence(block: &TargetBlock<'_>, bits: u64) -> f64 {
     attack_metrics().correlations.incr();
     let traces = block.traces();
     let mut sums = PearsonSums::default();
@@ -701,36 +642,26 @@ pub fn coefficient_confidence_block(block: &TargetBlock<'_>, bits: u64) -> f64 {
     sums.corr()
 }
 
+/// Recovers one full `FFT(f)` coefficient of a resident dataset by
+/// divide-and-conquer; see [`recover_coefficient_block`].
+///
+/// # Panics
+///
+/// Panics when `ds` does not hold `target`, like
+/// [`Dataset::sample_column`].
+#[track_caller]
+pub fn recover_coefficient(ds: &Dataset, target: usize, cfg: &AttackConfig) -> CoefficientResult {
+    match ds.target_block(target) {
+        Ok(block) => recover_coefficient_block(&block, cfg),
+        Err(e) => panic!("{e}"),
+    }
+}
+
 /// Recovers one full `FFT(f)` coefficient by divide-and-conquer.
 ///
-/// The target's columns are fetched from the source **once** and shared
-/// by every component recovery, so a streamed source pays one pass of
-/// I/O per coefficient regardless of how many refinement rounds run.
-/// Panics on source failure; [`try_recover_coefficient`] is the
-/// fallible variant.
-pub fn recover_coefficient<S: ColumnSource + ?Sized>(
-    src: &S,
-    target: usize,
-    cfg: &AttackConfig,
-) -> CoefficientResult {
-    recover_coefficient_block(&fetch_block(src, target), cfg)
-}
-
-/// Fallible variant of [`recover_coefficient`] for streamed sources.
-///
-/// # Errors
-///
-/// Propagates the source's [`target_block`](ColumnSource::target_block)
-/// failure.
-pub fn try_recover_coefficient<S: ColumnSource + ?Sized>(
-    src: &S,
-    target: usize,
-    cfg: &AttackConfig,
-) -> Result<CoefficientResult> {
-    Ok(recover_coefficient_block(&src.target_block(target)?, cfg))
-}
-
-/// Block-level core of [`recover_coefficient`].
+/// Every component scores the same fetched block, so a streamed source
+/// pays one pass of I/O per coefficient regardless of how many
+/// refinement rounds run.
 pub fn recover_coefficient_block(block: &TargetBlock<'_>, cfg: &AttackConfig) -> CoefficientResult {
     let _span = obs::span("attack.coefficient");
     // Alternating refinement: each half's *extend* targets are
@@ -766,7 +697,7 @@ pub fn recover_coefficient_block(block: &TargetBlock<'_>, cfg: &AttackConfig) ->
             break;
         }
     }
-    let (sign, exponent) = recover_sign_exponent_block(block, mant_hi.value, mant_lo.value);
+    let (sign, exponent) = recover_sign_exponent(block, mant_hi.value, mant_lo.value);
     let bits = assemble_coefficient(
         sign.value as u32,
         exponent.value as u32,
@@ -776,38 +707,25 @@ pub fn recover_coefficient_block(block: &TargetBlock<'_>, cfg: &AttackConfig) ->
     CoefficientResult { bits, sign, exponent, mant_lo, mant_hi }
 }
 
-/// Recovers every targeted coefficient of the source, fetching each
-/// target's columns once.
-pub fn recover_all<S: ColumnSource + ?Sized>(
-    src: &S,
-    cfg: &AttackConfig,
-) -> Vec<CoefficientResult> {
-    src.targets()
-        .to_vec()
-        .into_iter()
-        .map(|t| recover_coefficient_block(&fetch_block(src, t), cfg))
-        .collect()
-}
-
 /// Recovers every targeted coefficient with a confidence-guided retry:
 /// coefficients whose exact-model confidence falls visibly below the
 /// cohort's median — the attacker-side signature of a wrong beam
 /// decision — are re-attacked with a wider beam and finer extend steps.
 ///
 /// Returns the results together with each coefficient's final
-/// confidence.
-pub fn recover_all_verified<S: ColumnSource + ?Sized>(
-    src: &S,
-    cfg: &AttackConfig,
-) -> Vec<(CoefficientResult, f64)> {
-    let targets = src.targets().to_vec();
-    let mut out: Vec<(CoefficientResult, f64)> = targets
+/// confidence, in target order.
+pub fn recover_all_verified(ds: &Dataset, cfg: &AttackConfig) -> Vec<(CoefficientResult, f64)> {
+    // A resident dataset lends its own targets as borrowed columns.
+    let blocks: Vec<TargetBlock<'_>> = ds
+        .targets()
         .iter()
-        .map(|&t| {
-            let block = fetch_block(src, t);
-            let r = recover_coefficient_block(&block, cfg);
-            let conf = coefficient_confidence_block(&block, r.bits);
-            (r, conf)
+        .map(|&t| ds.target_block(t).expect("a dataset holds its own targets"))
+        .collect();
+    let mut out: Vec<(CoefficientResult, f64)> = blocks
+        .iter()
+        .map(|block| {
+            let r = recover_coefficient_block(block, cfg);
+            (r, coefficient_confidence(block, r.bits))
         })
         .collect();
     let mut confs: Vec<f64> = out.iter().map(|(_, c)| *c).collect();
@@ -825,13 +743,12 @@ pub fn recover_all_verified<S: ColumnSource + ?Sized>(
         beam_width: cfg.beam_width * 8,
         monolithic_keep: cfg.monolithic_keep.saturating_mul(8),
     };
-    for (i, &t) in targets.iter().enumerate() {
+    for (i, block) in blocks.iter().enumerate() {
         if out[i].1 >= cutoff {
             continue;
         }
-        let block = fetch_block(src, t);
-        let r = recover_coefficient_block(&block, &wide);
-        let conf = coefficient_confidence_block(&block, r.bits);
+        let r = recover_coefficient_block(block, &wide);
+        let conf = coefficient_confidence(block, r.bits);
         if conf > out[i].1 {
             out[i] = (r, conf);
         }
@@ -846,15 +763,13 @@ pub fn recover_all_verified<S: ColumnSource + ?Sized>(
 /// step (multiplication — exhibits false positives) and the prune step
 /// (addition — eliminates them), with one time column per micro-op of
 /// the first-occurrence multiplication.
-pub fn monolithic_correlations<S: ColumnSource + ?Sized>(
-    src: &S,
-    target: usize,
+pub fn monolithic_correlations(
+    block: &TargetBlock<'_>,
     half: SecretHalf,
     width: u32,
     rest: u64,
     d_lo_for_high: u64,
 ) -> (Vec<u64>, CorrMatrix, CorrMatrix) {
-    let block = fetch_block(src, target);
     let guesses: Vec<u64> = (0..(1u64 << width)).map(|g| (rest << width) | g).collect();
     let mut extend = CorrMatrix::new(guesses.len(), StepKind::COUNT);
     let mut prune = CorrMatrix::new(guesses.len(), StepKind::COUNT);
@@ -1037,8 +952,9 @@ mod tests {
         let rest = d_true >> width;
         let mut mrng = Prng::from_seed(b"mono msgs");
         let ds = Dataset::collect(&mut dev, &[0], 400, &mut mrng);
+        let block = ds.target_block(0).unwrap();
         let (guesses, extend, prune) =
-            monolithic_correlations(&ds, 0, SecretHalf::Low, width, rest, 0);
+            monolithic_correlations(&block, SecretHalf::Low, width, rest, 0);
         let correct_idx = (d_true & ((1 << width) - 1)) as usize;
         assert_eq!(guesses[correct_idx], d_true);
         // Prune: the correct candidate wins on the addition step.
@@ -1071,11 +987,11 @@ mod tests {
             })
             .collect();
         let ds = synthetic_dataset(secret, &knowns);
+        let block = ds.target_block(0).unwrap();
         let (d_lo, c_hi) = truth_halves(secret);
         let width = 10u32;
         let lo = recover_mantissa_half_monolithic(
-            &ds,
-            0,
+            &block,
             SecretHalf::Low,
             Some(c_hi),
             width,
@@ -1085,8 +1001,7 @@ mod tests {
         assert_eq!(lo.value, d_lo, "monolithic low {:#x}, truth {:#x}", lo.value, d_lo);
         assert!(lo.corr > lo.runner_up);
         let hi = recover_mantissa_half_monolithic(
-            &ds,
-            0,
+            &block,
             SecretHalf::High,
             Some(d_lo),
             width,
@@ -1111,8 +1026,9 @@ mod tests {
         let (d_lo, c_hi) = truth_halves(secret);
         assert_eq!(d_lo, 0, "test premise: degenerate low half");
         let width = 8u32;
+        let block = ds.target_block(0).unwrap();
         let lo =
-            recover_mantissa_half_monolithic(&ds, 0, SecretHalf::Low, Some(c_hi), width, 0, 16);
+            recover_mantissa_half_monolithic(&block, SecretHalf::Low, Some(c_hi), width, 0, 16);
         assert_eq!(lo.value, 0, "monolithic low {:#x}", lo.value);
     }
 
@@ -1131,7 +1047,8 @@ mod tests {
             .collect();
         let ds = synthetic_dataset(secret, &knowns);
         let (d_lo, c_hi) = truth_halves(secret);
-        let lo = recover_mantissa_half_monolithic(&ds, 0, SecretHalf::Low, Some(c_hi), 25, 0, 64);
+        let block = ds.target_block(0).unwrap();
+        let lo = recover_mantissa_half_monolithic(&block, SecretHalf::Low, Some(c_hi), 25, 0, 64);
         assert_eq!(lo.value, d_lo, "monolithic low {:#x}, truth {:#x}", lo.value, d_lo);
     }
 }

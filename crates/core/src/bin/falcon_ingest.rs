@@ -22,7 +22,7 @@
 //!
 //! Exits non-zero on any error or failed verification.
 
-use falcon_dema::attack::{try_recover_coefficient, AttackConfig};
+use falcon_dema::attack::{recover_coefficient_block, AttackConfig};
 use falcon_dema::ingest;
 use falcon_dema::io::{atomic_write, read_dataset, write_dataset};
 use falcon_dema::source::ColumnSource;
@@ -137,7 +137,8 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
     let cfg = AttackConfig::default();
     let mut failures = 0usize;
     for &target in sd.targets() {
-        let r = try_recover_coefficient(&sd, target, &cfg).map_err(|e| e.to_string())?;
+        let block = sd.target_block(target).map_err(|e| e.to_string())?;
+        let r = recover_coefficient_block(&block, &cfg);
         let expect = truth.iter().find(|(t, _)| *t == target).map(|&(_, b)| b);
         let verdict = match expect {
             Some(b) if b == r.bits => "MATCH",

@@ -26,14 +26,14 @@
 //! duplicated code into the core cut 102 lines net from this module and
 //! `orch::runner`; both checkpoint formats are unchanged byte for byte.
 
-use crate::acquire::Dataset;
-use crate::attack::{coefficient_confidence, recover_coefficient, AttackConfig};
+use crate::acquire::{check_distinct_targets, Dataset};
+use crate::attack::{coefficient_confidence, recover_coefficient_block, AttackConfig};
 use crate::confidence;
 use crate::error::{Error, Result};
 use crate::io;
 use crate::obs;
 use crate::screen::{AcquisitionStats, ScreenConfig};
-use crate::source::ColumnSource;
+use crate::source::{ColumnSource, TargetBlock};
 use falcon_emsim::Device;
 use falcon_sig::rng::Prng;
 use std::fs::File;
@@ -155,21 +155,21 @@ impl CampaignReport {
         self.statuses.iter().filter(|s| s.is_recovered()).count()
     }
 
-    /// The full `FFT(f)` bit vector when the campaign targeted all of
-    /// `0..n` and every coefficient converged — the input to
-    /// [`crate::recover::key_from_fft_bits`]. `None` otherwise.
+    /// The full `FFT(f)` bit vector when the campaign targeted each of
+    /// `0..n` exactly once and every coefficient converged — the input
+    /// to [`crate::recover::key_from_fft_bits`]. `None` otherwise.
     pub fn recovered_bits(&self) -> Option<Vec<u64>> {
-        if !self.is_complete() || self.statuses.len() != self.n {
+        if !self.is_complete() {
             return None;
         }
-        let mut bits = vec![0u64; self.n];
+        let mut bits = vec![None; self.n];
         for s in &self.statuses {
-            if s.target() >= self.n {
-                return None;
+            match bits.get_mut(s.target()) {
+                Some(slot @ None) => *slot = Some(s.bits()),
+                _ => return None,
             }
-            bits[s.target()] = s.bits();
         }
-        Some(bits)
+        bits.into_iter().collect()
     }
 }
 
@@ -193,18 +193,18 @@ struct TargetState {
 }
 
 impl TargetState {
-    /// Re-attacks the coefficient on `data`, every trace accumulated for
-    /// it so far, and advances the tracker.
-    fn evaluate(&mut self, data: &Dataset, cfg: &CampaignConfig) {
-        let traces = data.traces();
+    /// Re-attacks the coefficient on `block`, every trace accumulated
+    /// for it so far, and advances the tracker.
+    fn evaluate(&mut self, block: &TargetBlock<'_>, cfg: &CampaignConfig) {
+        let traces = block.traces();
         self.traces = traces;
         // tanh thresholds need d > 3; a handful of traces cannot clear a
         // 99.99 % bar anyway, so skip the (expensive) re-attack entirely.
         if traces < 8 {
             return;
         }
-        let r = recover_coefficient(data, self.target, &cfg.attack);
-        let conf = coefficient_confidence(data, self.target, r.bits);
+        let r = recover_coefficient_block(block, &cfg.attack);
+        let conf = coefficient_confidence(block, r.bits);
         self.confidence = conf;
         let cleared = conf >= cfg.margin * confidence::threshold_9999(traces as u64);
         self.stable = match (cleared, self.last_bits == Some(r.bits)) {
@@ -290,7 +290,8 @@ struct Core {
 impl Core {
     /// Checks the config and builds one tracker per target. Empty
     /// `cfg.targets` means every target of `directory`, the targets the
-    /// engine can acquire; an explicit target must be one of them.
+    /// engine can acquire; an explicit target must be one of them, and
+    /// no target may repeat.
     fn new(n: usize, cfg: CampaignConfig, directory: &[usize]) -> Result<Core> {
         if cfg.batch_size == 0 || cfg.max_traces == 0 {
             return Err(Error::Acquisition(
@@ -298,6 +299,7 @@ impl Core {
             ));
         }
         let targets = if cfg.targets.is_empty() { directory } else { &cfg.targets[..] };
+        check_distinct_targets(targets)?;
         let states = targets
             .iter()
             .map(|&t| match directory.contains(&t) {
@@ -422,7 +424,7 @@ impl Campaign {
     /// # Errors
     ///
     /// Returns a typed error when the config is degenerate (zero batch
-    /// size, no budget) or a target is out of range.
+    /// size, no budget) or a target is out of range or repeated.
     pub fn new(n: usize, cfg: CampaignConfig) -> Result<Campaign> {
         let core = Core::new(n, cfg, &(0..n).collect::<Vec<_>>())?;
         let data =
@@ -470,7 +472,7 @@ impl Campaign {
             for (state, data) in core.states.iter_mut().zip(&mut self.data) {
                 if state.resolved.is_none() {
                     data.append(&ds.select_targets(&[state.target])?)?;
-                    state.evaluate(data, &core.cfg);
+                    state.evaluate(&data.target_block(state.target)?, &core.cfg);
                 }
             }
         }
@@ -639,8 +641,8 @@ impl OfflineCampaign {
     /// # Errors
     ///
     /// Returns a typed error for a degenerate config (zero batch size
-    /// or budget), a target absent from the source, or an empty
-    /// archive.
+    /// or budget), a target absent from the source or repeated, or an
+    /// empty archive.
     pub fn new<S: ColumnSource + ?Sized>(src: &S, cfg: CampaignConfig) -> Result<OfflineCampaign> {
         let core = Core::new(src.n(), cfg, src.targets())?;
         if src.traces() == 0 {
@@ -692,7 +694,8 @@ impl OfflineCampaign {
             // The prefix is rebuilt from the cached block, so an
             // evaluation sees byte-identical data no matter which
             // source produced the block.
-            state.evaluate(&cache.truncated(state.traces + batch), &core.cfg);
+            let prefix = cache.truncated(state.traces + batch);
+            state.evaluate(&prefix.target_block(state.target)?, &core.cfg);
         }
         if state.resolved.is_some() || state.traces >= budget {
             // Target finished: free the cache, move on.
@@ -899,6 +902,44 @@ mod tests {
     fn degenerate_config_is_rejected() {
         assert!(Campaign::new(8, CampaignConfig { batch_size: 0, ..Default::default() }).is_err());
         assert!(Campaign::new(8, CampaignConfig { max_traces: 0, ..Default::default() }).is_err());
+    }
+
+    #[test]
+    fn repeated_targets_cannot_pass_for_a_complete_key() {
+        let repeated = vec![0, 1, 2, 3, 4, 5, 6, 6];
+        // Live config.
+        let cfg = CampaignConfig { targets: repeated.clone(), ..small_cfg() };
+        assert!(matches!(Campaign::new(8, cfg), Err(Error::InvalidData(_))));
+        // Dataset shape check.
+        let parts = Dataset::try_from_columnar_parts(8, repeated.clone(), 0, vec![], vec![]);
+        assert!(matches!(parts, Err(Error::InvalidData(_))));
+        // Archive header: magic, n, target count and traces, then one
+        // u64 per target; the last entry is rewritten to repeat 6.
+        let (mut dev, _) = bench(1.0, FaultModel::default(), b"repeated targets");
+        let all: Vec<usize> = (0..8).collect();
+        let ds = Dataset::collect(&mut dev, &all, 4, &mut Prng::from_seed(b"repeated msgs"));
+        let mut archive = Vec::new();
+        io::write_dataset(&ds, &mut archive).unwrap();
+        archive[88..96].copy_from_slice(&6u64.to_le_bytes());
+        assert!(matches!(io::read_dataset(&archive[..]), Err(Error::InvalidData(_))));
+        // A report that repeats a target leaves a hole in the key.
+        let statuses = repeated
+            .iter()
+            .map(|&target| CoefficientStatus::Recovered {
+                target,
+                bits: 1,
+                confidence: 1.0,
+                traces: 8,
+            })
+            .collect();
+        let report = CampaignReport {
+            n: 8,
+            statuses,
+            traces_requested: 8,
+            stats: AcquisitionStats::default(),
+        };
+        assert!(report.is_complete());
+        assert_eq!(report.recovered_bits(), None);
     }
 
     #[test]

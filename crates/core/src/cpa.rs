@@ -2,9 +2,16 @@
 //!
 //! The paper's distinguisher is the Pearson correlation between
 //! Hamming-weight hypotheses and trace samples (its Equation 1). This
-//! module provides the plain estimator, a guesses×samples accumulation
-//! matrix for correlation-versus-time plots, and prefix series for
-//! correlation-versus-trace-count evolution plots.
+//! module has four estimators, each with its own job:
+//!
+//! * [`PearsonSums`], the attack's one-pass tile accumulator, with
+//!   [`SampleSums`] replaying the candidate-independent sample side;
+//! * [`pearson`], the offset-robust two-pass estimator for raw or
+//!   imported captures;
+//! * [`pearson_evolution`], prefix series for
+//!   correlation-versus-trace-count plots;
+//! * [`CorrMatrix`], a guesses×samples accumulation matrix for
+//!   correlation-versus-time plots.
 //!
 //! The inner tile of [`PearsonSums::push_column`] dispatches to the
 //! [`simd`] submodule: runtime-detected AVX2/NEON kernels that
@@ -223,83 +230,6 @@ impl SampleSums {
     }
 }
 
-/// Precomputed candidate-independent moments of one sample column for
-/// [`pearson_with_moments`]: the mean and the centered second moment
-/// `Σ(t − t̄)²`, accumulated in exactly the element order [`pearson`]
-/// uses so reuse is bit-invisible.
-///
-/// The NTT attack correlates thousands of guesses against the *same*
-/// sample column; precomputing the sample side once halves the two-pass
-/// estimator's per-guess stream count.
-#[derive(Debug, Clone, Copy)]
-pub struct SampleMoments {
-    mean_t: f64,
-    vt: f64,
-    len: usize,
-}
-
-impl SampleMoments {
-    /// Two-pass sample-side moments of `samples`.
-    pub fn new(samples: &[f32]) -> SampleMoments {
-        if samples.is_empty() {
-            return SampleMoments { mean_t: 0.0, vt: 0.0, len: 0 };
-        }
-        let d = samples.len() as f64;
-        // ct: allow(pinned fold kernel: sequential in-order slice sum)
-        let mean_t = samples.iter().map(|&t| t as f64).sum::<f64>() / d;
-        let mut vt = 0f64;
-        for &t in samples {
-            let dt = t as f64 - mean_t;
-            vt += dt * dt;
-        }
-        SampleMoments { mean_t, vt, len: samples.len() }
-    }
-
-    /// Length of the column these moments were built from.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when built from an empty column.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// [`pearson`] with the sample-side pass taken from a precomputed
-/// [`SampleMoments`]. Bit-identical to calling [`pearson`] directly:
-/// the mean, covariance and both variance accumulations are independent
-/// addition chains, and the reused ones were recorded in the same
-/// element order.
-///
-/// # Panics
-///
-/// Panics when the column lengths differ, or when `moments` was built
-/// from a column of a different length.
-pub fn pearson_with_moments(hyps: &[f64], samples: &[f32], moments: &SampleMoments) -> f64 {
-    assert_eq!(hyps.len(), samples.len());
-    assert_eq!(samples.len(), moments.len, "SampleMoments built from a different column length");
-    if hyps.is_empty() {
-        return 0.0;
-    }
-    let d = hyps.len() as f64;
-    // ct: allow(pinned fold kernel: sequential in-order slice sum)
-    let mean_h = hyps.iter().sum::<f64>() / d;
-    let (mut c, mut vh) = (0f64, 0f64);
-    for (&h, &t) in hyps.iter().zip(samples) {
-        let dh = h - mean_h;
-        let dt = t as f64 - moments.mean_t;
-        c += dh * dt;
-        vh += dh * dh;
-    }
-    let den = (vh * moments.vt).sqrt();
-    if den <= 0.0 {
-        0.0
-    } else {
-        c / den
-    }
-}
-
 /// Pearson correlation coefficient between a hypothesis vector and the
 /// samples at one time index (one entry per trace).
 ///
@@ -334,36 +264,6 @@ pub fn pearson(hyps: &[f64], samples: &[f32]) -> f64 {
     } else {
         c / den
     }
-}
-
-/// [`pearson`] against one sample column of a
-/// [`ColumnSource`](crate::source::ColumnSource): the
-/// column-level seam used by ingest verification and the streaming
-/// bench, identical for resident and streamed sources.
-///
-/// # Errors
-///
-/// Propagates the source's
-/// [`target_block`](crate::source::ColumnSource::target_block) failure,
-/// and returns
-/// [`Error::ShapeMismatch`](crate::error::Error::ShapeMismatch) when
-/// `hyps` does not have one entry per trace.
-pub fn pearson_source<S: crate::source::ColumnSource + ?Sized>(
-    src: &S,
-    target: usize,
-    occ: usize,
-    step: falcon_emsim::StepKind,
-    hyps: &[f64],
-) -> crate::error::Result<f64> {
-    let block = src.target_block(target)?;
-    if hyps.len() != block.traces() {
-        return Err(crate::error::Error::ShapeMismatch {
-            what: "hypothesis column",
-            expected: block.traces(),
-            got: hyps.len(),
-        });
-    }
-    Ok(pearson(hyps, block.sample_column(occ, step)))
 }
 
 /// Correlation between a hypothesis vector and every prefix of the trace
@@ -696,20 +596,6 @@ mod tests {
             let db = direct.components().map(f64::to_bits);
             let rb = reused.components().map(f64::to_bits);
             assert_eq!(db, rb, "len={len}");
-        }
-    }
-
-    #[test]
-    fn sample_moment_reuse_is_bit_identical() {
-        for len in [0usize, 1, 7, 200, 2000] {
-            let h: Vec<f64> = (0..len).map(|i| ((i * 29) % 47) as f64).collect();
-            let t: Vec<f32> =
-                (0..len).map(|i| (1.0e7 + ((i * 17) % 41) as f64 * 16.0) as f32).collect();
-            let moments = SampleMoments::new(&t);
-            assert_eq!(moments.len(), len);
-            let direct = pearson(&h, &t);
-            let reused = pearson_with_moments(&h, &t, &moments);
-            assert_eq!(direct.to_bits(), reused.to_bits(), "len={len}");
         }
     }
 

@@ -124,7 +124,7 @@ pub fn set_threads(n: usize) {
 /// # Panics
 ///
 /// Re-raises a panic from `f` on the calling thread (see
-/// [`try_map`] for the non-panicking form supervisors retry on).
+/// [`map_with`]).
 pub fn map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -147,9 +147,7 @@ where
 ///
 /// Re-raises a panic from `f` on the calling thread. The panic is first
 /// *captured* in the worker (so sibling workers stop cleanly and the
-/// scope join never aborts the process) and then resumed here;
-/// [`try_map_with`] returns it as a typed
-/// [`Error::WorkerPanicked`] instead.
+/// scope join never aborts the process) and then resumed here.
 pub fn map_with<T, S, R, M, F>(items: &[T], make: M, f: F) -> Vec<R>
 where
     T: Sync,
@@ -166,31 +164,12 @@ where
     }
 }
 
-/// Panic-isolating [`map`]: a panic in `f` is captured and returned as
-/// [`Error::WorkerPanicked`] instead of unwinding through the caller,
-/// so a supervisor can retry the whole map.
-///
-/// # Errors
-///
-/// Returns [`Error::WorkerPanicked`] naming the first (lowest-index)
-/// panicked work unit; remaining chunks are abandoned promptly.
-pub fn try_map<T, R, F>(items: &[T], f: F) -> Result<Vec<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_map_with(items, || (), move |(), item| f(item))
-}
-
-/// Panic-isolating [`map_with`]; see [`try_map`].
-///
-/// # Errors
-///
-/// Returns [`Error::WorkerPanicked`] naming the first (lowest-index)
-/// panicked work unit. `chunk` is the parallel chunk index, or the item
-/// index when the map ran serially (small input or one worker).
-pub fn try_map_with<T, S, R, M, F>(items: &[T], make: M, f: F) -> Result<Vec<R>>
+/// The body of [`map_with`]: a panic in `f` is captured and returned as
+/// [`Error::WorkerPanicked`] naming the first (lowest-index) panicked
+/// work unit; remaining chunks are abandoned promptly. `chunk` is the
+/// parallel chunk index, or the item index when the map ran serially
+/// (small input or one worker).
+fn try_map_with<T, S, R, M, F>(items: &[T], make: M, f: F) -> Result<Vec<R>>
 where
     T: Sync,
     R: Send,
@@ -445,10 +424,14 @@ mod tests {
         let items: Vec<u64> = (0..4096).collect();
         let r = quiet_panics(|| {
             with_threads(4, || {
-                try_map(&items, |&v| {
-                    assert!(v != 1000, "injected fault at {v}");
-                    v
-                })
+                try_map_with(
+                    &items,
+                    || (),
+                    |(), &v| {
+                        assert!(v != 1000, "injected fault at {v}");
+                        v
+                    },
+                )
             })
         });
         match r {
@@ -465,7 +448,9 @@ mod tests {
     #[test]
     fn serial_panic_reports_the_item_index() {
         let items: Vec<u64> = (0..16).collect();
-        let r = quiet_panics(|| with_threads(1, || try_map(&items, |&v| assert!(v != 7))));
+        let r = quiet_panics(|| {
+            with_threads(1, || try_map_with(&items, || (), |(), &v| assert!(v != 7)))
+        });
         match r {
             Err(Error::WorkerPanicked { chunk: 7, payload }) => {
                 assert!(payload.contains("v != 7"), "payload: {payload}");
@@ -480,7 +465,7 @@ mod tests {
         // regardless of which worker hit its fault first.
         let items: Vec<u64> = (0..8192).collect();
         let r = quiet_panics(|| {
-            with_threads(8, || try_map(&items, |&v| assert!(v != 100 && v != 8000)))
+            with_threads(8, || try_map_with(&items, || (), |(), &v| assert!(v != 100 && v != 8000)))
         });
         let chunk_size = (items.len().div_ceil(4 * 8)).max(MIN_CHUNK);
         match r {
@@ -511,7 +496,7 @@ mod tests {
     fn try_map_succeeds_and_matches_map() {
         let items: Vec<u64> = (0..4096).collect();
         let want = with_threads(4, || map(&items, |&v| v * 7 + 1));
-        let got = with_threads(4, || try_map(&items, |&v| v * 7 + 1)).unwrap();
+        let got = with_threads(4, || try_map_with(&items, || (), |(), &v| v * 7 + 1)).unwrap();
         assert_eq!(got, want);
     }
 
@@ -520,7 +505,9 @@ mod tests {
         // A panicked map must leave the executor fully usable: the next
         // map over the same thread configuration is exact.
         let items: Vec<u64> = (0..4096).collect();
-        let _ = quiet_panics(|| with_threads(4, || try_map(&items, |&v| assert!(v != 5))));
+        let _ = quiet_panics(|| {
+            with_threads(4, || try_map_with(&items, || (), |(), &v| assert!(v != 5)))
+        });
         let got = with_threads(4, || map(&items, |&v| v + 1));
         let want: Vec<u64> = items.iter().map(|&v| v + 1).collect();
         assert_eq!(got, want);

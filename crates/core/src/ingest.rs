@@ -710,7 +710,7 @@ pub fn parse_truth(text: &str) -> Result<Vec<(usize, u64)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{recover_coefficient, AttackConfig};
+    use crate::attack::{recover_coefficient_block, AttackConfig};
     use crate::source::ColumnSource;
     use crate::stream::{RingConfig, StreamedDataset};
 
@@ -774,7 +774,8 @@ mod tests {
         import_archive_to_path(&dir, &out).unwrap();
         let sd = StreamedDataset::open(&out, RingConfig { chunk_bytes: 512, depth: 2 }).unwrap();
         for (&t, &bits) in [0usize, 4].iter().zip(&truth) {
-            let r = recover_coefficient(&sd, t, &AttackConfig::default());
+            let r =
+                recover_coefficient_block(&sd.target_block(t).unwrap(), &AttackConfig::default());
             assert_eq!(r.bits, bits, "target {t}");
         }
         // And the resident import scores identically (bit-identical

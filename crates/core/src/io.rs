@@ -17,7 +17,7 @@
 //! only early builds of this crate wrote, is rejected with
 //! [`Error::UnsupportedVersion`].
 
-use crate::acquire::{Dataset, POINTS_PER_TARGET};
+use crate::acquire::{check_distinct_targets, Dataset, POINTS_PER_TARGET};
 use crate::error::{Error, Result};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -99,9 +99,10 @@ impl DatasetHeader {
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidData`] on a bad magic or implausible or
-/// overflowing dimensions, [`Error::UnsupportedVersion`] on a version
-/// this build does not understand, and [`Error::Io`] on truncation.
+/// Returns [`Error::InvalidData`] on a bad magic, implausible or
+/// overflowing dimensions or a repeated target,
+/// [`Error::UnsupportedVersion`] on a version this build does not
+/// understand, and [`Error::Io`] on truncation.
 pub fn read_dataset_header<R: Read>(r: &mut R) -> Result<DatasetHeader> {
     read_head(r, HEAD, "dataset")?;
     let n = checked_count(read_u64(r)?, "ring degree")?;
@@ -122,6 +123,7 @@ pub fn read_dataset_header<R: Read>(r: &mut R) -> Result<DatasetHeader> {
         }
         targets.push(t);
     }
+    check_distinct_targets(&targets)?;
     // The length helpers multiply n_targets (<= 1024) by traces
     // (<= 2^28) by <= 28: comfortably inside u64, but re-check the
     // usize-facing products on 32-bit hosts.

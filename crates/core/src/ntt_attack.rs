@@ -7,7 +7,7 @@
 //! comparison.
 
 use crate::confidence::traces_to_disclosure;
-use crate::cpa::pearson_evolution;
+use crate::cpa::{pearson, pearson_evolution};
 use falcon_emsim::ntt_leak::NttDevice;
 use falcon_sig::ntt::mq_mul;
 use falcon_sig::params::Q;
@@ -32,14 +32,12 @@ pub struct NttAttackResult {
 /// archived [`ColumnSource`](crate::source::ColumnSource) sweeps.
 pub fn score_ntt_column(knowns: &[u32], samples: &[f32]) -> (u32, f64, f64) {
     let guesses: Vec<u32> = (0..Q).collect();
-    // Every guess correlates against the same sample column: precompute
-    // its mean/variance pass once and amortise it over all q guesses
-    // (bit-identical to calling `pearson` per guess).
-    let moments = crate::cpa::SampleMoments::new(samples);
+    // Two-pass `pearson`, not the one-pass tile sums: archived captures
+    // reach this through `attack_ntt_target` and may carry a DC offset.
     let scores = crate::exec::map_with(&guesses, Vec::new, |hyps: &mut Vec<f64>, &g| {
         hyps.clear();
         hyps.extend(knowns.iter().map(|&k| mq_mul(k, g).count_ones() as f64));
-        crate::cpa::pearson_with_moments(hyps, samples, &moments)
+        pearson(hyps, samples)
     });
     let mut best = (0u32, f64::NEG_INFINITY);
     let mut second = f64::NEG_INFINITY;

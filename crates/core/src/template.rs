@@ -163,9 +163,9 @@ pub fn rank_by_likelihood<F: Fn(u64, &KnownOperand) -> u32>(
     scored
 }
 
-/// Template-based sign recovery: the profiled counterpart of
-/// [`crate::attack::recover_sign`]. Returns the winning sign bit and the
-/// log-likelihood margin over the alternative.
+/// Template-based sign recovery: the profiled counterpart of the sign
+/// half of [`crate::attack::recover_sign_exponent`]. Returns the winning
+/// sign bit and the log-likelihood margin over the alternative.
 pub fn template_sign(ds: &Dataset, target: usize, templates: &Templates) -> (u32, f64) {
     assert_eq!(templates.step(), StepKind::SignXor);
     let ranked =

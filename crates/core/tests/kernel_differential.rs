@@ -13,7 +13,7 @@
 //! CI runs it under both `FALCON_DEMA_SIMD=off` and `auto` regardless.
 
 use falcon_dema::cpa::simd::{self, Kernel, KernelChoice};
-use falcon_dema::cpa::{pearson, pearson_with_moments, PearsonSums, SampleMoments, SampleSums};
+use falcon_dema::cpa::{PearsonSums, SampleSums};
 use std::sync::Mutex;
 
 /// Kernel selection is process-global; tests that override it must not
@@ -185,18 +185,6 @@ fn multi_column_accumulation_is_bit_identical() {
         out
     };
     assert_eq!(run(KernelChoice::Scalar), run(KernelChoice::Auto));
-}
-
-#[test]
-fn pearson_with_moments_is_kernel_independent() {
-    let _g = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // The two-pass estimator never touches the tile kernels, but CI
-    // sweeps this suite under FALCON_DEMA_SIMD=off|auto — pin that the
-    // moments-reusing path stays bit-identical to the direct one in
-    // both worlds.
-    let (h, t) = random_columns(501, 0x7007);
-    let m = SampleMoments::new(&t);
-    assert_eq!(pearson(&h, &t).to_bits(), pearson_with_moments(&h, &t, &m).to_bits());
 }
 
 #[test]

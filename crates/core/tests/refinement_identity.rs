@@ -5,7 +5,7 @@
 //! Extend scores only a half's own partial products, so its candidate
 //! set cannot depend on the other half; only the prune re-ranking can.
 //! The test-local [`reference`] keeps the old schedule, calling
-//! `recover_mantissa_half_block` (extend + prune) on every round, and
+//! `recover_mantissa_half` (extend + prune) on every round, and
 //! the suite compares it with the library on seeded FALCON-8 and
 //! FALCON-16 captures, `f64::to_bits` on every correlation. The
 //! `attack.*` counter deltas then show that each half was extended
@@ -17,8 +17,8 @@
 
 use falcon_dema::acquire::Dataset;
 use falcon_dema::attack::{
-    recover_coefficient_block, recover_mantissa_half_block, recover_sign_exponent_block,
-    AttackConfig, CoefficientResult, ComponentResult,
+    recover_coefficient_block, recover_mantissa_half, recover_sign_exponent, AttackConfig,
+    CoefficientResult, ComponentResult,
 };
 use falcon_dema::model::{assemble_coefficient, SecretHalf};
 use falcon_dema::obs;
@@ -31,7 +31,7 @@ use falcon_sig::{KeyPair, LogN};
 /// refinement round. Returns the result and how many low and high half
 /// recoveries ran.
 fn reference(block: &TargetBlock<'_>, cfg: &AttackConfig) -> (CoefficientResult, u64, u64) {
-    let half = |h, other| recover_mantissa_half_block(block, h, other, cfg);
+    let half = |h, other| recover_mantissa_half(block, h, other, cfg);
     let (mut lo_runs, mut hi_runs) = (1, 1);
     let mut mant_lo = half(SecretHalf::Low, None);
     let mut mant_hi = half(SecretHalf::High, Some(mant_lo.value));
@@ -51,7 +51,7 @@ fn reference(block: &TargetBlock<'_>, cfg: &AttackConfig) -> (CoefficientResult,
             break;
         }
     }
-    let (sign, exponent) = recover_sign_exponent_block(block, mant_hi.value, mant_lo.value);
+    let (sign, exponent) = recover_sign_exponent(block, mant_hi.value, mant_lo.value);
     let bits = assemble_coefficient(
         sign.value as u32,
         exponent.value as u32,
@@ -126,8 +126,7 @@ fn extend_once_matches_per_round_half_recovery() {
             );
             longest = longest.max(lo_runs + hi_runs);
             // One half recovery's extend cost, per half.
-            let extend_cost =
-                |h| scored(|| recover_mantissa_half_block(&block, h, None, &cfg)).1.extend;
+            let extend_cost = |h| scored(|| recover_mantissa_half(&block, h, None, &cfg)).1.extend;
             let (ext_lo, ext_hi) = (extend_cost(SecretHalf::Low), extend_cost(SecretHalf::High));
             assert_eq!(
                 new_scored.extend,
