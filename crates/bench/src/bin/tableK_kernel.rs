@@ -11,13 +11,21 @@
 //!    after must clear **2× correlations/sec** over the before; on a
 //!    host without SIMD the report records the fallback and asserts
 //!    scalar parity instead.
-//! 2. **Monolithic mode** — the paper's one-shot enumeration as a real
+//! 2. **Fused extend** — the extend step's partial-product scoring
+//!    (`cpa::push_product_column`, hypotheses computed in registers,
+//!    [`GUESS_BLOCK`] guesses per pass) over four product columns,
+//!    in guesses/sec under the scalar and the auto kernel, next to the
+//!    two-step path it replaced (`hyp_partial_product` into a column,
+//!    then `push_column_reusing`). All three are asserted bit-identical.
+//! 3. **Monolithic mode** — the paper's one-shot enumeration as a real
 //!    recovery: a windowed `recover_mantissa_half_monolithic` against a
 //!    seeded FALCON-8 victim under both kernels (correctness asserted
 //!    against the ground-truth key), reporting measured guesses/sec and
 //!    the projected wall time of the full 2^25 / 2^27 runs. With
 //!    `full=1` the projection is replaced by the real 2^25 low-half
 //!    enumeration.
+//!
+//! The JSON report carries the git `rev` and the `host` it ran on.
 //!
 //! ```text
 //! cargo run --release -p falcon-bench --bin tableK_kernel \
@@ -26,14 +34,15 @@
 //! ```
 
 use falcon_bench::json::Json;
-use falcon_bench::report::{arg_or, print_table};
+use falcon_bench::report::{arg_or, git_rev, host, print_table};
 use falcon_bench::setup::victim;
 use falcon_dema::acquire::Dataset;
-use falcon_dema::cpa::simd::{self, KernelChoice};
-use falcon_dema::cpa::{PearsonSums, SampleSums};
-use falcon_dema::model::SecretHalf;
+use falcon_dema::cpa::simd::{self, KernelChoice, GUESS_BLOCK};
+use falcon_dema::cpa::{push_product_column, PearsonSums, SampleSums};
+use falcon_dema::model::{hyp_partial_product, product_mask, KnownOperand, SecretHalf};
 use falcon_dema::recover_mantissa_half_monolithic;
 use falcon_dema::source::{ColumnSource, TargetBlock};
+use falcon_emsim::StepKind;
 use falcon_obs as obs;
 use std::hint::black_box;
 use std::time::Instant;
@@ -68,6 +77,64 @@ fn tile_corr_per_sec(choice: KernelChoice, reuse: bool, h: &[f64], t: &[f32]) ->
         }
         iters *= 4;
     }
+}
+
+/// Runs `pass` (one sweep over `guesses` guesses) until the clock is
+/// trustworthy; returns guesses per second.
+fn guesses_per_sec(guesses: usize, mut pass: impl FnMut()) -> f64 {
+    pass();
+    let mut iters = 1u64;
+    loop {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            pass();
+        }
+        let secs = t0.elapsed().as_secs_f64();
+        if secs > 0.25 {
+            return (iters * guesses as u64) as f64 / secs;
+        }
+        iters *= 4;
+    }
+}
+
+/// The extend scoring of every guess over `cols` at the full product
+/// width: `(guesses/sec, accumulator bits per guess)`, through the fused
+/// kernel under `choice`, or through the two-step hypothesis column
+/// when `choice` is `None`.
+fn extend_leg(
+    choice: Option<KernelChoice>,
+    cols: &[(Vec<u32>, Vec<f32>)],
+    guesses: &[[u64; GUESS_BLOCK]],
+) -> (f64, Vec<[u64; 6]>) {
+    const WIDTH: u32 = 25;
+    simd::set_kernel(Some(choice.unwrap_or(KernelChoice::Auto)));
+    let sums: Vec<SampleSums> = cols.iter().map(|(_, t)| SampleSums::new(t)).collect();
+    let mask = product_mask(WIDTH, WIDTH);
+    let mut hyps = Vec::new();
+    let mut score = |g: [u64; GUESS_BLOCK]| {
+        let mut accs = [PearsonSums::default(); GUESS_BLOCK];
+        for ((k, t), ss) in cols.iter().zip(&sums) {
+            if choice.is_some() {
+                push_product_column(&mut accs, g, mask, k, t, ss);
+                continue;
+            }
+            for (acc, &gq) in accs.iter_mut().zip(&g) {
+                hyps.clear();
+                hyps.extend(k.iter().map(|&kv| hyp_partial_product(gq, WIDTH, kv, WIDTH)));
+                acc.push_column_reusing(&hyps, t, ss);
+            }
+        }
+        accs
+    };
+    let bits: Vec<[u64; 6]> =
+        guesses.iter().flat_map(|&g| score(g)).map(|a| a.components().map(f64::to_bits)).collect();
+    let gps = guesses_per_sec(guesses.len() * GUESS_BLOCK, || {
+        for &g in guesses {
+            black_box(score(black_box(g)).map(|a| a.corr()));
+        }
+    });
+    simd::set_kernel(None);
+    (gps, bits)
 }
 
 /// Windowed monolithic recovery under one kernel: returns
@@ -125,11 +192,38 @@ fn main() {
     let after_cps = tile[3].1;
     let speedup = after_cps / before_cps;
 
-    // ---- 2. monolithic mode -------------------------------------------------
+    // ---- 2. fused extend -----------------------------------------------------
+    // The four product columns of a real capture's low half (the extend
+    // step's input), and a 4096-guess window of the 25-bit half.
     let (mut device, _vk, truth) = victim(3, noise, "kernel bench");
     let mut msgs = falcon_sig::rng::Prng::from_seed(b"kernel bench msgs");
     let ds = Dataset::collect(&mut device, &[0], traces, &mut msgs);
     let block = ds.target_block(0).expect("resident block");
+    let cols: Vec<(Vec<u32>, Vec<f32>)> = (0..2)
+        .flat_map(|occ| {
+            let knowns: Vec<_> =
+                block.known_column(occ).iter().map(|&k| KnownOperand::new(k)).collect();
+            [(StepKind::PpLoLo, true), (StepKind::PpLoHi, false)].map(|(step, lo)| {
+                let k = knowns.iter().map(|k| if lo { k.lo } else { k.hi }).collect();
+                (k, block.sample_column(occ, step).to_vec())
+            })
+        })
+        .collect();
+    let guesses: Vec<[u64; GUESS_BLOCK]> = (0..4096u64)
+        .step_by(GUESS_BLOCK)
+        .map(|g| std::array::from_fn(|q| 0x155_5000 | (g + q as u64)))
+        .collect();
+    let (two_step_gps, two_step_bits) = extend_leg(None, &cols, &guesses);
+    let (fused_scalar_gps, fused_scalar_bits) =
+        extend_leg(Some(KernelChoice::Scalar), &cols, &guesses);
+    let (fused_auto_gps, fused_auto_bits) = extend_leg(Some(KernelChoice::Auto), &cols, &guesses);
+    assert!(
+        fused_scalar_bits == two_step_bits && fused_auto_bits == two_step_bits,
+        "the fused extend kernels must be bit-identical to the two-step path"
+    );
+    let fused_speedup = fused_auto_gps / two_step_gps;
+
+    // ---- 3. monolithic mode -------------------------------------------------
     let m = falcon_fpr::Fpr::from_bits(truth[0]).mantissa_bits() | (1 << 52);
     let (d_lo, c_hi) = (m & 0x1FF_FFFF, m >> 25);
 
@@ -161,6 +255,18 @@ fn main() {
         })
         .collect();
     rows.push(vec!["tile".into(), "speedup (after/before)".into(), format!("{speedup:.2}×")]);
+    for (name, gps) in [
+        ("two-step (auto tile)".to_string(), two_step_gps),
+        ("fused, scalar".to_string(), fused_scalar_gps),
+        (format!("fused, {auto_kernel}"), fused_auto_gps),
+    ] {
+        rows.push(vec!["extend".into(), name, format!("{gps:.0} guesses/s (4 × {traces} pts)")]);
+    }
+    rows.push(vec![
+        "extend".into(),
+        "fused auto / two-step".into(),
+        format!("{fused_speedup:.2}× (bit-identical)"),
+    ]);
     rows.push(vec![
         "monolithic".into(),
         format!("scalar, 2^{width} window"),
@@ -192,6 +298,8 @@ fn main() {
 
     let doc = Json::obj()
         .field("bench", "tableK_kernel")
+        .field("rev", git_rev())
+        .field("host", host())
         .field("executor_threads", falcon_dema::exec::threads())
         .field("simd_available", simd_host)
         .field("auto_kernel", auto_kernel)
@@ -203,6 +311,18 @@ fn main() {
             }
             j.field("speedup_after_over_before", speedup)
         })
+        .field(
+            "extend",
+            Json::obj()
+                .field("columns", cols.len())
+                .field("traces", traces)
+                .field("guesses", guesses.len() * GUESS_BLOCK)
+                .field("two_step_guesses_per_sec", two_step_gps)
+                .field("fused_scalar_guesses_per_sec", fused_scalar_gps)
+                .field("fused_auto_guesses_per_sec", fused_auto_gps)
+                .field("fused_auto_over_two_step", fused_speedup)
+                .field("bit_identical", true),
+        )
         .field(
             "monolithic",
             Json::obj()

@@ -61,6 +61,44 @@ pub fn arg_or<T: std::str::FromStr>(key: &str, default: T) -> T {
     default
 }
 
+/// The commit checked out at the workspace root, read from `.git`;
+/// `"unknown"` outside a git checkout. A `+dirty` suffix marks tracked
+/// files that differ from that commit (when a `git` binary can tell).
+pub fn git_rev() -> String {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let git = root.join(".git");
+    let read = |p: &str| std::fs::read_to_string(git.join(p)).ok();
+    let rev = read("HEAD").and_then(|head| match head.trim().strip_prefix("ref: ") {
+        None => Some(head.trim().to_string()),
+        Some(r) => read(r).map(|v| v.trim().to_string()).or_else(|| {
+            read("packed-refs")?
+                .lines()
+                .find_map(|l| l.strip_suffix(r).map(|v| v.trim().to_string()))
+        }),
+    });
+    let Some(rev) = rev else { return "unknown".into() };
+    let status = std::process::Command::new("git")
+        .arg("-C")
+        .arg(&root)
+        .args(["status", "--porcelain", "--untracked-files=no"])
+        .output();
+    match status {
+        Ok(out) if out.status.success() && !out.stdout.is_empty() => format!("{rev}+dirty"),
+        _ => rev,
+    }
+}
+
+/// The host a measurement ran on: CPU model and logical CPU count.
+pub fn host() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let model = cpuinfo
+        .lines()
+        .find_map(|l| l.strip_prefix("model name").and_then(|r| r.split_once(':')))
+        .map_or(std::env::consts::ARCH, |(_, m)| m.trim());
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{model}, {cpus} logical CPUs")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

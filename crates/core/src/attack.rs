@@ -31,10 +31,12 @@
 //!   produces the correlation matrices behind Figure 4.
 
 use crate::acquire::Dataset;
-use crate::cpa::{CorrMatrix, PearsonSums, SampleSums};
+use crate::cpa::simd::GUESS_BLOCK;
+use crate::cpa::{push_product_column, CorrMatrix, PearsonSums, SampleSums};
 use crate::exec;
 use crate::model::{
-    assemble_coefficient, hyp_add_hi, hyp_add_lo, hyp_partial_product, KnownOperand, SecretHalf,
+    assemble_coefficient, hyp_add_hi, hyp_add_lo, hyp_partial_product, product_mask, KnownOperand,
+    SecretHalf,
 };
 use crate::obs;
 use crate::source::{ColumnSource, TargetBlock};
@@ -53,6 +55,8 @@ struct AttackMetrics {
     extend: Arc<obs::Counter>,
     /// The part of `correlations` scored by mantissa prune stages.
     prune: Arc<obs::Counter>,
+    /// Extend work in hypotheses: guesses × traces × product columns.
+    extend_points: Arc<obs::Counter>,
     /// Candidate-set size per extend/prune stage.
     candidates: Arc<obs::Histogram>,
 }
@@ -74,6 +78,7 @@ fn attack_metrics() -> &'static AttackMetrics {
         correlations: obs::counter("attack.correlations"),
         extend: obs::counter("attack.extend_correlations"),
         prune: obs::counter("attack.prune_correlations"),
+        extend_points: obs::counter("attack.extend_points"),
         candidates: obs::metrics().histogram(
             "attack.candidate_set_size",
             &[16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0],
@@ -194,37 +199,36 @@ impl TargetColumns<'_> {
         }
     }
 
-    /// Correlation of the partial-product model for `cand` (low `m_bits`
-    /// of the secret half) across all product columns, together with the
-    /// hypothesis variance (a candidate with near-constant hypotheses is
-    /// statistically handicapped in the correlation ranking, not
-    /// refuted). `scratch` is the caller's reusable hypothesis buffer —
-    /// its prior contents are irrelevant; `sums` must come from
+    /// Hypotheses one extend guess scores at `max_points`: traces summed
+    /// over the product columns.
+    fn extend_points(&self, max_points: usize) -> u64 {
+        self.cols.iter().map(|(kn, _)| kn.len().min(max_points) as u64).sum()
+    }
+
+    /// Extend scores of a block of guesses: each guess's correlation of
+    /// the partial-product model under `mask` across all product columns,
+    /// together with its hypothesis variance (a candidate with
+    /// near-constant hypotheses is statistically handicapped in the
+    /// correlation ranking, not refuted). `sums` must come from
     /// [`extend_sums`](TargetColumns::extend_sums) at the same
     /// `max_points`.
-    fn extend_score(
+    fn extend_block(
         &self,
-        scratch: &mut Vec<f64>,
-        cand: u64,
-        m_bits: u32,
-        full_width: u32,
+        guesses: [u64; GUESS_BLOCK],
+        mask: u64,
         max_points: usize,
         sums: &[SampleSums],
-    ) -> (f64, f64) {
+    ) -> [(f64, f64); GUESS_BLOCK] {
         // Pearson over the concatenation of all columns, capped at
         // `max_points` per column (intermediate beam levels only need
         // enough statistics to keep the truth alive; the final level and
         // the prune always use the full campaign).
-        let mut acc = PearsonSums::default();
+        let mut accs = [PearsonSums::default(); GUESS_BLOCK];
         for ((kn, samples), ss) in self.cols.iter().zip(sums) {
             let take = kn.len().min(max_points);
-            scratch.clear();
-            scratch.extend(
-                kn[..take].iter().map(|&k| hyp_partial_product(cand, m_bits, k, full_width)),
-            );
-            acc.push_column_reusing(scratch, &samples[..take], ss);
+            push_product_column(&mut accs, guesses, mask, &kn[..take], &samples[..take], ss);
         }
-        (acc.corr(), acc.hyp_variance())
+        accs.map(|a| (a.corr(), a.hyp_variance()))
     }
 
     /// Correlation of the exact addition (prune) model. For the low half
@@ -284,6 +288,28 @@ fn half_width(half: SecretHalf) -> u32 {
     match half {
         SecretHalf::Low => 25,
         SecretHalf::High => 28,
+    }
+}
+
+/// Feeds `cands` to `score` in blocks of [`GUESS_BLOCK`] guesses, in
+/// order, with the number of real guesses in the block: a short last
+/// block is padded with copies of its first guess, whose scores the
+/// caller drops.
+fn in_blocks(cands: impl Iterator<Item = u64>, mut score: impl FnMut([u64; GUESS_BLOCK], usize)) {
+    let mut block = [0u64; GUESS_BLOCK];
+    let mut n = 0;
+    for c in cands {
+        block[n] = c;
+        n += 1;
+        if n == GUESS_BLOCK {
+            score(block, n);
+            n = 0;
+        }
+    }
+    if n > 0 {
+        let first = block[0];
+        block[n..].fill(first);
+        score(block, n);
     }
 }
 
@@ -374,20 +400,33 @@ fn beam_survivors(tc: &TargetColumns<'_>, half: SecretHalf, cfg: &AttackConfig) 
         // Intermediate levels subsample the campaign; the final level is
         // scored on everything.
         let max_points = if next == full_width { usize::MAX } else { 4000 };
-        m.stage(&m.extend, cands.len() as u64);
-        // Sample-side sums once per level, not once per candidate.
-        let col_sums = tc.extend_sums(max_points);
-        let scores = exec::map_with(&cands, Vec::new, |scratch, &c| {
-            tc.extend_score(scratch, c, next, full_width, max_points, &col_sums)
-        });
+        let scores = {
+            let _score = obs::span("attack.extend_score");
+            m.stage(&m.extend, cands.len() as u64);
+            m.extend_points.add(cands.len() as u64 * tc.extend_points(max_points));
+            // Sample-side sums once per level, not once per candidate.
+            let col_sums = tc.extend_sums(max_points);
+            let mask = product_mask(next, full_width);
+            let (blocks, tail) = cands.as_chunks::<GUESS_BLOCK>();
+            let mut scores =
+                exec::map(blocks, |&g| tc.extend_block(g, mask, max_points, &col_sums))
+                    .into_flattened();
+            in_blocks(tail.iter().copied(), |g, n| {
+                scores.extend_from_slice(&tc.extend_block(g, mask, max_points, &col_sums)[..n]);
+            });
+            scores
+        };
+        let _rank = obs::span("attack.extend_rank");
         // Correlation handicaps candidates with low hypothesis variance
         // (prefixes with trailing zero bits modulate few product bits; an
         // all-zero prefix is entirely constant and unfalsifiable). Keep
         // them alive alongside the correlation ranking rather than let a
         // shift-family impostor evict the truth.
         let mut hvars: Vec<f64> = scores.iter().map(|&(_, v)| v).collect();
-        hvars.sort_by(f64::total_cmp);
-        let median_hvar = hvars[hvars.len() / 2];
+        let mid = hvars.len() / 2;
+        // The element a full sort would put at `mid`: a total order has
+        // one such value, so selecting it is exact.
+        let median_hvar = *hvars.select_nth_unstable_by(mid, f64::total_cmp).1;
         let mut scored: Vec<(u64, f64, f64)> =
             cands.into_iter().zip(scores).map(|(c, (r, v))| (c, r, v)).collect();
         scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(core::cmp::Ordering::Equal));
@@ -476,38 +515,45 @@ fn window_survivors(
 ) -> Vec<u64> {
     let full_width = half_width(half);
     let keep = keep.max(1);
-    // Monolithic scoring always uses the whole campaign: one shot is the
-    // point.
-    let col_sums = tc.extend_sums(usize::MAX);
     const BLOCK: u64 = 4096;
     let total = 1u64 << width;
     let blocks: Vec<u64> = (0..total.div_ceil(BLOCK)).collect();
-    let m = attack_metrics();
-    m.stage(&m.extend, total);
-    let block_tops = exec::map_with(&blocks, Vec::new, |scratch: &mut Vec<f64>, &blk| {
-        let (start, end) = (blk * BLOCK, (blk * BLOCK + BLOCK).min(total));
-        let mut top: Vec<(u64, f64)> = Vec::with_capacity(2 * keep + 1);
-        for g in start..end {
-            let cand = (rest << width) | g;
-            if half == SecretHalf::High && width == full_width && cand >> 27 != 1 {
-                // The implicit leading one pins bit 27.
-                continue;
-            }
-            let (r, _) =
-                tc.extend_score(scratch, cand, full_width, full_width, usize::MAX, &col_sums);
-            top.push((cand, r));
-            if top.len() == 2 * keep {
-                // Keep the block's running top-`keep` under a total
-                // order; anything truncated here can never re-enter the
-                // global top-`keep`.
-                top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                top.truncate(keep);
-            }
-        }
-        top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        top.truncate(keep);
-        top
-    });
+    // The implicit leading one pins bit 27 of a whole high half.
+    let pinned = half == SecretHalf::High && width == full_width;
+    // Each block's running top-`keep` is kept inside the score span (it
+    // bounds the block's memory); the rank span covers the merge.
+    let block_tops = {
+        let _score = obs::span("attack.extend_score");
+        let m = attack_metrics();
+        m.stage(&m.extend, total);
+        m.extend_points.add(total * tc.extend_points(usize::MAX));
+        // Monolithic scoring always uses the whole campaign: one shot is
+        // the point.
+        let col_sums = tc.extend_sums(usize::MAX);
+        let mask = product_mask(full_width, full_width);
+        exec::map(&blocks, |&blk| {
+            let (start, end) = (blk * BLOCK, (blk * BLOCK + BLOCK).min(total));
+            let cands = (start..end).map(|g| (rest << width) | g);
+            let mut top: Vec<(u64, f64)> = Vec::with_capacity(2 * keep + 1);
+            in_blocks(cands.filter(|&c| !pinned || c >> 27 == 1), |g, n| {
+                let scores = tc.extend_block(g, mask, usize::MAX, &col_sums);
+                for (&cand, &(r, _)) in g.iter().zip(&scores).take(n) {
+                    top.push((cand, r));
+                    if top.len() == 2 * keep {
+                        // Keep the block's running top-`keep` under a
+                        // total order; anything truncated here can never
+                        // re-enter the global top-`keep`.
+                        top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                        top.truncate(keep);
+                    }
+                }
+            });
+            top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            top.truncate(keep);
+            top
+        })
+    };
+    let _rank = obs::span("attack.extend_rank");
     let mut merged: Vec<(u64, f64)> = block_tops.into_iter().flatten().collect();
     merged.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     merged.truncate(keep);
@@ -713,8 +759,11 @@ pub fn recover_coefficient_block(block: &TargetBlock<'_>, cfg: &AttackConfig) ->
 /// decision — are re-attacked with a wider beam and finer extend steps.
 ///
 /// Returns the results together with each coefficient's final
-/// confidence, in target order.
+/// confidence, in target order (empty for a dataset without targets).
 pub fn recover_all_verified(ds: &Dataset, cfg: &AttackConfig) -> Vec<(CoefficientResult, f64)> {
+    if ds.targets().is_empty() {
+        return Vec::new();
+    }
     // A resident dataset lends its own targets as borrowed columns.
     let blocks: Vec<TargetBlock<'_>> = ds
         .targets()
@@ -940,6 +989,14 @@ mod tests {
         let ds = synthetic_dataset(secret, &knowns);
         let r = recover_coefficient(&ds, 0, &AttackConfig::default());
         assert_eq!(r.bits, secret, "recovered {:#018x}", r.bits);
+    }
+
+    #[test]
+    fn recover_all_verified_on_a_dataset_without_targets_is_empty() {
+        let empty = Dataset::empty(8, &[]).unwrap();
+        assert!(recover_all_verified(&empty, &AttackConfig::default()).is_empty());
+        let parts = Dataset::try_from_columnar_parts(8, vec![], 5, vec![], vec![]).unwrap();
+        assert!(recover_all_verified(&parts, &AttackConfig::default()).is_empty());
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! module has four estimators, each with its own job:
 //!
 //! * [`PearsonSums`], the attack's one-pass tile accumulator, with
-//!   [`SampleSums`] replaying the candidate-independent sample side;
+//!   [`SampleSums`] replaying the candidate-independent sample side and
+//!   [`push_product_column`] fusing the extend step's partial-product
+//!   hypotheses into the tile;
 //! * [`pearson`], the offset-robust two-pass estimator for raw or
 //!   imported captures;
 //! * [`pearson_evolution`], prefix series for
@@ -13,8 +15,9 @@
 //! * [`CorrMatrix`], a guesses×samples accumulation matrix for
 //!   correlation-versus-time plots.
 //!
-//! The inner tile of [`PearsonSums::push_column`] dispatches to the
-//! [`simd`] submodule: runtime-detected AVX2/NEON kernels that
+//! The inner tiles of [`PearsonSums::push_column`] and
+//! [`push_product_column`] dispatch to the [`simd`] submodule:
+//! runtime-detected AVX2 (and NEON for the plain tile) kernels that
 //! reproduce the scalar four-lane reference bit-for-bit, selected once
 //! per process via `FALCON_DEMA_SIMD` / [`simd::set_kernel`].
 
@@ -24,7 +27,7 @@
 #[allow(unsafe_code)]
 pub mod simd;
 
-use simd::TILE_LANES;
+use simd::{GUESS_BLOCK, TILE_LANES};
 
 /// Streaming Pearson accumulator over `(hypothesis, sample)` pairs.
 ///
@@ -146,15 +149,19 @@ impl PearsonSums {
 
     /// The Pearson correlation of everything absorbed so far (0 when a
     /// side is constant — no information).
+    ///
+    /// On a constant column `d·Σt² − (Σt)²` can round below zero, and its
+    /// square root is NaN; only a positive denominator gives a
+    /// correlation, so that case is 0 too.
     pub fn corr(&self) -> f64 {
         let num = self.d * self.sht - self.sh * self.st;
         let den = ((self.d * self.sh2 - self.sh * self.sh)
             * (self.d * self.st2 - self.st * self.st))
             .sqrt();
-        if den <= 0.0 {
-            0.0
-        } else {
+        if den > 0.0 {
             num / den
+        } else {
+            0.0
         }
     }
 
@@ -184,6 +191,55 @@ impl PearsonSums {
     /// — a strictly stronger check than comparing the final `corr()`.
     pub fn components(&self) -> [f64; 6] {
         [self.d, self.sh, self.sh2, self.st, self.st2, self.sht]
+    }
+}
+
+/// The fused extend column: for each of the [`GUESS_BLOCK`] guesses,
+/// absorbs into its accumulator the partial-product hypotheses
+/// `popcount((guess · known) & mask)` of `knowns` against `samples`,
+/// computed in registers by the active [`simd`] kernel rather than
+/// written to a hypothesis column first.
+///
+/// Bit-identical to building each guess's column with
+/// [`hyp_partial_product`](crate::model::hyp_partial_product) (`mask`
+/// from [`product_mask`](crate::model::product_mask)) and feeding it to
+/// [`PearsonSums::push_column_reusing`]: Σht runs the same four-lane
+/// chain, lane fold and tail, and Σh, Σh² are sums of small integers,
+/// exact in any order.
+///
+/// # Panics
+///
+/// Panics when the column lengths differ, when `sums` was built from a
+/// column of a different length, or when a guess is not below 2^32.
+pub fn push_product_column(
+    accs: &mut [PearsonSums; GUESS_BLOCK],
+    guesses: [u64; GUESS_BLOCK],
+    mask: u64,
+    knowns: &[u32],
+    samples: &[f32],
+    sums: &SampleSums,
+) {
+    assert_eq!(samples.len(), sums.len, "SampleSums built from a different column length");
+    let lanes = simd::product_lanes(guesses, mask, knowns, samples);
+    let n = knowns.len() - knowns.len() % TILE_LANES;
+    for ((acc, l), &g) in accs.iter_mut().zip(&lanes).zip(&guesses) {
+        for j in 0..TILE_LANES {
+            acc.sh += l.sh[j] as f64;
+            acc.sh2 += l.sh2[j] as f64;
+            acc.st += sums.st[j];
+            acc.st2 += sums.st2[j];
+            acc.sht += l.sht[j];
+        }
+        for (&k, &t) in knowns[n..].iter().zip(&samples[n..]) {
+            let h = f64::from(simd::product_hw(g, k, mask));
+            let t = t as f64;
+            acc.sh += h;
+            acc.sh2 += h * h;
+            acc.st += t;
+            acc.st2 += t * t;
+            acc.sht += h * t;
+        }
+        acc.d += knowns.len() as f64;
     }
 }
 
@@ -447,6 +503,23 @@ mod tests {
         assert_eq!(pearson(&[1.0; 10], &[2.0; 10]), 0.0);
         let h: Vec<f64> = (0..10).map(|i| i as f64).collect();
         assert_eq!(pearson(&h, &[5.0; 10]), 0.0);
+    }
+
+    #[test]
+    fn constant_sample_columns_give_zero_not_nan() {
+        // d·Σt² − (Σt)² of a constant column rounds below zero for many
+        // (length, value) pairs, e.g. 1000 × −2.9; the root is then NaN.
+        for len in [3usize, 7, 100, 257, 1000, 4099] {
+            for value in [-2.9f32, 0.1, 1.3, 7.7, -16.03] {
+                let h: Vec<f64> = (0..len).map(|i| ((i * 31) % 17) as f64).collect();
+                let t = vec![value; len];
+                let mut s = PearsonSums::default();
+                s.push_column(&h, &t);
+                assert_eq!(s.corr().to_bits(), 0f64.to_bits(), "len={len} value={value}");
+                s.push_column_reusing(&h, &t, &SampleSums::new(&t));
+                assert_eq!(s.corr().to_bits(), 0f64.to_bits(), "len={len} value={value}");
+            }
+        }
     }
 
     #[test]

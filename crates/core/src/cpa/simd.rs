@@ -1,5 +1,6 @@
 //! Runtime-dispatched SIMD tile kernels behind
-//! [`PearsonSums::push_column`](super::PearsonSums::push_column).
+//! [`PearsonSums::push_column`](super::PearsonSums::push_column) and the
+//! fused extend column [`push_product_column`](super::push_product_column).
 //!
 //! # The numeric contract
 //!
@@ -14,6 +15,20 @@
 //! exhaustively by `crates/core/tests/kernel_differential.rs` — which
 //! is what lets the determinism suite treat kernel choice like thread
 //! count: an execution detail that cannot move a single output bit.
+//!
+//! The fused extend kernel (`product_lanes`) keeps the same tile but
+//! computes its hypotheses itself: `h = popcount((guess · known) &
+//! mask)`, an integer in `0..=64`, for [`GUESS_BLOCK`] guesses per pass
+//! over a column. Its lanes are **exact integers** for Σh and Σh² — sums
+//! of small integers, far below 2^53, so the `f64` values the caller
+//! folds from them equal the `f64` sums the two-step path (hypothesis
+//! column, then [`tile_lanes_hyp`]) accumulates, in any order. Σht stays
+//! an `f64` multiply-then-add chain per guess and lane, in index order,
+//! with `h` converted to `f64` exactly; the caller's fold (lanes in
+//! index order, then the tail, column by column) is the two-step fold.
+//! So the fused scores are bit-identical to the two-step ones as well as
+//! across kernels. AVX2 runs a vector kernel; NEON and the portable
+//! path run the scalar reference.
 //!
 //! # Selection
 //!
@@ -213,9 +228,14 @@ pub struct HypLanes {
 /// Lane-wise accumulation over the aligned prefix (`len - len %
 /// TILE_LANES` elements) of a column pair, dispatched to the active
 /// kernel. The caller folds the lanes in index order and handles the
-/// remainder; both slices must have the same length.
+/// remainder.
+///
+/// # Panics
+///
+/// Panics when the slice lengths differ (the vector kernels read both
+/// up to the same index).
 pub fn tile_lanes(hyps: &[f64], samples: &[f32]) -> Lanes {
-    debug_assert_eq!(hyps.len(), samples.len());
+    assert_eq!(hyps.len(), samples.len(), "hypothesis and sample columns must align");
     match active_kernel() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch reaches Avx2 only when runtime detection
@@ -231,8 +251,12 @@ pub fn tile_lanes(hyps: &[f64], samples: &[f32]) -> Lanes {
 
 /// Hypothesis-side counterpart of [`tile_lanes`]: skips the Σt/Σt²
 /// streams entirely (they are candidate-independent).
+///
+/// # Panics
+///
+/// Panics when the slice lengths differ.
 pub fn tile_lanes_hyp(hyps: &[f64], samples: &[f32]) -> HypLanes {
-    debug_assert_eq!(hyps.len(), samples.len());
+    assert_eq!(hyps.len(), samples.len(), "hypothesis and sample columns must align");
     match active_kernel() {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: dispatch reaches Avx2 only when runtime detection
@@ -357,6 +381,158 @@ unsafe fn tile_lanes_hyp_avx2(hyps: &[f64], samples: &[f32]) -> HypLanes {
         _mm256_storeu_pd(l.sh2.as_mut_ptr(), vsh2);
         _mm256_storeu_pd(l.sht.as_mut_ptr(), vsht);
         l
+    }
+}
+
+/// Guesses the fused extend kernel scores per pass over a column. Each
+/// guess keeps its own Σht chain, so two guesses give the AVX2 loop two
+/// independent add chains per loaded column tile.
+pub const GUESS_BLOCK: usize = 2;
+
+/// Per-guess lanes of one fused partial-product pass
+/// ([`product_lanes`]): Σh and Σh² as exact integers, Σht in `f64`.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+pub(crate) struct ProductLanes {
+    /// Σh per lane.
+    pub sh: [u64; TILE_LANES],
+    /// Σh² per lane.
+    pub sh2: [u64; TILE_LANES],
+    /// Σht per lane.
+    pub sht: [f64; TILE_LANES],
+}
+
+/// The partial-product hypothesis of one trace: the Hamming weight of
+/// `guess · known` under `mask` (see
+/// [`hyp_partial_product`](crate::model::hyp_partial_product)).
+#[inline]
+pub(crate) fn product_hw(guess: u64, known: u32, mask: u64) -> u32 {
+    (guess.wrapping_mul(u64::from(known)) & mask).count_ones()
+}
+
+/// Fused partial-product tile over the aligned prefix (`len - len %
+/// TILE_LANES` traces) of a known column and its sample column: for each
+/// guess `g`, the hypothesis `h = popcount((g · known) & mask)` of every
+/// trace is computed in registers and accumulated lane-wise against the
+/// sample, dispatched to the active kernel. The caller folds the lanes
+/// and handles the remainder.
+///
+/// # Panics
+///
+/// Panics when the slice lengths differ (the vector kernels read both
+/// up to the same index), or when a guess is not below 2^32: the AVX2
+/// kernel multiplies 32 × 32 → 64 bits, which is the exact product only
+/// there.
+pub(crate) fn product_lanes(
+    guesses: [u64; GUESS_BLOCK],
+    mask: u64,
+    knowns: &[u32],
+    samples: &[f32],
+) -> [ProductLanes; GUESS_BLOCK] {
+    assert_eq!(knowns.len(), samples.len(), "known and sample columns must align");
+    assert!(guesses.iter().all(|&g| g >> 32 == 0), "extend guesses must be below 2^32");
+    match active_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: dispatch reaches Avx2 only when runtime detection
+        // confirmed the host supports the avx2 target feature.
+        Kernel::Avx2 => unsafe { product_lanes_avx2(guesses, mask, knowns, samples) },
+        // NEON (no 64-bit lane popcount-and-convert worth the code) and
+        // the portable path run the scalar reference.
+        _ => product_lanes_scalar(guesses, mask, knowns, samples),
+    }
+}
+
+/// The reference fused tile: per guess, four lanes of integer Σh, Σh²
+/// and multiply-then-add `f64` Σht. The AVX2 kernel reproduces it
+/// bit-for-bit.
+pub(crate) fn product_lanes_scalar(
+    guesses: [u64; GUESS_BLOCK],
+    mask: u64,
+    knowns: &[u32],
+    samples: &[f32],
+) -> [ProductLanes; GUESS_BLOCK] {
+    let mut out = [ProductLanes::default(); GUESS_BLOCK];
+    for (kk, ss) in knowns.chunks_exact(TILE_LANES).zip(samples.chunks_exact(TILE_LANES)) {
+        for (l, &g) in out.iter_mut().zip(&guesses) {
+            for j in 0..TILE_LANES {
+                let h = u64::from(product_hw(g, kk[j], mask));
+                l.sh[j] += h;
+                l.sh2[j] += h * h;
+                l.sht[j] += h as f64 * ss[j] as f64;
+            }
+        }
+    }
+    out
+}
+
+/// AVX2 fused tile: four traces per step, one 64-bit lane each (vector
+/// lane `j` is scalar lane `j`). `vpmuludq` forms the exact 32 × 32 → 64
+/// product, a nibble-table `vpshufb` plus `vpsadbw` counts each lane's
+/// bits, and OR-ing the count into the mantissa of 2^52 then subtracting
+/// 2^52 converts it to `f64` exactly. Σh and Σh² add as integers; Σht is
+/// a separate multiply and add (no FMA), as in the scalar reference.
+///
+/// # Safety
+///
+/// Caller must ensure the host supports AVX2 (runtime-detected in the
+/// dispatcher) and that `knowns.len() == samples.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// SAFETY: unsafe solely via target_feature; dispatch checks AVX2 first.
+unsafe fn product_lanes_avx2(
+    guesses: [u64; GUESS_BLOCK],
+    mask: u64,
+    knowns: &[u32],
+    samples: &[f32],
+) -> [ProductLanes; GUESS_BLOCK] {
+    use std::arch::x86_64::*;
+    let n = knowns.len() - knowns.len() % TILE_LANES;
+    // The unaligned loads read TILE_LANES elements at i, with
+    // i + TILE_LANES <= n <= both slice lengths; the stores fill
+    // TILE_LANES-element arrays.
+    // SAFETY: (whole body) every access stays in bounds, as above.
+    unsafe {
+        let nibble_hw = _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
+            3, 3, 4,
+        );
+        let low_nibbles = _mm256_set1_epi8(0x0F);
+        let zero = _mm256_setzero_si256();
+        let vmask = _mm256_set1_epi64x(mask as i64);
+        let two52 = _mm256_set1_epi64x(0x4330_0000_0000_0000);
+        let vg = guesses.map(|g| _mm256_set1_epi64x(g as i64));
+        let mut vsh = [zero; GUESS_BLOCK];
+        let mut vsh2 = [zero; GUESS_BLOCK];
+        let mut vsht = [_mm256_setzero_pd(); GUESS_BLOCK];
+        let mut i = 0usize;
+        while i + TILE_LANES <= n {
+            let k = _mm256_cvtepu32_epi64(_mm_loadu_si128(knowns.as_ptr().add(i).cast()));
+            let t = _mm256_cvtps_pd(_mm_loadu_ps(samples.as_ptr().add(i)));
+            for q in 0..GUESS_BLOCK {
+                let w = _mm256_and_si256(_mm256_mul_epu32(vg[q], k), vmask);
+                let lo = _mm256_and_si256(w, low_nibbles);
+                let hi = _mm256_and_si256(_mm256_srli_epi16(w, 4), low_nibbles);
+                let bytes = _mm256_add_epi8(
+                    _mm256_shuffle_epi8(nibble_hw, lo),
+                    _mm256_shuffle_epi8(nibble_hw, hi),
+                );
+                let h = _mm256_sad_epu8(bytes, zero);
+                vsh[q] = _mm256_add_epi64(vsh[q], h);
+                vsh2[q] = _mm256_add_epi64(vsh2[q], _mm256_mul_epu32(h, h));
+                let hf = _mm256_sub_pd(
+                    _mm256_castsi256_pd(_mm256_or_si256(h, two52)),
+                    _mm256_castsi256_pd(two52),
+                );
+                vsht[q] = _mm256_add_pd(vsht[q], _mm256_mul_pd(hf, t));
+            }
+            i += TILE_LANES;
+        }
+        let mut out = [ProductLanes::default(); GUESS_BLOCK];
+        for (l, q) in out.iter_mut().zip(0..GUESS_BLOCK) {
+            _mm256_storeu_si256(l.sh.as_mut_ptr().cast(), vsh[q]);
+            _mm256_storeu_si256(l.sh2.as_mut_ptr().cast(), vsh2[q]);
+            _mm256_storeu_pd(l.sht.as_mut_ptr(), vsht[q]);
+        }
+        out
     }
 }
 

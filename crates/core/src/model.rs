@@ -71,8 +71,17 @@ pub fn product_step(secret: SecretHalf, known_high: bool) -> StepKind {
 /// word (the monolithic attack's model).
 pub fn hyp_partial_product(guess: u64, m_bits: u32, known_half: u32, full_width: u32) -> f64 {
     let prod = guess.wrapping_mul(known_half as u64);
-    let w = if m_bits >= full_width { prod } else { prod & ((1u64 << m_bits) - 1) };
-    w.count_ones() as f64
+    (prod & product_mask(m_bits, full_width)).count_ones() as f64
+}
+
+/// The product bits [`hyp_partial_product`] observes: the low `m_bits`,
+/// or the whole word once `m_bits` covers the secret half.
+pub fn product_mask(m_bits: u32, full_width: u32) -> u64 {
+    if m_bits >= full_width {
+        u64::MAX
+    } else {
+        (1u64 << m_bits) - 1
+    }
 }
 
 /// Exact hypothesis for any step, given a full guess of the secret

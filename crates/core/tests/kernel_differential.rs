@@ -7,13 +7,19 @@
 //! the kernel pinned to `scalar` and then to `auto`, and compares the
 //! raw accumulator components with `f64::to_bits`.
 //!
+//! The fused extend kernel (`push_product_column`, which computes the
+//! partial-product hypotheses in registers) is held to the same bar,
+//! and to the two-step path it replaced: `hyp_partial_product` into a
+//! hypothesis column, then `push_column_reusing`.
+//!
 //! On a host without AVX2/NEON, `auto` resolves to the scalar tile and
 //! every assertion degenerates to scalar-vs-scalar: the suite still
 //! passes (and still guards the fold/tail plumbing around the kernel).
 //! CI runs it under both `FALCON_DEMA_SIMD=off` and `auto` regardless.
 
-use falcon_dema::cpa::simd::{self, Kernel, KernelChoice};
-use falcon_dema::cpa::{PearsonSums, SampleSums};
+use falcon_dema::cpa::simd::{self, Kernel, KernelChoice, GUESS_BLOCK};
+use falcon_dema::cpa::{push_product_column, PearsonSums, SampleSums};
+use falcon_dema::model::{hyp_partial_product, product_mask};
 use std::sync::Mutex;
 
 /// Kernel selection is process-global; tests that override it must not
@@ -200,4 +206,134 @@ fn active_kernel_reports_detection() {
     } else {
         assert_eq!(auto, Kernel::Scalar, "non-SIMD host must fall back to the scalar tile");
     }
+}
+
+/// The two-step extend path for one guess over several `(knowns,
+/// samples)` columns: each hypothesis column written with
+/// `hyp_partial_product`, then folded by `push_column_reusing`.
+fn two_step(guess: u64, m_bits: u32, full_width: u32, cols: &[(Vec<u32>, Vec<f32>)]) -> [u64; 6] {
+    let mut s = PearsonSums::default();
+    for (k, t) in cols {
+        let h: Vec<f64> =
+            k.iter().map(|&kv| hyp_partial_product(guess, m_bits, kv, full_width)).collect();
+        s.push_column_reusing(&h, t, &SampleSums::new(t));
+    }
+    s.components().map(f64::to_bits)
+}
+
+/// The fused kernel under the given policy, one block of guesses over
+/// the same columns.
+fn fused(
+    choice: KernelChoice,
+    guesses: [u64; GUESS_BLOCK],
+    m_bits: u32,
+    full_width: u32,
+    cols: &[(Vec<u32>, Vec<f32>)],
+) -> [[u64; 6]; GUESS_BLOCK] {
+    simd::set_kernel(Some(choice));
+    let mut accs = [PearsonSums::default(); GUESS_BLOCK];
+    let mask = product_mask(m_bits, full_width);
+    for (k, t) in cols {
+        push_product_column(&mut accs, guesses, mask, k, t, &SampleSums::new(t));
+    }
+    simd::set_kernel(None);
+    accs.map(|a| a.components().map(f64::to_bits))
+}
+
+/// Samples spread over many binades, so that Σht rounds at nearly
+/// every add and any change to its summation order shows in the bits
+/// (the fixed-point samples of [`random_columns`] sum exactly).
+fn wide_samples(len: usize, seed: u64) -> Vec<f32> {
+    let mut rng = Rng::new(seed);
+    (0..len)
+        .map(|_| {
+            let r = rng.next();
+            let mag =
+                (1.0 + (r >> 40) as f32 / (1u64 << 24) as f32) * 2f32.powi((r % 29) as i32 - 24);
+            if r & 1 << 5 == 0 {
+                mag
+            } else {
+                -mag
+            }
+        })
+        .collect()
+}
+
+/// Known halves: random below `2^bits`, with the extremes near 2^32
+/// scattered in when `bits == 32`.
+fn known_column(len: usize, bits: u32, seed: u64) -> Vec<u32> {
+    let mut rng = Rng::new(seed);
+    let mut k: Vec<u32> = (0..len).map(|_| (rng.next() >> (64 - bits)) as u32).collect();
+    if bits == 32 {
+        for (i, edge) in [u32::MAX, u32::MAX - 1, 0xFFFF_FFF0, 1 << 31].into_iter().enumerate() {
+            if i < len {
+                k[len - 1 - i] = edge;
+            }
+        }
+    }
+    k
+}
+
+#[test]
+fn fused_extend_matches_two_step_reference() {
+    let _g = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // (m_bits, full_width): beam levels below the full half and at it,
+    // for the 25-bit low and 28-bit high halves, and past it.
+    let widths = [(8, 25), (17, 25), (25, 25), (24, 28), (28, 28), (30, 28)];
+    // Guesses: zero, small, bit 27 set (a whole high half), all 28 and
+    // all 32 bits set.
+    let guesses = [0u64, 0xA5, 0x1FF_FFFF, 1 << 27 | 0x35_C0DE, 0xFFF_FFFF, 0xFFFF_FFFF];
+    // Lengths covering every tail of 0–3 traces, the empty column
+    // included, below and above one tile.
+    for len in [0usize, 1, 2, 3, 4, 5, 6, 7, 64, 65, 66, 67, 401, 4099] {
+        for (c, &bits) in [25u32, 28, 32].iter().enumerate() {
+            let seed = 0xF05E ^ (len as u64) << 8 ^ c as u64;
+            let cols = vec![(known_column(len, bits, seed), wide_samples(len, seed))];
+            for &(m_bits, full_width) in &widths {
+                for pair in guesses.windows(GUESS_BLOCK) {
+                    let g: [u64; GUESS_BLOCK] = pair.try_into().unwrap();
+                    let scalar = fused(KernelChoice::Scalar, g, m_bits, full_width, &cols);
+                    let auto = fused(KernelChoice::Auto, g, m_bits, full_width, &cols);
+                    let what = format!("len={len} bits={bits} m={m_bits}/{full_width} g={g:x?}");
+                    assert_eq!(scalar, auto, "fused kernels diverge: {what}");
+                    for (q, &gq) in g.iter().enumerate() {
+                        let reference = two_step(gq, m_bits, full_width, &cols);
+                        assert_eq!(scalar[q], reference, "fused != two-step: {what} q={q}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_extend_accumulates_columns_and_special_samples() {
+    let _g = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Several columns of different lengths into the same accumulators
+    // (the extend scores four product columns per guess), one of them
+    // carrying NaN, infinite and subnormal samples.
+    let mut cols: Vec<(Vec<u32>, Vec<f32>)> = [33usize, 4, 7, 256, 1, 0]
+        .iter()
+        .map(|&n| (known_column(n, 28, 0xC01 + n as u64), wide_samples(n, 0xC02 + n as u64)))
+        .collect();
+    for (i, v) in [f32::NAN, f32::INFINITY, -0.0, f32::MIN_POSITIVE / 2.0].into_iter().enumerate() {
+        cols[3].1[7 * i + 1] = v;
+    }
+    for (m_bits, full_width) in [(16, 28), (28, 28)] {
+        let g = [0x9E3_779B, 1 << 27 | 0x1234];
+        let scalar = fused(KernelChoice::Scalar, g, m_bits, full_width, &cols);
+        assert_eq!(scalar, fused(KernelChoice::Auto, g, m_bits, full_width, &cols));
+        for (q, &gq) in g.iter().enumerate() {
+            assert_eq!(scalar[q], two_step(gq, m_bits, full_width, &cols), "q={q}");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "below 2^32")]
+fn fused_extend_rejects_guesses_of_33_bits() {
+    let (k, t) = (vec![1u32; 4], vec![0.5f32; 4]);
+    let mut accs = [PearsonSums::default(); GUESS_BLOCK];
+    let g = [1u64 << 32; GUESS_BLOCK];
+    push_product_column(&mut accs, g, u64::MAX, &k, &t, &SampleSums::new(&t));
 }
