@@ -12,7 +12,7 @@
 //! ```
 
 use falcon_bench::json::Json;
-use falcon_bench::report::{arg_or, print_table};
+use falcon_bench::report::{arg_or, git_rev, host, print_table};
 use falcon_dema::orch::{
     seed_from_name, Backoff, FaultInjector, JobRuntime, JobSpec, JobState, JobStore, Supervisor,
     SupervisorConfig,
@@ -171,6 +171,8 @@ fn main() {
 
     let doc = Json::obj()
         .field("bench", "tableO_orch")
+        .field("rev", git_rev())
+        .field("host", host())
         .field("logn", u64::from(logn))
         .field("noise_sigma", noise)
         .field("slices", slices)

@@ -16,7 +16,7 @@
 //! ```
 
 use falcon_bench::json::Json;
-use falcon_bench::report::{arg_or, print_table};
+use falcon_bench::report::{arg_or, git_rev, host, print_table};
 use falcon_bench::setup::victim;
 use falcon_dema::acquire::Dataset;
 use falcon_dema::attack::{recover_coefficient_block, AttackConfig};
@@ -121,6 +121,8 @@ fn main() {
 
     let doc = Json::obj()
         .field("bench", "tableS_stream")
+        .field("rev", git_rev())
+        .field("host", host())
         .field("logn", u64::from(logn))
         .field("traces", traces as u64)
         .field("noise_sigma", noise)

@@ -120,6 +120,25 @@ pub(crate) fn check_distinct_targets(targets: &[usize]) -> Result<()> {
     }
 }
 
+/// Rejects a sample column holding a NaN or an infinity. One such sample
+/// makes its column's variance non-finite, every correlation over the
+/// column then reads 0, and the beam would keep its first guesses by
+/// index instead of failing.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidData`] naming the first non-finite sample.
+pub(crate) fn check_finite_samples(points: &[f32]) -> Result<()> {
+    // ct: allow(attacker-side input validation of captured samples)
+    match points.iter().position(|p| !p.is_finite()) {
+        Some(i) => {
+            // ct: allow(attacker-side input validation of captured samples)
+            Err(Error::invalid(format!("sample {i} is {}; samples must be finite", points[i])))
+        }
+        None => Ok(()),
+    }
+}
+
 impl Dataset {
     /// Runs an acquisition campaign: `n_traces` signatures over random
     /// messages drawn from `msg_rng`, keeping the windows for `targets`
@@ -242,7 +261,8 @@ impl Dataset {
     /// # Errors
     ///
     /// Returns a typed error when the component lengths are inconsistent
-    /// with the dimensions, or a target is out of range or repeated.
+    /// with the dimensions, a target is out of range or repeated, or a
+    /// sample is not finite.
     pub fn try_from_columnar_parts(
         n: usize,
         targets: Vec<usize>,
@@ -251,6 +271,8 @@ impl Dataset {
         points: Vec<f32>,
     ) -> Result<Dataset> {
         Self::check_shapes(n, &targets, traces, knowns.len(), points.len())?;
+        // ct: allow(attacker-side input validation of captured samples)
+        check_finite_samples(&points)?;
         Ok(Dataset { n, targets, traces, knowns, points })
     }
 

@@ -417,36 +417,93 @@ fn beam_survivors(tc: &TargetColumns<'_>, half: SecretHalf, cfg: &AttackConfig) 
             scores
         };
         let _rank = obs::span("attack.extend_rank");
-        // Correlation handicaps candidates with low hypothesis variance
-        // (prefixes with trailing zero bits modulate few product bits; an
-        // all-zero prefix is entirely constant and unfalsifiable). Keep
-        // them alive alongside the correlation ranking rather than let a
-        // shift-family impostor evict the truth.
-        let mut hvars: Vec<f64> = scores.iter().map(|&(_, v)| v).collect();
-        let mid = hvars.len() / 2;
-        // The element a full sort would put at `mid`: a total order has
-        // one such value, so selecting it is exact.
-        let median_hvar = *hvars.select_nth_unstable_by(mid, f64::total_cmp).1;
-        let mut scored: Vec<(u64, f64, f64)> =
-            cands.into_iter().zip(scores).map(|(c, (r, v))| (c, r, v)).collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(core::cmp::Ordering::Equal));
-        let keep = cfg.beam_width.max(1);
-        // Most-handicapped first: a zero-variance candidate (the all-zero
-        // prefix) is entirely unfalsifiable and must always survive.
-        let mut handicapped: Vec<(u64, f64)> = scored
-            .iter()
-            .skip(keep)
-            .filter(|&&(_, _, v)| v < 0.5 * median_hvar)
-            .map(|&(c, _, v)| (c, v))
-            .collect();
-        handicapped.sort_by(|a, b| a.1.total_cmp(&b.1));
-        let mut protected: Vec<u64> = handicapped.into_iter().map(|(c, _)| c).take(keep).collect();
-        scored.truncate(keep);
-        beam = scored.into_iter().map(|(v, _, _)| v).collect();
-        beam.append(&mut protected);
+        beam = rank_level(&cands, &scores, cfg.beam_width.max(1));
         m_bits = next;
     }
     beam
+}
+
+/// One scored extend candidate of a beam level: its position in the
+/// level's candidate list, its correlation and its hypothesis variance.
+type Scored = (usize, f64, f64);
+
+/// The beam's ranking order: correlation descending, then candidate
+/// position ascending. `PearsonSums::corr` of finite samples is finite,
+/// so this is a total order (`+0.0` and `-0.0` tie, as they compare
+/// equal).
+fn by_corr(a: &Scored, b: &Scored) -> core::cmp::Ordering {
+    b.1.partial_cmp(&a.1).unwrap_or(core::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+}
+
+/// The protection order: hypothesis variance ascending (most
+/// handicapped first), then the ranking order.
+fn by_hvar(a: &Scored, b: &Scored) -> core::cmp::Ordering {
+    a.2.total_cmp(&b.2).then_with(|| by_corr(a, b))
+}
+
+/// Sorts the `keep` first elements of `v` under `cmp` into its front
+/// and returns the others, unordered: a selection, then a sort of
+/// `keep` elements, which leaves the front a full sort by the total
+/// order `cmp` would.
+fn split_top(
+    v: &mut Vec<Scored>,
+    keep: usize,
+    cmp: fn(&Scored, &Scored) -> core::cmp::Ordering,
+) -> Vec<Scored> {
+    let rest = if v.len() > keep {
+        v.select_nth_unstable_by(keep - 1, cmp);
+        v.split_off(keep)
+    } else {
+        Vec::new()
+    };
+    v.sort_unstable_by(cmp);
+    rest
+}
+
+/// Ranks one beam level (`scores[i]` is `(corr, hyp_variance)` of
+/// `cands[i]`): the top `keep` by correlation, then up to `keep` of the
+/// others whose hypothesis variance is below half the level's median,
+/// most handicapped first. The same beam as two full stable sorts, by
+/// selection.
+///
+/// Correlation handicaps candidates with low hypothesis variance
+/// (prefixes with trailing zero bits modulate few product bits; an
+/// all-zero prefix is entirely constant and unfalsifiable). Keep them
+/// alive alongside the correlation ranking rather than let a
+/// shift-family impostor evict the truth.
+fn rank_level(cands: &[u64], scores: &[(f64, f64)], keep: usize) -> Vec<u64> {
+    let mut hvars: Vec<f64> = scores.iter().map(|&(_, v)| v).collect();
+    // The element a full sort would put at `mid`: a total order has one
+    // such value, so selecting it is exact.
+    let mid = hvars.len() / 2;
+    let median_hvar = *hvars.select_nth_unstable_by(mid, f64::total_cmp).1;
+    let handicapped = |s: &Scored| s.2 < 0.5 * median_hvar;
+    // One pass keeps the running top `keep` in a buffer of at most
+    // 2·keep: a full buffer is cut back to its top `keep`, whose last
+    // element becomes the floor a later candidate must beat to enter.
+    // Whatever leaves the top `keep` may still be protected.
+    let mut top: Vec<Scored> = Vec::with_capacity(2 * keep);
+    let mut rest: Vec<Scored> = Vec::new();
+    let mut floor: Option<Scored> = None;
+    for (i, &(r, v)) in scores.iter().enumerate() {
+        let s = (i, r, v);
+        if floor.is_some_and(|f| by_corr(&s, &f).is_gt()) {
+            if handicapped(&s) {
+                rest.push(s);
+            }
+        } else {
+            top.push(s);
+            if top.len() == 2 * keep {
+                rest.extend(split_top(&mut top, keep, by_corr).into_iter().filter(handicapped));
+                floor = top.last().copied();
+            }
+        }
+    }
+    rest.extend(split_top(&mut top, keep, by_corr).into_iter().filter(handicapped));
+    // Most-handicapped first: a zero-variance candidate (the all-zero
+    // prefix) is entirely unfalsifiable and must always survive.
+    split_top(&mut rest, keep, by_hvar);
+    top.iter().chain(&rest).map(|&(i, _, _)| cands[i]).collect()
 }
 
 /// The multiplication cannot separate shift families at all: for even
@@ -1107,5 +1164,74 @@ mod tests {
         let block = ds.target_block(0).unwrap();
         let lo = recover_mantissa_half_monolithic(&block, SecretHalf::Low, Some(c_hi), 25, 0, 64);
         assert_eq!(lo.value, d_lo, "monolithic low {:#x}, truth {:#x}", lo.value, d_lo);
+    }
+
+    /// The beam rank as two full stable sorts, the form `rank_level`
+    /// replaced: kept only as this test's reference.
+    fn rank_by_stable_sorts(cands: &[u64], scores: &[(f64, f64)], keep: usize) -> Vec<u64> {
+        let mut hvars: Vec<f64> = scores.iter().map(|&(_, v)| v).collect();
+        hvars.sort_by(f64::total_cmp);
+        let median_hvar = hvars[hvars.len() / 2];
+        let mut scored: Vec<(u64, f64, f64)> =
+            cands.iter().zip(scores).map(|(&c, &(r, v))| (c, r, v)).collect();
+        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(core::cmp::Ordering::Equal));
+        let mut handicapped: Vec<(u64, f64)> = scored
+            .iter()
+            .skip(keep)
+            .filter(|&&(_, _, v)| v < 0.5 * median_hvar)
+            .map(|&(c, _, v)| (c, v))
+            .collect();
+        handicapped.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let protected = handicapped.into_iter().map(|(c, _)| c).take(keep);
+        scored.into_iter().take(keep).map(|(c, _, _)| c).chain(protected).collect()
+    }
+
+    #[test]
+    fn selection_rank_matches_the_stable_sorts() {
+        let mut state = 0x005E_1EC7_u64;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        // Few distinct correlations (long runs of ties, +0.0 beside
+        // -0.0) and few distinct variances (ties, zeros), in levels
+        // below, at and above `keep`.
+        let corrs = [0.0, -0.0, 0.25, -0.25, 0.5, 1.0, -1.0, 1e-300];
+        let hvars = [0.0, 0.0, 1.0, 2.0, 2.0, 3.0, 8.0, -0.0];
+        for keep in [1usize, 3, 8, 16] {
+            for len in [1usize, 2, keep - 1, keep, keep + 1, 2 * keep, 5 * keep + 3, 300] {
+                if len == 0 {
+                    continue;
+                }
+                for _ in 0..20 {
+                    // Candidate values in no particular order, as a beam
+                    // level lists them.
+                    let cands: Vec<u64> =
+                        (0..len as u64).map(|i| i.wrapping_mul(0x9E37) ^ 0x55).collect();
+                    let scores: Vec<(f64, f64)> = (0..len)
+                        .map(|_| (corrs[next(8) as usize], hvars[next(8) as usize]))
+                        .collect();
+                    assert_eq!(
+                        rank_level(&cands, &scores, keep),
+                        rank_by_stable_sorts(&cands, &scores, keep),
+                        "keep={keep} len={len} scores={scores:?}"
+                    );
+                }
+            }
+        }
+        // A beam-sized level of distinct correlations, in random order and
+        // in rising and falling order (the running top `keep` then turns
+        // over on every candidate, or never).
+        let cands: Vec<u64> = (0..4096u64).map(|i| i.wrapping_mul(0x9E37) ^ 0x55).collect();
+        let random: Vec<(f64, f64)> =
+            (0..4096).map(|_| (next(1 << 20) as f64 / 1e6 - 0.5, next(64) as f64)).collect();
+        let rising: Vec<(f64, f64)> =
+            (0..4096).map(|i| (i as f64 / 4096.0, [0.0, 5.0, 9.0][i % 3])).collect();
+        let falling: Vec<(f64, f64)> = rising.iter().rev().copied().collect();
+        for scores in [random, rising, falling] {
+            assert_eq!(rank_level(&cands, &scores, 64), rank_by_stable_sorts(&cands, &scores, 64));
+        }
     }
 }

@@ -27,8 +27,24 @@
 //! with `h` converted to `f64` exactly; the caller's fold (lanes in
 //! index order, then the tail, column by column) is the two-step fold.
 //! So the fused scores are bit-identical to the two-step ones as well as
-//! across kernels. AVX2 runs a vector kernel; NEON and the portable
-//! path run the scalar reference.
+//! across kernels. AVX-512 and AVX2 run vector kernels; NEON and the
+//! portable path run the scalar reference.
+//!
+//! The AVX-512 fused kernel holds the whole guess block in one 512-bit
+//! register per statistic. Its eight 64-bit lanes map to guess `q` and
+//! scalar lane `j` as
+//!
+//! ```text
+//! zmm lane   0    1    2    3    4    5    6    7
+//! guess q    0    0    0    0    1    1    1    1
+//! lane j     0    1    2    3    0    1    2    3
+//! ```
+//!
+//! so each step broadcasts the four-trace known and sample tiles into
+//! both 256-bit halves. Every `(q, j)` keeps its own chain of the
+//! scalar reference's operations in index order — integer adds for Σh
+//! and Σh², a separate multiply then add for Σht — so this kernel is
+//! bit-identical by construction too.
 //!
 //! # Selection
 //!
@@ -37,14 +53,16 @@
 //! 1. [`set_kernel`] — in-process override for tests and benches;
 //! 2. the `FALCON_DEMA_SIMD` environment variable: `off` or `scalar`
 //!    pin the portable tile, `auto` (or unset) enables detection;
-//! 3. runtime CPU feature detection (`avx2` on x86_64, `neon` on
-//!    aarch64), falling back to the always-compiled scalar tile.
+//! 3. runtime CPU feature detection (`avx2` on x86_64, upgraded to the
+//!    AVX-512 fused kernel when `avx512f` and `avx512vpopcntdq` are both
+//!    present; `neon` on aarch64), falling back to the always-compiled
+//!    scalar tile.
 //!
 //! The resolved choice is reported through the `cpa.kernel` obs gauge
-//! (0 = scalar, 1 = AVX2, 2 = NEON) so every bench and campaign records
-//! which path actually ran. Selection composes with the executor's
-//! `FALCON_DEMA_THREADS`: kernel state is process-global atomics, so
-//! every `dema::exec` worker dispatches identically.
+//! (0 = scalar, 1 = AVX2, 2 = NEON, 3 = AVX-512) so every bench and
+//! campaign records which path actually ran. Selection composes with the
+//! executor's `FALCON_DEMA_THREADS`: kernel state is process-global
+//! atomics, so every `dema::exec` worker dispatches identically.
 //!
 //! # Safety policy
 //!
@@ -74,6 +92,10 @@ pub enum Kernel {
     Avx2,
     /// NEON `f64x2` lane pairs (aarch64, runtime-detected).
     Neon,
+    /// AVX-512 fused extend kernel with native `vpopcntq` (x86_64,
+    /// runtime-detected `avx512f` + `avx512vpopcntdq`); the column tiles
+    /// run the AVX2 kernel.
+    Avx512,
 }
 
 impl Kernel {
@@ -83,6 +105,7 @@ impl Kernel {
             Kernel::Scalar => "scalar",
             Kernel::Avx2 => "avx2",
             Kernel::Neon => "neon",
+            Kernel::Avx512 => "avx512",
         }
     }
 
@@ -92,6 +115,7 @@ impl Kernel {
             Kernel::Scalar => 0.0,
             Kernel::Avx2 => 1.0,
             Kernel::Neon => 2.0,
+            Kernel::Avx512 => 3.0,
         }
     }
 }
@@ -133,6 +157,11 @@ fn detect() -> Kernel {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+            {
+                return Kernel::Avx512;
+            }
             return Kernel::Avx2;
         }
     }
@@ -168,6 +197,7 @@ pub fn active_kernel() -> Kernel {
         1 => Kernel::Scalar,
         2 => Kernel::Avx2,
         3 => Kernel::Neon,
+        4 => Kernel::Avx512,
         _ => resolve(),
     }
 }
@@ -238,9 +268,9 @@ pub fn tile_lanes(hyps: &[f64], samples: &[f32]) -> Lanes {
     assert_eq!(hyps.len(), samples.len(), "hypothesis and sample columns must align");
     match active_kernel() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch reaches Avx2 only when runtime detection
-        // confirmed the host supports the avx2 target feature.
-        Kernel::Avx2 => unsafe { tile_lanes_avx2(hyps, samples) },
+        // SAFETY: dispatch reaches Avx2 or Avx512 only when runtime
+        // detection confirmed the host supports the avx2 target feature.
+        Kernel::Avx2 | Kernel::Avx512 => unsafe { tile_lanes_avx2(hyps, samples) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: dispatch reaches Neon only when runtime detection
         // confirmed the host supports the neon target feature.
@@ -259,9 +289,9 @@ pub fn tile_lanes_hyp(hyps: &[f64], samples: &[f32]) -> HypLanes {
     assert_eq!(hyps.len(), samples.len(), "hypothesis and sample columns must align");
     match active_kernel() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch reaches Avx2 only when runtime detection
-        // confirmed the host supports the avx2 target feature.
-        Kernel::Avx2 => unsafe { tile_lanes_hyp_avx2(hyps, samples) },
+        // SAFETY: dispatch reaches Avx2 or Avx512 only when runtime
+        // detection confirmed the host supports the avx2 target feature.
+        Kernel::Avx2 | Kernel::Avx512 => unsafe { tile_lanes_hyp_avx2(hyps, samples) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: dispatch reaches Neon only when runtime detection
         // confirmed the host supports the neon target feature.
@@ -435,6 +465,10 @@ pub(crate) fn product_lanes(
         // SAFETY: dispatch reaches Avx2 only when runtime detection
         // confirmed the host supports the avx2 target feature.
         Kernel::Avx2 => unsafe { product_lanes_avx2(guesses, mask, knowns, samples) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: dispatch reaches Avx512 only when runtime detection
+        // confirmed the host supports avx512f and avx512vpopcntdq.
+        Kernel::Avx512 => unsafe { product_lanes_avx512(guesses, mask, knowns, samples) },
         // NEON (no 64-bit lane popcount-and-convert worth the code) and
         // the portable path run the scalar reference.
         _ => product_lanes_scalar(guesses, mask, knowns, samples),
@@ -533,6 +567,84 @@ unsafe fn product_lanes_avx2(
             _mm256_storeu_pd(l.sht.as_mut_ptr(), vsht[q]);
         }
         out
+    }
+}
+
+/// AVX-512 fused tile: both guesses of the block in one 512-bit register
+/// per statistic, guess `q` in 64-bit lanes `4q..4q + 3` (lane `4q + j`
+/// is guess `q`'s scalar lane `j`). Each step broadcasts the four-trace
+/// known and sample tiles into both 256-bit halves; `vpmuludq` forms the
+/// exact 32 × 32 → 64 product (it reads only the low 32 bits of each
+/// lane), `vpandq` applies the mask and native `vpopcntq` counts the
+/// bits. The count converts to `f64` exactly (OR into the mantissa of
+/// 2^52, then subtract 2^52); Σh and Σh² add as integers and Σht is a
+/// separate multiply and add (no FMA), as in the scalar reference.
+///
+/// # Safety
+///
+/// Caller must ensure the host supports AVX-512F and AVX-512 VPOPCNTDQ
+/// (runtime-detected in the dispatcher) and that `knowns.len() ==
+/// samples.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vpopcntdq")]
+// SAFETY: unsafe solely via target_feature; dispatch checks AVX-512 first.
+unsafe fn product_lanes_avx512(
+    guesses: [u64; GUESS_BLOCK],
+    mask: u64,
+    knowns: &[u32],
+    samples: &[f32],
+) -> [ProductLanes; GUESS_BLOCK] {
+    use std::arch::x86_64::*;
+    const _: () = assert!(GUESS_BLOCK * TILE_LANES == 8, "one zmm holds the whole block");
+    let n = knowns.len() - knowns.len() % TILE_LANES;
+    // The unaligned loads read TILE_LANES elements at i, with
+    // i + TILE_LANES <= n <= both slice lengths; the stores fill
+    // 8-element arrays.
+    // SAFETY: (whole body) every access stays in bounds, as above.
+    unsafe {
+        let vmask = _mm512_set1_epi64(mask as i64);
+        let two52 = _mm512_set1_epi64(0x4330_0000_0000_0000);
+        let vg = _mm512_set_epi64(
+            guesses[1] as i64,
+            guesses[1] as i64,
+            guesses[1] as i64,
+            guesses[1] as i64,
+            guesses[0] as i64,
+            guesses[0] as i64,
+            guesses[0] as i64,
+            guesses[0] as i64,
+        );
+        let mut vsh = _mm512_setzero_si512();
+        let mut vsh2 = _mm512_setzero_si512();
+        let mut vsht = _mm512_setzero_pd();
+        let mut i = 0usize;
+        while i + TILE_LANES <= n {
+            let k4 = _mm_loadu_si128(knowns.as_ptr().add(i).cast());
+            let k = _mm512_cvtepu32_epi64(_mm256_broadcastsi128_si256(k4));
+            let t4 = _mm_loadu_ps(samples.as_ptr().add(i));
+            let t = _mm512_cvtps_pd(_mm256_broadcast_ps(&t4));
+            let h = _mm512_popcnt_epi64(_mm512_and_si512(_mm512_mul_epu32(vg, k), vmask));
+            vsh = _mm512_add_epi64(vsh, h);
+            vsh2 = _mm512_add_epi64(vsh2, _mm512_mul_epu32(h, h));
+            let hf = _mm512_sub_pd(
+                _mm512_castsi512_pd(_mm512_or_si512(h, two52)),
+                _mm512_castsi512_pd(two52),
+            );
+            vsht = _mm512_add_pd(vsht, _mm512_mul_pd(hf, t));
+            i += TILE_LANES;
+        }
+        let (mut sh, mut sh2, mut sht) = ([0u64; 8], [0u64; 8], [0f64; 8]);
+        _mm512_storeu_si512(sh.as_mut_ptr().cast(), vsh);
+        _mm512_storeu_si512(sh2.as_mut_ptr().cast(), vsh2);
+        _mm512_storeu_pd(sht.as_mut_ptr(), vsht);
+        std::array::from_fn(|q| {
+            let lanes = q * TILE_LANES..(q + 1) * TILE_LANES;
+            ProductLanes {
+                sh: sh[lanes.clone()].try_into().expect("TILE_LANES lanes"),
+                sh2: sh2[lanes.clone()].try_into().expect("TILE_LANES lanes"),
+                sht: sht[lanes].try_into().expect("TILE_LANES lanes"),
+            }
+        })
     }
 }
 
@@ -697,7 +809,7 @@ mod tests {
         // With the override cleared the kernel reflects the host (or
         // the ambient FALCON_DEMA_SIMD policy, which CI sweeps).
         let k = active_kernel();
-        assert!(matches!(k, Kernel::Scalar | Kernel::Avx2 | Kernel::Neon));
+        assert!(matches!(k, Kernel::Scalar | Kernel::Avx2 | Kernel::Neon | Kernel::Avx512));
     }
 
     #[test]
@@ -711,5 +823,102 @@ mod tests {
         let k = active_kernel();
         let snap = obs::metrics().snapshot();
         assert_eq!(snap.gauges.get("cpa.kernel").copied(), Some(k.gauge_code()));
+    }
+
+    /// The lanes as bits, every NaN as one value: Rust leaves the sign
+    /// and payload of a NaN that arithmetic produces unspecified (the
+    /// compiler may swap the operands of an add, and `0 · inf` yields
+    /// the negative default NaN), so only NaN-ness is comparable.
+    fn product_bits(lanes: &[ProductLanes; GUESS_BLOCK]) -> Vec<u64> {
+        let bits = |v: f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+        lanes.iter().flat_map(|l| l.sh.into_iter().chain(l.sh2).chain(l.sht.map(bits))).collect()
+    }
+
+    /// Checks one fused kernel, called directly, against
+    /// [`product_lanes_scalar`] bit for bit: every tail of 0–9 traces
+    /// and a longer column, guesses with bit 27 set and near 2^32,
+    /// every mask width, and NaN, infinite, signed-zero and subnormal
+    /// samples among values spread over many binades.
+    fn product_kernel_matches_scalar(
+        kernel: impl Fn([u64; GUESS_BLOCK], u64, &[u32], &[f32]) -> [ProductLanes; GUESS_BLOCK],
+    ) {
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::MIN_POSITIVE / 2.0,
+            -1.0e-45,
+            f32::MAX,
+        ];
+        let guess_blocks: [[u64; GUESS_BLOCK]; 5] = [
+            [0, 1],
+            [1 << 27, (1 << 27) | 0x2A_5A5A],
+            [u32::MAX as u64, (1 << 32) - 2],
+            [(1 << 31) | 0x1234_5678, 0x1FF_FFFF],
+            [0x0ABC_DEF1, 0x0FFF_FFFF],
+        ];
+        for len in (0..=9).chain([67]) {
+            let mut state = 0xFA57 ^ len as u64;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let knowns: Vec<u32> = (0..len)
+                .map(|i| match i % 4 {
+                    0 => u32::MAX - (next() % 3) as u32,
+                    _ => (next() >> (next() % 32)) as u32,
+                })
+                .collect();
+            let samples: Vec<f32> = (0..len)
+                .map(|i| match i % 3 {
+                    0 => specials[(next() % specials.len() as u64) as usize],
+                    _ => {
+                        let exp = (next() % 40) as i32 - 20;
+                        (next() % 1000) as f32 * 2f32.powi(exp) - 300.0
+                    }
+                })
+                .collect();
+            for guesses in guess_blocks {
+                for width in 0..=64u32 {
+                    let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+                    let want = product_lanes_scalar(guesses, mask, &knowns, &samples);
+                    let got = kernel(guesses, mask, &knowns, &samples);
+                    assert_eq!(
+                        product_bits(&got),
+                        product_bits(&want),
+                        "len={len} guesses={guesses:#x?} width={width}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_product_kernel_matches_scalar_reference_bitwise() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            println!("skipped: host lacks avx2, product_lanes_avx2 not run");
+            return;
+        }
+        // SAFETY: the closure runs only on this host, which supports
+        // avx2 (checked above).
+        product_kernel_matches_scalar(|g, m, k, t| unsafe { product_lanes_avx2(g, m, k, t) });
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_product_kernel_matches_scalar_reference_bitwise() {
+        if !(std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vpopcntdq"))
+        {
+            println!("skipped: host lacks avx512f/avx512vpopcntdq, product_lanes_avx512 not run");
+            return;
+        }
+        // SAFETY: the closure runs only on this host, which supports
+        // avx512f and avx512vpopcntdq (checked above).
+        product_kernel_matches_scalar(|g, m, k, t| unsafe { product_lanes_avx512(g, m, k, t) });
     }
 }

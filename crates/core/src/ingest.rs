@@ -870,6 +870,23 @@ mod tests {
     }
 
     #[test]
+    fn import_rejects_non_finite_samples() {
+        let dir = tmpdir("nonfinite");
+        write_fixture_archive(&dir, 3, &[0], 16, 0.0, b"nonfinite").unwrap();
+        let path = dir.join("traces.npy");
+        let mut npy = std::fs::read(&path).unwrap();
+        // The first payload element: trace 0, column 0 (window.0 = 0).
+        let at = 10 + u16::from_le_bytes([npy[8], npy[9]]) as usize;
+        npy[at..at + 4].copy_from_slice(&f32::INFINITY.to_le_bytes());
+        std::fs::write(&path, &npy).unwrap();
+        match import_archive(&dir) {
+            Err(Error::InvalidData(msg)) => assert!(msg.contains("finite"), "{msg}"),
+            other => panic!("expected InvalidData, got {:?}", other.map(|(_, r)| r)),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn max_traces_and_winsorize_knobs_apply() {
         let dir = tmpdir("knobs");
         write_fixture_archive(&dir, 3, &[2], 64, 1.0, b"knobs").unwrap();

@@ -398,6 +398,23 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_samples_are_rejected() {
+        let ds = sample_dataset();
+        let mut buf = Vec::new();
+        write_dataset(&ds, &mut buf).unwrap();
+        let hdr = read_dataset_header(&mut &buf[..]).unwrap();
+        let (off, _) = hdr.target_points_range(1);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut poked = buf.clone();
+            poked[off as usize + 4..off as usize + 8].copy_from_slice(&bad.to_le_bytes());
+            match read_dataset(&poked[..]) {
+                Err(Error::InvalidData(msg)) => assert!(msg.contains("finite"), "{msg}"),
+                other => panic!("{bad} sample: expected InvalidData, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn header_knows_the_byte_geometry() {
         let ds = sample_dataset();
         let mut buf = Vec::new();

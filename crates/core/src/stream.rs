@@ -179,7 +179,8 @@ impl StreamedDataset {
     }
 
     /// Streams the byte ranges of one target (knowns then points)
-    /// through the ring, decoding into owned column buffers.
+    /// through the ring, decoding into owned column buffers, and
+    /// rejects a NaN or infinite sample with [`Error::InvalidData`].
     fn fetch(&self, ti: usize) -> Result<(Vec<u64>, Vec<f32>)> {
         let (koff, klen) = self.header.target_knowns_range(ti);
         let (poff, plen) = self.header.target_points_range(ti);
@@ -260,6 +261,7 @@ impl StreamedDataset {
         drop(rx);
         reader.join().map_err(|payload| crate::exec::panicked(0, payload))?;
         result?;
+        crate::acquire::check_finite_samples(&points)?;
         crate::obs::counter("stream.blocks_fetched").incr();
         Ok((knowns, points))
     }
@@ -383,6 +385,30 @@ mod tests {
         let path = write_tmp(&ds, "missing");
         let sd = StreamedDataset::open_default(&path).unwrap();
         assert!(matches!(sd.target_block(7), Err(Error::TargetNotInDataset { target: 7 })));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn non_finite_samples_are_rejected_on_fetch() {
+        let ds = sample_dataset(16);
+        let mut buf = Vec::new();
+        write_dataset(&ds, &mut buf).unwrap();
+        let hdr = crate::io::read_dataset_header(&mut &buf[..]).unwrap();
+        let (off, len) = hdr.target_points_range(2);
+        let at = (off + len) as usize - 4;
+        buf[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+        let path = std::env::temp_dir().join(format!("falcon-stream-nan-{}", std::process::id()));
+        std::fs::write(&path, &buf).unwrap();
+        let sd =
+            StreamedDataset::open(&path, RingConfig { chunk_bytes: MIN_CHUNK_BYTES, depth: 2 })
+                .unwrap();
+        // Targets 0 and 2 stream clean; target 5 holds the NaN.
+        assert!(sd.target_block(0).is_ok());
+        assert!(sd.target_block(2).is_ok());
+        match sd.target_block(5) {
+            Err(Error::InvalidData(msg)) => assert!(msg.contains("finite"), "{msg}"),
+            other => panic!("expected InvalidData, got {:?}", other.map(|_| ())),
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
