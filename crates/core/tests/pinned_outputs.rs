@@ -10,8 +10,15 @@
 //! change to it) moves no output bit. `kernel_differential.rs` checks the
 //! kernel itself against the two-step reference column by column.
 //!
-//! Kept as a single `#[test]` in its own integration binary: the kernel
-//! selection is process-global.
+//! The checkpoint test pins the SHAKE256 digests of seeded live and
+//! offline campaign checkpoints (mid-run and final). The live format
+//! embeds every target's accumulated traces, so the digests move on any
+//! change to the trace store, the dataset writer or the convergence
+//! trackers.
+//!
+//! The kernel selection is process-global; the attack test sweeps it,
+//! and the checkpoint test reads whichever kernel is active, which is
+//! harmless because the kernels are bit-identical.
 
 use falcon_dema::acquire::Dataset;
 use falcon_dema::attack::{
@@ -20,8 +27,10 @@ use falcon_dema::attack::{
 use falcon_dema::cpa::simd::{self, KernelChoice};
 use falcon_dema::model::SecretHalf;
 use falcon_dema::source::ColumnSource;
+use falcon_dema::{Campaign, CampaignConfig, OfflineCampaign};
 use falcon_emsim::{Device, LeakageModel, MeasurementChain, Scope};
 use falcon_sig::rng::Prng;
+use falcon_sig::shake::Shake256;
 use falcon_sig::{KeyPair, LogN};
 
 /// A seeded FALCON-8 capture of `targets` at Gaussian noise `sigma`,
@@ -129,4 +138,83 @@ fn seeded_attack_outputs_are_pinned() {
         simd::set_kernel(None);
         assert_eq!(got, want, "attack outputs moved under the {choice:?} kernel");
     }
+}
+
+/// Hex SHAKE256-256 digest of `bytes`.
+fn digest(bytes: &[u8]) -> String {
+    let mut out = [0u8; 32];
+    Shake256::digest(bytes, &mut out);
+    out.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// A seeded FALCON-8 victim at Gaussian noise `sigma`.
+fn victim(sigma: f64, seed: &[u8]) -> Device {
+    let mut rng = Prng::from_seed(seed);
+    let kp = KeyPair::generate(LogN::new(3).unwrap(), &mut rng);
+    let chain = MeasurementChain {
+        model: LeakageModel::hamming_weight(1.0, sigma),
+        lowpass: 0.0,
+        scope: Scope { enabled: false, ..Default::default() },
+        ..Default::default()
+    };
+    Device::new(kp.into_parts().0, chain, b"pinned checkpoint bench")
+}
+
+/// Digests of a live campaign's checkpoint after two batches and at the
+/// end, then of an offline replay's checkpoint after three batches and
+/// at the end. The batch size (37) is odd so prefixes never align with
+/// any power of two.
+fn checkpoint_digests() -> [String; 4] {
+    let cfg = CampaignConfig { batch_size: 37, max_traces: 2000, ..Default::default() };
+    let mut device = victim(3.0, b"pinned live key");
+    let mut msgs = Prng::from_seed(b"pinned live msgs");
+    let mut live = Campaign::new(8, cfg.clone()).unwrap();
+    let ckpt = |c: &Campaign, d: &Device, m: &Prng| {
+        let mut buf = Vec::new();
+        c.write_checkpoint(d, m, &mut buf).unwrap();
+        buf
+    };
+    for _ in 0..2 {
+        assert!(live.step(&mut device, &mut msgs).unwrap());
+    }
+    let live_mid = ckpt(&live, &device, &msgs);
+    let report = live.run(&mut device, &mut msgs).unwrap();
+    assert!(report.is_complete() && report.traces_requested > 2 * 37, "{report:?}");
+    let live_end = ckpt(&live, &device, &msgs);
+    // A campaign resumed from the mid-run checkpoint ends on the same bytes.
+    let (mut device, mut msgs) = (victim(3.0, b"pinned live key"), Prng::from_seed(b"rewound"));
+    let mut resumed = Campaign::resume(cfg.clone(), &mut device, &mut msgs, &live_mid[..]).unwrap();
+    resumed.run(&mut device, &mut msgs).unwrap();
+    assert_eq!(ckpt(&resumed, &device, &msgs), live_end, "resumed live checkpoint");
+
+    let mut device = victim(3.0, b"pinned offline key");
+    let targets: Vec<usize> = (0..8).collect();
+    let mut msgs = Prng::from_seed(b"pinned offline msgs");
+    let ds = Dataset::collect(&mut device, &targets, 400, &mut msgs);
+    let mut offline = OfflineCampaign::new(&ds, cfg).unwrap();
+    let ockpt = |c: &OfflineCampaign| {
+        let mut buf = Vec::new();
+        c.write_checkpoint(&mut buf).unwrap();
+        digest(&buf)
+    };
+    for _ in 0..3 {
+        assert!(offline.step(&ds).unwrap());
+    }
+    let offline_mid = ockpt(&offline);
+    assert!(offline.run(&ds).unwrap().is_complete());
+    [digest(&live_mid), digest(&live_end), offline_mid, ockpt(&offline)]
+}
+
+/// The digests of [`checkpoint_digests`], recorded with the
+/// per-batch-copy campaign engines that predate the trace store.
+const PINNED_CHECKPOINTS: [&str; 4] = [
+    "10ce9077e97f68f14c3c287b72b746569fedc723fa59f4f031a8555593c60424",
+    "68ba5fe7460e8fb95811ae8fa90808dabbba34b9afc41599b31027a87bab7985",
+    "30cd5bb1ec15e932c39177b7ba635995cc07981f1acec44354b471ae7811c2bc",
+    "cb5b53eee4d0aba7801478d033397ee6e9be663bce342bc4aa7bea3fef344f29",
+];
+
+#[test]
+fn seeded_checkpoint_bytes_are_pinned() {
+    assert_eq!(checkpoint_digests(), PINNED_CHECKPOINTS.map(String::from));
 }
