@@ -17,6 +17,7 @@ use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
 use falcon_dema::confidence::traces_to_disclosure;
 use falcon_dema::cpa::pearson_evolution;
 use falcon_dema::model::{hyp_sign, KnownOperand};
+use falcon_dema::source::ColumnSource;
 use falcon_dema::template::{profile_step, template_sign_stability};
 use falcon_dema::Dataset;
 use falcon_emsim::StepKind;
@@ -74,7 +75,8 @@ fn main() {
             }
         }
         // Profiled: smallest stable-correct prefix.
-        let tpl = template_sign_stability(&ds, t, &templates, true_sign);
+        let block = ds.target_block(t).expect("the dataset holds its targets");
+        let tpl = template_sign_stability(&block, &templates, true_sign);
         rows.push(vec![
             t.to_string(),
             cpa.map(|d| d.to_string()).unwrap_or_else(|| format!("> {traces}")),

@@ -291,14 +291,10 @@ impl Dataset {
         self.traces
     }
 
-    /// Position of `target` in the target list, if present.
-    fn try_target_pos(&self, target: usize) -> Option<usize> {
-        self.targets.iter().position(|&t| t == target)
-    }
-
+    /// Position of `target` in the target list; panics when absent.
     #[track_caller]
     fn target_pos(&self, target: usize) -> usize {
-        match self.try_target_pos(target) {
+        match self.targets.iter().position(|&t| t == target) {
             Some(p) => p,
             None => panic!("{}", Error::TargetNotInDataset { target }),
         }
@@ -342,100 +338,17 @@ impl Dataset {
         (0..POINTS_PER_TARGET).map(|c| self.points[(base + c) * self.traces + trace]).collect()
     }
 
-    /// The columnar known-operand storage (`[target][occ][trace]`), for
-    /// the v2 serialiser.
+    /// The columnar known-operand storage (`[target][occ][trace]`),
+    /// lent per target by
+    /// [`ColumnSource::target_block`](crate::source::ColumnSource::target_block).
     pub(crate) fn knowns_columnar(&self) -> &[u64] {
         &self.knowns
     }
 
-    /// The columnar sample storage (`[target][occ][step][trace]`), for
-    /// the v2 serialiser.
+    /// The columnar sample storage (`[target][occ][step][trace]`), lent
+    /// per target like [`Dataset::knowns_columnar`].
     pub(crate) fn points_columnar(&self) -> &[f32] {
         &self.points
-    }
-
-    /// Appends the traces of `other` to this dataset. Both must share the
-    /// ring degree and the exact target list (batch-wise accumulation in
-    /// adaptive campaigns). Columnar merge: each column is the
-    /// concatenation of the two source columns.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::DatasetMismatch`] when the shapes differ.
-    pub fn append(&mut self, other: &Dataset) -> Result<()> {
-        if self.n != other.n {
-            return Err(Error::DatasetMismatch(format!("ring degree {} vs {}", self.n, other.n)));
-        }
-        if self.targets != other.targets {
-            return Err(Error::DatasetMismatch(format!(
-                "target lists differ ({:?} vs {:?})",
-                self.targets, other.targets
-            )));
-        }
-        let traces = self.traces + other.traces;
-        let mut knowns = Vec::with_capacity(self.knowns.len() + other.knowns.len());
-        for (a, b) in self
-            .knowns
-            .chunks_exact(self.traces.max(1))
-            .zip(other.knowns.chunks_exact(other.traces.max(1)))
-        {
-            knowns.extend_from_slice(a);
-            knowns.extend_from_slice(b);
-        }
-        let mut points = Vec::with_capacity(self.points.len() + other.points.len());
-        for (a, b) in self
-            .points
-            .chunks_exact(self.traces.max(1))
-            .zip(other.points.chunks_exact(other.traces.max(1)))
-        {
-            points.extend_from_slice(a);
-            points.extend_from_slice(b);
-        }
-        // Zero-trace sides contribute empty columns; rebuild explicitly
-        // because chunks_exact(1) over an empty buffer yields nothing.
-        if self.traces == 0 {
-            self.knowns = other.knowns.clone();
-            self.points = other.points.clone();
-        } else if other.traces > 0 {
-            self.knowns = knowns;
-            self.points = points;
-        }
-        self.traces = traces;
-        Ok(())
-    }
-
-    /// Extracts the sub-dataset covering only `subset` of the targets
-    /// (same traces, fewer columns). In the columnar layout each target's
-    /// block is contiguous, so this is a handful of bulk copies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TargetNotInDataset`] when a requested target is
-    /// not part of this dataset.
-    pub fn select_targets(&self, subset: &[usize]) -> Result<Dataset> {
-        let pos: Vec<usize> = subset
-            .iter()
-            .map(|&t| self.try_target_pos(t).ok_or(Error::TargetNotInDataset { target: t }))
-            .collect::<Result<_>>()?;
-        let kblock = 2 * self.traces;
-        let pblock = POINTS_PER_TARGET * self.traces;
-        let mut knowns = Vec::with_capacity(subset.len() * kblock);
-        let mut points = Vec::with_capacity(subset.len() * pblock);
-        for &ti in &pos {
-            knowns.extend_from_slice(&self.knowns[ti * kblock..(ti + 1) * kblock]);
-            points.extend_from_slice(&self.points[ti * pblock..(ti + 1) * pblock]);
-        }
-        Ok(Dataset { n: self.n, targets: subset.to_vec(), traces: self.traces, knowns, points })
-    }
-
-    /// An empty dataset (zero traces) for the given degree and targets —
-    /// the identity for [`Dataset::append`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed error on a bad degree or out-of-range target.
-    pub fn empty(n: usize, targets: &[usize]) -> Result<Dataset> {
-        Dataset::try_from_columnar_parts(n, targets.to_vec(), 0, Vec::new(), Vec::new())
     }
 
     /// Mutable access to the flat columnar sample storage — every
@@ -444,29 +357,6 @@ impl Dataset {
     /// place).
     pub(crate) fn points_mut(&mut self) -> &mut [f32] {
         &mut self.points
-    }
-
-    /// Restricts the dataset to its first `n_traces` traces (cheap way to
-    /// study trace-count sweeps on one acquisition): every column is
-    /// truncated to its prefix.
-    pub fn truncated(&self, n_traces: usize) -> Dataset {
-        let keep = n_traces.min(self.traces);
-        let gather_prefix = |src: &[f32]| -> Vec<f32> {
-            src.chunks_exact(self.traces.max(1)).flat_map(|col| &col[..keep]).copied().collect()
-        };
-        let knowns: Vec<u64> = self
-            .knowns
-            .chunks_exact(self.traces.max(1))
-            .flat_map(|col| &col[..keep])
-            .copied()
-            .collect();
-        Dataset {
-            n: self.n,
-            targets: self.targets.clone(),
-            traces: keep,
-            knowns,
-            points: gather_prefix(&self.points),
-        }
     }
 }
 
@@ -497,9 +387,6 @@ mod tests {
         assert_eq!(ds.targets(), &[0, 3, 7]);
         assert_eq!(ds.window(0, 3).len(), POINTS_PER_TARGET);
         assert_eq!(ds.sample_column(7, 1, StepKind::SignXor).len(), 10);
-        let t = ds.truncated(4);
-        assert_eq!(t.traces(), 4);
-        assert_eq!(t.sample(3, 0, 0, StepKind::Pack), ds.sample(3, 0, 0, StepKind::Pack));
     }
 
     #[test]
@@ -532,38 +419,6 @@ mod tests {
         let a = ds.sample_column(1, 0, StepKind::ALL[0]).as_ptr() as usize;
         let b = ds.sample_column(1, 0, StepKind::ALL[1]).as_ptr() as usize;
         assert_eq!(b - a, ds.traces() * core::mem::size_of::<f32>());
-    }
-
-    #[test]
-    fn append_and_select_preserve_columns() {
-        let mut d = device(1.0);
-        let mut mrng = Prng::from_seed(b"append msgs");
-        let a = Dataset::collect(&mut d, &[0, 5], 6, &mut mrng);
-        let b = Dataset::collect(&mut d, &[0, 5], 9, &mut mrng);
-        let mut acc = Dataset::empty(8, &[0, 5]).unwrap();
-        acc.append(&a).unwrap();
-        acc.append(&b).unwrap();
-        assert_eq!(acc.traces(), 15);
-        for &t in &[0usize, 5] {
-            for occ in 0..2 {
-                for step in StepKind::ALL {
-                    let col = acc.sample_column(t, occ, step);
-                    assert_eq!(&col[..6], a.sample_column(t, occ, step));
-                    assert_eq!(&col[6..], b.sample_column(t, occ, step));
-                }
-                let kcol = acc.known_column(t, occ);
-                assert_eq!(&kcol[..6], a.known_column(t, occ));
-                assert_eq!(&kcol[6..], b.known_column(t, occ));
-            }
-        }
-        let sel = acc.select_targets(&[5]).unwrap();
-        assert_eq!(sel.targets(), &[5]);
-        for occ in 0..2 {
-            assert_eq!(sel.known_column(5, occ), acc.known_column(5, occ));
-            for step in StepKind::ALL {
-                assert_eq!(sel.sample_column(5, occ, step), acc.sample_column(5, occ, step));
-            }
-        }
     }
 
     #[test]

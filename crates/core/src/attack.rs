@@ -1050,7 +1050,7 @@ mod tests {
 
     #[test]
     fn recover_all_verified_on_a_dataset_without_targets_is_empty() {
-        let empty = Dataset::empty(8, &[]).unwrap();
+        let empty = Dataset::try_from_columnar_parts(8, vec![], 0, vec![], vec![]).unwrap();
         assert!(recover_all_verified(&empty, &AttackConfig::default()).is_empty());
         let parts = Dataset::try_from_columnar_parts(8, vec![], 5, vec![], vec![]).unwrap();
         assert!(recover_all_verified(&parts, &AttackConfig::default()).is_empty());

@@ -11,20 +11,22 @@
 //! One private convergence core serves both engines: config and target
 //! checks, a tracker per coefficient, the [`CampaignReport`], the
 //! tracker fields of both checkpoint formats and the checkpoint/resume
-//! plumbing. The engines keep their own trace data and step policy:
+//! plumbing. Both engines keep each target's traces in one append-only
+//! trace store (`source::TraceStore`) and score a borrowed prefix of
+//! it, so a batch copies only its own traces. They differ in step
+//! policy:
 //!
 //! * [`Campaign`] captures live through the screened
 //!   [`Dataset::collect_screened`](crate::screen); each batch serves
-//!   *every* pending coefficient, because one capture leaks them all.
-//!   Its checkpoint (`FDNCKPT\x01`) embeds the data and the device and
+//!   *every* pending coefficient, because one capture leaks them all,
+//!   and is pushed onto each pending target's store. Its checkpoint
+//!   (`FDNCKPT\x01`) embeds each store as a dataset and the device and
 //!   message-stream positions, so a killed campaign resumes bit-for-bit.
-//! * [`OfflineCampaign`] replays an archive *one target at a time*,
-//!   which keeps a streamed archive to one target block in memory. Its
-//!   checkpoint (`FDNOCKP\x01`) records logical progress only.
-//!
-//! Both step policies stay for those reasons. Folding the engines'
-//! duplicated code into the core cut 102 lines net from this module and
-//! `orch::runner`; both checkpoint formats are unchanged byte for byte.
+//! * [`OfflineCampaign`] replays an archive *one target at a time*: it
+//!   loads the cursor target's block into a store once and reveals a
+//!   longer prefix per batch, which keeps a streamed archive to one
+//!   target block in memory. Its checkpoint (`FDNOCKP\x01`) records
+//!   logical progress only.
 
 use crate::acquire::{check_distinct_targets, Dataset};
 use crate::attack::{coefficient_confidence, recover_coefficient_block, AttackConfig};
@@ -33,7 +35,7 @@ use crate::error::{Error, Result};
 use crate::io;
 use crate::obs;
 use crate::screen::{AcquisitionStats, ScreenConfig};
-use crate::source::{ColumnSource, TargetBlock};
+use crate::source::{ColumnSource, TargetBlock, TraceStore};
 use falcon_emsim::Device;
 use falcon_sig::rng::Prng;
 use std::fs::File;
@@ -174,8 +176,7 @@ impl CampaignReport {
 }
 
 /// Convergence tracking for one coefficient. It holds no trace data:
-/// each engine keeps its own and lends [`TargetState::evaluate`] the
-/// prefix to score.
+/// each engine lends [`TargetState::evaluate`] a prefix of its store.
 #[derive(Debug, Clone, Default)]
 struct TargetState {
     target: usize,
@@ -414,8 +415,8 @@ fn take_state<R: Read, const N: usize>(r: &mut R, what: &str) -> Result<[u8; N]>
 #[derive(Debug, Clone)]
 pub struct Campaign {
     core: Core,
-    /// Accumulated single-target datasets, parallel to `core.states`.
-    data: Vec<Dataset>,
+    /// Each target's accumulated traces, parallel to `core.states`.
+    data: Vec<TraceStore>,
 }
 
 impl Campaign {
@@ -427,8 +428,7 @@ impl Campaign {
     /// size, no budget) or a target is out of range or repeated.
     pub fn new(n: usize, cfg: CampaignConfig) -> Result<Campaign> {
         let core = Core::new(n, cfg, &(0..n).collect::<Vec<_>>())?;
-        let data =
-            core.states.iter().map(|s| Dataset::empty(n, &[s.target])).collect::<Result<_>>()?;
+        let data = core.states.iter().map(|s| TraceStore::new(n, s.target)).collect();
         Ok(Campaign { core, data })
     }
 
@@ -471,7 +471,7 @@ impl Campaign {
             let _eval_span = obs::span("campaign.evaluate");
             for (state, data) in core.states.iter_mut().zip(&mut self.data) {
                 if state.resolved.is_none() {
-                    data.append(&ds.select_targets(&[state.target])?)?;
+                    data.push(&ds.target_block(state.target)?);
                     state.evaluate(&data.target_block(state.target)?, &core.cfg);
                 }
             }
@@ -581,7 +581,9 @@ impl Campaign {
             }
             state.traces = ds.traces();
             states.push(state);
-            data.push(ds);
+            let mut store = TraceStore::new(n, target);
+            store.push(&ds.target_block(target)?);
+            data.push(store);
         }
         let core = Core { cfg, n, states, traces_requested, stats };
         core.check_traces(traces_requested)?;
@@ -626,10 +628,10 @@ pub struct OfflineCampaign {
     /// Index into `core.states` of the target currently being
     /// evaluated; `core.states.len()` once every target finished.
     cursor: usize,
-    /// The cursor target's full single-target dataset, fetched once per
-    /// target and truncated per batch. Dropped when the target
+    /// The cursor target's full column set, fetched once per target;
+    /// each batch scores a prefix of it. Dropped when the target
     /// finishes.
-    cache: Option<Dataset>,
+    cache: Option<TraceStore>,
 }
 
 impl OfflineCampaign {
@@ -683,7 +685,10 @@ impl OfflineCampaign {
             Some(cache) => cache,
             cache => {
                 let _fetch_span = obs::span("campaign.fetch_block");
-                cache.insert(src.target_block(state.target)?.to_dataset(core.n)?)
+                let block = src.target_block(state.target)?;
+                let mut store = TraceStore::new(core.n, state.target);
+                store.push(&block);
+                cache.insert(store)
             }
         };
         let budget = src.traces().min(core.cfg.max_traces);
@@ -691,11 +696,8 @@ impl OfflineCampaign {
         core.traces_requested += batch;
         {
             let _eval_span = obs::span("campaign.evaluate");
-            // The prefix is rebuilt from the cached block, so an
-            // evaluation sees byte-identical data no matter which
-            // source produced the block.
-            let prefix = cache.truncated(state.traces + batch);
-            state.evaluate(&prefix.target_block(state.target)?, &core.cfg);
+            let block = cache.target_block(state.target)?;
+            state.evaluate(&block.prefix(state.traces + batch), &core.cfg);
         }
         if state.resolved.is_some() || state.traces >= budget {
             // Target finished: free the cache, move on.

@@ -46,9 +46,6 @@ pub enum Error {
         /// The rejected degree.
         n: usize,
     },
-    /// Two datasets cannot be combined (append/select between
-    /// incompatible shapes).
-    DatasetMismatch(String),
     /// A serialized format version this build does not understand.
     UnsupportedVersion {
         /// The version found in the input.
@@ -108,7 +105,6 @@ impl fmt::Display for Error {
             Error::BadDegree { n } => {
                 write!(f, "ring degree {n} is not a supported power of two")
             }
-            Error::DatasetMismatch(msg) => write!(f, "dataset mismatch: {msg}"),
             Error::UnsupportedVersion { found, supported } => {
                 write!(f, "format version {found} not supported (this build reads <= {supported})")
             }

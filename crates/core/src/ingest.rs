@@ -393,7 +393,8 @@ fn read_trace_dir(dir: &Path) -> Result<TraceRows> {
     if files.is_empty() {
         return Err(bad(format!("trace directory {:?} is empty", dir.display())));
     }
-    let mut cols = 0usize;
+    // The first file sets the row length, even when it is empty.
+    let mut cols = None;
     let mut samples = Vec::new();
     for f in &files {
         let raw = std::fs::read(f)?;
@@ -401,16 +402,15 @@ fn read_trace_dir(dir: &Path) -> Result<TraceRows> {
             return Err(bad(format!("{:?} is not a whole number of f32 samples", f.display())));
         }
         let n = raw.len() / 4;
-        if cols == 0 {
-            cols = n;
-        } else if n != cols {
-            return Err(Error::ShapeMismatch { what: "binary trace file", expected: cols, got: n });
+        let expected = *cols.get_or_insert(n);
+        if n != expected {
+            return Err(Error::ShapeMismatch { what: "binary trace file", expected, got: n });
         }
         samples.extend(
             raw.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
         );
     }
-    Ok(TraceRows { cols, samples })
+    Ok(TraceRows { cols: cols.unwrap_or(0), samples })
 }
 
 /// Loads known-operand rows (`[trace][2·slot]` u64) from `.npy` or

@@ -19,6 +19,8 @@
 
 use crate::acquire::{check_distinct_targets, Dataset, POINTS_PER_TARGET};
 use crate::error::{Error, Result};
+use crate::source::ColumnSource;
+use falcon_emsim::StepKind;
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -138,48 +140,50 @@ pub fn read_dataset_header<R: Read>(r: &mut R) -> Result<DatasetHeader> {
     Ok(DatasetHeader { version: VERSION_V2, n, targets, traces })
 }
 
-/// Serialises a dataset in the current (v2, columnar) format.
+/// Serialises the columns of any source (a resident [`Dataset`], a
+/// campaign's trace store) in the current (v2, columnar) format,
+/// fetching each target's block once for its knowns and once for its
+/// samples.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer. The format is
+/// Propagates I/O errors from the writer and the source. The format is
 /// platform-independent (fixed-width little-endian fields).
-pub fn write_dataset<W: Write>(ds: &Dataset, mut w: W) -> Result<()> {
+pub fn write_dataset<S: ColumnSource + ?Sized, W: Write>(src: &S, mut w: W) -> Result<()> {
     w.write_all(HEAD)?;
-    w.write_all(&(ds.n() as u64).to_le_bytes())?;
-    w.write_all(&(ds.targets().len() as u64).to_le_bytes())?;
-    w.write_all(&(ds.traces() as u64).to_le_bytes())?;
-    for &t in ds.targets() {
-        w.write_all(&(t as u64).to_le_bytes())?;
+    for &v in [src.n(), src.targets().len(), src.traces()].iter().chain(src.targets()) {
+        w.write_all(&(v as u64).to_le_bytes())?;
     }
-    write_u64s(&mut w, ds.knowns_columnar())?;
-    write_f32s(&mut w, ds.points_columnar())?;
-    Ok(())
-}
-
-/// Writes a u64 slice as little-endian words through a bounded stack
-/// buffer (one syscall-sized write per 256 words instead of one per
-/// word).
-fn write_u64s<W: Write>(w: &mut W, vals: &[u64]) -> Result<()> {
-    let mut buf = [0u8; 8 * 256];
-    for chunk in vals.chunks(256) {
-        for (dst, &v) in buf.chunks_exact_mut(8).zip(chunk) {
-            dst.copy_from_slice(&v.to_le_bytes());
+    for &t in src.targets() {
+        let block = src.target_block(t)?;
+        for occ in 0..2 {
+            write_le(&mut w, block.known_column(occ), u64::to_le_bytes)?;
         }
-        w.write_all(&buf[..8 * chunk.len()])?;
+    }
+    for &t in src.targets() {
+        let block = src.target_block(t)?;
+        for occ in 0..2 {
+            for step in StepKind::ALL {
+                write_le(&mut w, block.sample_column(occ, step), f32::to_le_bytes)?;
+            }
+        }
     }
     Ok(())
 }
 
-/// Writes an f32 slice as little-endian samples with the same bounded
-/// buffering as [`write_u64s`].
-fn write_f32s<W: Write>(w: &mut W, vals: &[f32]) -> Result<()> {
-    let mut buf = [0u8; 4 * 512];
-    for chunk in vals.chunks(512) {
-        for (dst, &v) in buf.chunks_exact_mut(4).zip(chunk) {
-            dst.copy_from_slice(&v.to_le_bytes());
+/// Writes a column as little-endian words through a bounded stack
+/// buffer: one 2 KiB write instead of one per word.
+fn write_le<W: Write, T: Copy, const N: usize>(
+    w: &mut W,
+    column: &[T],
+    le: fn(T) -> [u8; N],
+) -> Result<()> {
+    let mut buf = [0u8; 2048];
+    for chunk in column.chunks(buf.len() / N) {
+        for (dst, &v) in buf.chunks_exact_mut(N).zip(chunk) {
+            dst.copy_from_slice(&le(v));
         }
-        w.write_all(&buf[..4 * chunk.len()])?;
+        w.write_all(&buf[..N * chunk.len()])?;
     }
     Ok(())
 }

@@ -16,6 +16,18 @@
 //! Because the attack layers consume whole columns in a fixed order,
 //! any source that returns byte-identical blocks yields bit-identical
 //! results — the determinism suite pins exactly this.
+//!
+//! # Stride and prefixes
+//!
+//! A block's columns start `stride` elements apart in its buffers
+//! (`stride >= traces`); [`TargetBlock::new`] builds dense blocks
+//! (`stride == traces`), as every source lends them.
+//! [`TargetBlock::prefix`] lends the first `k` traces of every column
+//! as a borrowed view at the same stride, with no copy. Consumers read
+//! only through the column accessors, so a prefix scores exactly like a
+//! dense block holding the same columns. The campaign engines keep each
+//! target's traces in an append-only `TraceStore` and score borrowed
+//! prefixes of it.
 
 use crate::acquire::{Dataset, POINTS_PER_TARGET};
 use crate::error::{Error, Result};
@@ -29,18 +41,25 @@ use std::borrow::Cow;
 ///
 /// Borrowing sources lend `Cow::Borrowed` slices with zero copies;
 /// streaming sources return `Cow::Owned` buffers decoded from the
-/// prefetch ring.
+/// prefetch ring. Columns sit `stride` elements apart (see the module
+/// docs).
 #[derive(Debug, Clone)]
 pub struct TargetBlock<'a> {
     target: usize,
     traces: usize,
+    stride: usize,
     knowns: Cow<'a, [u64]>,
     points: Cow<'a, [f32]>,
 }
 
+/// Column `c` of a buffer whose columns start `stride` apart.
+fn column<T>(buf: &[T], c: usize, stride: usize, traces: usize) -> &[T] {
+    &buf[c * stride..c * stride + traces]
+}
+
 impl<'a> TargetBlock<'a> {
-    /// Assembles a block, validating the column lengths against
-    /// `traces`.
+    /// Assembles a dense block (`stride == traces`), validating the
+    /// column lengths against `traces`.
     ///
     /// # Errors
     ///
@@ -66,7 +85,24 @@ impl<'a> TargetBlock<'a> {
                 got: points.len(),
             });
         }
-        Ok(TargetBlock { target, traces, knowns, points })
+        Ok(TargetBlock { target, traces, stride: traces, knowns, points })
+    }
+
+    /// The first `traces` traces of every column, borrowed from this
+    /// block's buffers at its stride: no copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `traces` exceeds [`TargetBlock::traces`].
+    pub fn prefix(&self, traces: usize) -> TargetBlock<'_> {
+        assert!(traces <= self.traces, "prefix of {traces} traces from a block of {}", self.traces);
+        TargetBlock {
+            target: self.target,
+            traces,
+            stride: self.stride,
+            knowns: Cow::Borrowed(&self.knowns),
+            points: Cow::Borrowed(&self.points),
+        }
     }
 
     /// The flat `FFT(f)` index this block belongs to.
@@ -82,14 +118,13 @@ impl<'a> TargetBlock<'a> {
     /// Known-operand column for `occ` (0 or 1).
     pub fn known_column(&self, occ: usize) -> &[u64] {
         debug_assert!(occ < 2);
-        &self.knowns[occ * self.traces..(occ + 1) * self.traces]
+        column(&self.knowns, occ, self.stride, self.traces)
     }
 
     /// Sample column for one pipeline step of `occ`.
     pub fn sample_column(&self, occ: usize, step: StepKind) -> &[f32] {
         debug_assert!(occ < 2);
-        let base = (occ * StepKind::COUNT + step as usize) * self.traces;
-        &self.points[base..base + self.traces]
+        column(&self.points, occ * StepKind::COUNT + step as usize, self.stride, self.traces)
     }
 
     /// Known operand of a single trace.
@@ -100,34 +135,6 @@ impl<'a> TargetBlock<'a> {
     /// Leakage sample of a single trace at one step.
     pub fn sample(&self, trace: usize, occ: usize, step: StepKind) -> f32 {
         self.sample_column(occ, step)[trace]
-    }
-
-    /// Detaches the block from its source, cloning borrowed columns.
-    pub fn into_owned(self) -> TargetBlock<'static> {
-        TargetBlock {
-            target: self.target,
-            traces: self.traces,
-            knowns: Cow::Owned(self.knowns.into_owned()),
-            points: Cow::Owned(self.points.into_owned()),
-        }
-    }
-
-    /// Materialises the block as a single-target resident [`Dataset`]
-    /// (ring degree `n`), e.g. to hand a streamed target to code that
-    /// still wants the full dataset API.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TargetOutOfRange`] when the block's target
-    /// does not fit the ring degree.
-    pub fn to_dataset(&self, n: usize) -> Result<Dataset> {
-        Dataset::try_from_columnar_parts(
-            n,
-            vec![self.target],
-            self.traces,
-            self.knowns.to_vec(),
-            self.points.to_vec(),
-        )
     }
 }
 
@@ -193,6 +200,93 @@ impl ColumnSource for Dataset {
     }
 }
 
+/// The append-only trace store of one target: its `[occ]` known and
+/// `[occ][step]` sample columns, `capacity` apart. A push copies only
+/// the new traces, in place; the columns are re-laid only when the
+/// capacity grows, at least doubling, so `T` traces pushed in batches
+/// cost `O(T)` copies instead of `O(T²/batch)`. The store lends its
+/// traces as one strided block through [`ColumnSource`].
+#[derive(Debug, Clone)]
+pub(crate) struct TraceStore {
+    n: usize,
+    /// The one target, as a slice for [`ColumnSource::targets`].
+    target: [usize; 1],
+    traces: usize,
+    capacity: usize,
+    knowns: Vec<u64>,
+    points: Vec<f32>,
+}
+
+impl TraceStore {
+    /// An empty store for `target` of a ring of degree `n`.
+    pub(crate) fn new(n: usize, target: usize) -> TraceStore {
+        let (knowns, points) = (Vec::new(), Vec::new());
+        TraceStore { n, target: [target], traces: 0, capacity: 0, knowns, points }
+    }
+
+    /// Appends every trace of `block`, a block of this store's target.
+    pub(crate) fn push(&mut self, block: &TargetBlock<'_>) {
+        debug_assert_eq!(block.target, self.target[0]);
+        let (old, add) = (self.traces, block.traces);
+        if old + add > self.capacity {
+            let capacity = (old + add).max(2 * self.capacity);
+            let knowns = std::mem::replace(&mut self.knowns, vec![0; 2 * capacity]);
+            let points =
+                std::mem::replace(&mut self.points, vec![0.0; POINTS_PER_TARGET * capacity]);
+            copy_columns(&mut self.knowns, capacity, 0, &knowns, self.capacity, old);
+            copy_columns(&mut self.points, capacity, 0, &points, self.capacity, old);
+            self.capacity = capacity;
+        }
+        copy_columns(&mut self.knowns, self.capacity, old, &block.knowns, block.stride, add);
+        copy_columns(&mut self.points, self.capacity, old, &block.points, block.stride, add);
+        self.traces = old + add;
+    }
+}
+
+/// Copies the first `len` elements of every column of `src` (columns
+/// `src_stride` apart) to offset `at` of the same column of `dst`
+/// (columns `stride` apart).
+fn copy_columns<T: Copy>(
+    dst: &mut [T],
+    stride: usize,
+    at: usize,
+    src: &[T],
+    src_stride: usize,
+    len: usize,
+) {
+    for c in 0..dst.len() / stride.max(1) {
+        dst[c * stride + at..c * stride + at + len]
+            .copy_from_slice(column(src, c, src_stride, len));
+    }
+}
+
+impl ColumnSource for TraceStore {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn targets(&self) -> &[usize] {
+        &self.target
+    }
+
+    fn traces(&self) -> usize {
+        self.traces
+    }
+
+    fn target_block(&self, target: usize) -> Result<TargetBlock<'_>> {
+        if target != self.target[0] {
+            return Err(Error::TargetNotInDataset { target });
+        }
+        Ok(TargetBlock {
+            target,
+            traces: self.traces,
+            stride: self.capacity,
+            knowns: Cow::Borrowed(&self.knowns),
+            points: Cow::Borrowed(&self.points),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,7 +294,7 @@ mod tests {
     use falcon_sig::rng::Prng;
     use falcon_sig::{KeyPair, LogN};
 
-    fn sample_dataset() -> Dataset {
+    fn device() -> Device {
         let mut rng = Prng::from_seed(b"source test key");
         let kp = KeyPair::generate(LogN::new(3).unwrap(), &mut rng);
         let chain = MeasurementChain {
@@ -209,9 +303,11 @@ mod tests {
             scope: Scope { enabled: false, ..Default::default() },
             ..Default::default()
         };
-        let mut dev = Device::new(kp.into_parts().0, chain, b"source bench");
-        let mut msgs = Prng::from_seed(b"source msgs");
-        Dataset::collect(&mut dev, &[0, 2, 5], 9, &mut msgs)
+        Device::new(kp.into_parts().0, chain, b"source bench")
+    }
+
+    fn sample_dataset() -> Dataset {
+        Dataset::collect(&mut device(), &[0, 2, 5], 9, &mut Prng::from_seed(b"source msgs"))
     }
 
     #[test]
@@ -248,18 +344,52 @@ mod tests {
     }
 
     #[test]
-    fn block_roundtrips_through_a_single_target_dataset() {
-        let ds = sample_dataset();
-        let block = ColumnSource::target_block(&ds, 2).unwrap().into_owned();
-        let single = block.to_dataset(ds.n()).unwrap();
-        assert_eq!(single.targets(), &[2]);
-        assert_eq!(single.traces(), ds.traces());
-        for occ in 0..2 {
-            assert_eq!(single.known_column(2, occ), ds.known_column(2, occ));
-            for step in StepKind::ALL {
-                assert_eq!(single.sample_column(2, occ, step), ds.sample_column(2, occ, step));
+    #[should_panic(expected = "prefix of 10 traces from a block of 9")]
+    fn a_prefix_longer_than_the_block_panics() {
+        ColumnSource::target_block(&sample_dataset(), 0).unwrap().prefix(10);
+    }
+
+    #[test]
+    fn store_prefixes_match_a_capture_taken_in_one_piece() {
+        // Batches of 0, 1 and odd sizes; 9 → 12 fits the capacity of 16,
+        // the others cross it. Batched captures from the same seeds
+        // equal one capture of all 47 traces.
+        let batches = [0usize, 1, 7, 1, 3, 30, 5];
+        let capacities = [0usize, 1, 8, 16, 16, 42, 84];
+        let whole = Dataset::collect(&mut device(), &[3], 47, &mut Prng::from_seed(b"store"));
+        let (mut dev, mut msgs) = (device(), Prng::from_seed(b"store"));
+        let mut store = TraceStore::new(8, 3);
+        for (&batch, &capacity) in batches.iter().zip(&capacities) {
+            let ds = Dataset::collect(&mut dev, &[3], batch, &mut msgs);
+            let before = (store.knowns.as_ptr(), store.points.as_ptr(), store.capacity);
+            store.push(&ColumnSource::target_block(&ds, 3).unwrap());
+            let pushed = store.traces;
+            assert_eq!(store.capacity, capacity);
+            if pushed <= before.2 {
+                // A push that fits moves neither buffer.
+                assert_eq!((store.knowns.as_ptr(), store.points.as_ptr()), (before.0, before.1));
+            }
+            let block = store.target_block(3).unwrap();
+            let (knowns, points) = (store.knowns.as_ptr_range(), store.points.as_ptr_range());
+            for k in [0, pushed / 2, pushed] {
+                // Column by column equal to the one-piece capture, and
+                // borrowed from the store's buffers.
+                let prefix = block.prefix(k);
+                assert_eq!((prefix.target(), prefix.traces()), (3, k));
+                for occ in 0..2 {
+                    let kc = prefix.known_column(occ);
+                    assert_eq!(kc, &whole.known_column(3, occ)[..k]);
+                    assert!(knowns.start <= kc.as_ptr() && kc.as_ptr_range().end <= knowns.end);
+                    for step in StepKind::ALL {
+                        let sc = prefix.sample_column(occ, step);
+                        assert_eq!(sc, &whole.sample_column(3, occ, step)[..k]);
+                        assert!(points.start <= sc.as_ptr() && sc.as_ptr_range().end <= points.end);
+                    }
+                }
             }
         }
+        assert_eq!(store.traces, whole.traces());
+        assert!(matches!(store.target_block(5), Err(Error::TargetNotInDataset { target: 5 })));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::acquire::Dataset;
 use crate::model::{hyp_exact, KnownOperand};
+use crate::source::TargetBlock;
 use falcon_emsim::{Device, StepKind};
 use falcon_sig::rng::Prng;
 
@@ -138,15 +139,14 @@ pub fn profile_step(
 /// `predict(candidate, known) -> hw` supplies the hypothesis, exactly as
 /// in the correlation attack — only the distinguisher changes.
 pub fn rank_by_likelihood<F: Fn(u64, &KnownOperand) -> u32>(
-    ds: &Dataset,
-    target: usize,
+    block: &TargetBlock<'_>,
     templates: &Templates,
     candidates: &[u64],
     predict: F,
 ) -> Vec<(u64, f64)> {
-    let knowns: [Vec<KnownOperand>; 2] = [0, 1]
-        .map(|occ| ds.known_column(target, occ).iter().map(|&kb| KnownOperand::new(kb)).collect());
-    let samples: [&[f32]; 2] = [0, 1].map(|occ| ds.sample_column(target, occ, templates.step()));
+    let knowns: [Vec<KnownOperand>; 2] =
+        [0, 1].map(|occ| block.known_column(occ).iter().map(|&kb| KnownOperand::new(kb)).collect());
+    let samples: [&[f32]; 2] = [0, 1].map(|occ| block.sample_column(occ, templates.step()));
     let mut scored: Vec<(u64, f64)> = candidates
         .iter()
         .map(|&cand| {
@@ -166,19 +166,18 @@ pub fn rank_by_likelihood<F: Fn(u64, &KnownOperand) -> u32>(
 /// Template-based sign recovery: the profiled counterpart of the sign
 /// half of [`crate::attack::recover_sign_exponent`]. Returns the winning
 /// sign bit and the log-likelihood margin over the alternative.
-pub fn template_sign(ds: &Dataset, target: usize, templates: &Templates) -> (u32, f64) {
+pub fn template_sign(block: &TargetBlock<'_>, templates: &Templates) -> (u32, f64) {
     assert_eq!(templates.step(), StepKind::SignXor);
-    let ranked =
-        rank_by_likelihood(ds, target, templates, &[0, 1], |cand, k| (cand as u32) ^ k.sign);
+    let ranked = rank_by_likelihood(block, templates, &[0, 1], |cand, k| (cand as u32) ^ k.sign);
     (ranked[0].0 as u32, ranked[0].1 - ranked[1].1)
 }
 
 /// Smallest trace count at which the template sign recovery returns the
 /// correct value for every prefix onwards (the profiled analogue of
-/// traces-to-disclosure). `None` if never stable within the dataset.
+/// traces-to-disclosure). `None` if never stable within the block.
+/// Each trace count scores a borrowed prefix of `block`.
 pub fn template_sign_stability(
-    ds: &Dataset,
-    target: usize,
+    block: &TargetBlock<'_>,
     templates: &Templates,
     truth: u32,
 ) -> Option<usize> {
@@ -186,14 +185,13 @@ pub fn template_sign_stability(
     // Evaluate on a geometric grid to keep this O(D log D)-ish.
     let mut d = 4;
     let mut points = Vec::new();
-    while d < ds.traces() {
+    while d < block.traces() {
         points.push(d);
         d = (d * 5) / 4 + 1;
     }
-    points.push(ds.traces());
+    points.push(block.traces());
     for &d in &points {
-        let sub = ds.truncated(d);
-        let (guess, _) = template_sign(&sub, target, templates);
+        let (guess, _) = template_sign(&block.prefix(d), templates);
         if guess == truth {
             stable_from.get_or_insert(d);
         } else {
@@ -206,6 +204,7 @@ pub fn template_sign_stability(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::ColumnSource;
     use falcon_emsim::{LeakageModel, MeasurementChain, Scope};
     use falcon_sig::{KeyPair, LogN};
 
@@ -244,7 +243,7 @@ mod tests {
         let truth = (victim.signing_key().f_fft()[2].to_bits() >> 63) as u32;
         let mut vmsgs = Prng::from_seed(b"victim msgs");
         let ds = Dataset::collect(&mut victim, &[2], 400, &mut vmsgs);
-        let (guess, margin) = template_sign(&ds, 2, &templates);
+        let (guess, margin) = template_sign(&ds.target_block(2).unwrap(), &templates);
         assert_eq!(guess, truth);
         assert!(margin > 0.0);
     }
