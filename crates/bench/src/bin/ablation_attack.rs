@@ -41,13 +41,13 @@ fn main() {
         targets.len()
     );
     let configs = [
-        AttackConfig { step_bits: 4, beam_width: 16, ..Default::default() },
-        AttackConfig { step_bits: 8, beam_width: 8, ..Default::default() },
-        AttackConfig { step_bits: 8, beam_width: 16, ..Default::default() },
-        AttackConfig { step_bits: 8, beam_width: 64, ..Default::default() },
-        AttackConfig { step_bits: 8, beam_width: 256, ..Default::default() },
-        AttackConfig { step_bits: 12, beam_width: 16, ..Default::default() },
-        AttackConfig { step_bits: 12, beam_width: 64, ..Default::default() },
+        AttackConfig { step_bits: 4, beam_width: 16 },
+        AttackConfig { step_bits: 8, beam_width: 8 },
+        AttackConfig { step_bits: 8, beam_width: 16 },
+        AttackConfig { step_bits: 8, beam_width: 64 },
+        AttackConfig { step_bits: 8, beam_width: 256 },
+        AttackConfig { step_bits: 12, beam_width: 16 },
+        AttackConfig { step_bits: 12, beam_width: 64 },
     ];
     let mut rows = Vec::new();
     for cfg in configs {

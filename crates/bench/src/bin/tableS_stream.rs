@@ -3,16 +3,15 @@
 //!
 //! One seeded FALCON-N victim is captured once; the dataset is then
 //! attacked twice — from memory (`Dataset` as a `ColumnSource`) and
-//! through the chunk-streamed `StreamedDataset` at several prefetch
-//! ring depths. The table reports wall time, effective read bandwidth,
-//! the ring's staging high-water mark against its configured budget,
-//! and asserts every leg recovers bit-identical coefficients (the
-//! streamed plane's whole contract: bounded memory, zero output drift).
+//! through the on-disk `StreamedDataset`. The table reports wall time,
+//! effective read bandwidth and the staging high-water mark against
+//! [`STAGE_BYTES`], and asserts both legs recover bit-identical
+//! coefficients (the streamed plane's whole contract: bounded staging,
+//! zero output drift).
 //!
 //! ```text
 //! cargo run --release -p falcon-bench --bin tableS_stream \
-//!     [logn=3] [traces=600] [noise=1.0] [chunk=65536] \
-//!     [out=BENCH_stream.json]
+//!     [logn=3] [traces=600] [noise=1.0] [out=BENCH_stream.json]
 //! ```
 
 use falcon_bench::json::Json;
@@ -21,7 +20,7 @@ use falcon_bench::setup::victim;
 use falcon_dema::acquire::Dataset;
 use falcon_dema::attack::{recover_coefficient_block, AttackConfig};
 use falcon_dema::source::ColumnSource;
-use falcon_dema::stream::{self, RingConfig, StreamedDataset};
+use falcon_dema::stream::{self, StreamedDataset, STAGE_BYTES};
 use falcon_obs as obs;
 use falcon_sig::rng::Prng;
 use std::path::PathBuf;
@@ -46,7 +45,6 @@ fn main() {
     let logn: u32 = arg_or("logn", 3);
     let traces: usize = arg_or("traces", 600);
     let noise: f64 = arg_or("noise", 1.0);
-    let chunk: usize = arg_or("chunk", 65_536);
     let out: String = arg_or("out", "BENCH_stream.json".to_string());
 
     let n = 1usize << logn;
@@ -68,56 +66,42 @@ fn main() {
     let (resident_bits, resident_wall) = sweep(&ds, &cfg);
     assert_eq!(resident_bits, truth, "resident recovery must match the victim key");
 
-    let mut rows = vec![vec![
-        "resident".into(),
-        format!("{:.1}", file_len as f64 / (1 << 20) as f64),
-        format!("{resident_wall:.3}"),
-        "-".into(),
-        "-".into(),
-        "baseline".into(),
-    ]];
-    let mut legs = Vec::new();
-    for depth in [2usize, 4, 8] {
-        let ring = RingConfig { chunk_bytes: chunk, depth };
-        stream::reset_ring_peak();
-        let sd = StreamedDataset::open(&archive, ring).expect("open streamed dataset");
-        let (bits, wall) = sweep(&sd, &cfg);
-        assert_eq!(bits, resident_bits, "streamed recovery must be bit-identical (depth {depth})");
-        // One full pass of the payload per coefficient sweep.
-        let streamed_mb = (file_len as f64) / (1 << 20) as f64;
-        let peak = obs::gauge("stream.ring_peak_bytes").get();
-        assert!(
-            peak <= ring.capacity_bytes() as f64,
-            "ring peak {peak} B exceeds the configured budget {} B",
-            ring.capacity_bytes()
-        );
-        let overhead_pct = (wall / resident_wall - 1.0) * 100.0;
-        rows.push(vec![
-            format!("streamed d={depth}"),
-            format!("{streamed_mb:.1}"),
+    stream::reset_ring_peak();
+    let sd = StreamedDataset::open_default(&archive).expect("open streamed dataset");
+    let (bits, wall) = sweep(&sd, &cfg);
+    assert_eq!(bits, resident_bits, "streamed recovery must be bit-identical");
+    // One full pass of the payload per coefficient sweep.
+    let file_mb = file_len as f64 / (1 << 20) as f64;
+    let peak = obs::gauge("stream.ring_peak_bytes").get();
+    assert!(
+        peak > 0.0 && peak <= STAGE_BYTES as f64,
+        "staging peak {peak} B outside (0, {STAGE_BYTES}] B"
+    );
+    let overhead_pct = (wall / resident_wall - 1.0) * 100.0;
+    let rows = vec![
+        vec![
+            "resident".into(),
+            format!("{file_mb:.1}"),
+            format!("{resident_wall:.3}"),
+            "-".into(),
+            "-".into(),
+            "baseline".into(),
+        ],
+        vec![
+            "streamed".into(),
+            format!("{file_mb:.1}"),
             format!("{wall:.3}"),
-            format!("{:.1}", streamed_mb / wall),
-            format!("{}/{}", peak as u64, ring.capacity_bytes()),
+            format!("{:.1}", file_mb / wall),
+            format!("{}/{STAGE_BYTES}", peak as u64),
             format!("{overhead_pct:+.1}% vs resident"),
-        ]);
-        legs.push(
-            Json::obj()
-                .field("ring_depth", depth as u64)
-                .field("chunk_bytes", chunk as u64)
-                .field("wall_s", wall)
-                .field("read_mb_per_s", streamed_mb / wall)
-                .field("ring_peak_bytes", peak as u64)
-                .field("ring_capacity_bytes", ring.capacity_bytes() as u64)
-                .field("overhead_pct", overhead_pct)
-                .field("bit_identical", true),
-        );
-    }
+        ],
+    ];
     print_table(
         &format!("B-STREAM: out-of-core recovery (FALCON-{n}, {traces} traces)"),
-        &["source", "MB", "wall (s)", "MB/s", "peak/budget B", "notes"],
+        &["source", "MB", "wall (s)", "MB/s", "peak/bound B", "notes"],
         &rows,
     );
-    println!("all streamed legs recovered bit-identical coefficients");
+    println!("streamed recovery is bit-identical to resident");
 
     let doc = Json::obj()
         .field("bench", "tableS_stream")
@@ -128,7 +112,16 @@ fn main() {
         .field("noise_sigma", noise)
         .field("archive_bytes", file_len)
         .field("resident_wall_s", resident_wall)
-        .field("streamed", Json::Arr(legs));
+        .field(
+            "streamed",
+            Json::obj()
+                .field("wall_s", wall)
+                .field("read_mb_per_s", file_mb / wall)
+                .field("ring_peak_bytes", peak as u64)
+                .field("stage_bytes", STAGE_BYTES as u64)
+                .field("overhead_pct", overhead_pct)
+                .field("bit_identical", true),
+        );
     std::fs::write(&out, doc.render()).expect("write BENCH_stream.json");
     println!("wrote {out}");
     let _ = std::fs::remove_dir_all(&dir);

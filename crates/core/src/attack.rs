@@ -20,15 +20,15 @@
 //! and [`recover_all_verified`] are the two whole-attack conveniences
 //! over a resident [`Dataset`].
 //!
-//! Two extend modes are provided ([`AttackConfig::monolithic_keep`]):
-//!
-//! * incremental: the secret halves are grown LSB-first in `step_bits`
-//!   windows under a beam, exact full recovery with tractable compute
-//!   (the low `m` bits of a product depend only on the low `m` bits of
-//!   each factor);
-//! * monolithic: the paper's one-shot enumeration of a whole window (up
-//!   to the full 2^25/2^27 guess space); [`monolithic_correlations`]
-//!   produces the correlation matrices behind Figure 4.
+//! The whole-coefficient attack extends each half incrementally: the
+//! secret halves are grown LSB-first in `step_bits` windows under a
+//! beam, exact full recovery with tractable compute (the low `m` bits of
+//! a product depend only on the low `m` bits of each factor). The
+//! paper's monolithic one-shot enumeration of a whole window (up to the
+//! full 2^25/2^27 guess space) is kept as a per-half experiment:
+//! [`recover_mantissa_half_monolithic`] recovers one half that way, and
+//! [`monolithic_correlations`] produces the correlation matrices behind
+//! Figure 4.
 
 use crate::acquire::Dataset;
 use crate::cpa::simd::GUESS_BLOCK;
@@ -93,19 +93,11 @@ pub struct AttackConfig {
     pub step_bits: u32,
     /// Candidates kept after each level.
     pub beam_width: usize,
-    /// When non-zero, the mantissa halves are recovered by the paper's
-    /// **monolithic** one-shot enumeration — all 2^25 / 2^27 guesses
-    /// scored in cache-sized blocks — instead of the incremental beam,
-    /// keeping this many top extend candidates for the prune re-rank.
-    /// `0` (the default) selects incremental extend-and-prune. Flows
-    /// through [`CampaignConfig`](crate::CampaignConfig) unchanged, so a
-    /// campaign *is* the paper's full-scale attack when this is set.
-    pub monolithic_keep: usize,
 }
 
 impl Default for AttackConfig {
     fn default() -> Self {
-        AttackConfig { step_bits: 8, beam_width: 64, monolithic_keep: 0 }
+        AttackConfig { step_bits: 8, beam_width: 64 }
     }
 }
 
@@ -774,12 +766,7 @@ pub fn recover_coefficient_block(block: &TargetBlock<'_>, cfg: &AttackConfig) ->
     // pair is stable. This also resolves the degenerate all-zero low
     // half, which is invisible to its own products and only betrayed by
     // the cross-half accumulation.
-    let extend = |half| {
-        Extended::new(block, half, |tc| match cfg.monolithic_keep {
-            0 => beam_survivors(tc, half, cfg),
-            keep => window_survivors(tc, half, half_width(half), 0, keep),
-        })
-    };
+    let extend = |half| Extended::new(block, half, |tc| beam_survivors(tc, half, cfg));
     let lo_set = extend(SecretHalf::Low);
     let mut mant_lo = lo_set.prune(None);
     let hi_set = extend(SecretHalf::High);
@@ -847,7 +834,6 @@ pub fn recover_all_verified(ds: &Dataset, cfg: &AttackConfig) -> Vec<(Coefficien
     let wide = AttackConfig {
         step_bits: cfg.step_bits.saturating_sub(2).max(4),
         beam_width: cfg.beam_width * 8,
-        monolithic_keep: cfg.monolithic_keep.saturating_mul(8),
     };
     for (i, block) in blocks.iter().enumerate() {
         if out[i].1 >= cutoff {
@@ -1150,8 +1136,7 @@ mod tests {
     #[ignore = "paper-scale 2^25 enumeration: minutes on one core; run explicitly"]
     fn monolithic_full_width_low_half() {
         // The real thing: the full 2^25 one-shot enumeration of the low
-        // mantissa half, as a campaign would run it with
-        // `monolithic_keep` set.
+        // mantissa half.
         let secret = 0x4013_5A7E_29C4_D1B3u64;
         let knowns: Vec<u64> = (0..16)
             .map(|i: u64| {

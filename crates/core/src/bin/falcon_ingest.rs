@@ -14,7 +14,6 @@
 //!     rewrite it atomically.
 //!
 //! falcon_ingest verify <file.fdnd> [truth=<truth.txt>] [attack=0|1]
-//!         [chunk=1048576] [depth=4]
 //!     Open the file through the streaming reader and print its shape;
 //!     with attack=1 run the full coefficient recovery over every
 //!     target, and with truth= assert the recovered bits match.
@@ -26,7 +25,7 @@ use falcon_dema::attack::{recover_coefficient_block, AttackConfig};
 use falcon_dema::ingest;
 use falcon_dema::io::{atomic_write, read_dataset, write_dataset};
 use falcon_dema::source::ColumnSource;
-use falcon_dema::stream::{RingConfig, StreamedDataset};
+use falcon_dema::stream::StreamedDataset;
 use std::io::BufReader;
 use std::path::Path;
 use std::process::ExitCode;
@@ -111,18 +110,13 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
     let file = args.first().ok_or("verify: missing <file.fdnd>")?;
-    let chunk: usize = arg_or(args, "chunk", "1048576").parse().map_err(|_| "bad chunk")?;
-    let depth: usize = arg_or(args, "depth", "4").parse().map_err(|_| "bad depth")?;
-    let sd = StreamedDataset::open(Path::new(file), RingConfig { chunk_bytes: chunk, depth })
-        .map_err(|e| e.to_string())?;
+    let sd = StreamedDataset::open_default(Path::new(file)).map_err(|e| e.to_string())?;
     let hdr = sd.header();
     println!(
-        "verify: {file} streams (n = {}, {} targets, {} traces, ring {} x {} bytes)",
+        "verify: {file} streams (n = {}, {} targets, {} traces)",
         hdr.n,
         hdr.targets.len(),
-        hdr.traces,
-        depth,
-        chunk
+        hdr.traces
     );
     let truth = match arg_or(args, "truth", "") {
         "" => Vec::new(),

@@ -72,7 +72,7 @@ fn exec_metrics() -> &'static ExecMetrics {
 }
 
 /// Converts a captured panic payload into the typed executor error.
-pub(crate) fn panicked(chunk: usize, payload: Box<dyn std::any::Any + Send>) -> Error {
+fn panicked(chunk: usize, payload: Box<dyn std::any::Any + Send>) -> Error {
     exec_metrics().panics.incr();
     let payload = payload
         .downcast_ref::<&str>()

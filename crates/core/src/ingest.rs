@@ -712,7 +712,7 @@ mod tests {
     use super::*;
     use crate::attack::{recover_coefficient_block, AttackConfig};
     use crate::source::ColumnSource;
-    use crate::stream::{RingConfig, StreamedDataset};
+    use crate::stream::StreamedDataset;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("falcon-ingest-{name}-{}", std::process::id()));
@@ -772,7 +772,7 @@ mod tests {
         // archive recovers the planted key coefficients exactly.
         let out = dir.join("fixture.fdnd");
         import_archive_to_path(&dir, &out).unwrap();
-        let sd = StreamedDataset::open(&out, RingConfig { chunk_bytes: 512, depth: 2 }).unwrap();
+        let sd = StreamedDataset::open_default(&out).unwrap();
         for (&t, &bits) in [0usize, 4].iter().zip(&truth) {
             let r =
                 recover_coefficient_block(&sd.target_block(t).unwrap(), &AttackConfig::default());

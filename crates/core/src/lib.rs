@@ -83,4 +83,4 @@ pub use orch::{JobSpec, JobState, JobStatus, JobStore, Supervisor, SupervisorCon
 pub use recover::{invert_fft_f, key_from_fft_bits, recover_private_key, RecoveredKey};
 pub use screen::{AcquisitionStats, ScreenConfig};
 pub use source::{ColumnSource, TargetBlock};
-pub use stream::{RingConfig, StreamedDataset};
+pub use stream::StreamedDataset;

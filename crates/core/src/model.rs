@@ -54,16 +54,6 @@ pub enum SecretHalf {
     High,
 }
 
-/// The extend-phase step targeted for a (secret half, known half) pair.
-pub fn product_step(secret: SecretHalf, known_high: bool) -> StepKind {
-    match (secret, known_high) {
-        (SecretHalf::Low, false) => StepKind::PpLoLo,
-        (SecretHalf::Low, true) => StepKind::PpLoHi,
-        (SecretHalf::High, false) => StepKind::PpHiLo,
-        (SecretHalf::High, true) => StepKind::PpHiHi,
-    }
-}
-
 /// Partial-product hypothesis: Hamming weight of the low `m_bits` of
 /// `guess · k`, where `guess` holds the low `m_bits` of the secret half.
 ///
@@ -147,14 +137,6 @@ pub fn hyp_add_hi(c: u64, d: u64, known: &KnownOperand) -> f64 {
 /// Sign-step hypothesis: `guess_sign ⊕ known_sign`.
 pub fn hyp_sign(guess_sign: u32, known: &KnownOperand) -> f64 {
     (guess_sign ^ known.sign) as f64
-}
-
-/// Exponent-step hypothesis for a guessed biased exponent field `ef`,
-/// without carry knowledge: HW of `(ec + ef − 2100)` as the device's
-/// 32-bit word.
-pub fn hyp_exponent(ef: u32, known: &KnownOperand) -> f64 {
-    let v = (known.exp as i32 + ef as i32 - 2100) as u32;
-    v.count_ones() as f64
 }
 
 /// Exponent-step hypothesis with the carry recomputed from fully

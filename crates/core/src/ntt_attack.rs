@@ -27,13 +27,9 @@ pub struct NttAttackResult {
 }
 
 /// Scores all q guesses of one NTT-domain coefficient against a single
-/// known/sample column pair and returns `(guess, corr, runner_up)` —
-/// the column-level distinguisher shared by the live device attack and
-/// archived [`ColumnSource`](crate::source::ColumnSource) sweeps.
-pub fn score_ntt_column(knowns: &[u32], samples: &[f32]) -> (u32, f64, f64) {
+/// known/sample column pair and returns `(guess, corr, runner_up)`.
+fn score_ntt_column(knowns: &[u32], samples: &[f32]) -> (u32, f64, f64) {
     let guesses: Vec<u32> = (0..Q).collect();
-    // Two-pass `pearson`, not the one-pass tile sums: archived captures
-    // reach this through `attack_ntt_target` and may carry a DC offset.
     let scores = crate::exec::map_with(&guesses, Vec::new, |hyps: &mut Vec<f64>, &g| {
         hyps.clear();
         hyps.extend(knowns.iter().map(|&k| mq_mul(k, g).count_ones() as f64));
@@ -75,28 +71,6 @@ pub fn attack_ntt_coefficient(
         knowns.iter().map(|&k| mq_mul(k, truth).count_ones() as f64).collect();
     let evo = pearson_evolution(&true_hyps, &samples);
     NttAttackResult { guess, corr, runner_up, disclosure: traces_to_disclosure(&evo) }
-}
-
-/// Runs the NTT distinguisher over one target of an archived
-/// [`ColumnSource`](crate::source::ColumnSource): the first
-/// occurrence's known column carries `c_ntt` values and its first step
-/// column the modular-product leakage — the layout
-/// [`crate::ingest`] produces for NTT captures. No ground truth is
-/// available for an archive, so `disclosure` is `None`.
-///
-/// # Errors
-///
-/// Propagates the source's
-/// [`target_block`](crate::source::ColumnSource::target_block) failure.
-pub fn attack_ntt_target<S: crate::source::ColumnSource + ?Sized>(
-    src: &S,
-    target: usize,
-) -> crate::error::Result<NttAttackResult> {
-    let block = src.target_block(target)?;
-    let knowns: Vec<u32> = block.known_column(0).iter().map(|&k| k as u32).collect();
-    let samples = block.sample_column(0, falcon_emsim::StepKind::ALL[0]);
-    let (guess, corr, runner_up) = score_ntt_column(&knowns, samples);
-    Ok(NttAttackResult { guess, corr, runner_up, disclosure: None })
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use falcon_sig::rng::Prng;
 use falcon_sig::{KeyPair, LogN, VerifyingKey};
 use std::io::{Read, Write};
 
-const SPEC_HEAD: &[u8; 8] = b"FDNJSPC\x02";
+const SPEC_HEAD: &[u8; 8] = b"FDNJSPC\x03";
 const STATE_HEAD: &[u8; 8] = b"FDNJSTA\x01";
 
 /// Longest accepted job name; names key the on-disk files.
@@ -66,12 +66,6 @@ pub struct JobSpec {
     /// [`StreamedDataset`](crate::stream::StreamedDataset) instead —
     /// no device, no ground truth, acquisition replaced by I/O.
     pub dataset: String,
-    /// Prefetch ring chunk size in bytes for a streamed job; `0` uses
-    /// the [`RingConfig`](crate::stream::RingConfig) default.
-    pub ring_chunk_bytes: u64,
-    /// Prefetch ring depth (chunks in flight) for a streamed job; `0`
-    /// uses the default.
-    pub ring_depth: u64,
 }
 
 impl Default for JobSpec {
@@ -93,8 +87,6 @@ impl Default for JobSpec {
             stall_steps: Vec::new(),
             stall_ms: 0,
             dataset: String::new(),
-            ring_chunk_bytes: 0,
-            ring_depth: 0,
         }
     }
 }
@@ -133,16 +125,6 @@ impl JobSpec {
         if !self.noise_sigma.is_finite() || self.noise_sigma < 0.0 {
             return Err(Error::Orchestration("noise sigma must be finite and non-negative".into()));
         }
-        if self.dataset.is_empty() && (self.ring_chunk_bytes != 0 || self.ring_depth != 0) {
-            return Err(Error::Orchestration(
-                "ring parameters are only meaningful for a streamed (dataset-backed) job".into(),
-            ));
-        }
-        if !self.dataset.is_empty() {
-            self.ring_config()
-                .validate()
-                .map_err(|e| Error::Orchestration(format!("bad ring parameters: {e}")))?;
-        }
         Ok(())
     }
 
@@ -150,21 +132,6 @@ impl JobSpec {
     /// the simulated victim.
     pub fn is_streamed(&self) -> bool {
         !self.dataset.is_empty()
-    }
-
-    /// The prefetch-ring configuration for a streamed job; zero fields
-    /// fall back to the [`RingConfig`](crate::stream::RingConfig)
-    /// defaults.
-    pub fn ring_config(&self) -> crate::stream::RingConfig {
-        let default = crate::stream::RingConfig::default();
-        crate::stream::RingConfig {
-            chunk_bytes: if self.ring_chunk_bytes == 0 {
-                default.chunk_bytes
-            } else {
-                self.ring_chunk_bytes as usize
-            },
-            depth: if self.ring_depth == 0 { default.depth } else { self.ring_depth as usize },
-        }
     }
 
     /// The campaign configuration this spec drives.
@@ -233,10 +200,7 @@ impl JobSpec {
         write_u64_list(&mut w, &self.panic_steps)?;
         write_u64_list(&mut w, &self.stall_steps)?;
         w.write_all(&self.stall_ms.to_le_bytes())?;
-        // v2 suffix: streamed-dataset binding.
         write_str(&mut w, &self.dataset)?;
-        w.write_all(&self.ring_chunk_bytes.to_le_bytes())?;
-        w.write_all(&self.ring_depth.to_le_bytes())?;
         Ok(())
     }
 
@@ -267,8 +231,6 @@ impl JobSpec {
         let stall_steps = read_u64_list(&mut r, "stall-step list")?;
         let stall_ms = io::read_u64(&mut r)?;
         let dataset = read_str(&mut r, 4096, "dataset path")?;
-        let ring_chunk_bytes = io::read_u64(&mut r)?;
-        let ring_depth = io::read_u64(&mut r)?;
         let spec = JobSpec {
             name,
             logn,
@@ -286,8 +248,6 @@ impl JobSpec {
             stall_steps,
             stall_ms,
             dataset,
-            ring_chunk_bytes,
-            ring_depth,
         };
         spec.validate()?;
         Ok(spec)
@@ -491,9 +451,6 @@ impl JobStatus {
     }
 }
 
-/// Reads and checks a magic/version preamble, accepting any version in
-/// `1..=max_version` and returning the version found (callers branch on
-/// it for back-compat fields).
 fn write_str<W: Write>(w: &mut W, s: &str) -> Result<()> {
     w.write_all(&(s.len() as u64).to_le_bytes())?;
     w.write_all(s.as_bytes())?;
@@ -584,40 +541,28 @@ mod tests {
     }
 
     #[test]
-    fn streamed_spec_roundtrips_and_validates_ring() {
-        let s = JobSpec {
-            dataset: "/data/capture.fdnd".into(),
-            ring_chunk_bytes: 4096,
-            ring_depth: 3,
-            ..spec()
-        };
+    fn streamed_spec_roundtrips() {
+        let s = JobSpec { dataset: "/data/capture.fdnd".into(), ..spec() };
         let mut buf = Vec::new();
         s.write(&mut buf).unwrap();
         assert_eq!(JobSpec::read(&buf[..]).unwrap(), s);
         assert!(s.is_streamed());
-        assert_eq!(s.ring_config().chunk_bytes, 4096);
-        // Zero ring fields fall back to defaults…
-        let d = JobSpec { dataset: "x.fdnd".into(), ..spec() };
-        assert_eq!(d.ring_config(), crate::stream::RingConfig::default());
-        // …misaligned chunks are rejected…
-        let bad = JobSpec { dataset: "x.fdnd".into(), ring_chunk_bytes: 1001, ..spec() };
-        assert!(bad.validate().is_err());
-        // …and ring knobs without a dataset are meaningless.
-        let orphan = JobSpec { ring_depth: 4, ..spec() };
-        assert!(orphan.validate().is_err());
     }
 
     #[test]
     fn v1_specs_are_rejected_as_unsupported() {
-        // A v1 spec lacks the streamed-dataset fields: the reader names
-        // its version rather than guessing them.
-        let mut buf = Vec::new();
-        spec().write(&mut buf).unwrap();
-        buf[7] = 1;
-        assert!(matches!(
-            JobSpec::read(&buf[..]),
-            Err(Error::UnsupportedVersion { found: 1, supported: 2 })
-        ));
+        // A v1 spec lacks the streamed-dataset field and a v2 spec
+        // carries two retired ring fields: the reader names the version
+        // rather than guessing at either layout.
+        for old in [1u8, 2] {
+            let mut buf = Vec::new();
+            spec().write(&mut buf).unwrap();
+            buf[7] = old;
+            assert!(matches!(
+                JobSpec::read(&buf[..]),
+                Err(Error::UnsupportedVersion { found, supported: 3 }) if found == u32::from(old)
+            ));
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! supervisor's retry/backoff/deadline machinery is exercised by tests
 //! without any OS-level trickery.
 
-use crate::campaign::{Campaign, CampaignReport, OfflineCampaign};
+use crate::campaign::{Campaign, CampaignReport, CoefficientStatus, OfflineCampaign};
 use crate::error::Result;
 use crate::obs;
 use crate::orch::job::{JobSpec, Victim};
@@ -69,7 +69,7 @@ impl FaultInjector {
 enum Engine {
     /// Simulated victim, boxed: the device dwarfs the streamed variant.
     Device { victim: Box<Victim>, campaign: Campaign },
-    /// Streamed archive: acquisition is a bounded-ring file read.
+    /// Streamed archive: acquisition is a file read.
     Stream { source: StreamedDataset, campaign: OfflineCampaign },
 }
 
@@ -78,15 +78,15 @@ enum Engine {
 pub struct JobRuntime {
     spec: JobSpec,
     engine: Engine,
-    /// Global batch index (survives rebuilds via `traces_requested`).
+    /// Global batch index (rebuilt from the campaign report).
     batches_done: u64,
 }
 
 impl JobRuntime {
     /// Reconstructs a job's runtime: the seeded victim, or for a
-    /// streamed job (`spec.dataset` non-empty) the archive behind a
-    /// prefetch ring, then the campaign resumed from the persisted
-    /// checkpoint or started fresh.
+    /// streamed job (`spec.dataset` non-empty) the opened archive, then
+    /// the campaign resumed from the persisted checkpoint or started
+    /// fresh.
     ///
     /// # Errors
     ///
@@ -96,7 +96,7 @@ impl JobRuntime {
         spec.validate()?;
         let (ckpt, cfg) = (store.checkpoint_path(&spec.name), spec.campaign_config());
         let engine = if spec.is_streamed() {
-            let source = StreamedDataset::open(&spec.dataset, spec.ring_config())?;
+            let source = StreamedDataset::open_default(&spec.dataset)?;
             let campaign = if ckpt.exists() {
                 OfflineCampaign::resume_from_path(&source, cfg, &ckpt)?
             } else {
@@ -113,8 +113,22 @@ impl JobRuntime {
             Engine::Device { victim: Box::new(victim), campaign }
         };
         let mut rt = JobRuntime { spec: spec.clone(), engine, batches_done: 0 };
-        let traces = rt.report().traces_requested as u64;
-        rt.batches_done = traces.div_ceil(spec.batch_size as u64);
+        let (report, batch) = (rt.report(), spec.batch_size);
+        // The live engine captures one batch for every pending target at
+        // once, so only its last batch is short. The offline engine runs
+        // each target on its own, and every target that exhausts its
+        // budget ends on a short batch.
+        rt.batches_done = match rt.engine {
+            Engine::Device { .. } => report.traces_requested.div_ceil(batch),
+            Engine::Stream { .. } => report
+                .statuses
+                .iter()
+                .map(|s| match *s {
+                    CoefficientStatus::Recovered { traces, .. }
+                    | CoefficientStatus::Unconverged { traces, .. } => traces.div_ceil(batch),
+                })
+                .sum(),
+        } as u64;
         Ok(rt)
     }
 
@@ -268,20 +282,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir_b);
     }
 
-    #[test]
-    fn streamed_job_converges_and_rebuilds_bit_identically() {
+    /// Archives a seeded FALCON-8 capture of every coefficient to
+    /// `dir/capture.fdnd`; returns its path and the victim's `FFT(f)`
+    /// bits.
+    fn write_archive(dir: &std::path::Path, traces: usize, noise: f64) -> (PathBuf, Vec<u64>) {
         use falcon_emsim::{Device, LeakageModel, MeasurementChain, Scope};
         use falcon_sig::rng::Prng;
         use falcon_sig::{KeyPair, LogN};
 
-        let dir = tmp_dir("streamed");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Archive a small seeded capture to disk.
+        std::fs::create_dir_all(dir).unwrap();
         let mut rng = Prng::from_seed(b"streamed runner key");
         let kp = KeyPair::generate(LogN::new(3).unwrap(), &mut rng);
         let truth: Vec<u64> = kp.signing_key().f_fft().iter().map(|x| x.to_bits()).collect();
         let chain = MeasurementChain {
-            model: LeakageModel::hamming_weight(1.0, 1.0),
+            model: LeakageModel::hamming_weight(1.0, noise),
             lowpass: 0.0,
             scope: Scope { enabled: false, ..Default::default() },
             ..Default::default()
@@ -289,16 +303,19 @@ mod tests {
         let mut dev = Device::new(kp.into_parts().0, chain, b"streamed runner dev");
         let mut msgs = Prng::from_seed(b"streamed runner msgs");
         let targets: Vec<usize> = (0..8).collect();
-        let ds = crate::acquire::Dataset::collect(&mut dev, &targets, 400, &mut msgs);
+        let ds = crate::acquire::Dataset::collect(&mut dev, &targets, traces, &mut msgs);
         let archive = dir.join("capture.fdnd");
         crate::io::atomic_write(&archive, |w| crate::io::write_dataset(&ds, w)).unwrap();
+        (archive, truth)
+    }
 
-        let spec = JobSpec {
-            dataset: archive.to_string_lossy().into_owned(),
-            ring_chunk_bytes: 1024,
-            ring_depth: 2,
-            ..spec("runner-streamed")
-        };
+    #[test]
+    fn streamed_job_converges_and_rebuilds_bit_identically() {
+        let dir = tmp_dir("streamed");
+        let (archive, truth) = write_archive(&dir, 400, 1.0);
+
+        let spec =
+            JobSpec { dataset: archive.to_string_lossy().into_owned(), ..spec("runner-streamed") };
         let store = JobStore::open(dir.join("store-a")).unwrap();
         let mut rt = JobRuntime::prepare(&spec, &store).unwrap();
         assert!(rt.truth().is_empty(), "archives carry no ground truth");
@@ -325,6 +342,36 @@ mod tests {
         }
         let rt = JobRuntime::prepare(&spec, &store_b).unwrap();
         assert_eq!(rt.report().recovered_bits().unwrap(), bits);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rebuilt_runtimes_keep_the_batch_index() {
+        // At this noise no coefficient converges, so every target of the
+        // streamed job exhausts its 100 traces in a 60 and a 40 batch:
+        // counting batches from the total traces would lose one per two
+        // targets after a rebuild, and shift injected faults with it.
+        let dir = tmp_dir("batch-index");
+        let (archive, _) = write_archive(&dir, 100, 30.0);
+        let streamed = JobSpec {
+            dataset: archive.to_string_lossy().into_owned(),
+            ..spec("runner-batch-stream")
+        };
+        let (reference, store) =
+            (JobStore::open(dir.join("a")).unwrap(), JobStore::open(dir.join("b")).unwrap());
+        for spec in [spec("runner-batch-live"), streamed] {
+            let mut inj = FaultInjector::default();
+            let mut live = JobRuntime::prepare(&spec, &reference).unwrap();
+            let mut done = false;
+            while !done {
+                done = live.slice(&mut inj).unwrap().done;
+                let mut rt = JobRuntime::prepare(&spec, &store).unwrap();
+                rt.slice(&mut inj).unwrap();
+                rt.checkpoint(&store).unwrap();
+                let rebuilt = JobRuntime::prepare(&spec, &store).unwrap();
+                assert_eq!(rebuilt.batches_done, live.batches_done, "{}", spec.name);
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

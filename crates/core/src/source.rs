@@ -40,9 +40,8 @@ use std::borrow::Cow;
 /// layout of the v2 on-disk format and the in-memory [`Dataset`].
 ///
 /// Borrowing sources lend `Cow::Borrowed` slices with zero copies;
-/// streaming sources return `Cow::Owned` buffers decoded from the
-/// prefetch ring. Columns sit `stride` elements apart (see the module
-/// docs).
+/// streaming sources return `Cow::Owned` buffers decoded from disk.
+/// Columns sit `stride` elements apart (see the module docs).
 #[derive(Debug, Clone)]
 pub struct TargetBlock<'a> {
     target: usize,

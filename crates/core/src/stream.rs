@@ -3,31 +3,30 @@
 //! A [`StreamedDataset`] is a [`ColumnSource`] over an `FDNDSET\x02`
 //! file: it holds only the parsed header, and materialises one
 //! target's column set at a time by reading the target's two
-//! contiguous byte ranges (knowns, then samples) through a bounded
-//! prefetch ring. A dedicated reader thread fills the ring with
-//! fixed-size chunks in file order while the consumer decodes them, so
-//! I/O overlaps decoding; the channel bound caps the bytes staged in
-//! flight at `depth × chunk_bytes` regardless of file size.
+//! contiguous byte ranges (knowns, then samples) on the calling thread.
+//! Each range is read in pieces of at most [`STAGE_BYTES`] through one
+//! staging buffer per fetch, and every piece is decoded as it arrives,
+//! so the bytes staged beyond the decoded columns themselves stay
+//! bounded by [`STAGE_BYTES`] regardless of file size.
 //!
 //! # Determinism
 //!
-//! Chunks are read, sent, and decoded strictly in file order, and the
-//! decoded block is byte-identical to the resident load of the same
-//! file — the reader thread only moves bytes, it never reorders or
-//! merges floats. Every analysis downstream of [`ColumnSource`]
-//! therefore produces bit-identical results over a `StreamedDataset`
-//! and the [`Dataset`](crate::Dataset) it was written from; the
-//! determinism suite pins campaign → key → forgery equality across
-//! ring depths and thread counts.
+//! Bytes are read and decoded strictly in file order, and the decoded
+//! block is byte-identical to the resident load of the same file — the
+//! reader only moves bytes, it never reorders or merges floats. Every
+//! analysis downstream of [`ColumnSource`] therefore produces
+//! bit-identical results over a `StreamedDataset` and the
+//! [`Dataset`](crate::Dataset) it was written from; the determinism
+//! suite pins campaign → key → forgery equality across sources and
+//! thread counts.
 //!
 //! # Memory accounting
 //!
-//! `stream.ring_capacity_bytes` (gauge) records the configured bound,
-//! `stream.ring_peak_bytes` (gauge) the high-water mark of bytes
-//! actually staged in the ring, and `stream.bytes_read` /
-//! `stream.chunks_read` / `stream.blocks_fetched` (counters) the I/O
-//! volume. Tests assert `peak ≤ capacity` while streaming files much
-//! larger than the ring.
+//! `stream.ring_peak_bytes` (gauge) records the high-water mark of the
+//! staging buffer (at most [`STAGE_BYTES`]; the name predates the
+//! calling-thread reader), and `stream.bytes_read` /
+//! `stream.blocks_fetched` (counters) the I/O volume. Tests assert the
+//! staging bound while streaming files many times larger.
 
 use crate::error::{Error, Result};
 use crate::io::{read_dataset_header, DatasetHeader};
@@ -36,109 +35,58 @@ use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::Arc;
 
-/// Smallest permitted chunk: big enough that the per-chunk channel
-/// rendezvous stays negligible against the memcpy it covers.
-pub const MIN_CHUNK_BYTES: usize = 512;
+/// Largest single read while fetching a target block. A multiple of 8,
+/// so no u64 or f32 element ever straddles two reads.
+pub const STAGE_BYTES: usize = 64 << 10;
 
-/// Process-wide high-water mark of bytes staged in any prefetch ring,
-/// mirrored to the `stream.ring_peak_bytes` gauge (which is
-/// last-write-wins and so cannot track a max by itself).
-static RING_PEAK: AtomicU64 = AtomicU64::new(0);
-
-/// Resets the process-wide ring high-water mark (and its gauge), so a
-/// test can bound the peak of one specific streaming pass.
+/// Resets the staging high-water mark (the `stream.ring_peak_bytes`
+/// gauge), so a test can bound the peak of one specific streaming pass.
 pub fn reset_ring_peak() {
-    RING_PEAK.store(0, Ordering::SeqCst);
     crate::obs::gauge("stream.ring_peak_bytes").set(0.0);
 }
 
-fn note_staged(in_ring: &AtomicU64, len: u64) {
-    let now = in_ring.fetch_add(len, Ordering::SeqCst) + len;
-    let mut peak = RING_PEAK.load(Ordering::SeqCst);
-    while now > peak {
-        match RING_PEAK.compare_exchange(peak, now, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(_) => break,
-            Err(cur) => peak = cur,
-        }
+/// Reads the byte range `(off, len)` of `f` in pieces of at most
+/// `stage.len()`, handing each piece to `decode` as it arrives.
+fn read_range(
+    f: &mut File,
+    (off, len): (u64, u64),
+    stage: &mut [u8],
+    mut decode: impl FnMut(&[u8]),
+) -> Result<()> {
+    let bytes_read = crate::obs::counter("stream.bytes_read");
+    f.seek(SeekFrom::Start(off))?;
+    let mut left = len;
+    while left > 0 {
+        let take = left.min(stage.len() as u64) as usize;
+        let piece = &mut stage[..take];
+        f.read_exact(piece)?;
+        decode(piece);
+        bytes_read.add(piece.len() as u64);
+        left -= piece.len() as u64;
     }
-    crate::obs::gauge("stream.ring_peak_bytes").set(RING_PEAK.load(Ordering::SeqCst) as f64);
-}
-
-/// Geometry of the prefetch ring: `depth` chunks of `chunk_bytes`
-/// each may be staged between the reader thread and the decoder, so
-/// peak staging memory per block fetch is `depth × chunk_bytes` —
-/// independent of file size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingConfig {
-    /// Bytes per chunk. Must be a multiple of 8 (so chunk boundaries
-    /// always fall on u64/f32 element boundaries within a payload
-    /// range) and at least [`MIN_CHUNK_BYTES`].
-    pub chunk_bytes: usize,
-    /// Chunks in flight, including the one being decoded. At least 2
-    /// (one decoding, one prefetching).
-    pub depth: usize,
-}
-
-impl Default for RingConfig {
-    fn default() -> Self {
-        // 1 MiB chunks, 4 deep: 4 MiB of staging regardless of
-        // archive size, large enough to keep a spinning disk busy.
-        RingConfig { chunk_bytes: 1 << 20, depth: 4 }
-    }
-}
-
-impl RingConfig {
-    /// Validates the geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidData`] for a chunk size that is too
-    /// small or misaligned, or a ring shallower than 2.
-    pub fn validate(&self) -> Result<()> {
-        if self.chunk_bytes < MIN_CHUNK_BYTES || !self.chunk_bytes.is_multiple_of(8) {
-            return Err(Error::invalid(format!(
-                "ring chunk_bytes must be a multiple of 8 and >= {MIN_CHUNK_BYTES}, got {}",
-                self.chunk_bytes
-            )));
-        }
-        if self.depth < 2 {
-            return Err(Error::invalid(format!("ring depth must be >= 2, got {}", self.depth)));
-        }
-        Ok(())
-    }
-
-    /// The staging-memory bound this geometry guarantees.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.chunk_bytes as u64 * self.depth as u64
-    }
+    Ok(())
 }
 
 /// A [`ColumnSource`] over an on-disk `FDNDSET\x02` archive, holding
-/// only the header resident and streaming one target's columns at a
-/// time through a bounded prefetch ring.
+/// only the header resident and reading one target's columns at a time.
 #[derive(Debug)]
 pub struct StreamedDataset {
     path: PathBuf,
     header: DatasetHeader,
-    ring: RingConfig,
 }
 
 impl StreamedDataset {
-    /// Opens an archive for streaming: validates the ring geometry,
-    /// parses the header (payload untouched), and checks the file
-    /// length against the header's byte geometry so truncation is
-    /// caught at open rather than mid-campaign.
+    /// Opens an archive for streaming: parses the header (payload
+    /// untouched), and checks the file length against the header's byte
+    /// geometry so truncation is caught at open rather than
+    /// mid-campaign.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidData`] for a length mismatch or a bad
-    /// ring, plus everything [`read_dataset_header`] returns.
-    pub fn open(path: impl AsRef<Path>, ring: RingConfig) -> Result<Self> {
-        ring.validate()?;
+    /// Returns [`Error::InvalidData`] for a length mismatch, plus
+    /// everything [`read_dataset_header`] returns.
+    pub fn open_default(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let mut r = BufReader::new(File::open(&path)?);
         let header = read_dataset_header(&mut r)?;
@@ -150,22 +98,7 @@ impl StreamedDataset {
                 header.file_len()
             )));
         }
-        crate::obs::gauge("stream.ring_capacity_bytes").set(ring.capacity_bytes() as f64);
-        Ok(StreamedDataset { path, header, ring })
-    }
-
-    /// Opens with the default ring geometry.
-    ///
-    /// # Errors
-    ///
-    /// See [`StreamedDataset::open`].
-    pub fn open_default(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open(path, RingConfig::default())
-    }
-
-    /// The archive path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok(StreamedDataset { path, header })
     }
 
     /// The parsed header (resident metadata).
@@ -173,94 +106,33 @@ impl StreamedDataset {
         &self.header
     }
 
-    /// The ring geometry.
-    pub fn ring(&self) -> RingConfig {
-        self.ring
-    }
-
-    /// Streams the byte ranges of one target (knowns then points)
-    /// through the ring, decoding into owned column buffers, and
+    /// Reads the byte ranges of one target (knowns then points) through
+    /// one staging buffer, decoding into owned column buffers, and
     /// rejects a NaN or infinite sample with [`Error::InvalidData`].
     fn fetch(&self, ti: usize) -> Result<(Vec<u64>, Vec<f32>)> {
-        let (koff, klen) = self.header.target_knowns_range(ti);
-        let (poff, plen) = self.header.target_points_range(ti);
-        let chunk = self.ring.chunk_bytes;
-        // Staged chunks live in three places: one the reader has
-        // allocated and not yet handed over, up to capacity sitting in
-        // the channel, and one the consumer is decoding. Capacity
-        // depth-2 therefore caps the total at exactly depth chunks
-        // (depth 2 degenerates to a rendezvous channel: one decoding,
-        // one prefetching).
-        let (tx, rx) = sync_channel::<std::io::Result<Vec<u8>>>(self.ring.depth - 2);
-        let in_ring = Arc::new(AtomicU64::new(0));
-        let staged = Arc::clone(&in_ring);
-        let path = self.path.clone();
-        let reader = std::thread::spawn(move || {
-            let run = |tx: &SyncSender<std::io::Result<Vec<u8>>>| -> std::io::Result<()> {
-                let mut f = File::open(&path)?;
-                for &(off, len) in &[(koff, klen), (poff, plen)] {
-                    f.seek(SeekFrom::Start(off))?;
-                    let mut left = len;
-                    while left > 0 {
-                        let take = left.min(chunk as u64) as usize;
-                        let mut buf = vec![0u8; take];
-                        // Counted from allocation, not from hand-over:
-                        // the gauge bounds real staging memory.
-                        note_staged(&staged, take as u64);
-                        f.read_exact(&mut buf)?;
-                        // A send error means the consumer hung up
-                        // (early exit); stop reading quietly.
-                        if tx.send(Ok(buf)).is_err() {
-                            return Ok(());
-                        }
-                        left -= take as u64;
-                    }
-                }
-                Ok(())
-            };
-            if let Err(e) = run(&tx) {
-                // Forward the failure; the consumer may already be
-                // gone, in which case nobody cares.
-                let _ = tx.send(Err(e));
-            }
-        });
-        let chunks_read = crate::obs::counter("stream.chunks_read");
-        let bytes_read = crate::obs::counter("stream.bytes_read");
+        let (krange, prange) =
+            (self.header.target_knowns_range(ti), self.header.target_points_range(ti));
+        let (klen, plen) = (krange.1, prange.1);
         let mut knowns = Vec::with_capacity((klen / 8) as usize);
         let mut points = Vec::with_capacity((plen / 4) as usize);
-        let mut result = Ok(());
-        // Decode chunks strictly in arrival (= file) order. The knowns
-        // range length is a multiple of chunk_bytes' alignment (both
-        // are multiples of 8), so the range boundary always coincides
-        // with a chunk boundary and each chunk decodes wholly as u64s
-        // or wholly as f32s.
-        for received in rx.iter() {
-            match received {
-                Ok(buf) => {
-                    if (knowns.len() as u64) < klen / 8 {
-                        knowns.extend(
-                            buf.chunks_exact(8)
-                                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
-                        );
-                    } else {
-                        points.extend(
-                            buf.chunks_exact(4)
-                                .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
-                        );
-                    }
-                    chunks_read.incr();
-                    bytes_read.add(buf.len() as u64);
-                    in_ring.fetch_sub(buf.len() as u64, Ordering::SeqCst);
-                }
-                Err(e) => {
-                    result = Err(Error::from(e));
-                    break;
-                }
-            }
+        // Both range lengths are multiples of 8, as is STAGE_BYTES, so
+        // every piece decodes wholly as u64s or wholly as f32s.
+        let mut stage = vec![0u8; STAGE_BYTES.min(klen.max(plen) as usize)];
+        let peak = crate::obs::gauge("stream.ring_peak_bytes");
+        if stage.len() as f64 > peak.get() {
+            peak.set(stage.len() as f64);
         }
-        drop(rx);
-        reader.join().map_err(|payload| crate::exec::panicked(0, payload))?;
-        result?;
+        let mut f = File::open(&self.path)?;
+        read_range(&mut f, krange, &mut stage, |piece| {
+            knowns.extend(
+                piece.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
+            );
+        })?;
+        read_range(&mut f, prange, &mut stage, |piece| {
+            points.extend(
+                piece.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
+            );
+        })?;
         crate::acquire::check_finite_samples(&points)?;
         crate::obs::counter("stream.blocks_fetched").incr();
         Ok((knowns, points))
@@ -319,29 +191,26 @@ mod tests {
 
     #[test]
     fn streamed_blocks_are_byte_identical_to_resident() {
-        let ds = sample_dataset(64);
+        // 640 traces put each target's sample range past STAGE_BYTES,
+        // so the multi-read decode path is covered too.
+        let ds = sample_dataset(640);
         let path = write_tmp(&ds, "ident");
-        for ring in [
-            RingConfig { chunk_bytes: MIN_CHUNK_BYTES, depth: 2 },
-            RingConfig { chunk_bytes: 1024, depth: 3 },
-            RingConfig::default(),
-        ] {
-            let sd = StreamedDataset::open(&path, ring).unwrap();
-            assert_eq!(ColumnSource::n(&sd), ds.n());
-            assert_eq!(ColumnSource::targets(&sd), ds.targets());
-            assert_eq!(ColumnSource::traces(&sd), ds.traces());
-            for &t in ds.targets() {
-                let sb = sd.target_block(t).unwrap();
-                let rb = ColumnSource::target_block(&ds, t).unwrap();
-                for occ in 0..2 {
-                    assert_eq!(sb.known_column(occ), rb.known_column(occ));
-                    for step in StepKind::ALL {
-                        let s: Vec<u32> =
-                            sb.sample_column(occ, step).iter().map(|v| v.to_bits()).collect();
-                        let r: Vec<u32> =
-                            rb.sample_column(occ, step).iter().map(|v| v.to_bits()).collect();
-                        assert_eq!(s, r);
-                    }
+        let sd = StreamedDataset::open_default(&path).unwrap();
+        assert!(sd.header().target_points_range(0).1 > STAGE_BYTES as u64);
+        assert_eq!(ColumnSource::n(&sd), ds.n());
+        assert_eq!(ColumnSource::targets(&sd), ds.targets());
+        assert_eq!(ColumnSource::traces(&sd), ds.traces());
+        for &t in ds.targets() {
+            let sb = sd.target_block(t).unwrap();
+            let rb = ColumnSource::target_block(&ds, t).unwrap();
+            for occ in 0..2 {
+                assert_eq!(sb.known_column(occ), rb.known_column(occ));
+                for step in StepKind::ALL {
+                    let s: Vec<u32> =
+                        sb.sample_column(occ, step).iter().map(|v| v.to_bits()).collect();
+                    let r: Vec<u32> =
+                        rb.sample_column(occ, step).iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(s, r);
                 }
             }
         }
@@ -350,33 +219,20 @@ mod tests {
 
     #[test]
     fn ring_peak_respects_the_configured_bound() {
-        let ds = sample_dataset(256);
+        let ds = sample_dataset(768);
         let path = write_tmp(&ds, "peak");
-        let ring = RingConfig { chunk_bytes: MIN_CHUNK_BYTES, depth: 2 };
-        let sd = StreamedDataset::open(&path, ring).unwrap();
-        // The file dwarfs the ring: streaming must stage at most
-        // depth × chunk_bytes even so.
-        assert!(std::fs::metadata(&path).unwrap().len() > ring.capacity_bytes() * 4);
+        let sd = StreamedDataset::open_default(&path).unwrap();
+        // The file dwarfs the staging buffer: streaming must stage at
+        // most STAGE_BYTES even so.
+        assert!(std::fs::metadata(&path).unwrap().len() > STAGE_BYTES as u64 * 4);
         reset_ring_peak();
         for &t in ColumnSource::targets(&sd).to_vec().iter() {
             sd.target_block(t).unwrap();
         }
         let peak = crate::obs::gauge("stream.ring_peak_bytes").get();
         assert!(peak > 0.0, "streaming staged nothing?");
-        assert!(
-            peak <= ring.capacity_bytes() as f64,
-            "ring peak {peak} exceeds capacity {}",
-            ring.capacity_bytes()
-        );
+        assert!(peak <= STAGE_BYTES as f64, "staging peak {peak} exceeds {STAGE_BYTES}");
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn bad_ring_geometry_is_rejected() {
-        assert!(RingConfig { chunk_bytes: 4, depth: 2 }.validate().is_err());
-        assert!(RingConfig { chunk_bytes: 1001, depth: 2 }.validate().is_err());
-        assert!(RingConfig { chunk_bytes: 1 << 20, depth: 1 }.validate().is_err());
-        assert!(RingConfig::default().validate().is_ok());
     }
 
     #[test]
@@ -399,9 +255,7 @@ mod tests {
         buf[at..at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
         let path = std::env::temp_dir().join(format!("falcon-stream-nan-{}", std::process::id()));
         std::fs::write(&path, &buf).unwrap();
-        let sd =
-            StreamedDataset::open(&path, RingConfig { chunk_bytes: MIN_CHUNK_BYTES, depth: 2 })
-                .unwrap();
+        let sd = StreamedDataset::open_default(&path).unwrap();
         // Targets 0 and 2 stream clean; target 5 holds the NaN.
         assert!(sd.target_block(0).is_ok());
         assert!(sd.target_block(2).is_ok());
@@ -414,19 +268,18 @@ mod tests {
 
     #[test]
     fn truncation_at_every_chunk_boundary_is_typed() {
-        // Fuzz-style sweep: cut the archive at every chunk boundary
-        // (and a few straddling offsets) and demand a typed error from
-        // open() — never a panic, never a silent short read.
+        // Fuzz-style sweep: cut the archive every 512 bytes (and at a
+        // few straddling offsets) and demand a typed error from open()
+        // — never a panic, never a silent short read.
         let ds = sample_dataset(16);
         let mut buf = Vec::new();
         write_dataset(&ds, &mut buf).unwrap();
-        let ring = RingConfig { chunk_bytes: MIN_CHUNK_BYTES, depth: 2 };
         let path = std::env::temp_dir().join(format!("falcon-stream-trunc-{}", std::process::id()));
-        let mut cuts: Vec<usize> = (0..buf.len()).step_by(ring.chunk_bytes).collect();
+        let mut cuts: Vec<usize> = (0..buf.len()).step_by(512).collect();
         cuts.extend([1, 7, 8, 31, buf.len() - 1]);
         for cut in cuts {
             std::fs::write(&path, &buf[..cut]).unwrap();
-            let r = StreamedDataset::open(&path, ring);
+            let r = StreamedDataset::open_default(&path);
             match r {
                 Err(Error::Io(_)) | Err(Error::InvalidData(_)) => {}
                 other => panic!("cut at {cut}/{}: expected typed error, got {other:?}", buf.len()),
@@ -434,7 +287,7 @@ mod tests {
         }
         // And the intact file streams fine.
         std::fs::write(&path, &buf).unwrap();
-        let sd = StreamedDataset::open(&path, ring).unwrap();
+        let sd = StreamedDataset::open_default(&path).unwrap();
         for &t in ds.targets() {
             sd.target_block(t).unwrap();
         }
@@ -448,8 +301,7 @@ mod tests {
         // shrink behind the source's back and fetch.
         let ds = sample_dataset(32);
         let path = write_tmp(&ds, "shrink");
-        let ring = RingConfig { chunk_bytes: MIN_CHUNK_BYTES, depth: 2 };
-        let sd = StreamedDataset::open(&path, ring).unwrap();
+        let sd = StreamedDataset::open_default(&path).unwrap();
         let full = std::fs::metadata(&path).unwrap().len();
         let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(full / 2).unwrap();

@@ -19,7 +19,7 @@ const MASKS: [u8; 3] = [0x01, 0x80, 0xFF];
 
 /// A two-wide beam over two-bit windows: with [`serial`], thousands of
 /// mutant steps stay within seconds.
-const NARROW: AttackConfig = AttackConfig { step_bits: 2, beam_width: 2, monolithic_keep: 0 };
+const NARROW: AttackConfig = AttackConfig { step_bits: 2, beam_width: 2 };
 
 /// Keeps the executor on the calling thread: at eight traces, spawning
 /// workers would cost more than the attack itself.

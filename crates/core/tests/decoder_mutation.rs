@@ -4,7 +4,7 @@
 //! Every byte of a small `FDNDSET\x02` archive, a `JobSpec` record and a
 //! `JobStatus` record is XORed with 0x01, 0x80 and 0xFF in turn. Each
 //! decoder may reject a mutant with a typed error, but must not panic:
-//! `io::read_dataset`, `StreamedDataset::open` followed by
+//! `io::read_dataset`, `StreamedDataset::open_default` followed by
 //! `target_block` on every target, `JobSpec::read` and `JobStatus::read`.
 //! A dataset mutant that decodes is attacked with a narrow beam, which
 //! must not panic on the corrupted columns either. The attack is
@@ -17,7 +17,7 @@
 
 use falcon_dema::acquire::Dataset;
 use falcon_dema::attack::{recover_coefficient_block, AttackConfig};
-use falcon_dema::stream::{RingConfig, StreamedDataset};
+use falcon_dema::stream::StreamedDataset;
 use falcon_dema::{exec, io, ColumnSource, Error, JobSpec, JobState, JobStatus};
 use falcon_emsim::{Device, LeakageModel, MeasurementChain, Scope};
 use falcon_sig::rng::Prng;
@@ -29,7 +29,7 @@ const MASKS: [u8; 3] = [0x01, 0x80, 0xFF];
 
 /// A four-wide beam over four-bit windows: cheap enough to attack every
 /// decoded mutant.
-const NARROW: AttackConfig = AttackConfig { step_bits: 4, beam_width: 4, monolithic_keep: 0 };
+const NARROW: AttackConfig = AttackConfig { step_bits: 4, beam_width: 4 };
 
 /// Byte offset of target slot `i` in the archive header: the 8-byte
 /// magic, then the degree, target count and trace count as u64 words.
@@ -79,8 +79,7 @@ fn archive() -> Vec<u8> {
 /// target's block; returns whether the open succeeded.
 fn stream_mutant(path: &Path, bytes: &[u8]) -> bool {
     std::fs::write(path, bytes).unwrap();
-    let ring = RingConfig { chunk_bytes: 512, depth: 2 };
-    let Ok(sd) = StreamedDataset::open(path, ring) else { return false };
+    let Ok(sd) = StreamedDataset::open_default(path) else { return false };
     for &t in sd.targets() {
         let _ = sd.target_block(t);
     }
@@ -104,10 +103,7 @@ fn dataset_mutants_never_panic() {
             "repeated target in slot {slot} must be InvalidData"
         );
         std::fs::write(&path, &repeated).unwrap();
-        assert!(matches!(
-            StreamedDataset::open(&path, RingConfig::default()),
-            Err(Error::InvalidData(_))
-        ));
+        assert!(matches!(StreamedDataset::open_default(&path), Err(Error::InvalidData(_))));
     }
 
     let attack = |ds: &Dataset, slot: Option<usize>| {
@@ -152,8 +148,6 @@ fn job_record_mutants_never_panic() {
         stall_steps: vec![2],
         stall_ms: 5,
         dataset: "capture.fdnd".into(),
-        ring_chunk_bytes: 4096,
-        ring_depth: 3,
         ..Default::default()
     };
     let mut buf = Vec::new();

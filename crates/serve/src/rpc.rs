@@ -118,8 +118,6 @@ pub fn submit_request(spec: &JobSpec) -> String {
         .with_str("stall_steps", csv(&spec.stall_steps))
         .with_u64("stall_ms", spec.stall_ms)
         .with_str("dataset", spec.dataset.clone())
-        .with_u64("ring_chunk_bytes", spec.ring_chunk_bytes)
-        .with_u64("ring_depth", spec.ring_depth)
         .to_json()
 }
 
@@ -187,12 +185,6 @@ pub fn spec_from_request(msg: &Msg) -> Result<JobSpec> {
     if let Some(s) = msg.get_str("dataset") {
         spec.dataset = s.to_string();
     }
-    if let Some(v) = msg.get_u64("ring_chunk_bytes") {
-        spec.ring_chunk_bytes = v;
-    }
-    if let Some(v) = msg.get_u64("ring_depth") {
-        spec.ring_depth = v;
-    }
     spec.validate()?;
     Ok(spec)
 }
@@ -250,8 +242,6 @@ mod tests {
             stall_steps: vec![2],
             stall_ms: 25,
             dataset: "captures/wire-a.fdnd".into(),
-            ring_chunk_bytes: 4096,
-            ring_depth: 2,
         };
         let line = submit_request(&spec);
         let msg = Msg::parse(&line).unwrap();

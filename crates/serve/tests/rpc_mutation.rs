@@ -78,8 +78,6 @@ fn submit_mutants_never_panic() {
         stall_steps: vec![2],
         stall_ms: 25,
         dataset: "captures/wire-a.fdnd".into(),
-        ring_chunk_bytes: 4096,
-        ring_depth: 2,
     };
     let line = submit_request(&spec);
     assert!(decode(line.as_bytes()), "the clean submit line must be accepted");

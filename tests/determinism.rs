@@ -29,7 +29,7 @@ use falcon_down::dema::cpa::simd::{self, KernelChoice};
 use falcon_down::dema::obs;
 use falcon_down::dema::recover::key_from_fft_bits;
 use falcon_down::dema::source::ColumnSource;
-use falcon_down::dema::stream::{self, RingConfig, StreamedDataset};
+use falcon_down::dema::stream::{self, StreamedDataset, STAGE_BYTES};
 use falcon_down::dema::{exec, Campaign, CampaignConfig, OfflineCampaign};
 use falcon_down::emsim::{Device, LeakageModel, MeasurementChain, Scope};
 use falcon_down::sig::rng::Prng;
@@ -116,11 +116,11 @@ fn run_offline<S: ColumnSource + ?Sized>(
 }
 
 /// Resident vs streamed matrix: the same archived FALCON-8 capture
-/// replayed through the in-memory `Dataset` and through
-/// `StreamedDataset` prefetch rings of several depths, at 1 and
-/// `available_parallelism()` workers. Campaign, recovered key,
-/// checkpoint bytes and forgery must be identical everywhere, and the
-/// ring's staging high-water mark must respect `depth × chunk_bytes`.
+/// replayed through the in-memory `Dataset` and through a
+/// `StreamedDataset`, at 1 and `available_parallelism()` workers.
+/// Campaign, recovered key, checkpoint bytes and forgery must be
+/// identical everywhere, and the staging high-water mark must respect
+/// `STAGE_BYTES`.
 fn resident_vs_streamed_matrix() {
     let mut rng = Prng::from_seed(b"determinism key");
     let kp = KeyPair::generate(LogN::new(3).unwrap(), &mut rng);
@@ -151,28 +151,23 @@ fn resident_vs_streamed_matrix() {
         exec::set_threads(threads);
         let (bits, ckpt, forged) = run_offline(&ds, &vk);
         assert_eq!(bits, truth, "resident offline recovery at {threads} thread(s)");
-        for depth in [2usize, 4] {
-            let ring = RingConfig { chunk_bytes: 4096, depth };
-            assert!(
-                file_len > ring.capacity_bytes(),
-                "the archive ({file_len} B) must exceed the resident ring budget \
-                 ({} B) for the out-of-core claim to mean anything",
-                ring.capacity_bytes()
-            );
-            stream::reset_ring_peak();
-            let sd = StreamedDataset::open(&archive, ring).unwrap();
-            let (sbits, sckpt, sforged) = run_offline(&sd, &vk);
-            let what = format!("streamed at {threads} thread(s), ring depth {depth}");
-            assert_eq!(sbits, bits, "recovered key must be bit-identical {what}");
-            assert_eq!(sckpt, ckpt, "offline checkpoint bytes must be identical {what}");
-            assert_eq!(sforged, forged, "forgery must be identical {what}");
-            let peak = obs::gauge("stream.ring_peak_bytes").get();
-            assert!(
-                peak > 0.0 && peak <= ring.capacity_bytes() as f64,
-                "ring peak {peak} B must be within (0, {} B] {what}",
-                ring.capacity_bytes()
-            );
-        }
+        assert!(
+            file_len > STAGE_BYTES as u64,
+            "the archive ({file_len} B) must exceed the staging bound ({STAGE_BYTES} B) \
+             for the out-of-core claim to mean anything"
+        );
+        stream::reset_ring_peak();
+        let sd = StreamedDataset::open_default(&archive).unwrap();
+        let (sbits, sckpt, sforged) = run_offline(&sd, &vk);
+        let what = format!("streamed at {threads} thread(s)");
+        assert_eq!(sbits, bits, "recovered key must be bit-identical {what}");
+        assert_eq!(sckpt, ckpt, "offline checkpoint bytes must be identical {what}");
+        assert_eq!(sforged, forged, "forgery must be identical {what}");
+        let peak = obs::gauge("stream.ring_peak_bytes").get();
+        assert!(
+            peak > 0.0 && peak <= STAGE_BYTES as f64,
+            "staging peak {peak} B must be within (0, {STAGE_BYTES} B] {what}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -231,7 +226,7 @@ fn campaign_is_bit_identical_across_thread_counts() {
     simd::set_kernel(None);
 
     // Source axis: the identical capture replayed from memory and from
-    // a chunk-streamed archive must agree bit-for-bit too (same test
+    // a streamed archive must agree bit-for-bit too (same test
     // binary — the obs registry is process-global).
     resident_vs_streamed_matrix();
 }
