@@ -19,7 +19,7 @@ use falcon_fpr::Fpr;
 ///
 /// Inner nodes carry the FFT-domain `L` factor `l10` of their level's 2×2
 /// LDL* decomposition; leaves carry the per-coordinate Gaussian standard
-/// deviation.
+/// deviation and its inverse, which the sampler takes.
 #[derive(Debug, Clone)]
 pub enum LdlTree {
     /// An internal node covering polynomials of `2^logn` coefficients.
@@ -35,6 +35,8 @@ pub enum LdlTree {
     Leaf {
         /// `σ/√(diagonal value)`.
         sigma: Fpr,
+        /// `1/sigma`, computed once here instead of on every signature.
+        isigma: Fpr,
     },
 }
 
@@ -71,23 +73,29 @@ impl LdlTree {
         if n == 2 {
             return LdlTree::Node {
                 l10,
-                left: Box::new(LdlTree::Leaf { sigma: g00[0] }),
-                right: Box::new(LdlTree::Leaf { sigma: d11[0] }),
+                left: Box::new(LdlTree::Leaf { sigma: g00[0], isigma: Fpr::ZERO }),
+                right: Box::new(LdlTree::Leaf { sigma: d11[0], isigma: Fpr::ZERO }),
             };
         }
-        let (d00_0, d00_1) = poly_split_fft(g00);
-        let (d11_0, d11_1) = poly_split_fft(&d11);
-        let left = Self::build_raw(&d00_0, &d00_1, &d00_0);
-        let right = Self::build_raw(&d11_0, &d11_1, &d11_0);
+        let mut d00 = vec![Fpr::ZERO; n];
+        let (d00_0, d00_1) = d00.split_at_mut(hn);
+        poly_split_fft(g00, d00_0, d00_1);
+        let mut d11s = vec![Fpr::ZERO; n];
+        let (d11_0, d11_1) = d11s.split_at_mut(hn);
+        poly_split_fft(&d11, d11_0, d11_1);
+        let left = Self::build_raw(d00_0, d00_1, d00_0);
+        let right = Self::build_raw(d11_0, d11_1, d11_0);
         LdlTree::Node { l10, left: Box::new(left), right: Box::new(right) }
     }
 
     /// Replaces each raw leaf value `v` (a Gaussian variance) by the
-    /// sampling deviation `sigma/√v` — the paper's Algorithm 1, line 7.
+    /// sampling deviation `sigma/√v` — the paper's Algorithm 1, line 7 —
+    /// and caches its inverse.
     fn normalize(&mut self, sigma: Fpr) {
         match self {
-            LdlTree::Leaf { sigma: v } => {
+            LdlTree::Leaf { sigma: v, isigma } => {
                 *v = sigma / v.sqrt();
+                *isigma = v.inv();
             }
             LdlTree::Node { left, right, .. } => {
                 left.normalize(sigma);
@@ -99,7 +107,7 @@ impl LdlTree {
     /// Depth-first iterator over leaf sigmas (diagnostics and tests).
     pub fn leaf_sigmas(&self) -> Vec<Fpr> {
         match self {
-            LdlTree::Leaf { sigma } => vec![*sigma],
+            LdlTree::Leaf { sigma, .. } => vec![*sigma],
             LdlTree::Node { left, right, .. } => {
                 let mut v = left.leaf_sigmas();
                 v.extend(right.leaf_sigmas());
@@ -111,47 +119,67 @@ impl LdlTree {
 
 /// Fast Fourier sampling (specification Algorithm 11): samples an
 /// integral lattice point `(z0, z1)` close to the FFT-domain target
-/// `(t0, t1)` under the Gram tree `tree`.
+/// `(t0, t1)` of degree `2^logn` under the Gram tree `tree`.
 ///
-/// `sigma_min` is the parameter set's minimum deviation, forwarded to
-/// [`sampler_z`].
+/// `ws` is the workspace, at least [`ff_sampling_ws_len`]`(logn)` values:
+/// `z0` lands in `ws[..2^logn]` and `z1` in `ws[2^logn..2^(logn+1)]`,
+/// and the rest is scratch for the recursion, so one allocation serves
+/// a whole signature. `sigma_min` is the parameter set's minimum
+/// deviation, forwarded to [`sampler_z`].
 pub fn ff_sampling(
     t0: &[Fpr],
     t1: &[Fpr],
     tree: &LdlTree,
     sigma_min: Fpr,
+    logn: u32,
     rng: &mut Prng,
-) -> (Vec<Fpr>, Vec<Fpr>) {
-    if t0.len() == 1 {
+    ws: &mut [Fpr],
+) {
+    let n = 1usize << logn;
+    let hn = n / 2;
+    let (out, child) = ws.split_at_mut(2 * n);
+    let (out0, out1) = out.split_at_mut(n);
+    // out0's halves hold each split target until the child has read it.
+    let (s0, s1) = out0.split_at_mut(hn);
+    if logn == 0 {
         // Base case: the FFT representation of a 1-coefficient polynomial
         // is the coefficient itself; sample both coordinates.
-        let LdlTree::Leaf { sigma } = tree else {
+        let LdlTree::Leaf { isigma, .. } = *tree else {
             unreachable!("tree/vector size mismatch");
         };
-        let isigma = sigma.inv();
         let z0 = sampler_z(rng, t0[0], isigma, sigma_min);
         let z1 = sampler_z(rng, t1[0], isigma, sigma_min);
-        return (vec![Fpr::from_i64(z0)], vec![Fpr::from_i64(z1)]);
+        out0[0] = Fpr::from_i64(z0);
+        out1[0] = Fpr::from_i64(z1);
+        return;
     }
     let LdlTree::Node { l10, left, right } = tree else {
         unreachable!("tree/vector size mismatch");
     };
 
     // Second coordinate first, from the right subtree.
-    let (t1_0, t1_1) = poly_split_fft(t1);
-    let (z1_0, z1_1) = ff_sampling(&t1_0, &t1_1, right, sigma_min, rng);
-    let z1 = poly_merge_fft(&z1_0, &z1_1);
+    poly_split_fft(t1, s0, s1);
+    ff_sampling(s0, s1, right, sigma_min, logn - 1, rng, child);
+    poly_merge_fft(&child[..hn], &child[hn..n], out1);
 
-    // t0' = t0 + (t1 − z1)·l10
-    let mut tb = t1.to_vec();
-    poly_sub(&mut tb, &z1);
-    poly_mul_fft(&mut tb, l10);
-    poly_add(&mut tb, t0);
+    // t0' = t0 + (t1 − z1)·l10, built where the child's output was.
+    let tb = &mut child[..n];
+    for (x, &y) in tb.iter_mut().zip(t1) {
+        *x = y;
+    }
+    poly_sub(tb, out1);
+    poly_mul_fft(tb, l10);
+    poly_add(tb, t0);
 
-    let (t0_0, t0_1) = poly_split_fft(&tb);
-    let (z0_0, z0_1) = ff_sampling(&t0_0, &t0_1, left, sigma_min, rng);
-    let z0 = poly_merge_fft(&z0_0, &z0_1);
-    (z0, z1)
+    poly_split_fft(tb, s0, s1);
+    ff_sampling(s0, s1, left, sigma_min, logn - 1, rng, child);
+    poly_merge_fft(&child[..hn], &child[hn..n], out0);
+}
+
+/// Workspace length [`ff_sampling`] needs at degree `2^logn`: `2n` for
+/// its output and the split halves, plus the child's workspace.
+pub fn ff_sampling_ws_len(logn: u32) -> usize {
+    4 << logn
 }
 
 /// Convenience: FFT-domain Gram matrix of the basis
@@ -233,10 +261,11 @@ mod tests {
         });
         let mut rng = Prng::from_seed(b"ffsampling");
         let smin = Fpr::from(1.2);
-        let (z0, z1) = ff_sampling(&t0, &t1, &tree, smin, &mut rng);
+        let mut ws = vec![Fpr::ZERO; ff_sampling_ws_len(4)];
+        ff_sampling(&t0, &t1, &tree, smin, 4, &mut rng, &mut ws);
         // z must be FFTs of integer polynomials: invert and check.
-        for z in [z0, z1] {
-            let mut c = z.clone();
+        for z in ws[..2 * n].chunks(n) {
+            let mut c = z.to_vec();
             crate::fft::ifft(&mut c);
             for x in c {
                 let v = x.to_f64();
@@ -261,9 +290,10 @@ mod tests {
         let mut rng = Prng::from_seed(b"center");
         let mut acc = 0f64;
         let trials = 2000;
+        let mut ws = vec![Fpr::ZERO; ff_sampling_ws_len(2)];
         for _ in 0..trials {
-            let (z0, _) = ff_sampling(&t0, &t1, &tree, Fpr::from(1.2), &mut rng);
-            let mut c = z0.clone();
+            ff_sampling(&t0, &t1, &tree, Fpr::from(1.2), 2, &mut rng, &mut ws);
+            let mut c = ws[..n].to_vec();
             crate::fft::ifft(&mut c);
             acc += c[0].to_f64().round();
         }

@@ -299,49 +299,49 @@ pub fn poly_div_fft(a: &mut [Fpr], b: &[Fpr]) {
 }
 
 /// Splits `f` (FFT layout, size `n`) into the transforms of its even and
-/// odd coefficient halves (each FFT layout, size `n/2`); at `n = 2` the
-/// halves are the two single real values.
+/// odd coefficient halves, written to `f0` and `f1` (each FFT layout,
+/// size `n/2`); at `n = 2` the halves are the two single real values.
 ///
 /// This is the `split` operation of fast Fourier sampling.
 #[allow(clippy::needless_range_loop)] // j indexes paired butterfly roots
-pub fn poly_split_fft(f: &[Fpr]) -> (Vec<Fpr>, Vec<Fpr>) {
+pub fn poly_split_fft(f: &[Fpr], f0: &mut [Fpr], f1: &mut [Fpr]) {
     let n = f.len();
     let hn = n / 2;
     if n == 2 {
-        return (vec![f[0]], vec![f[1]]);
+        f0[0] = f[0];
+        f1[0] = f[1];
+        return;
     }
     let logn = n.trailing_zeros();
     let z = roots(logn);
     let qn = n / 4;
-    let mut f0 = vec![Fpr::ZERO; hn];
-    let mut f1 = vec![Fpr::ZERO; hn];
     for j in 0..qn {
         let a = at(f, j);
         let b = at(f, hn - 1 - j).conj();
-        set(&mut f0, j, a.add(b).scale(Fpr::ONEHALF));
-        set(&mut f1, j, a.sub(b).scale(Fpr::ONEHALF).mul(z[j].conj()));
+        set(f0, j, a.add(b).scale(Fpr::ONEHALF));
+        set(f1, j, a.sub(b).scale(Fpr::ONEHALF).mul(z[j].conj()));
     }
-    (f0, f1)
 }
 
-/// Inverse of [`poly_split_fft`].
-pub fn poly_merge_fft(f0: &[Fpr], f1: &[Fpr]) -> Vec<Fpr> {
+/// Inverse of [`poly_split_fft`]: merges the halves `f0` and `f1` into
+/// `f` (size `2·f0.len()`).
+pub fn poly_merge_fft(f0: &[Fpr], f1: &[Fpr], f: &mut [Fpr]) {
     let hn = f0.len();
     let n = 2 * hn;
     if n == 2 {
-        return vec![f0[0], f1[0]];
+        f[0] = f0[0];
+        f[1] = f1[0];
+        return;
     }
     let logn = n.trailing_zeros();
     let z = roots(logn);
     let qn = n / 4;
-    let mut f = vec![Fpr::ZERO; n];
     for j in 0..qn {
         let a = at(f0, j);
         let b = at(f1, j);
-        set(&mut f, j, a.add(z[j].mul(b)));
-        set(&mut f, hn - 1 - j, a.conj().add(z[hn - 1 - j].mul(b.conj())));
+        set(f, j, a.add(z[j].mul(b)));
+        set(f, hn - 1 - j, a.conj().add(z[hn - 1 - j].mul(b.conj())));
     }
-    f
 }
 
 /// Converts signed integer coefficients to an `Fpr` polynomial.
@@ -420,8 +420,10 @@ mod tests {
             let n = 1usize << logn;
             let mut f: Vec<Fpr> = (0..n).map(|i| Fpr::from_i64(i as i64 - 3)).collect();
             fft(&mut f);
-            let (f0, f1) = poly_split_fft(&f);
-            let g = poly_merge_fft(&f0, &f1);
+            let (mut f0, mut f1) = (vec![Fpr::ZERO; n / 2], vec![Fpr::ZERO; n / 2]);
+            poly_split_fft(&f, &mut f0, &mut f1);
+            let mut g = vec![Fpr::ZERO; n];
+            poly_merge_fft(&f0, &f1, &mut g);
             for (a, b) in f.iter().zip(g.iter()) {
                 assert!(close(a.to_f64(), b.to_f64(), 1e-12), "logn={logn}");
             }
@@ -435,7 +437,8 @@ mod tests {
         let coeffs: Vec<Fpr> = (0..n).map(|i| Fpr::from_i64((i * i) as i64 % 13 - 6)).collect();
         let mut f = coeffs.clone();
         fft(&mut f);
-        let (s0, s1) = poly_split_fft(&f);
+        let (mut s0, mut s1) = (vec![Fpr::ZERO; n / 2], vec![Fpr::ZERO; n / 2]);
+        poly_split_fft(&f, &mut s0, &mut s1);
 
         let mut e: Vec<Fpr> = coeffs.iter().step_by(2).copied().collect();
         let mut o: Vec<Fpr> = coeffs.iter().skip(1).step_by(2).copied().collect();

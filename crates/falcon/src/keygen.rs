@@ -414,6 +414,26 @@ mod tests {
     }
 
     #[test]
+    fn cached_leaf_inverses_match_division() {
+        fn leaves(t: &LdlTree, out: &mut Vec<(Fpr, Fpr)>) {
+            match t {
+                LdlTree::Leaf { sigma, isigma } => out.push((*sigma, *isigma)),
+                LdlTree::Node { left, right, .. } => {
+                    leaves(left, out);
+                    leaves(right, out);
+                }
+            }
+        }
+        let kp = KeyPair::generate(LogN::N512, &mut Prng::from_seed(b"leaf inverses"));
+        let mut got = Vec::new();
+        leaves(&kp.signing_key().tree, &mut got);
+        assert_eq!(got.len(), 512);
+        for (i, (sigma, isigma)) in got.into_iter().enumerate() {
+            assert_eq!(isigma.to_bits(), sigma.inv().to_bits(), "leaf {i}");
+        }
+    }
+
+    #[test]
     fn generate_small_keypair() {
         let mut rng = Prng::from_seed(b"keygen small");
         let logn = LogN::new(4).unwrap();

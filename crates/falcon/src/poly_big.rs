@@ -28,11 +28,49 @@ pub fn sub(a: &[Zint], b: &[Zint]) -> PolyZ {
     a.iter().zip(b).map(|(x, y)| x.sub(y)).collect()
 }
 
-/// Negacyclic product in `Z[x]/(x^m + 1)` (schoolbook; the solver's
-/// operand sizes keep this comfortably fast, see DESIGN.md §7).
+/// Negacyclic product in `Z[x]/(x^m + 1)`.
+///
+/// Every coefficient of the product is a sum of `m` terms, each below
+/// `2^(max_bits(a) + max_bits(b))` in magnitude, so the sum and all its
+/// partial sums stay below `2^127` whenever
+/// `max_bits(a) + max_bits(b) + ⌈log2 m⌉ <= 127`. Such operands — the
+/// small upper levels of the NTRU solve and every Babai correction —
+/// are multiplied exactly in `i128`; larger ones use the [`Zint`]
+/// schoolbook product (see DESIGN.md §7). Both are exact, so the result
+/// does not depend on the path taken.
 pub fn mul(a: &[Zint], b: &[Zint]) -> PolyZ {
     let m = a.len();
     debug_assert_eq!(b.len(), m);
+    if max_bits(a) + max_bits(b) + m.next_power_of_two().trailing_zeros() <= 127 {
+        return mul_i128(a, b);
+    }
+    mul_zint(a, b)
+}
+
+/// The `i128` product behind [`mul`]; the caller guarantees the bound.
+fn mul_i128(a: &[Zint], b: &[Zint]) -> PolyZ {
+    let m = a.len();
+    let to_i128 = |p: &[Zint]| -> Vec<i128> {
+        p.iter().map(|c| c.to_i128().expect("operand within the i128 bound")).collect()
+    };
+    let (a, b) = (to_i128(a), to_i128(b));
+    let mut r = vec![0i128; m];
+    for (i, &x) in a.iter().enumerate() {
+        // x^(i+j) wraps to −x^(i+j−m) once i + j reaches m.
+        let (head, tail) = b.split_at(m - i);
+        for (acc, &y) in r[i..].iter_mut().zip(head) {
+            *acc += x * y;
+        }
+        for (acc, &y) in r[..i].iter_mut().zip(tail) {
+            *acc -= x * y;
+        }
+    }
+    r.into_iter().map(Zint::from_i128).collect()
+}
+
+/// The [`Zint`] schoolbook product behind [`mul`], for any operand size.
+fn mul_zint(a: &[Zint], b: &[Zint]) -> PolyZ {
+    let m = a.len();
     let mut r = vec![Zint::zero(); m];
     for (i, x) in a.iter().enumerate() {
         if x.is_zero() {
@@ -377,5 +415,62 @@ mod tests {
         let after = max_bits(&capf).max(max_bits(&capg));
         assert!(after < before, "no reduction: {before} -> {after}");
         assert!(after <= 53, "not fully reduced: {after}");
+    }
+
+    /// A degree-`m` polynomial whose coefficients have exactly `bits`
+    /// bits (`bits <= 64`): all `2^bits − 1` when `seed` is 0, otherwise
+    /// random magnitudes with the top bit set and random signs.
+    fn operand(m: usize, bits: u32, seed: u64) -> PolyZ {
+        let mut st = seed;
+        let mut next = || {
+            st = st.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = st;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let top = 1i128 << (bits - 1);
+        (0..m)
+            .map(|_| {
+                let c = if seed == 0 {
+                    2 * top - 1
+                } else {
+                    let c = top | (i128::from(next()) & (top - 1));
+                    if next() & 1 == 1 {
+                        -c
+                    } else {
+                        c
+                    }
+                };
+                Zint::from_i128(c)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn i128_product_matches_zint_schoolbook_around_the_bound() {
+        for logm in 0..=10u32 {
+            let m = 1usize << logm;
+            // Total operand bits (plus log2 m) of 126 and 127 take the
+            // i128 path, 128 the Zint one; the all-ones operands put the
+            // top product coefficient at its largest possible magnitude.
+            for total in [126u32, 127, 128] {
+                let ba = (total - logm) / 2;
+                let bb = total - logm - ba;
+                for seed in [0u64, 1 + u64::from(total) * 1024 + m as u64] {
+                    let (a, b) = (operand(m, ba, seed), operand(m, bb, seed.wrapping_mul(3)));
+                    assert_eq!((max_bits(&a), max_bits(&b)), (ba, bb));
+                    let want = mul_zint(&a, &b);
+                    assert_eq!(mul(&a, &b), want, "m={m} bits {ba}+{bb}");
+                    if total <= 127 {
+                        assert_eq!(mul_i128(&a, &b), want, "m={m} bits {ba}+{bb}");
+                    } else if seed == 0 {
+                        // One bit past the bound the extreme coefficient
+                        // no longer fits in i128.
+                        assert_eq!(want[m - 1].to_i128(), None, "m={m} bits {ba}+{bb}");
+                    }
+                }
+            }
+        }
     }
 }

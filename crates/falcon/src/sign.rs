@@ -1,7 +1,7 @@
 //! Signature generation (the paper's Algorithm 2).
 
 use crate::codec::compress;
-use crate::ffsampling::ff_sampling;
+use crate::ffsampling::{ff_sampling, ff_sampling_ws_len};
 use crate::fft::{
     fft, ifft, poly_add, poly_mul_fft, poly_mul_fft_observed, poly_mulconst, poly_neg, poly_sub,
 };
@@ -123,15 +123,20 @@ pub fn sign_with_salt<O: MulObserver>(
     let sigma_min = Fpr::from(logn.sigma_min());
     let bound = logn.l2_bound();
 
+    // One sampling workspace for every attempt; z0 and z1 are its head.
+    let depth = logn.logn();
+    let mut ws = vec![Fpr::ZERO; ff_sampling_ws_len(depth)];
+
     // Inner loop: resample until the candidate is short enough.
     for _attempt in 0..64 {
-        let (z0, z1) = ff_sampling(&t0, &t1, &sk.tree, sigma_min, rng);
+        ff_sampling(&t0, &t1, &sk.tree, sigma_min, depth, rng, &mut ws);
+        let (z0, z1) = ws[..2 * n].split_at(n);
 
         // (tz0, tz1) = t − z ; ŝ = (t − z)·B̂.
         let mut tz0 = t0.clone();
-        poly_sub(&mut tz0, &z0);
+        poly_sub(&mut tz0, z0);
         let mut tz1 = t1.clone();
-        poly_sub(&mut tz1, &z1);
+        poly_sub(&mut tz1, z1);
 
         // s1 = tz0·b00 + tz1·b10 ; s2 = tz0·b01 + tz1·b11.
         let mut s1 = tz0.clone();

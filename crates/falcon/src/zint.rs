@@ -321,6 +321,25 @@ impl Zint {
         }
     }
 
+    /// Exact conversion to `i128` when the magnitude fits in 127 bits.
+    pub fn to_i128(&self) -> Option<i128> {
+        if self.bits() > 127 {
+            return None;
+        }
+        let lo = self.mag.first().copied().unwrap_or(0) as u128;
+        let hi = self.mag.get(1).copied().unwrap_or(0) as u128;
+        let m = (lo | (hi << 64)) as i128;
+        Some(if self.neg { -m } else { m })
+    }
+
+    /// Builds from a 128-bit machine integer.
+    pub fn from_i128(v: i128) -> Zint {
+        let m = v.unsigned_abs();
+        let mut z = Zint { neg: v < 0, mag: vec![m as u64, (m >> 64) as u64] };
+        z.trim();
+        z
+    }
+
     /// Signed comparison.
     pub fn cmp_signed(&self, other: &Zint) -> Ordering {
         match (self.is_negative(), other.is_negative()) {
@@ -503,6 +522,19 @@ mod tests {
         assert!((approx - 3.0).abs() < 1e-9);
         let neg = z(-3).shl(500);
         assert!(neg.to_f64_exp().0 < 0.0);
+    }
+
+    #[test]
+    fn i128_conversions_roundtrip_up_to_127_bits() {
+        let max = i128::MAX;
+        for v in [0, 1, -1, 12289, -(1 << 64), (1 << 64) - 1, max, -max, max >> 1, -(max >> 1)] {
+            let z = Zint::from_i128(v);
+            assert_eq!(z.to_i128(), Some(v), "{v}");
+            assert_eq!(z.to_i64(), i64::try_from(v).ok(), "{v}");
+        }
+        // 2^127 needs 128 bits: representable as a Zint, not as an i128.
+        assert_eq!(Zint::from_i128(i128::MIN).to_i128(), None);
+        assert_eq!(Zint::one().shl(127).to_i128(), None);
     }
 
     #[test]

@@ -12,6 +12,7 @@ impl Fpr {
     /// Matches the FALCON reference semantics: operands are aligned with a
     /// sticky bit absorbing everything shifted out, the result is
     /// renormalised and rounded, and subnormal results flush to zero.
+    #[inline]
     pub fn add(self, rhs: Fpr) -> Fpr {
         crate::ctcheck::site(crate::ctcheck::sites::ADD);
         // ct: secret(self, rhs)

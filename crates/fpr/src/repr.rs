@@ -131,6 +131,7 @@ impl Fpr {
     /// Exponents below the normal range flush the result to (signed) zero.
     /// Overflow above the range cannot occur on FALCON's value domain and
     /// is unspecified, matching the reference implementation.
+    #[inline]
     pub(crate) fn build(s: u32, e: i32, m: u64) -> Fpr {
         debug_assert!(m == 0 || (m >> 54) == 1, "mantissa out of range: {m:#x}");
         crate::ctcheck::site(crate::ctcheck::sites::BUILD);
