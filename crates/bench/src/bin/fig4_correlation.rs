@@ -12,34 +12,95 @@
 //! the full 2^25/2^27 spaces; any width up to 25 reproduces the
 //! shift-family false positives — see EXPERIMENTS.md for the scale-down
 //! note).
+//!
+//! Panics unless panel (d)'s winner is the true mantissa window and the
+//! true guess's panel (c) peak clears 0.2 (σ ≤ 1) or the 99.99 % CI.
 
 use falcon_bench::report::{arg_or, print_csv, print_table};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
 use falcon_dema::attack::{recover_mantissa_half, AttackConfig};
 use falcon_dema::confidence::threshold_9999;
-use falcon_dema::cpa::CorrMatrix;
-use falcon_dema::model::{hyp_exponent_with_carry, hyp_sign, KnownOperand, SecretHalf};
+use falcon_dema::cpa::PearsonSums;
+use falcon_dema::exec;
+use falcon_dema::model::{
+    hyp_add_lo, hyp_exponent_with_carry, hyp_partial_product, hyp_sign, KnownOperand, SecretHalf,
+};
 use falcon_dema::source::ColumnSource;
-use falcon_dema::{monolithic_correlations, Dataset};
+use falcon_dema::{Dataset, TargetBlock};
 use falcon_emsim::StepKind;
 use falcon_sig::rng::Prng;
 
-fn panel_report(name: &str, m: &CorrMatrix, guesses: &[u64], correct: u64, d: u64) {
-    let rank = m.ranking();
+/// One panel: each guess's correlation at every pipeline step, with the
+/// samples of both occurrences pooled per step.
+struct Panel {
+    guesses: Vec<u64>,
+    corr: Vec<[f64; StepKind::COUNT]>,
+}
+
+impl Panel {
+    /// Correlates each guess's hypothesis column (`hyp` over the known
+    /// operands of both occurrences) against every step's sample column
+    /// with the attack's own kernel, [`PearsonSums::push_column`].
+    fn new(
+        block: &TargetBlock<'_>,
+        guesses: Vec<u64>,
+        hyp: impl Fn(u64, &KnownOperand) -> f64 + Sync,
+    ) -> Panel {
+        let knowns = [0, 1].map(|occ| {
+            block.known_column(occ).iter().map(|&k| KnownOperand::new(k)).collect::<Vec<_>>()
+        });
+        let corr = exec::map(&guesses, |&g| {
+            let hyps = knowns.each_ref().map(|kn| kn.iter().map(|k| hyp(g, k)).collect::<Vec<_>>());
+            StepKind::ALL.map(|step| {
+                let mut acc = PearsonSums::default();
+                for (occ, h) in hyps.iter().enumerate() {
+                    acc.push_column(h, block.sample_column(occ, step));
+                }
+                acc.corr()
+            })
+        });
+        Panel { guesses, corr }
+    }
+
+    /// `(step, corr)` at guess `i`'s largest |corr|, the earliest step
+    /// on a tie.
+    fn peak(&self, i: usize) -> (usize, f64) {
+        let mut best = (0, 0f64);
+        for (s, &c) in self.corr[i].iter().enumerate() {
+            if c.abs() > best.1.abs() {
+                best = (s, c);
+            }
+        }
+        best
+    }
+
+    /// Guess indices by descending peak |corr|, in guess order on a tie.
+    fn ranking(&self) -> Vec<usize> {
+        let mut rank: Vec<usize> = (0..self.guesses.len()).collect();
+        rank.sort_by(|&a, &b| self.peak(b).1.abs().total_cmp(&self.peak(a).1.abs()));
+        rank
+    }
+}
+
+/// Prints a panel's top five guesses and the correct guess's correlation
+/// against time; returns the panel's ranking.
+fn panel_report(name: &str, p: &Panel, correct: u64, d: u64) -> Vec<usize> {
+    let rank = p.ranking();
     let ci = threshold_9999(d);
-    let correct_idx = guesses.iter().position(|&g| g == correct);
+    let correct_idx = p.guesses.iter().position(|&g| g == correct);
     println!(
         "\n--- panel {name} ({} guesses, {d} traces, 99.99% CI = ±{ci:.4}) ---",
-        guesses.len()
+        p.guesses.len()
     );
     let rows: Vec<Vec<String>> = rank
         .iter()
         .take(5)
         .enumerate()
-        .map(|(i, &(g, s, c))| {
+        .map(|(i, &g)| {
+            let (s, c) = p.peak(g);
             vec![
                 (i + 1).to_string(),
-                format!("{:#x}", guesses[g]),
+                format!("{:#x}", p.guesses[g]),
                 s.to_string(),
                 format!("{c:.4}"),
                 if Some(g) == correct_idx { "<-- correct".into() } else { String::new() },
@@ -52,19 +113,21 @@ fn panel_report(name: &str, m: &CorrMatrix, guesses: &[u64], correct: u64, d: u6
         &rows,
     );
     if let Some(ci_idx) = correct_idx {
-        let (s, _) = m.peak(ci_idx);
-        let row = m.corr_row(ci_idx);
-        let csv: Vec<Vec<String>> = row
+        let csv: Vec<Vec<String>> = p.corr[ci_idx]
             .iter()
             .enumerate()
             .map(|(t, c)| vec![t.to_string(), format!("{c:.5}"), format!("{ci:.5}")])
             .collect();
         print_csv(
-            &format!("panel {name}: correct-guess correlation vs time (peak at t={s})"),
+            &format!(
+                "panel {name}: correct-guess correlation vs time (peak at t={})",
+                p.peak(ci_idx).0
+            ),
             &["t", "corr", "ci_9999"],
             &csv,
         );
     }
+    rank
 }
 
 fn main() {
@@ -98,28 +161,14 @@ fn main() {
         lo.value, hi.value
     );
 
-    // Panel (a): sign.
-    let sign_guesses = [0u64, 1];
-    let mut m_sign = CorrMatrix::new(2, StepKind::COUNT);
-    // Panel (b): exponent (single-step CPA as in the paper's figure).
-    let exp_guesses: Vec<u64> = (1..2047).collect();
-    let mut m_exp = CorrMatrix::new(exp_guesses.len(), StepKind::COUNT);
-    for t in 0..ds.traces() {
-        for occ in 0..2 {
-            let k = KnownOperand::new(ds.known(t, coeff, occ));
-            let window: Vec<f32> =
-                StepKind::ALL.iter().map(|&s| ds.sample(t, coeff, occ, s)).collect();
-            let hs: Vec<f64> = sign_guesses.iter().map(|&g| hyp_sign(g as u32, &k)).collect();
-            m_sign.update(&hs, &window);
-            let he: Vec<f64> = exp_guesses
-                .iter()
-                .map(|&g| hyp_exponent_with_carry(g as u32, hi.value, lo.value, &k))
-                .collect();
-            m_exp.update(&he, &window);
-        }
-    }
-    panel_report("(a) sign", &m_sign, &sign_guesses, truth_bits >> 63, d);
-    panel_report("(b) exponent", &m_exp, &exp_guesses, (truth_bits >> 52) & 0x7FF, d);
+    // Panel (a): sign. Panel (b): exponent (single-step CPA as in the
+    // paper's figure).
+    let sign = Panel::new(&block, vec![0, 1], |g, k| hyp_sign(g as u32, k));
+    let exp = Panel::new(&block, (1..2047).collect(), |g, k| {
+        hyp_exponent_with_carry(g as u32, hi.value, lo.value, k)
+    });
+    panel_report("(a) sign", &sign, truth_bits >> 63, d);
+    panel_report("(b) exponent", &exp, (truth_bits >> 52) & 0x7FF, d);
     // Single-step exponent CPA can leave an affine-aliased family of
     // guesses tied (Pearson is blind to constant hypothesis offsets when
     // the known exponents span a narrow range); the pipeline's joint
@@ -135,22 +184,42 @@ fn main() {
         j_exp.runner_up
     );
 
-    // Panels (c)/(d): monolithic mantissa window on the low half.
+    // Panels (c)/(d): monolithic mantissa window on the low half. The
+    // extend hypothesis is the product's low `width` bits, which depend
+    // only on the guessed window: this is where the paper's shift-family
+    // false positives live. The low half is 25 bits wide.
     let rest = lo.value >> width;
-    let (guesses, extend, prune) = monolithic_correlations(&block, SecretHalf::Low, width, rest, 0);
-    panel_report("(c) mantissa multiplication (extend)", &extend, &guesses, true_d, d);
-    panel_report("(d) mantissa addition (prune)", &prune, &guesses, true_d, d);
+    let guesses: Vec<u64> = (0..1u64 << width).map(|g| (rest << width) | g).collect();
+    let wmask = (1u64 << width) - 1;
+    let extend =
+        Panel::new(&block, guesses.clone(), |g, k| hyp_partial_product(g & wmask, width, k.lo, 25));
+    let prune = Panel::new(&block, guesses, hyp_add_lo);
+    let ext_rank = panel_report("(c) mantissa multiplication (extend)", &extend, true_d, d);
+    let prune_rank = panel_report("(d) mantissa addition (prune)", &prune, true_d, d);
 
     // The paper's observation: the multiplication's top guesses tie
     // (false positives); the addition's winner is unique.
-    let ext_rank = extend.ranking();
-    let top = ext_rank[0].2.abs();
-    let ties = ext_rank.iter().take(8).filter(|(_, _, c)| (c.abs() - top).abs() < 0.02).count();
+    let peak = |p: &Panel, i: usize| p.peak(i).1.abs();
+    let top = peak(&extend, ext_rank[0]);
+    let ties = ext_rank.iter().take(8).filter(|&&i| (peak(&extend, i) - top).abs() < 0.02).count();
     println!("\npanel (c): {ties} of the top-8 extend guesses tie within 0.02 of the leader");
-    let prune_rank = prune.ranking();
+    let winner = prune_rank[0];
     println!(
         "panel (d): prune winner {:#x} (true {true_d:#x}); margin over runner-up {:.4}",
-        guesses[prune_rank[0].0],
-        prune_rank[0].2.abs() - prune_rank[1].2.abs()
+        prune.guesses[winner],
+        peak(&prune, winner) - peak(&prune, prune_rank[1])
+    );
+    assert_eq!(
+        prune.guesses[winner], true_d,
+        "panel (d): the prune must single out the true window"
+    );
+    // The extend correlates for the true guess too: above 0.2 at unit
+    // noise (the CI smoke size). Paper noise scales every correlation
+    // down (0.19 at σ = 8.6), so there it must clear the 99.99 % CI.
+    let floor = if noise <= 1.0 { 0.2 } else { threshold_9999(d) };
+    let (s_ext, c_ext) = extend.peak(winner);
+    assert!(
+        c_ext.abs() > floor,
+        "panel (c): true-guess extend peak {c_ext:.4} at t={s_ext} <= {floor:.4}"
     );
 }

@@ -1,5 +1,6 @@
 //! Minimal JSON document builder for the machine-readable bench outputs
-//! (`BENCH_pipeline.json`).
+//! (`BENCH_kernel.json`, `BENCH_stream.json`, `BENCH_orch.json` and
+//! attackbench's JSONL records).
 //!
 //! The event layer in `falcon-obs` renders flat one-line records; bench
 //! reports want nested objects and arrays, so this module provides the

@@ -49,16 +49,27 @@ pub fn sparkline(series: &[f64]) -> String {
 }
 
 /// Tiny `key=value` CLI parser: returns the value for `key` or the
-/// default.
+/// default. Exits with a message naming the key and the value when the
+/// value does not parse.
 pub fn arg_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    for a in std::env::args().skip(1) {
-        if let Some(v) = a.strip_prefix(&format!("{key}=")) {
-            if let Ok(parsed) = v.parse::<T>() {
-                return parsed;
-            }
-        }
+    arg_from(std::env::args().skip(1), key, default).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// [`arg_or`] over an explicit argument list: the first `key=` argument
+/// wins, and an unparsable value is an error rather than the default.
+fn arg_from<T: std::str::FromStr>(
+    args: impl IntoIterator<Item = String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    let prefix = format!("{key}=");
+    match args.into_iter().find_map(|a| a.strip_prefix(&prefix).map(str::to_owned)) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("invalid value for `{key}`: {v:?}")),
     }
-    default
 }
 
 /// The commit checked out at the workspace root, read from `.git`;
@@ -114,5 +125,14 @@ mod tests {
     #[test]
     fn arg_default_passthrough() {
         assert_eq!(arg_or("nonexistent_key", 42u32), 42);
+    }
+
+    #[test]
+    fn unparsable_arg_is_an_error_naming_key_and_value() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(arg_from(args(&["logn=3", "traces=400"]), "traces", 10_000usize), Ok(400));
+        assert_eq!(arg_from(args(&["logn=3"]), "traces", 10_000usize), Ok(10_000));
+        let err = arg_from(args(&["traces=4OO"]), "traces", 10_000usize).unwrap_err();
+        assert!(err.contains("traces") && err.contains("4OO"), "{err}");
     }
 }

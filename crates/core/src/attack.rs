@@ -26,17 +26,14 @@
 //! a product depend only on the low `m` bits of each factor). The
 //! paper's monolithic one-shot enumeration of a whole window (up to the
 //! full 2^25/2^27 guess space) is kept as a per-half experiment:
-//! [`recover_mantissa_half_monolithic`] recovers one half that way, and
-//! [`monolithic_correlations`] produces the correlation matrices behind
-//! Figure 4.
+//! [`recover_mantissa_half_monolithic`] recovers one half that way.
 
 use crate::acquire::Dataset;
 use crate::cpa::simd::GUESS_BLOCK;
-use crate::cpa::{push_product_column, CorrMatrix, PearsonSums, SampleSums};
+use crate::cpa::{push_product_column, PearsonSums, SampleSums};
 use crate::exec;
 use crate::model::{
-    assemble_coefficient, hyp_add_hi, hyp_add_lo, hyp_partial_product, product_mask, KnownOperand,
-    SecretHalf,
+    assemble_coefficient, hyp_add_hi, hyp_add_lo, product_mask, KnownOperand, SecretHalf,
 };
 use crate::obs;
 use crate::source::{ColumnSource, TargetBlock};
@@ -848,47 +845,6 @@ pub fn recover_all_verified(ds: &Dataset, cfg: &AttackConfig) -> Vec<(Coefficien
     out
 }
 
-/// The paper's monolithic window attack: enumerates all `2^width`
-/// guesses of the low window of a mantissa half (`rest` supplies the
-/// remaining high bits when `width` is scaled down; zero for the full
-/// 25/27-bit runs) and returns the correlation matrices of the extend
-/// step (multiplication — exhibits false positives) and the prune step
-/// (addition — eliminates them), with one time column per micro-op of
-/// the first-occurrence multiplication.
-pub fn monolithic_correlations(
-    block: &TargetBlock<'_>,
-    half: SecretHalf,
-    width: u32,
-    rest: u64,
-    d_lo_for_high: u64,
-) -> (Vec<u64>, CorrMatrix, CorrMatrix) {
-    let guesses: Vec<u64> = (0..(1u64 << width)).map(|g| (rest << width) | g).collect();
-    let mut extend = CorrMatrix::new(guesses.len(), StepKind::COUNT);
-    let mut prune = CorrMatrix::new(guesses.len(), StepKind::COUNT);
-    let full_width = half_width(half);
-    let wmask = (1u64 << width) - 1;
-    for trace in 0..block.traces() {
-        for occ in 0..2 {
-            let k = KnownOperand::new(block.known(trace, occ));
-            let window: Vec<f32> =
-                StepKind::ALL.iter().map(|&s| block.sample(trace, occ, s)).collect();
-            // Extend hypothesis: the product's low `width` bits, which
-            // depend only on the guessed window — this is where the
-            // paper's shift-family false positives live (for the full
-            // 25/27-bit width it is the complete product word).
-            let ext_hyps =
-                exec::map(&guesses, |&g| hyp_partial_product(g & wmask, width, k.lo, full_width));
-            let prune_hyps = exec::map(&guesses, |&g| match half {
-                SecretHalf::Low => hyp_add_lo(g, &k),
-                SecretHalf::High => hyp_add_hi(g, d_lo_for_high, &k),
-            });
-            extend.update(&ext_hyps, &window);
-            prune.update(&prune_hyps, &window);
-        }
-    }
-    (guesses, extend, prune)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1040,30 +996,6 @@ mod tests {
         assert!(recover_all_verified(&empty, &AttackConfig::default()).is_empty());
         let parts = Dataset::try_from_columnar_parts(8, vec![], 5, vec![], vec![]).unwrap();
         assert!(recover_all_verified(&parts, &AttackConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn monolithic_extend_has_false_positives_prune_resolves() {
-        let mut dev = bench(1.0, b"attack key 3");
-        let truth = ground_truth(&dev, 0);
-        let tm = falcon_fpr::Fpr::from_bits(truth).mantissa_bits() | (1 << 52);
-        let d_true = tm & 0x1FF_FFFF;
-        let width = 8u32;
-        let rest = d_true >> width;
-        let mut mrng = Prng::from_seed(b"mono msgs");
-        let ds = Dataset::collect(&mut dev, &[0], 400, &mut mrng);
-        let block = ds.target_block(0).unwrap();
-        let (guesses, extend, prune) =
-            monolithic_correlations(&block, SecretHalf::Low, width, rest, 0);
-        let correct_idx = (d_true & ((1 << width) - 1)) as usize;
-        assert_eq!(guesses[correct_idx], d_true);
-        // Prune: the correct candidate wins on the addition step.
-        let prune_rank = prune.ranking();
-        assert_eq!(prune_rank[0].0, correct_idx, "prune must single out the true mantissa");
-        // Extend: the multiplication step correlates for the correct
-        // guess too, but with close companions (shift family).
-        let (s_ext, c_ext) = extend.peak(correct_idx);
-        assert!(c_ext > 0.2, "extend peak too weak: {c_ext} at {s_ext}");
     }
 
     /// Truth mantissa halves of a planted secret, as the attack splits

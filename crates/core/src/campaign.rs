@@ -548,8 +548,9 @@ impl Campaign {
     /// # Errors
     ///
     /// Returns [`Error::UnsupportedVersion`] for a future checkpoint
-    /// version, [`Error::InvalidData`] for a malformed one, and
-    /// [`Error::Io`] on truncation.
+    /// version, [`Error::InvalidData`] for a malformed one or one whose
+    /// target list or order disagrees with the config, and [`Error::Io`]
+    /// on truncation.
     pub fn resume<R: Read>(
         cfg: CampaignConfig,
         device: &mut Device,
@@ -561,31 +562,29 @@ impl Campaign {
         if !n.is_power_of_two() || !(2..=1 << 10).contains(&n) {
             return Err(io::bad("invalid ring degree"));
         }
-        let (mut stats, counts) = (AcquisitionStats::default(), take::<_, 8>(&mut r, "stats")?);
-        stats_fields(&mut stats).into_iter().zip(counts).for_each(|(field, v)| *field = v);
+        let Campaign { mut core, mut data } = Campaign::new(n, cfg)?;
+        let counts = take::<_, 8>(&mut r, "stats")?;
+        stats_fields(&mut core.stats).into_iter().zip(counts).for_each(|(field, v)| *field = v);
         let dev_state = take_state(&mut r, "device state")?;
         let rng_state = take_state(&mut r, "message-rng state")?;
         let [count] = take(&mut r, "target count")?;
-        if count > n {
-            return Err(io::bad("implausible target count"));
+        if count != core.states.len() {
+            return Err(io::bad("checkpoint target list disagrees with the config"));
         }
-        let (mut states, mut data) = (Vec::with_capacity(count), Vec::with_capacity(count));
-        for _ in 0..count {
-            // The embedded dataset's own checks bound `target` below `n`.
+        for (state, store) in core.states.iter_mut().zip(&mut data) {
             let [target] = take(&mut r, "target index")?;
-            let mut state = TargetState { target, ..Default::default() };
+            if target != state.target {
+                return Err(io::bad("checkpoint target order disagrees with the config"));
+            }
             state.read_tracker(&mut r)?;
             let ds = io::read_dataset(&mut r)?;
             if ds.n() != n || ds.targets() != [target] {
                 return Err(io::bad("embedded dataset does not match its target"));
             }
             state.traces = ds.traces();
-            states.push(state);
-            let mut store = TraceStore::new(n, target);
             store.push(&ds.target_block(target)?);
-            data.push(store);
         }
-        let core = Core { cfg, n, states, traces_requested, stats };
+        core.traces_requested = traces_requested;
         core.check_traces(traces_requested)?;
 
         // Only rewind the live streams once the whole checkpoint parsed.
@@ -963,6 +962,52 @@ mod tests {
         let a = c.run(&mut dev, &mut msgs).unwrap();
         let b = resumed.run(&mut dev2, &mut msgs2).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn checkpoint_targets_must_match_the_config() {
+        let cfg = |targets: Vec<usize>| CampaignConfig {
+            batch_size: 20,
+            max_traces: 40,
+            targets,
+            ..Default::default()
+        };
+        let seed = b"ckpt targets";
+        let (mut dev, _) = bench(1.0, FaultModel::default(), seed);
+        let mut msgs = Prng::from_seed(b"ckpt targets msgs");
+        let mut c = Campaign::new(8, cfg(vec![0, 5])).unwrap();
+        c.step(&mut dev, &mut msgs).unwrap();
+        let mut buf = Vec::new();
+        c.write_checkpoint(&dev, &msgs, &mut buf).unwrap();
+        let resume = |targets: Vec<usize>, bytes: &[u8]| {
+            let (mut d, _) = bench(1.0, FaultModel::default(), seed);
+            Campaign::resume(cfg(targets), &mut d, &mut Prng::from_seed(b"x"), bytes)
+        };
+        assert!(resume(vec![0, 5], &buf).is_ok());
+        // Another target list, or the same targets in another order.
+        for targets in [vec![1, 2, 3], vec![5, 0], vec![0], vec![]] {
+            let r = resume(targets.clone(), &buf);
+            assert!(matches!(r, Err(Error::InvalidData(_))), "{targets:?} must be rejected");
+        }
+        // A spliced checkpoint that lists target 0 twice.
+        let mut entry = Vec::new();
+        put(&mut entry, &[0]).unwrap();
+        c.core.states[0].write_tracker(&mut entry).unwrap();
+        io::write_dataset(&c.data[0], &mut entry).unwrap();
+        let mut rest = Vec::new();
+        put(&mut rest, &[5]).unwrap();
+        c.core.states[1].write_tracker(&mut rest).unwrap();
+        io::write_dataset(&c.data[1], &mut rest).unwrap();
+        let head = &buf[..buf.len() - entry.len() - rest.len()];
+        assert_eq!([head, &entry, &rest].concat(), buf);
+        let spliced = [head, &entry, &entry].concat();
+        for targets in [vec![0, 5], vec![0]] {
+            let r = resume(targets.clone(), &spliced);
+            assert!(
+                matches!(r, Err(Error::InvalidData(_))),
+                "{targets:?}: splice must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -2,24 +2,24 @@
 //!
 //! The paper's distinguisher is the Pearson correlation between
 //! Hamming-weight hypotheses and trace samples (its Equation 1). This
-//! module has four estimators, each with its own job:
+//! module has three estimators, each with its own job:
 //!
 //! * [`PearsonSums`], the attack's one-pass tile accumulator, with
 //!   [`SampleSums`] replaying the candidate-independent sample side and
 //!   [`push_product_column`] fusing the extend step's partial-product
-//!   hypotheses into the tile;
+//!   hypotheses into the tile; the Figure 4 (a–d) correlation-versus-time
+//!   panels are drawn with it too;
 //! * [`pearson`], the offset-robust two-pass estimator for raw or
 //!   imported captures;
 //! * [`pearson_evolution`], prefix series for
-//!   correlation-versus-trace-count plots;
-//! * [`CorrMatrix`], a guesses×samples accumulation matrix for
-//!   correlation-versus-time plots.
+//!   correlation-versus-trace-count plots.
 //!
 //! The inner tiles of [`PearsonSums::push_column`] and
-//! [`push_product_column`] dispatch to the [`simd`] submodule:
-//! runtime-detected AVX2 (and NEON for the plain tile) kernels that
-//! reproduce the scalar four-lane reference bit-for-bit, selected once
-//! per process via `FALCON_DEMA_SIMD` / [`simd::set_kernel`].
+//! [`push_product_column`] dispatch to the [`simd`] submodule, whose
+//! runtime-detected kernels reproduce the scalar four-lane reference
+//! bit-for-bit: AVX-512 for the fused extend tile, AVX2 for both tiles,
+//! and NEON for the plain tile. The kernel is selected once per process
+//! via `FALCON_DEMA_SIMD` / [`simd::set_kernel`].
 
 // The simd module holds the workspace's only unsafe code (std::arch
 // intrinsics), audited by falcon-ct: module allowlisted, every block
@@ -354,129 +354,6 @@ pub fn pearson_evolution(hyps: &[f64], samples: &[f32]) -> Vec<f64> {
     out
 }
 
-/// Streaming guesses×samples correlation matrix (Welford centered
-/// accumulation), for correlation-versus-time plots over a window of the
-/// trace.
-///
-/// The accumulators hold running means and *centered* second moments —
-/// not raw power sums — so a large common offset on the samples (DC
-/// baseline, un-zeroed probe) costs no precision: the one-pass
-/// `d·Σht − Σh·Σt` expansion loses the entire covariance to cancellation
-/// in that regime.
-#[derive(Debug, Clone)]
-pub struct CorrMatrix {
-    guesses: usize,
-    samples: usize,
-    d: u64,
-    /// Running hypothesis mean, per guess.
-    mean_h: Vec<f64>,
-    /// Centered second moment `Σ(h − h̄)²`, per guess.
-    m2_h: Vec<f64>,
-    /// Running sample mean, per time point.
-    mean_t: Vec<f64>,
-    /// Centered second moment `Σ(t − t̄)²`, per time point.
-    m2_t: Vec<f64>,
-    /// Centered cross moment `Σ(h − h̄)(t − t̄)`, guess-major.
-    cross: Vec<f64>,
-    /// Per-update scratch: this trace's `t − t̄_new`, per time point
-    /// (kept in the struct so `update` never allocates).
-    dt_scratch: Vec<f64>,
-}
-
-impl CorrMatrix {
-    /// Creates an empty accumulator for `guesses` hypotheses over
-    /// `samples` time points.
-    pub fn new(guesses: usize, samples: usize) -> CorrMatrix {
-        CorrMatrix {
-            guesses,
-            samples,
-            d: 0,
-            mean_h: vec![0.0; guesses],
-            m2_h: vec![0.0; guesses],
-            mean_t: vec![0.0; samples],
-            m2_t: vec![0.0; samples],
-            cross: vec![0.0; guesses * samples],
-            dt_scratch: vec![0.0; samples],
-        }
-    }
-
-    /// Number of traces absorbed so far.
-    pub fn traces(&self) -> u64 {
-        self.d
-    }
-
-    /// Absorbs one trace: `hyps[g]` is each guess's predicted leakage,
-    /// `window` the measured samples.
-    pub fn update(&mut self, hyps: &[f64], window: &[f32]) {
-        assert_eq!(hyps.len(), self.guesses);
-        assert_eq!(window.len(), self.samples);
-        self.d += 1;
-        let d = self.d as f64;
-        // Sample side first: the cross update needs every `t − t̄_new`.
-        for (s, &t) in window.iter().enumerate() {
-            let t = t as f64;
-            let dt = t - self.mean_t[s];
-            self.mean_t[s] += dt / d;
-            let dt_new = t - self.mean_t[s];
-            self.m2_t[s] += dt * dt_new;
-            self.dt_scratch[s] = dt_new;
-        }
-        for (g, &h) in hyps.iter().enumerate() {
-            let dh = h - self.mean_h[g];
-            self.mean_h[g] += dh / d;
-            self.m2_h[g] += dh * (h - self.mean_h[g]);
-            let row = &mut self.cross[g * self.samples..(g + 1) * self.samples];
-            for (r, &dt_new) in row.iter_mut().zip(&self.dt_scratch) {
-                *r += dh * dt_new;
-            }
-        }
-    }
-
-    /// The correlation of guess `g` at sample `s`.
-    pub fn corr(&self, g: usize, s: usize) -> f64 {
-        if self.d < 2 {
-            return 0.0;
-        }
-        let num = self.cross[g * self.samples + s];
-        let den = (self.m2_h[g] * self.m2_t[s]).sqrt();
-        if den <= 0.0 {
-            0.0
-        } else {
-            num / den
-        }
-    }
-
-    /// The full correlation trace (all samples) for guess `g`.
-    pub fn corr_row(&self, g: usize) -> Vec<f64> {
-        (0..self.samples).map(|s| self.corr(g, s)).collect()
-    }
-
-    /// `(sample, |corr|)` of the leakiest time point for guess `g`.
-    pub fn peak(&self, g: usize) -> (usize, f64) {
-        let mut best = (0usize, 0f64);
-        for s in 0..self.samples {
-            let c = self.corr(g, s).abs();
-            if c > best.1 {
-                best = (s, c);
-            }
-        }
-        best
-    }
-
-    /// Guesses ranked by descending peak absolute correlation:
-    /// `(guess index, best sample, correlation at that sample)`.
-    pub fn ranking(&self) -> Vec<(usize, usize, f64)> {
-        let mut v: Vec<(usize, usize, f64)> = (0..self.guesses)
-            .map(|g| {
-                let (s, _) = self.peak(g);
-                (g, s, self.corr(g, s))
-            })
-            .collect();
-        v.sort_by(|a, b| b.2.abs().partial_cmp(&a.2.abs()).unwrap_or(core::cmp::Ordering::Equal));
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,26 +406,6 @@ mod tests {
         let evo = pearson_evolution(&h, &t);
         assert_eq!(evo.len(), 400);
         assert!((evo.last().unwrap() - pearson(&h, &t)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn matrix_matches_direct_pearson() {
-        let traces: Vec<Vec<f32>> =
-            (0..50).map(|d| (0..4).map(|s| ((d * 7 + s * 13) % 23) as f32).collect()).collect();
-        let hyps: Vec<Vec<f64>> =
-            (0..50).map(|d| (0..3).map(|g| ((d * (g + 2) + 1) % 19) as f64).collect()).collect();
-        let mut m = CorrMatrix::new(3, 4);
-        for (h, t) in hyps.iter().zip(&traces) {
-            m.update(h, t);
-        }
-        for g in 0..3 {
-            for s in 0..4 {
-                let hv: Vec<f64> = hyps.iter().map(|h| h[g]).collect();
-                let tv: Vec<f32> = traces.iter().map(|t| t[s]).collect();
-                assert!((m.corr(g, s) - pearson(&hv, &tv)).abs() < 1e-10, "g={g} s={s}");
-            }
-        }
-        assert_eq!(m.traces(), 50);
     }
 
     /// The one-pass power-sum expansion this module used before the
@@ -608,17 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_is_offset_robust() {
-        let (h, t, t0) = offset_data();
-        let reference = pearson(&h, &t0);
-        let mut m = CorrMatrix::new(1, 1);
-        for (&hv, &tv) in h.iter().zip(&t) {
-            m.update(&[hv], &[tv]);
-        }
-        assert!((m.corr(0, 0) - reference).abs() < 1e-12, "got {}", m.corr(0, 0));
-    }
-
-    #[test]
     fn pearson_sums_matches_reference_estimator() {
         let h: Vec<f64> = (0..257).map(|i| ((i * 31) % 17) as f64).collect();
         let t: Vec<f32> = (0..257).map(|i| ((i * 13 + 5) % 23) as f32).collect();
@@ -670,18 +516,5 @@ mod tests {
             let rb = reused.components().map(f64::to_bits);
             assert_eq!(db, rb, "len={len}");
         }
-    }
-
-    #[test]
-    fn ranking_orders_by_peak() {
-        let mut m = CorrMatrix::new(2, 1);
-        for d in 0..100 {
-            let x = (d % 10) as f64;
-            // guess 0 correlates strongly, guess 1 weakly.
-            m.update(&[x, (d % 3) as f64], &[(x * 2.0) as f32]);
-        }
-        let r = m.ranking();
-        assert_eq!(r[0].0, 0);
-        assert!(r[0].2.abs() > r[1].2.abs());
     }
 }

@@ -74,8 +74,8 @@ pub mod template;
 pub use acquire::Dataset;
 pub use attack::recover_sign_exponent;
 pub use attack::{
-    monolithic_correlations, recover_coefficient, recover_mantissa_half_monolithic, AttackConfig,
-    CoefficientResult, ComponentResult,
+    recover_coefficient, recover_mantissa_half_monolithic, AttackConfig, CoefficientResult,
+    ComponentResult,
 };
 pub use campaign::{Campaign, CampaignConfig, CampaignReport, CoefficientStatus, OfflineCampaign};
 pub use error::{Error, Result};

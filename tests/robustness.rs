@@ -5,7 +5,8 @@
 //! scope window and injects glitch bursts, and check that
 //!
 //! * the screened campaign still recovers the complete private key and
-//!   forges signatures, within the trace budget;
+//!   forges signatures, within the trace budget, and its no-op
+//!   instrumentation costs under 1 % of the attack stage;
 //! * the unscreened baseline does *not* recover the key at the same
 //!   budget — and fails gracefully with a typed (partial or wrong)
 //!   report instead of panicking;
@@ -15,11 +16,14 @@
 //!   errors at every cut point;
 //! * everything is deterministic from the seeds.
 
+use falcon_down::dema::obs;
 use falcon_down::dema::recover::key_from_fft_bits;
 use falcon_down::dema::{Campaign, CampaignConfig, Dataset, ScreenConfig};
 use falcon_down::emsim::{Device, FaultModel, LeakageModel, MeasurementChain, Scope};
 use falcon_down::sig::rng::Prng;
 use falcon_down::sig::{KeyPair, LogN, VerifyingKey};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// The ISSUE's reference fault regime: 5 % dropout, ±2-sample jitter on
 /// a fifth of the captures, 1 % glitch bursts.
@@ -59,13 +63,46 @@ fn campaign_cfg(screened: bool) -> CampaignConfig {
     }
 }
 
+/// The disabled-sink cost of one observability primitive (counter add,
+/// histogram record, event-emit check) in nanoseconds. Measured once per
+/// process; a concurrent caller waits, so no campaign's measured window
+/// contains the calibration loop's own ops.
+fn noop_ns_per_op() -> f64 {
+    static NS_PER_OP: OnceLock<f64> = OnceLock::new();
+    *NS_PER_OP.get_or_init(|| {
+        assert!(!obs::sink_enabled(), "calibration requires the no-op sink");
+        let c = obs::counter("test.calibration");
+        let h = obs::metrics().histogram("test.calibration_hist", obs::duration_bounds());
+        const ITERS: u64 = 200_000;
+        let t0 = Instant::now();
+        for _ in 0..ITERS {
+            c.incr();
+            h.record(1e-5);
+            obs::emit(|| obs::Event::new("test.never"));
+        }
+        t0.elapsed().as_secs_f64() * 1e9 / (3 * ITERS) as f64
+    })
+}
+
 /// Screened campaign on a faulty bench: full key recovery and forgery.
 fn screened_recovery(logn: u32) {
     let n = LogN::new(logn).unwrap().n();
     let (mut device, vk, truth) = faulty_bench(logn, b"screened recovery key");
     let mut msgs = Prng::from_seed(b"screened recovery msgs");
     let mut campaign = Campaign::new(n, campaign_cfg(true)).unwrap();
+    let ns_per_op = noop_ns_per_op();
+    let (before, ops_before) = (obs::metrics().snapshot(), obs::ops());
     let report = campaign.run(&mut device, &mut msgs).unwrap();
+    let ops = obs::ops() - ops_before;
+    let attack = obs::metrics().snapshot().histogram_sum_delta(&before, "span.campaign.evaluate");
+    // An upper bound: every op of the run (and of any test running
+    // alongside) priced at the no-op cost and charged to the attack
+    // stage alone. The no-op sink must be invisible on the hot loop.
+    let overhead_pct = 100.0 * ops as f64 * ns_per_op * 1e-9 / attack;
+    assert!(
+        overhead_pct < 1.0,
+        "instrumentation bound {overhead_pct:.4}% ({ops} ops at {ns_per_op:.1} ns over {attack:.3} s)"
+    );
     assert!(report.is_complete(), "screened campaign must converge: {report:?}");
     let bits = report.recovered_bits().expect("complete campaign yields all bits");
     assert_eq!(bits, truth, "recovered FFT(f) must match ground truth");
