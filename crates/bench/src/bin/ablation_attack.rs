@@ -6,7 +6,7 @@
 //!     [logn=5] [noise=4.0] [traces=1500] [coeffs=8]
 //! ```
 
-use falcon_bench::report::{arg_or, print_table};
+use falcon_bench::report::{arg_or, print_table, reject_unread_args};
 use falcon_dema::attack::{recover_coefficient, AttackConfig};
 use falcon_dema::Dataset;
 use falcon_emsim::{Device, LeakageModel, MeasurementChain, Scope};
@@ -19,6 +19,7 @@ fn main() {
     let noise: f64 = arg_or("noise", 4.0);
     let traces: usize = arg_or("traces", 1500);
     let coeffs: usize = arg_or("coeffs", 8);
+    reject_unread_args();
     let params = LogN::new(logn).expect("logn in 1..=10");
     let n = params.n();
 

@@ -7,7 +7,7 @@
 //!     [logn=6] [traces=6000] [coeff=1]
 //! ```
 
-use falcon_bench::report::{arg_or, print_table};
+use falcon_bench::report::{arg_or, print_table, reject_unread_args};
 use falcon_dema::confidence::traces_to_disclosure;
 use falcon_dema::cpa::pearson_evolution;
 use falcon_dema::model::{hyp_add_lo, hyp_sign, KnownOperand};
@@ -27,6 +27,7 @@ fn main() {
     let logn: u32 = arg_or("logn", 6);
     let traces: usize = arg_or("traces", 6000);
     let coeff: usize = arg_or("coeff", 1);
+    reject_unread_args();
     let params = LogN::new(logn).expect("logn in 1..=10");
 
     let mut rng = Prng::from_seed(b"ablation chain key");

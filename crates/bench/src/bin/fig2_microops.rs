@@ -7,18 +7,17 @@
 //! cargo run --release -p falcon-bench --bin fig2_microops [x=<hex>] [y=<hex>]
 //! ```
 
-use falcon_bench::report::print_table;
+use falcon_bench::report::{arg_or, print_table, reject_unread_args};
 use falcon_fpr::{Fpr, MulStep, RecordingObserver};
 
+/// Reads `key` as a hex word (an optional `0x` prefix), exiting with
+/// status 2 on a value that is not one.
 fn parse_hex(key: &str, default: u64) -> u64 {
-    for a in std::env::args().skip(1) {
-        if let Some(v) = a.strip_prefix(&format!("{key}=")) {
-            if let Ok(p) = u64::from_str_radix(v.trim_start_matches("0x"), 16) {
-                return p;
-            }
-        }
-    }
-    default
+    let v: String = arg_or(key, format!("{default:x}"));
+    u64::from_str_radix(v.trim_start_matches("0x"), 16).unwrap_or_else(|_| {
+        eprintln!("invalid value for `{key}`: {v:?}");
+        std::process::exit(2)
+    })
 }
 
 fn main() {
@@ -26,6 +25,7 @@ fn main() {
     // hashed-message coefficient.
     let x = parse_hex("x", 0xC060_17BC_8036_B580);
     let y = parse_hex("y", 0x40B3_9D2A_4C01_7E55);
+    reject_unread_args();
     let fx = Fpr::from_bits(x);
     let fy = Fpr::from_bits(y);
     println!("x = {x:#018x} ({})", fx.to_f64());

@@ -7,7 +7,7 @@
 //!     [logn=9] [noise=8.6] [coeff=0]
 //! ```
 
-use falcon_bench::report::{arg_or, print_csv, sparkline};
+use falcon_bench::report::{arg_or, print_csv, reject_unread_args, sparkline};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
 use falcon_emsim::StepKind;
 
@@ -15,6 +15,7 @@ fn main() {
     let logn: u32 = arg_or("logn", 9);
     let noise: f64 = arg_or("noise", PAPER_NOISE_SIGMA);
     let coeff: usize = arg_or("coeff", 0);
+    reject_unread_args();
 
     let (mut device, _vk, _truth) = victim(logn, noise, "fig3 victim");
     let cap = device.capture(b"figure 3 acquisition");

@@ -8,7 +8,7 @@
 //!     [logn=9] [noise=8.6] [traces=10000] [coeff=0]
 //! ```
 
-use falcon_bench::report::{arg_or, print_csv, print_table};
+use falcon_bench::report::{arg_or, print_csv, print_table, reject_unread_args};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
 use falcon_dema::confidence::{threshold_9999, traces_to_disclosure};
 use falcon_dema::cpa::pearson_evolution;
@@ -24,6 +24,7 @@ fn main() {
     let noise: f64 = arg_or("noise", PAPER_NOISE_SIGMA);
     let traces: usize = arg_or("traces", 10_000);
     let coeff: usize = arg_or("coeff", 0);
+    reject_unread_args();
 
     println!(
         "FALCON-{}, noise sigma = {noise}, up to {traces} traces, coefficient {coeff}",

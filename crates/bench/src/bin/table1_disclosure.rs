@@ -10,7 +10,7 @@
 //!     [logn=9] [noise=8.6] [traces=12000] [keys=2] [coeffs=4]
 //! ```
 
-use falcon_bench::report::{arg_or, print_table};
+use falcon_bench::report::{arg_or, print_table, reject_unread_args};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
 use falcon_dema::confidence::traces_to_disclosure;
 use falcon_dema::cpa::pearson_evolution;
@@ -27,6 +27,7 @@ fn main() {
     let traces: usize = arg_or("traces", 12_000);
     let keys: usize = arg_or("keys", 2);
     let coeffs: usize = arg_or("coeffs", 4);
+    reject_unread_args();
     let n = 1usize << logn;
 
     println!(

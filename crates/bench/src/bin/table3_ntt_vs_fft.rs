@@ -15,7 +15,7 @@
 //!     [logn=6] [noise=8.6] [traces=10000] [coeffs=3]
 //! ```
 
-use falcon_bench::report::{arg_or, print_table};
+use falcon_bench::report::{arg_or, print_table, reject_unread_args};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
 use falcon_dema::confidence::traces_to_disclosure;
 use falcon_dema::cpa::pearson_evolution;
@@ -33,6 +33,7 @@ fn main() {
     let noise: f64 = arg_or("noise", PAPER_NOISE_SIGMA);
     let traces: usize = arg_or("traces", 10_000);
     let coeffs: usize = arg_or("coeffs", 3);
+    reject_unread_args();
     let n = 1usize << logn;
 
     println!("FALCON-{n}, identical leakage model (HW + N(0,{noise})) on both implementations");

@@ -7,7 +7,7 @@
 //!     [logn=5] [noise=2.0] [traces=2000]
 //! ```
 
-use falcon_bench::report::{arg_or, print_table};
+use falcon_bench::report::{arg_or, print_table, reject_unread_args};
 use falcon_dema::attack::AttackConfig;
 use falcon_dema::countermeasure::evaluate_device;
 use falcon_emsim::{CountermeasureConfig, Device, LeakageModel, MeasurementChain, Scope};
@@ -19,6 +19,7 @@ fn main() {
     let logn: u32 = arg_or("logn", 5);
     let base_noise: f64 = arg_or("noise", 2.0);
     let traces: usize = arg_or("traces", 2000);
+    reject_unread_args();
     let params = LogN::new(logn).expect("logn in 1..=10");
     let target = 1usize;
 

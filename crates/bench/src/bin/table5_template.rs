@@ -12,7 +12,7 @@
 //!     [logn=6] [noise=8.6] [traces=10000] [profile=400] [coeffs=4]
 //! ```
 
-use falcon_bench::report::{arg_or, print_table};
+use falcon_bench::report::{arg_or, print_table, reject_unread_args};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
 use falcon_dema::confidence::traces_to_disclosure;
 use falcon_dema::cpa::pearson_evolution;
@@ -29,6 +29,7 @@ fn main() {
     let traces: usize = arg_or("traces", 10_000);
     let profile: usize = arg_or("profile", 400);
     let coeffs: usize = arg_or("coeffs", 4);
+    reject_unread_args();
     let n = 1usize << logn;
 
     println!(

@@ -12,7 +12,7 @@
 //!     [logn=4] [noise=2.0] [budget=4000] [batch=100]
 //! ```
 
-use falcon_bench::report::{arg_or, print_table};
+use falcon_bench::report::{arg_or, print_table, reject_unread_args};
 use falcon_dema::{Campaign, CampaignConfig, ScreenConfig};
 use falcon_emsim::{Device, FaultModel, LeakageModel, MeasurementChain, Scope};
 use falcon_sig::rng::Prng;
@@ -43,6 +43,7 @@ fn main() {
     let noise: f64 = arg_or("noise", 2.0);
     let budget: usize = arg_or("budget", 4000);
     let batch: usize = arg_or("batch", 100);
+    reject_unread_args();
     let params = LogN::new(logn).expect("logn in 1..=10");
     let n = params.n();
 

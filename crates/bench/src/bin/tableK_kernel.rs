@@ -35,7 +35,7 @@
 //! ```
 
 use falcon_bench::json::Json;
-use falcon_bench::report::{arg_or, git_rev, host, print_table};
+use falcon_bench::report::{arg_or, git_rev, host, print_table, reject_unread_args};
 use falcon_bench::setup::victim;
 use falcon_dema::acquire::Dataset;
 use falcon_dema::cpa::simd::{self, KernelChoice, GUESS_BLOCK};
@@ -170,6 +170,7 @@ fn main() {
     let noise: f64 = arg_or("noise", 1.0);
     let width: u32 = arg_or("width", 14);
     let full: u64 = arg_or("full", 0);
+    reject_unread_args();
 
     let simd_host = simd::simd_available();
     simd::set_kernel(Some(KernelChoice::Auto));

@@ -12,7 +12,7 @@
 //! ```
 
 use falcon_bench::json::Json;
-use falcon_bench::report::{arg_or, git_rev, host, print_table};
+use falcon_bench::report::{arg_or, git_rev, host, print_table, reject_unread_args};
 use falcon_dema::orch::{
     seed_from_name, Backoff, FaultInjector, JobRuntime, JobSpec, JobState, JobStore, Supervisor,
     SupervisorConfig,
@@ -78,6 +78,7 @@ fn main() {
     let logn: u32 = arg_or("logn", 3);
     let noise: f64 = arg_or("noise", 1.0);
     let out: String = arg_or("out", "BENCH_orch.json".to_string());
+    reject_unread_args();
     let spec = base_spec(logn, noise);
     let n = 1u64 << logn;
     println!(

@@ -15,7 +15,7 @@
 //! ```
 
 use falcon_bench::json::Json;
-use falcon_bench::report::{arg_or, git_rev, host, print_table};
+use falcon_bench::report::{arg_or, git_rev, host, print_table, reject_unread_args};
 use falcon_bench::setup::victim;
 use falcon_dema::acquire::Dataset;
 use falcon_dema::attack::{recover_coefficient_block, AttackConfig};
@@ -46,6 +46,7 @@ fn main() {
     let traces: usize = arg_or("traces", 600);
     let noise: f64 = arg_or("noise", 1.0);
     let out: String = arg_or("out", "BENCH_stream.json".to_string());
+    reject_unread_args();
 
     let n = 1usize << logn;
     let targets: Vec<usize> = (0..n).collect();

@@ -1,5 +1,7 @@
 //! Plain-text reporting helpers shared by the figure/table regenerators.
 
+use std::sync::{Mutex, PoisonError};
+
 /// Prints an aligned table: a header row then data rows.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
@@ -48,14 +50,30 @@ pub fn sparkline(series: &[f64]) -> String {
         .collect()
 }
 
+/// Keys read through [`arg_or`], for [`reject_unread_args`].
+static READ_KEYS: Mutex<Vec<String>> = Mutex::new(Vec::new());
+
 /// Tiny `key=value` CLI parser: returns the value for `key` or the
 /// default. Exits with a message naming the key and the value when the
 /// value does not parse.
 pub fn arg_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    arg_from(std::env::args().skip(1), key, default).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2)
-    })
+    READ_KEYS.lock().unwrap_or_else(PoisonError::into_inner).push(key.to_string());
+    arg_from(std::env::args().skip(1), key, default).unwrap_or_else(|msg| exit_usage(&msg))
+}
+
+/// Exits with status 2 and a message naming the key when an argument's
+/// key was read by no [`arg_or`] call, so a misspelt key cannot
+/// silently run the default. Call it after the bin's last `arg_or`.
+pub fn reject_unread_args() {
+    let read = READ_KEYS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(key) = unread_key(std::env::args().skip(1), &read) {
+        exit_usage(&format!("unknown argument `{key}` (this bin reads: {})", read.join(", ")));
+    }
+}
+
+fn exit_usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
 }
 
 /// [`arg_or`] over an explicit argument list: the first `key=` argument
@@ -70,6 +88,14 @@ fn arg_from<T: std::str::FromStr>(
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("invalid value for `{key}`: {v:?}")),
     }
+}
+
+/// The key of the first argument that is not in `read` (a bare word
+/// is its own key).
+fn unread_key(args: impl IntoIterator<Item = String>, read: &[String]) -> Option<String> {
+    args.into_iter()
+        .map(|a| a.split_once('=').map_or(a.clone(), |(k, _)| k.to_string()))
+        .find(|k| !read.contains(k))
 }
 
 /// The commit checked out at the workspace root, read from `.git`;
@@ -134,5 +160,15 @@ mod tests {
         assert_eq!(arg_from(args(&["logn=3"]), "traces", 10_000usize), Ok(10_000));
         let err = arg_from(args(&["traces=4OO"]), "traces", 10_000usize).unwrap_err();
         assert!(err.contains("traces") && err.contains("4OO"), "{err}");
+    }
+
+    #[test]
+    fn unread_key_is_named() {
+        let args = |list: &[&str]| list.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let read = args(&["logn", "noise", "traces", "width"]);
+        assert_eq!(unread_key(args(&["logn=3", "traces=400", "width=8"]), &read), None);
+        let typo = args(&["logn=3", "noise=1.0", "trace=400", "width=8"]);
+        assert_eq!(unread_key(typo, &read).as_deref(), Some("trace"));
+        assert_eq!(unread_key(args(&["--help"]), &read).as_deref(), Some("--help"));
     }
 }

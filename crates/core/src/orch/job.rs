@@ -3,25 +3,37 @@
 //! A *job* is one checkpointable acquisition campaign against a seeded
 //! simulated victim, plus the supervision policy that keeps it alive:
 //! retry budget, per-step and per-job deadlines, backoff parameters,
-//! and (for torture tests) deterministic fault injection. Both the
-//! [`JobSpec`] and the evolving [`JobStatus`] serialise in the same
-//! versioned little-endian binary style as datasets and campaign
-//! checkpoints, and are persisted through the atomic
-//! [`JobStore`](crate::orch::JobStore) so a SIGKILL at any instant
-//! leaves a recoverable job directory.
+//! and (for torture tests) deterministic fault injection.
+//!
+//! [`JobSpec`] and the evolving [`JobStatus`] have one codec each: a
+//! flat JSON line, the subset [`Event::to_json`] renders and
+//! [`parse_jsonl`] parses, with list fields as comma-separated strings.
+//! The atomic [`JobStore`](crate::orch::JobStore) persists that line, so
+//! a SIGKILL at any instant leaves a recoverable job directory, and the
+//! control plane's RPC carries the same fields inside its envelope.
+//! Every bound is checked on decode: the spec's by [`JobSpec::validate`],
+//! which submission applies too, so a spec that is accepted reads back.
 
 use crate::error::{Error, Result};
-use crate::io;
+use crate::obs::{parse_jsonl, Event, Value};
 use falcon_emsim::{Device, LeakageModel, MeasurementChain, Scope};
 use falcon_sig::rng::Prng;
 use falcon_sig::{KeyPair, LogN, VerifyingKey};
-use std::io::{Read, Write};
-
-const SPEC_HEAD: &[u8; 8] = b"FDNJSPC\x03";
-const STATE_HEAD: &[u8; 8] = b"FDNJSTA\x01";
 
 /// Longest accepted job name; names key the on-disk files.
 pub const MAX_NAME_LEN: usize = 64;
+/// Longest accepted victim seed, in bytes.
+const MAX_SEED_LEN: usize = 1024;
+/// Longest accepted dataset path, in bytes.
+const MAX_DATASET_LEN: usize = 4096;
+/// Longest `last_error` a status record holds, in bytes.
+const MAX_ERROR_LEN: usize = 4096;
+/// Most entries a list field holds.
+const MAX_LIST_LEN: usize = 1 << 20;
+/// Largest ring degree a status record describes.
+const MAX_N: u64 = 1 << 10;
+/// Most bytes read from one record file (two full lists fit).
+pub(crate) const MAX_RECORD_BYTES: u64 = 1 << 26;
 
 /// The full description of one orchestrated attack job.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,7 +137,88 @@ impl JobSpec {
         if !self.noise_sigma.is_finite() || self.noise_sigma < 0.0 {
             return Err(Error::Orchestration("noise sigma must be finite and non-negative".into()));
         }
+        for (what, len, max) in [
+            ("victim seed", self.seed.len(), MAX_SEED_LEN),
+            ("dataset path", self.dataset.len(), MAX_DATASET_LEN),
+            ("panic-step list", self.panic_steps.len(), MAX_LIST_LEN),
+            ("stall-step list", self.stall_steps.len(), MAX_LIST_LEN),
+        ] {
+            if len > max {
+                return Err(Error::Orchestration(format!("{what} longer than {max}")));
+            }
+        }
         Ok(())
+    }
+
+    /// Appends the spec's fields to `e`, the job name under `"job"`.
+    pub fn with_fields(&self, e: Event) -> Event {
+        e.with_str("job", self.name.clone())
+            .with_u64("logn", u64::from(self.logn))
+            .with_f64("noise_sigma", self.noise_sigma)
+            .with_str("seed", self.seed.clone())
+            .with_u64("batch_size", self.batch_size as u64)
+            .with_u64("max_traces", self.max_traces as u64)
+            .with_u64("steps_per_slice", u64::from(self.steps_per_slice))
+            .with_u64("max_retries", u64::from(self.max_retries))
+            .with_u64("step_deadline_ms", self.step_deadline_ms)
+            .with_u64("job_deadline_ms", self.job_deadline_ms)
+            .with_u64("backoff_base_ms", self.backoff_base_ms)
+            .with_u64("backoff_cap_ms", self.backoff_cap_ms)
+            .with_str("panic_steps", csv(&self.panic_steps))
+            .with_str("stall_steps", csv(&self.stall_steps))
+            .with_u64("stall_ms", self.stall_ms)
+            .with_str("dataset", self.dataset.clone())
+    }
+
+    /// Rebuilds a spec from a parsed line. `job` and `seed` are
+    /// required, an absent field keeps its [`JobSpec::default`] value,
+    /// and keys the spec does not own (an RPC envelope) are ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Orchestration`] on a missing required field, a
+    /// field of the wrong type or range, or an invalid resulting spec.
+    pub fn from_fields(fields: &[(String, Value)]) -> Result<JobSpec> {
+        let (f, d) = (Fields(fields), JobSpec::default());
+        let spec = JobSpec {
+            name: f.text("job", true)?,
+            logn: f.num("logn", d.logn)?,
+            noise_sigma: match f.get("noise_sigma") {
+                None => d.noise_sigma,
+                Some(Value::F64(v)) => *v,
+                Some(Value::U64(v)) => *v as f64,
+                Some(_) => return Err(bad_field("noise_sigma")),
+            },
+            seed: f.text("seed", true)?,
+            batch_size: f.num("batch_size", d.batch_size)?,
+            max_traces: f.num("max_traces", d.max_traces)?,
+            steps_per_slice: f.num("steps_per_slice", d.steps_per_slice)?,
+            max_retries: f.num("max_retries", d.max_retries)?,
+            step_deadline_ms: f.num("step_deadline_ms", d.step_deadline_ms)?,
+            job_deadline_ms: f.num("job_deadline_ms", d.job_deadline_ms)?,
+            backoff_base_ms: f.num("backoff_base_ms", d.backoff_base_ms)?,
+            backoff_cap_ms: f.num("backoff_cap_ms", d.backoff_cap_ms)?,
+            panic_steps: parse_csv(&f.text("panic_steps", false)?)?,
+            stall_steps: parse_csv(&f.text("stall_steps", false)?)?,
+            stall_ms: f.num("stall_ms", d.stall_ms)?,
+            dataset: f.text("dataset", false)?,
+        };
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// The spec's record line.
+    pub fn to_line(&self) -> String {
+        self.with_fields(Event::new("spec")).to_json()
+    }
+
+    /// Decodes a line written by [`JobSpec::to_line`].
+    ///
+    /// # Errors
+    ///
+    /// As [`JobSpec::from_fields`], and on a malformed line.
+    pub fn from_line(line: &str) -> Result<JobSpec> {
+        JobSpec::from_fields(&parse_line(line)?)
     }
 
     /// Whether this job streams an archived dataset instead of driving
@@ -173,85 +266,6 @@ impl JobSpec {
         let msgs = Prng::from_seed(format!("{}/msgs", self.seed).as_bytes());
         Ok(Victim { device, msgs, vk, truth })
     }
-
-    /// Serialises the spec.
-    ///
-    /// # Errors
-    ///
-    /// Propagates writer errors.
-    pub fn write<W: Write>(&self, mut w: W) -> Result<()> {
-        w.write_all(SPEC_HEAD)?;
-        write_str(&mut w, &self.name)?;
-        w.write_all(&u64::from(self.logn).to_le_bytes())?;
-        w.write_all(&self.noise_sigma.to_le_bytes())?;
-        write_str(&mut w, &self.seed)?;
-        for v in [
-            self.batch_size as u64,
-            self.max_traces as u64,
-            u64::from(self.steps_per_slice),
-            u64::from(self.max_retries),
-            self.step_deadline_ms,
-            self.job_deadline_ms,
-            self.backoff_base_ms,
-            self.backoff_cap_ms,
-        ] {
-            w.write_all(&v.to_le_bytes())?;
-        }
-        write_u64_list(&mut w, &self.panic_steps)?;
-        write_u64_list(&mut w, &self.stall_steps)?;
-        w.write_all(&self.stall_ms.to_le_bytes())?;
-        write_str(&mut w, &self.dataset)?;
-        Ok(())
-    }
-
-    /// Deserialises a spec written by [`JobSpec::write`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidData`] / [`Error::UnsupportedVersion`] on
-    /// malformed input, [`Error::Io`] on truncation.
-    pub fn read<R: Read>(mut r: R) -> Result<JobSpec> {
-        io::read_head(&mut r, SPEC_HEAD, "job spec")?;
-        let name = read_str(&mut r, MAX_NAME_LEN, "job name")?;
-        let logn = u32::try_from(io::read_u64(&mut r)?)
-            .map_err(|_| io::bad("implausible ring-degree exponent"))?;
-        let noise_sigma = f64::from_bits(io::read_u64(&mut r)?);
-        let seed = read_str(&mut r, 1024, "victim seed")?;
-        let batch_size = io::checked_count(io::read_u64(&mut r)?, "batch size")?;
-        let max_traces = io::checked_count(io::read_u64(&mut r)?, "trace budget")?;
-        let steps_per_slice = u32::try_from(io::read_u64(&mut r)?)
-            .map_err(|_| io::bad("implausible slice length"))?;
-        let max_retries = u32::try_from(io::read_u64(&mut r)?)
-            .map_err(|_| io::bad("implausible retry budget"))?;
-        let step_deadline_ms = io::read_u64(&mut r)?;
-        let job_deadline_ms = io::read_u64(&mut r)?;
-        let backoff_base_ms = io::read_u64(&mut r)?;
-        let backoff_cap_ms = io::read_u64(&mut r)?;
-        let panic_steps = read_u64_list(&mut r, "panic-step list")?;
-        let stall_steps = read_u64_list(&mut r, "stall-step list")?;
-        let stall_ms = io::read_u64(&mut r)?;
-        let dataset = read_str(&mut r, 4096, "dataset path")?;
-        let spec = JobSpec {
-            name,
-            logn,
-            noise_sigma,
-            seed,
-            batch_size,
-            max_traces,
-            steps_per_slice,
-            max_retries,
-            step_deadline_ms,
-            job_deadline_ms,
-            backoff_base_ms,
-            backoff_cap_ms,
-            panic_steps,
-            stall_steps,
-            stall_ms,
-            dataset,
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
 }
 
 /// A reconstructed victim bench for one job.
@@ -267,9 +281,10 @@ pub struct Victim {
 }
 
 /// Lifecycle state of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum JobState {
     /// Waiting for a worker (also the re-adopted state after a crash).
+    #[default]
     Queued,
     /// A worker is advancing its campaign.
     Running,
@@ -287,32 +302,16 @@ pub enum JobState {
 }
 
 impl JobState {
-    /// Stable on-disk / wire tag.
-    pub fn tag(self) -> u8 {
-        match self {
-            JobState::Queued => 0,
-            JobState::Running => 1,
-            JobState::Paused => 2,
-            JobState::Degraded => 3,
-            JobState::Done => 4,
-            JobState::Failed => 5,
-            JobState::Cancelled => 6,
-        }
-    }
-
-    /// Parses a tag.
-    pub fn from_tag(tag: u8) -> Option<JobState> {
-        Some(match tag {
-            0 => JobState::Queued,
-            1 => JobState::Running,
-            2 => JobState::Paused,
-            3 => JobState::Degraded,
-            4 => JobState::Done,
-            5 => JobState::Failed,
-            6 => JobState::Cancelled,
-            _ => return None,
-        })
-    }
+    /// Every state, in declaration order.
+    const ALL: [JobState; 7] = [
+        JobState::Queued,
+        JobState::Running,
+        JobState::Paused,
+        JobState::Degraded,
+        JobState::Done,
+        JobState::Failed,
+        JobState::Cancelled,
+    ];
 
     /// Lower-case wire name (`"queued"`, `"running"`, …).
     pub fn as_str(self) -> &'static str {
@@ -329,16 +328,7 @@ impl JobState {
 
     /// Parses a wire name.
     pub fn from_str_name(s: &str) -> Option<JobState> {
-        Some(match s {
-            "queued" => JobState::Queued,
-            "running" => JobState::Running,
-            "paused" => JobState::Paused,
-            "degraded" => JobState::Degraded,
-            "done" => JobState::Done,
-            "failed" => JobState::Failed,
-            "cancelled" => JobState::Cancelled,
-            _ => return None,
-        })
+        JobState::ALL.into_iter().find(|st| st.as_str() == s)
     }
 
     /// Whether the job can never run again.
@@ -348,7 +338,7 @@ impl JobState {
 }
 
 /// The evolving, persisted status of one job.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JobStatus {
     /// Lifecycle state.
     pub state: JobState,
@@ -375,116 +365,117 @@ pub struct JobStatus {
 impl JobStatus {
     /// A fresh queued status for a job of ring degree `n`.
     pub fn queued(n: usize) -> JobStatus {
-        JobStatus {
-            state: JobState::Queued,
-            retries: 0,
-            slices: 0,
-            traces_requested: 0,
-            recovered: 0,
-            n: n as u64,
-            runtime_ms: 0,
-            last_error: String::new(),
-            bits: Vec::new(),
-        }
+        JobStatus { n: n as u64, ..Default::default() }
     }
 
-    /// Serialises the status.
+    /// Appends the status fields to `e`. A `last_error` longer than a
+    /// record holds is cut to its first 4096 bytes.
+    pub fn with_fields(&self, e: Event) -> Event {
+        let last_error = &self.last_error[..self.last_error.floor_char_boundary(MAX_ERROR_LEN)];
+        e.with_str("state", self.state.as_str())
+            .with_u64("retries", u64::from(self.retries))
+            .with_u64("slices", self.slices)
+            .with_u64("traces_requested", self.traces_requested)
+            .with_u64("recovered", self.recovered)
+            .with_u64("n", self.n)
+            .with_u64("runtime_ms", self.runtime_ms)
+            .with_str("last_error", last_error)
+            .with_str("bits", csv(&self.bits))
+    }
+
+    /// The status's record line.
+    pub fn to_line(&self) -> String {
+        self.with_fields(Event::new("status")).to_json()
+    }
+
+    /// Decodes a line written by [`JobStatus::to_line`]. `state` is
+    /// required and an absent field is zero or empty.
     ///
     /// # Errors
     ///
-    /// Propagates writer errors.
-    pub fn write<W: Write>(&self, mut w: W) -> Result<()> {
-        w.write_all(STATE_HEAD)?;
-        w.write_all(&[self.state.tag()])?;
-        for v in [
-            u64::from(self.retries),
-            self.slices,
-            self.traces_requested,
-            self.recovered,
-            self.n,
-            self.runtime_ms,
-        ] {
-            w.write_all(&v.to_le_bytes())?;
+    /// Returns [`Error::Orchestration`] on a malformed line, a missing
+    /// state, a field of the wrong type or range, or implausible
+    /// dimensions.
+    pub fn from_line(line: &str) -> Result<JobStatus> {
+        let fields = parse_line(line)?;
+        let f = Fields(&fields);
+        let state = f.text("state", true)?;
+        let st = JobStatus {
+            state: JobState::from_str_name(&state).ok_or_else(|| bad_field("state"))?,
+            retries: f.num("retries", 0)?,
+            slices: f.num("slices", 0)?,
+            traces_requested: f.num("traces_requested", 0)?,
+            recovered: f.num("recovered", 0)?,
+            n: f.num("n", 0)?,
+            runtime_ms: f.num("runtime_ms", 0)?,
+            last_error: f.text("last_error", false)?,
+            bits: parse_csv(&f.text("bits", false)?)?,
+        };
+        let bits_ok = st.bits.is_empty() || st.bits.len() as u64 == st.n;
+        if st.n > MAX_N || st.recovered > st.n || !bits_ok {
+            return Err(Error::Orchestration("implausible n, recovered or bits count".into()));
         }
-        write_str(&mut w, &self.last_error)?;
-        write_u64_list(&mut w, &self.bits)?;
-        Ok(())
-    }
-
-    /// Deserialises a status written by [`JobStatus::write`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidData`] / [`Error::UnsupportedVersion`] on
-    /// malformed input, [`Error::Io`] on truncation.
-    pub fn read<R: Read>(mut r: R) -> Result<JobStatus> {
-        io::read_head(&mut r, STATE_HEAD, "job status")?;
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        let state = JobState::from_tag(tag[0]).ok_or_else(|| io::bad("malformed job state"))?;
-        let retries =
-            u32::try_from(io::read_u64(&mut r)?).map_err(|_| io::bad("implausible retry count"))?;
-        let slices = io::read_u64(&mut r)?;
-        let traces_requested = io::read_u64(&mut r)?;
-        let recovered = io::read_u64(&mut r)?;
-        let n = io::read_u64(&mut r)?;
-        if n > 1 << 10 || recovered > n {
-            return Err(io::bad("implausible job dimensions"));
+        if st.last_error.len() > MAX_ERROR_LEN {
+            return Err(Error::Orchestration(format!("error message longer than {MAX_ERROR_LEN}")));
         }
-        let runtime_ms = io::read_u64(&mut r)?;
-        let last_error = read_str(&mut r, 4096, "error message")?;
-        let bits = read_u64_list(&mut r, "recovered bits")?;
-        if !bits.is_empty() && bits.len() as u64 != n {
-            return Err(io::bad("recovered-bit count does not match the ring degree"));
+        Ok(st)
+    }
+}
+
+fn parse_line(line: &str) -> Result<Vec<(String, Value)>> {
+    parse_jsonl(line).ok_or_else(|| Error::Orchestration("malformed record line".into()))
+}
+
+/// Renders a `u64` list as its comma-separated field value.
+fn csv(vals: &[u64]) -> String {
+    vals.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
+}
+
+/// Parses a comma-separated list field back into a `u64` list.
+///
+/// # Errors
+///
+/// Returns [`Error::Orchestration`] on a non-numeric entry or more than
+/// 2^20 entries.
+pub fn parse_csv(s: &str) -> Result<Vec<u64>> {
+    let entries = s.split(',').filter(|_| !s.is_empty());
+    if entries.clone().count() > MAX_LIST_LEN {
+        return Err(Error::Orchestration(format!("list longer than {MAX_LIST_LEN}")));
+    }
+    let bad = |p: &str| Error::Orchestration(format!("bad list entry {p:?}"));
+    entries.map(|p| p.trim().parse().map_err(|_| bad(p))).collect()
+}
+
+/// The fields of a parsed line; a lookup takes the first match.
+struct Fields<'a>(&'a [(String, Value)]);
+
+impl Fields<'_> {
+    fn get(&self, key: &str) -> Option<&Value> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// An unsigned field that fits `T`, or `default` when absent.
+    fn num<T: TryFrom<u64>>(&self, key: &str, default: T) -> Result<T> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(Value::U64(v)) => T::try_from(*v).map_err(|_| bad_field(key)),
+            Some(_) => Err(bad_field(key)),
         }
-        Ok(JobStatus {
-            state,
-            retries,
-            slices,
-            traces_requested,
-            recovered,
-            n,
-            runtime_ms,
-            last_error,
-            bits,
-        })
+    }
+
+    /// A string field; an absent one is empty unless `required`.
+    fn text(&self, key: &str, required: bool) -> Result<String> {
+        match self.get(key) {
+            None if required => Err(Error::Orchestration(format!("missing field {key:?}"))),
+            None => Ok(String::new()),
+            Some(Value::Str(s)) => Ok(s.clone()),
+            Some(_) => Err(bad_field(key)),
+        }
     }
 }
 
-fn write_str<W: Write>(w: &mut W, s: &str) -> Result<()> {
-    w.write_all(&(s.len() as u64).to_le_bytes())?;
-    w.write_all(s.as_bytes())?;
-    Ok(())
-}
-
-fn read_str<R: Read>(r: &mut R, max: usize, what: &str) -> Result<String> {
-    let len = io::checked_count(io::read_u64(r)?, what)?;
-    if len > max {
-        return Err(io::bad(&format!("{what} longer than {max} bytes")));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| io::bad(&format!("{what} is not valid UTF-8")))
-}
-
-fn write_u64_list<W: Write>(w: &mut W, vals: &[u64]) -> Result<()> {
-    w.write_all(&(vals.len() as u64).to_le_bytes())?;
-    for &v in vals {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn read_u64_list<R: Read>(r: &mut R, what: &str) -> Result<Vec<u64>> {
-    let count = io::checked_count(io::read_u64(r)?, what)?;
-    if count > 1 << 20 {
-        return Err(io::bad(&format!("{what} is implausibly long")));
-    }
-    let mut out = Vec::with_capacity(count.min(1 << 12));
-    for _ in 0..count {
-        out.push(io::read_u64(r)?);
-    }
-    Ok(out)
+fn bad_field(key: &str) -> Error {
+    Error::Orchestration(format!("field {key:?} has a bad type or value"))
 }
 
 #[cfg(test)]
@@ -506,19 +497,12 @@ mod tests {
 
     #[test]
     fn spec_roundtrips_and_rejects_truncation() {
-        let s = spec();
-        let mut buf = Vec::new();
-        s.write(&mut buf).unwrap();
-        assert_eq!(JobSpec::read(&buf[..]).unwrap(), s);
-        for cut in 0..buf.len() {
-            assert!(JobSpec::read(&buf[..cut]).is_err(), "cut at {cut} must fail");
+        let s = JobSpec { noise_sigma: 0.1 + 0.2, ..spec() };
+        let line = s.to_line();
+        assert_eq!(JobSpec::from_line(&line).unwrap(), s);
+        for cut in 0..line.len() {
+            assert!(JobSpec::from_line(&line[..cut]).is_err(), "cut at {cut} must fail");
         }
-        let mut future = buf.clone();
-        future[7] = 9;
-        assert!(matches!(
-            JobSpec::read(&future[..]),
-            Err(Error::UnsupportedVersion { found: 9, .. })
-        ));
     }
 
     #[test]
@@ -530,39 +514,27 @@ mod tests {
         st.traces_requested = 660;
         st.recovered = 8;
         st.runtime_ms = 1234;
-        st.last_error = "worker panicked on chunk 3".into();
-        st.bits = vec![1, 2, 3, 4, 5, 6, 7, 8];
-        let mut buf = Vec::new();
-        st.write(&mut buf).unwrap();
-        assert_eq!(JobStatus::read(&buf[..]).unwrap(), st);
-        for cut in 0..buf.len() {
-            assert!(JobStatus::read(&buf[..cut]).is_err(), "cut at {cut} must fail");
+        st.last_error = "worker panicked on \"chunk\" 3".into();
+        st.bits = vec![1, 2, 3, 4, 5, 6, 7, u64::MAX];
+        let line = st.to_line();
+        assert_eq!(JobStatus::from_line(&line).unwrap(), st);
+        for cut in 0..line.len() {
+            assert!(JobStatus::from_line(&line[..cut]).is_err(), "cut at {cut} must fail");
         }
+        // An overlong error message is cut on a char boundary to fit.
+        st.last_error = "\u{20ac}".repeat(2000);
+        let back = JobStatus::from_line(&st.to_line()).unwrap();
+        assert!(
+            back.last_error.len() > MAX_ERROR_LEN - 3 && back.last_error.len() <= MAX_ERROR_LEN
+        );
+        assert!(st.last_error.starts_with(&back.last_error));
     }
 
     #[test]
     fn streamed_spec_roundtrips() {
         let s = JobSpec { dataset: "/data/capture.fdnd".into(), ..spec() };
-        let mut buf = Vec::new();
-        s.write(&mut buf).unwrap();
-        assert_eq!(JobSpec::read(&buf[..]).unwrap(), s);
+        assert_eq!(JobSpec::from_line(&s.to_line()).unwrap(), s);
         assert!(s.is_streamed());
-    }
-
-    #[test]
-    fn v1_specs_are_rejected_as_unsupported() {
-        // A v1 spec lacks the streamed-dataset field and a v2 spec
-        // carries two retired ring fields: the reader names the version
-        // rather than guessing at either layout.
-        for old in [1u8, 2] {
-            let mut buf = Vec::new();
-            spec().write(&mut buf).unwrap();
-            buf[7] = old;
-            assert!(matches!(
-                JobSpec::read(&buf[..]),
-                Err(Error::UnsupportedVersion { found, supported: 3 }) if found == u32::from(old)
-            ));
-        }
     }
 
     #[test]
@@ -572,35 +544,52 @@ mod tests {
         assert!(!valid_name("No Caps"));
         assert!(!valid_name("dots.not.ok"));
         assert!(!valid_name(&"x".repeat(65)));
-        let mut s = spec();
-        s.name = "UPPER".into();
-        assert!(s.validate().is_err());
-        let mut s = spec();
-        s.batch_size = 0;
-        assert!(s.validate().is_err());
-        let mut s = spec();
-        s.logn = 99;
-        assert!(s.validate().is_err());
-        let mut s = spec();
-        s.noise_sigma = f64::NAN;
-        assert!(s.validate().is_err());
+        // One spec per bound, each refused by `validate` and, through
+        // the line codec, by the decoder with a typed error.
+        for (bound, bad) in [
+            ("name", JobSpec { name: "UPPER".into(), ..spec() }),
+            ("name length", JobSpec { name: "x".repeat(MAX_NAME_LEN + 1), ..spec() }),
+            ("batch size", JobSpec { batch_size: 0, ..spec() }),
+            ("logn", JobSpec { logn: 99, ..spec() }),
+            ("noise", JobSpec { noise_sigma: f64::NAN, ..spec() }),
+            ("seed", JobSpec { seed: "s".repeat(MAX_SEED_LEN + 1), ..spec() }),
+            ("dataset", JobSpec { dataset: "d".repeat(MAX_DATASET_LEN + 1), ..spec() }),
+            ("list", JobSpec { stall_steps: vec![0; MAX_LIST_LEN + 1], ..spec() }),
+        ] {
+            assert!(bad.validate().is_err(), "{bound}");
+            let got = JobSpec::from_line(&bad.to_line());
+            assert!(matches!(got, Err(Error::Orchestration(_))), "{bound}: {got:?}");
+        }
+        // Fields wider than their `u32` are refused by the decoder (the
+        // first of two same-named fields wins).
+        for key in ["logn", "steps_per_slice", "max_retries"] {
+            let line = spec().with_fields(Event::new("spec").with_u64(key, 1 << 32)).to_json();
+            let got = JobSpec::from_line(&line);
+            assert!(matches!(got, Err(Error::Orchestration(_))), "{key}: {got:?}");
+        }
     }
 
     #[test]
-    fn state_tags_and_names_roundtrip() {
-        for st in [
-            JobState::Queued,
-            JobState::Running,
-            JobState::Paused,
-            JobState::Degraded,
-            JobState::Done,
-            JobState::Failed,
-            JobState::Cancelled,
+    fn out_of_bounds_status_records_are_rejected() {
+        let long_error = "e".repeat(MAX_ERROR_LEN + 1);
+        for (bound, e) in [
+            ("retries", Event::new("status").with_u64("retries", 1 << 32)),
+            ("n", Event::new("status").with_u64("n", MAX_N + 1)),
+            ("recovered", Event::new("status").with_u64("recovered", 9)),
+            ("bits", Event::new("status").with_str("bits", "1,2,3")),
+            ("last_error", Event::new("status").with_str("last_error", long_error)),
         ] {
-            assert_eq!(JobState::from_tag(st.tag()), Some(st));
+            let got = JobStatus::from_line(&JobStatus::queued(8).with_fields(e).to_json());
+            assert!(matches!(got, Err(Error::Orchestration(_))), "{bound}: {got:?}");
+        }
+    }
+
+    #[test]
+    fn state_names_roundtrip() {
+        for st in JobState::ALL {
             assert_eq!(JobState::from_str_name(st.as_str()), Some(st));
         }
-        assert_eq!(JobState::from_tag(99), None);
+        assert_eq!(JobState::from_str_name("finished"), None);
         assert!(JobState::Done.is_terminal() && !JobState::Degraded.is_terminal());
     }
 

@@ -5,10 +5,10 @@
 //! machinery into a crash-proof multi-job service layer, std-only and
 //! thread-based:
 //!
-//! * [`job`] — [`JobSpec`]/[`JobStatus`]: versioned binary records
-//!   describing one supervised attack job and its evolving lifecycle
-//!   state (queued → running → degraded/done/failed, plus paused and
-//!   cancelled).
+//! * [`job`] — [`JobSpec`]/[`JobStatus`]: one supervised attack job
+//!   and its evolving lifecycle state (queued → running →
+//!   degraded/done/failed, plus paused and cancelled), each with one
+//!   flat-JSON line codec shared by the store and the RPC.
 //! * [`store`] — [`JobStore`]: atomic, fsync-after-rename persistence
 //!   of those records plus idempotent crash recovery that re-adopts
 //!   orphaned running jobs.

@@ -132,11 +132,6 @@ impl JobRuntime {
         Ok(rt)
     }
 
-    /// The job's spec.
-    pub fn spec(&self) -> &JobSpec {
-        &self.spec
-    }
-
     /// The campaign's current (possibly partial) report.
     pub fn report(&self) -> CampaignReport {
         match &self.engine {

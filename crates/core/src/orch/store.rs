@@ -4,7 +4,10 @@
 //! One directory holds three files per job — `<name>.spec` (written
 //! once at submission), `<name>.state` (rewritten atomically on every
 //! lifecycle transition) and `<name>.ckpt` (the campaign checkpoint,
-//! rewritten every supervision slice). Every write goes through
+//! rewritten every supervision slice). The spec and state files each
+//! hold one flat JSON line, the codec of [`JobSpec`] and [`JobStatus`]
+//! that the control plane's RPC also speaks; a reader takes at most
+//! 64 MiB from either. Every write goes through
 //! [`io::atomic_write`]: temp sibling, fsync, rename, *parent-directory
 //! fsync* — so a SIGKILL or power loss at any instant leaves each file
 //! either at its previous version or its new one, never torn and never
@@ -20,7 +23,8 @@
 use crate::error::{Error, Result};
 use crate::io;
 use crate::obs;
-use crate::orch::job::{valid_name, JobSpec, JobState, JobStatus};
+use crate::orch::job::{valid_name, JobSpec, JobState, JobStatus, MAX_RECORD_BYTES};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// Durable, atomic per-job persistence rooted at one directory.
@@ -54,11 +58,6 @@ impl JobStore {
             io::fsync_dir(parent)?;
         }
         Ok(JobStore { dir })
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn file(&self, name: &str, ext: &str) -> PathBuf {
@@ -98,7 +97,7 @@ impl JobStore {
             return Err(Error::Orchestration(format!("job {:?} already exists", spec.name)));
         }
         self.write_status(&spec.name, &JobStatus::queued(spec.n()))?;
-        io::atomic_write(&self.spec_path(&spec.name), |w| spec.write(w))?;
+        io::atomic_write(&self.spec_path(&spec.name), |w| Ok(writeln!(w, "{}", spec.to_line())?))?;
         obs::metrics().counter("orch.submitted").incr();
         Ok(())
     }
@@ -110,10 +109,7 @@ impl JobStore {
     /// Returns [`Error::Orchestration`] for an unknown job and the
     /// record's parse errors otherwise.
     pub fn read_spec(&self, name: &str) -> Result<JobSpec> {
-        let path = self.spec_path(name);
-        let f = std::fs::File::open(&path)
-            .map_err(|_| Error::Orchestration(format!("unknown job {name:?}")))?;
-        JobSpec::read(std::io::BufReader::new(f))
+        JobSpec::from_line(&read_line(&self.spec_path(name), name)?)
     }
 
     /// Reads a job's current persisted status.
@@ -123,10 +119,7 @@ impl JobStore {
     /// Returns [`Error::Orchestration`] for an unknown job and the
     /// record's parse errors otherwise.
     pub fn read_status(&self, name: &str) -> Result<JobStatus> {
-        let path = self.state_path(name);
-        let f = std::fs::File::open(&path)
-            .map_err(|_| Error::Orchestration(format!("unknown job {name:?}")))?;
-        JobStatus::read(std::io::BufReader::new(f))
+        JobStatus::from_line(&read_line(&self.state_path(name), name)?)
     }
 
     /// Atomically persists a job's status.
@@ -135,7 +128,7 @@ impl JobStore {
     ///
     /// Returns [`Error::Persist`] on a failed durable write.
     pub fn write_status(&self, name: &str, status: &JobStatus) -> Result<()> {
-        io::atomic_write(&self.state_path(name), |w| status.write(w))
+        io::atomic_write(&self.state_path(name), |w| Ok(writeln!(w, "{}", status.to_line())?))
     }
 
     /// All job names with a persisted spec, sorted (the deterministic
@@ -227,6 +220,18 @@ impl JobStore {
     }
 }
 
+/// Reads one record file of job `name`, refusing one over 64 MiB.
+fn read_line(path: &Path, name: &str) -> Result<String> {
+    let f = std::fs::File::open(path)
+        .map_err(|_| Error::Orchestration(format!("unknown job {name:?}")))?;
+    if f.metadata()?.len() > MAX_RECORD_BYTES {
+        return Err(Error::Orchestration(format!("record {} is too long", path.display())));
+    }
+    let mut line = String::new();
+    f.take(MAX_RECORD_BYTES).read_to_string(&mut line)?;
+    Ok(line)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,12 +295,21 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let store = JobStore::open(&dir).unwrap();
         store.submit(&spec("job-a")).unwrap();
-        std::fs::write(store.state_path("job-a"), b"FDNJSTA\x01garbage").unwrap();
+        // A queued status in the retired binary layout: magic and
+        // version, the state tag, then zeroed little-endian u64 words.
+        let old = [&b"\x46\x44\x4e\x4a\x53\x54\x41\x01\x00"[..], &[0; 64]].concat();
+        std::fs::write(store.state_path("job-a"), old).unwrap();
+        assert!(matches!(store.read_status("job-a"), Err(Error::Orchestration(_))));
         let report = store.recover().unwrap();
         assert_eq!(report.corrupt, vec!["job-a".to_string()]);
         let st = store.read_status("job-a").unwrap();
         assert_eq!(st.state, JobState::Failed);
         assert!(st.last_error.contains("quarantined"));
+        // A record file longer than the reader's bound is refused unread.
+        std::fs::File::create(store.spec_path("job-a"))
+            .and_then(|f| f.set_len(MAX_RECORD_BYTES + 1))
+            .unwrap();
+        assert!(matches!(store.read_spec("job-a"), Err(Error::Orchestration(_))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

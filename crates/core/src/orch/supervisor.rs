@@ -258,6 +258,18 @@ impl Supervisor {
         self.shared.store.jobs()
     }
 
+    /// A job's status, refusing `verb` on a terminal job.
+    fn live_status(&self, name: &str, verb: &str) -> Result<JobStatus> {
+        let st = self.shared.store.read_status(name)?;
+        if st.state.is_terminal() {
+            let state = st.state.as_str();
+            return Err(Error::Orchestration(format!(
+                "cannot {verb} job {name:?}: already {state}"
+            )));
+        }
+        Ok(st)
+    }
+
     /// Pauses a job: a queued job parks immediately, a running one at
     /// its next slice boundary. Its checkpoint is preserved.
     ///
@@ -265,13 +277,7 @@ impl Supervisor {
     ///
     /// Returns [`Error::Orchestration`] for unknown or terminal jobs.
     pub fn pause(&self, name: &str) -> Result<()> {
-        let mut st = self.shared.store.read_status(name)?;
-        if st.state.is_terminal() {
-            return Err(Error::Orchestration(format!(
-                "cannot pause job {name:?}: already {}",
-                st.state.as_str()
-            )));
-        }
+        let mut st = self.live_status(name, "pause")?;
         let mut s = self.shared.lock();
         if s.running.contains_key(name) {
             s.pause_req.insert(name.to_string());
@@ -294,13 +300,7 @@ impl Supervisor {
     ///
     /// Returns [`Error::Orchestration`] for unknown or terminal jobs.
     pub fn resume(&self, name: &str) -> Result<()> {
-        let mut st = self.shared.store.read_status(name)?;
-        if st.state.is_terminal() {
-            return Err(Error::Orchestration(format!(
-                "cannot resume job {name:?}: already {}",
-                st.state.as_str()
-            )));
-        }
+        let mut st = self.live_status(name, "resume")?;
         let mut s = self.shared.lock();
         s.pause_req.remove(name);
         if matches!(st.state, JobState::Paused | JobState::Degraded) {
@@ -326,13 +326,7 @@ impl Supervisor {
     ///
     /// Returns [`Error::Orchestration`] for unknown or terminal jobs.
     pub fn cancel(&self, name: &str) -> Result<()> {
-        let mut st = self.shared.store.read_status(name)?;
-        if st.state.is_terminal() {
-            return Err(Error::Orchestration(format!(
-                "cannot cancel job {name:?}: already {}",
-                st.state.as_str()
-            )));
-        }
+        let mut st = self.live_status(name, "cancel")?;
         let mut s = self.shared.lock();
         if s.running.contains_key(name) {
             s.cancel_req.insert(name.to_string());

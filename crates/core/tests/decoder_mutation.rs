@@ -1,11 +1,14 @@
 //! Byte-mutation robustness of the dataset and orchestrator-record
 //! decoders.
 //!
-//! Every byte of a small `FDNDSET\x02` archive, a `JobSpec` record and a
-//! `JobStatus` record is XORed with 0x01, 0x80 and 0xFF in turn. Each
-//! decoder may reject a mutant with a typed error, but must not panic:
+//! Every byte of a small `FDNDSET\x02` archive, a `JobSpec` record line
+//! and a `JobStatus` record line is XORed with 0x01, 0x80 and 0xFF in
+//! turn, and each record line is also cut at every length. Each decoder
+//! may reject a mutant with a typed error, but must not panic:
 //! `io::read_dataset`, `StreamedDataset::open_default` followed by
-//! `target_block` on every target, `JobSpec::read` and `JobStatus::read`.
+//! `target_block` on every target, `JobSpec::from_line` and
+//! `JobStatus::from_line`. A record mutant that is not UTF-8 is refused
+//! before the line decoder, as the job store's reader refuses it.
 //! A dataset mutant that decodes is attacked with a narrow beam, which
 //! must not panic on the corrupted columns either. The attack is
 //! deterministic, so a target whose columns the mutant left untouched
@@ -18,7 +21,7 @@
 use falcon_dema::acquire::Dataset;
 use falcon_dema::attack::{recover_coefficient_block, AttackConfig};
 use falcon_dema::stream::StreamedDataset;
-use falcon_dema::{exec, io, ColumnSource, Error, JobSpec, JobState, JobStatus};
+use falcon_dema::{exec, io, ColumnSource, Error, JobSpec, JobState, JobStatus, Result};
 use falcon_emsim::{Device, LeakageModel, MeasurementChain, Scope};
 use falcon_sig::rng::Prng;
 use falcon_sig::{KeyPair, LogN};
@@ -139,6 +142,20 @@ fn dataset_mutants_never_panic() {
     assert!(streamed > 0, "no mutant streamed");
 }
 
+/// Runs `decode` on every single-byte mutant and every truncation of
+/// `line`, refusing non-UTF-8 bytes first. Returns how many mutants and
+/// truncations decoded.
+fn record_mutants<T>(line: &str, decode: impl Fn(&str) -> Result<T>) -> usize {
+    let accept = |b: &[u8]| std::str::from_utf8(b).is_ok_and(|l| decode(l).is_ok());
+    let mut accepted = for_each_mutant(line.as_bytes(), |_, m| accept(m));
+    for cut in 0..line.len() {
+        let outcome = catch_unwind(AssertUnwindSafe(|| accept(&line.as_bytes()[..cut])));
+        accepted +=
+            usize::from(outcome.unwrap_or_else(|_| panic!("cut at {cut}: decoder panicked")));
+    }
+    accepted
+}
+
 #[test]
 fn job_record_mutants_never_panic() {
     let spec = JobSpec {
@@ -150,11 +167,9 @@ fn job_record_mutants_never_panic() {
         dataset: "capture.fdnd".into(),
         ..Default::default()
     };
-    let mut buf = Vec::new();
-    spec.write(&mut buf).unwrap();
-    assert_eq!(JobSpec::read(&buf[..]).unwrap(), spec);
-    let accepted = for_each_mutant(&buf, |_, m| JobSpec::read(m).is_ok());
-    assert!(accepted > 0, "no spec mutant decoded");
+    let line = spec.to_line();
+    assert_eq!(JobSpec::from_line(&line).unwrap(), spec);
+    assert!(record_mutants(&line, JobSpec::from_line) > 0, "no spec mutant decoded");
 
     let status = JobStatus {
         state: JobState::Done,
@@ -167,9 +182,7 @@ fn job_record_mutants_never_panic() {
         bits: (0..8).map(|i| 0x4010_0000_0000_0000 + i).collect(),
         ..JobStatus::queued(8)
     };
-    let mut buf = Vec::new();
-    status.write(&mut buf).unwrap();
-    assert_eq!(JobStatus::read(&buf[..]).unwrap(), status);
-    let accepted = for_each_mutant(&buf, |_, m| JobStatus::read(m).is_ok());
-    assert!(accepted > 0, "no status mutant decoded");
+    let line = status.to_line();
+    assert_eq!(JobStatus::from_line(&line).unwrap(), status);
+    assert!(record_mutants(&line, JobStatus::from_line) > 0, "no status mutant decoded");
 }

@@ -135,14 +135,6 @@ impl FieldMap {
         self.by_name.is_empty()
     }
 
-    /// All extracted definitions, name-ordered. (Deliberately not
-    /// named `iter`: the propagation pass binds workspace-unique bare
-    /// method names, and `iter` would soak up every tainted
-    /// `.iter()` call in the tree.)
-    pub fn defs(&self) -> impl Iterator<Item = &StructInfo> {
-        self.by_name.values()
-    }
-
     /// The first field-sensitive struct whose name appears in a type
     /// string (`&SigningKey`, `Option<&SigningKey>`, …).
     pub fn sensitive_in_type(&self, ty: &str) -> Option<&StructInfo> {

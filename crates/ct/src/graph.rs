@@ -376,23 +376,6 @@ impl CallGraph {
         self.by_name.get(name).into_iter().flatten().copied().filter(move |&i| !self.fns[i].is_test)
     }
 
-    /// Candidate callees of a call site. A written `Type::name`
-    /// qualifier narrows the set to that impl's function when the graph
-    /// knows it; otherwise (and for method-call syntax) every non-test
-    /// function with the bare name is a candidate — deliberate
-    /// over-connection, which over-taints.
-    pub fn resolve_site(&self, site: &CallSite) -> Vec<usize> {
-        if let Some(recv) = &site.recv {
-            let qual = format!("{recv}::{}", site.callee);
-            let exact: Vec<usize> =
-                self.resolve(&site.callee).filter(|&i| self.fns[i].qual == qual).collect();
-            if !exact.is_empty() {
-                return exact;
-            }
-        }
-        self.resolve(&site.callee).collect()
-    }
-
     /// Classifies every recorded call site under the taint-propagation
     /// resolution policy (see [`crate::summary`]): kept when a written
     /// `Type::name` qualifier matches exactly or the bare name is

@@ -84,21 +84,6 @@ impl Prng {
         Prng { key, nonce, counter: 0, buf: [0; 64], pos: 64 }
     }
 
-    /// Seeds the generator from operating-system entropy mixed with a
-    /// high-resolution timestamp (non-reproducible).
-    pub fn from_entropy() -> Prng {
-        use std::time::{SystemTime, UNIX_EPOCH};
-        // ct: allow(entropy seeding is wall-clock by design; reproducible runs use from_seed)
-        let t = SystemTime::now().duration_since(UNIX_EPOCH).unwrap_or_default();
-        let pid = std::process::id();
-        let addr = &t as *const _ as usize;
-        let mut seed = Vec::new();
-        seed.extend_from_slice(&t.as_nanos().to_le_bytes());
-        seed.extend_from_slice(&pid.to_le_bytes());
-        seed.extend_from_slice(&addr.to_le_bytes());
-        Prng::from_seed(&seed)
-    }
-
     fn refill(&mut self) {
         chacha20_block(&self.key, self.counter, self.nonce, &mut self.buf);
         self.counter += 1;
@@ -156,11 +141,6 @@ impl Prng {
         let b = self.buf[self.pos];
         self.pos += 1;
         b
-    }
-
-    /// Next 16-bit little-endian word.
-    pub fn next_u16(&mut self) -> u16 {
-        u16::from_le_bytes([self.next_u8(), self.next_u8()])
     }
 
     /// Next 64-bit little-endian word.

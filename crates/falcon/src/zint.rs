@@ -245,11 +245,6 @@ impl Zint {
         z
     }
 
-    /// Multiplication by a machine integer.
-    pub fn mul_i64(&self, v: i64) -> Zint {
-        self.mul(&Zint::from_i64(v))
-    }
-
     /// Left shift by `sh` bits.
     pub fn shl(&self, sh: u32) -> Zint {
         if self.is_zero() || sh == 0 {

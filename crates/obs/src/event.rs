@@ -201,11 +201,14 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 _ => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let rest = std::str::from_utf8(&self.b[self.i..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // step, so a long string parses in linear time. Both
+                    // bytes are ASCII, so the run ends on a char boundary.
+                    let rest = &self.b[self.i..];
+                    let run = rest.iter().position(|c| matches!(c, b'"' | b'\\'));
+                    let run = run.unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..run]).ok()?);
+                    self.i += run;
                 }
             }
         }

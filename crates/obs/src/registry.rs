@@ -249,13 +249,6 @@ impl MetricsSnapshot {
         let was = earlier.histograms.get(name).map(|h| h.sum).unwrap_or(0.0);
         (now - was).max(0.0)
     }
-
-    /// Histogram observation-count increase since `earlier`.
-    pub fn histogram_count_delta(&self, earlier: &MetricsSnapshot, name: &str) -> u64 {
-        let now = self.histograms.get(name).map(|h| h.count).unwrap_or(0);
-        let was = earlier.histograms.get(name).map(|h| h.count).unwrap_or(0);
-        now.saturating_sub(was)
-    }
 }
 
 /// The process-wide registry.

@@ -9,11 +9,13 @@
 //! `pause`, `resume`, `cancel`, `max_running`, `drain`) plus method
 //! arguments. Replies lead with `{"ev":"reply","ok":…}`; a `status`
 //! reply adds `"jobs":N` and is followed by `N` `{"ev":"job",…}` lines,
-//! one per job. List-valued spec fields (fault-injection schedules,
-//! recovered bits) ride as comma-separated strings, keeping every line
-//! flat.
+//! one per job. A `submit` request and a job line carry the spec and
+//! status fields of the job store's record codec
+//! ([`JobSpec::with_fields`], [`JobStatus::with_fields`]); this module
+//! adds only the envelope.
 
 use falcon_dema::error::{Error, Result};
+pub use falcon_dema::orch::job::parse_csv;
 use falcon_dema::orch::{JobSpec, JobStatus};
 use falcon_obs::{parse_jsonl, Event, Value};
 
@@ -57,15 +59,6 @@ impl Msg {
         }
     }
 
-    /// Float field (integer literals widen).
-    pub fn get_f64(&self, key: &str) -> Option<f64> {
-        match self.get(key) {
-            Some(Value::F64(v)) => Some(*v),
-            Some(Value::U64(v)) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
     /// Boolean field.
     pub fn get_bool(&self, key: &str) -> Option<bool> {
         match self.get(key) {
@@ -75,118 +68,9 @@ impl Msg {
     }
 }
 
-/// Renders a `u64` list as the comma-separated wire form.
-pub fn csv(vals: &[u64]) -> String {
-    vals.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
-}
-
-/// Parses the comma-separated wire form back into a `u64` list.
-///
-/// # Errors
-///
-/// Returns [`Error::Orchestration`] on a non-numeric entry.
-pub fn parse_csv(s: &str) -> Result<Vec<u64>> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|p| {
-            p.trim()
-                .parse::<u64>()
-                .map_err(|_| Error::Orchestration(format!("bad list entry {p:?}")))
-        })
-        .collect()
-}
-
 /// Renders a `submit` request line for `spec`.
 pub fn submit_request(spec: &JobSpec) -> String {
-    Event::new("rpc")
-        .with_str("method", "submit")
-        .with_str("job", spec.name.clone())
-        .with_u64("logn", u64::from(spec.logn))
-        .with_f64("noise_sigma", spec.noise_sigma)
-        .with_str("seed", spec.seed.clone())
-        .with_u64("batch_size", spec.batch_size as u64)
-        .with_u64("max_traces", spec.max_traces as u64)
-        .with_u64("steps_per_slice", u64::from(spec.steps_per_slice))
-        .with_u64("max_retries", u64::from(spec.max_retries))
-        .with_u64("step_deadline_ms", spec.step_deadline_ms)
-        .with_u64("job_deadline_ms", spec.job_deadline_ms)
-        .with_u64("backoff_base_ms", spec.backoff_base_ms)
-        .with_u64("backoff_cap_ms", spec.backoff_cap_ms)
-        .with_str("panic_steps", csv(&spec.panic_steps))
-        .with_str("stall_steps", csv(&spec.stall_steps))
-        .with_u64("stall_ms", spec.stall_ms)
-        .with_str("dataset", spec.dataset.clone())
-        .to_json()
-}
-
-/// Rebuilds a [`JobSpec`] from a `submit` request. Absent optional
-/// fields keep their [`JobSpec::default`] values.
-///
-/// # Errors
-///
-/// Returns [`Error::Orchestration`] on missing required fields or an
-/// invalid resulting spec.
-pub fn spec_from_request(msg: &Msg) -> Result<JobSpec> {
-    let mut spec = JobSpec {
-        name: msg
-            .get_str("job")
-            .ok_or_else(|| Error::Orchestration("submit needs a job name".into()))?
-            .to_string(),
-        seed: msg
-            .get_str("seed")
-            .ok_or_else(|| Error::Orchestration("submit needs a victim seed".into()))?
-            .to_string(),
-        ..JobSpec::default()
-    };
-    if let Some(v) = msg.get_u64("logn") {
-        spec.logn =
-            u32::try_from(v).map_err(|_| Error::Orchestration("implausible logn".into()))?;
-    }
-    if let Some(v) = msg.get_f64("noise_sigma") {
-        spec.noise_sigma = v;
-    }
-    if let Some(v) = msg.get_u64("batch_size") {
-        spec.batch_size = v as usize;
-    }
-    if let Some(v) = msg.get_u64("max_traces") {
-        spec.max_traces = v as usize;
-    }
-    if let Some(v) = msg.get_u64("steps_per_slice") {
-        spec.steps_per_slice = u32::try_from(v)
-            .map_err(|_| Error::Orchestration("implausible steps_per_slice".into()))?;
-    }
-    if let Some(v) = msg.get_u64("max_retries") {
-        spec.max_retries =
-            u32::try_from(v).map_err(|_| Error::Orchestration("implausible max_retries".into()))?;
-    }
-    if let Some(v) = msg.get_u64("step_deadline_ms") {
-        spec.step_deadline_ms = v;
-    }
-    if let Some(v) = msg.get_u64("job_deadline_ms") {
-        spec.job_deadline_ms = v;
-    }
-    if let Some(v) = msg.get_u64("backoff_base_ms") {
-        spec.backoff_base_ms = v;
-    }
-    if let Some(v) = msg.get_u64("backoff_cap_ms") {
-        spec.backoff_cap_ms = v;
-    }
-    if let Some(s) = msg.get_str("panic_steps") {
-        spec.panic_steps = parse_csv(s)?;
-    }
-    if let Some(s) = msg.get_str("stall_steps") {
-        spec.stall_steps = parse_csv(s)?;
-    }
-    if let Some(v) = msg.get_u64("stall_ms") {
-        spec.stall_ms = v;
-    }
-    if let Some(s) = msg.get_str("dataset") {
-        spec.dataset = s.to_string();
-    }
-    spec.validate()?;
-    Ok(spec)
+    spec.with_fields(Event::new("rpc").with_str("method", "submit")).to_json()
 }
 
 /// The success reply line, optionally announcing `jobs` follow-up lines.
@@ -205,18 +89,7 @@ pub fn err_reply(msg: &str) -> String {
 
 /// Renders one per-job `status` follow-up line.
 pub fn job_line(name: &str, st: &JobStatus) -> String {
-    Event::new("job")
-        .with_str("job", name.to_string())
-        .with_str("state", st.state.as_str())
-        .with_u64("retries", u64::from(st.retries))
-        .with_u64("slices", st.slices)
-        .with_u64("traces_requested", st.traces_requested)
-        .with_u64("recovered", st.recovered)
-        .with_u64("n", st.n)
-        .with_u64("runtime_ms", st.runtime_ms)
-        .with_str("last_error", st.last_error.clone())
-        .with_str("bits", csv(&st.bits))
-        .to_json()
+    st.with_fields(Event::new("job").with_str("job", name.to_string())).to_json()
 }
 
 #[cfg(test)]
@@ -246,13 +119,13 @@ mod tests {
         let line = submit_request(&spec);
         let msg = Msg::parse(&line).unwrap();
         assert_eq!(msg.get_str("method"), Some("submit"));
-        assert_eq!(spec_from_request(&msg).unwrap(), spec);
+        assert_eq!(JobSpec::from_fields(&msg.fields).unwrap(), spec);
     }
 
     #[test]
     fn sparse_submit_uses_spec_defaults() {
         let msg = Msg::parse(r#"{"method":"submit","job":"tiny","seed":"s"}"#).unwrap();
-        let spec = spec_from_request(&msg).unwrap();
+        let spec = JobSpec::from_fields(&msg.fields).unwrap();
         assert_eq!(spec.name, "tiny");
         assert_eq!(spec.logn, JobSpec::default().logn);
         assert_eq!(spec.max_traces, JobSpec::default().max_traces);
@@ -262,9 +135,9 @@ mod tests {
     fn missing_required_fields_and_bad_lines_are_rejected() {
         assert!(Msg::parse("not json").is_err());
         let msg = Msg::parse(r#"{"method":"submit","job":"x"}"#).unwrap();
-        assert!(spec_from_request(&msg).is_err(), "seed is required");
+        assert!(JobSpec::from_fields(&msg.fields).is_err(), "seed is required");
         let msg = Msg::parse(r#"{"method":"submit","job":"BAD NAME","seed":"s"}"#).unwrap();
-        assert!(spec_from_request(&msg).is_err(), "validation must run");
+        assert!(JobSpec::from_fields(&msg.fields).is_err(), "validation must run");
         assert!(parse_csv("1,2,x").is_err());
         assert_eq!(parse_csv("").unwrap(), Vec::<u64>::new());
         assert_eq!(parse_csv("7, 8").unwrap(), vec![7, 8]);

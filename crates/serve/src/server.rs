@@ -7,9 +7,9 @@
 //! drains gracefully (running jobs checkpoint and park back to
 //! `queued`), and [`serve`] returns.
 
-use crate::rpc::{err_reply, job_line, ok_reply, spec_from_request, Msg};
+use crate::rpc::{err_reply, job_line, ok_reply, Msg};
 use falcon_dema::error::{Error, Result};
-use falcon_dema::orch::Supervisor;
+use falcon_dema::orch::{JobSpec, Supervisor};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -191,7 +191,7 @@ pub fn dispatch(sup: &Supervisor, line: &str) -> (Vec<String>, bool) {
     match method {
         "ping" => (vec![ok_reply(None)], false),
         "submit" => {
-            let r = spec_from_request(&msg).and_then(|spec| sup.submit(&spec));
+            let r = JobSpec::from_fields(&msg.fields).and_then(|spec| sup.submit(&spec));
             (reply(r), false)
         }
         "status" => (status_lines(sup, msg.get_str("job")), false),

@@ -4,12 +4,12 @@
 //! A full `submit` line and a few short request lines are mutated one
 //! byte at a time (each byte XORed with 0x01, 0x80 and 0xFF in turn)
 //! and truncated at every length. `Msg::parse` may reject a mutant, and
-//! `spec_from_request` may reject what parses, each with a typed error,
+//! `JobSpec::from_fields` may reject what parses, each with a typed error,
 //! but neither may panic. A mutant that is not UTF-8 reaches the decoder
 //! as its lossy UTF-8 form, as a line reader would hand it over.
 
 use falcon_dema::{Error, JobSpec};
-use falcon_serve::rpc::{spec_from_request, submit_request};
+use falcon_serve::rpc::submit_request;
 use falcon_serve::Msg;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -24,13 +24,13 @@ fn decode(bytes: &[u8]) -> bool {
         Err(Error::Orchestration(_)) => return false,
         Err(e) => panic!("Msg::parse returned an unexpected error: {e}"),
     };
-    match spec_from_request(&msg) {
+    match JobSpec::from_fields(&msg.fields) {
         Ok(spec) => {
             spec.validate().expect("an accepted spec is valid");
             true
         }
         Err(Error::Orchestration(_)) => false,
-        Err(e) => panic!("spec_from_request returned an unexpected error: {e}"),
+        Err(e) => panic!("JobSpec::from_fields returned an unexpected error: {e}"),
     }
 }
 
