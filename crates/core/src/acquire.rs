@@ -5,7 +5,9 @@
 //! recomputes `FFT(c)` with the public reference code, bit for bit equal
 //! to the device's. A [`Dataset`] keeps, per trace and per targeted
 //! secret index, the two known operands and the 2×14 samples of the two
-//! multiplications involving that secret value.
+//! multiplications involving that secret value. Captures are taken in
+//! chunks whose radiation runs on the [`crate::exec`] executor (see
+//! `capture_chunks`), bit-identical to one capture after another.
 //!
 //! # Columnar layout (v2)
 //!
@@ -22,7 +24,7 @@
 
 use crate::error::{Error, Result};
 use crate::exec;
-use falcon_emsim::{Capture, Device, StepKind};
+use falcon_emsim::{Armed, Capture, Device, StepKind};
 use falcon_fpr::Fpr;
 use falcon_sig::fft::fft;
 use falcon_sig::hash::hash_to_point;
@@ -32,11 +34,47 @@ use falcon_sig::rng::Prng;
 /// [`StepKind::COUNT`] micro-ops each.
 pub const POINTS_PER_TARGET: usize = 2 * StepKind::COUNT;
 
-/// Captures processed per acquisition chunk: the capture loop is serial
-/// (the device is one mutable stream), but the attacker-side `FFT(c)`
-/// recomputation of each chunk fans out on the executor while memory
-/// stays bounded by the chunk, not the campaign.
+/// Captures processed per acquisition chunk: each chunk is armed in
+/// order on the device, radiated on the executor and finished in order,
+/// then its attacker-side `FFT(c)` recomputation fans out too, while
+/// memory stays bounded by the chunk, not the campaign.
 const ACQUIRE_CHUNK: usize = 512;
+
+/// Captures `n_traces` traces of random 24-byte messages drawn from
+/// `msg_rng`, handing them to `each` in chunks of at most
+/// [`ACQUIRE_CHUNK`], in capture order. Per chunk the device arms every
+/// capture serially, radiates them on the [`crate::exec`] executor and
+/// finishes them in arming order, so the captures and the device state
+/// are bit-identical to `n_traces` calls of [`Device::capture`] at any
+/// thread count.
+///
+/// # Errors
+///
+/// Stops at the first error from `each` and returns it; the device has
+/// then advanced past the whole chunk.
+pub(crate) fn capture_chunks(
+    device: &mut Device,
+    n_traces: usize,
+    msg_rng: &mut Prng,
+    mut each: impl FnMut(Vec<Capture>) -> Result<()>,
+) -> Result<()> {
+    let mut captured = 0;
+    while captured < n_traces {
+        let count = ACQUIRE_CHUNK.min(n_traces - captured);
+        let armed: Vec<Armed> = (0..count)
+            .map(|_| {
+                let mut msg = [0u8; 24];
+                msg_rng.fill(&mut msg);
+                device.arm(&msg)
+            })
+            .collect();
+        let radiating = &*device;
+        exec::map(&armed, |a| radiating.radiate(a));
+        each(armed.into_iter().map(|a| device.finish(a)).collect())?;
+        captured += count;
+    }
+    Ok(())
+}
 
 /// An attacker-side dataset for a set of targeted secret indices.
 #[derive(Debug, Clone)]
@@ -144,10 +182,11 @@ impl Dataset {
     /// messages drawn from `msg_rng`, keeping the windows for `targets`
     /// (flat `FFT(f)` indices, `0..n`).
     ///
-    /// Capture is serial (the device is a single stream); the per-trace
-    /// attacker-side recomputation (`hash_to_point` + `fft`) fans out on
-    /// the [`crate::exec`] executor in bounded chunks, with bit-identical
-    /// results at any thread count.
+    /// Captures run in chunks of at most 512: the device arms
+    /// each capture serially, its emissions are radiated on the
+    /// [`crate::exec`] executor and finished in order, and the per-trace
+    /// attacker-side recomputation (`hash_to_point` + `fft`) fans out
+    /// too, with bit-identical results at any thread count.
     ///
     /// # Errors
     ///
@@ -174,26 +213,20 @@ impl Dataset {
         let layout = device.layout();
         let expected_len = layout.samples_per_trace();
         let mut rows: Vec<(Vec<u64>, Vec<f32>)> = Vec::with_capacity(n_traces);
-        let mut chunk: Vec<Capture> = Vec::with_capacity(ACQUIRE_CHUNK.min(n_traces));
-        let mut captured = 0usize;
-        while captured < n_traces {
-            chunk.clear();
-            while captured < n_traces && chunk.len() < ACQUIRE_CHUNK {
-                let mut msg = [0u8; 24];
-                msg_rng.fill(&mut msg);
-                let cap = device.capture(&msg);
-                if cap.trace.len() < expected_len {
-                    return Err(Error::Acquisition(format!(
-                        "trace {captured} has {} samples, layout needs {expected_len} \
-                         (faulty capture? use collect_screened)",
-                        cap.trace.len()
-                    )));
-                }
-                chunk.push(cap);
-                captured += 1;
+        capture_chunks(device, n_traces, msg_rng, |chunk| {
+            if let Some((i, cap)) =
+                chunk.iter().enumerate().find(|(_, c)| c.trace.len() < expected_len)
+            {
+                return Err(Error::Acquisition(format!(
+                    "trace {} has {} samples, layout needs {expected_len} \
+                     (faulty capture? use collect_screened)",
+                    rows.len() + i,
+                    cap.trace.len()
+                )));
             }
             rows.extend(exec::map(&chunk, |cap| recompute_trace(cap, n, targets, &layout, 0)));
-        }
+            Ok(())
+        })?;
         scatter_rows(n, targets, &rows)
     }
 

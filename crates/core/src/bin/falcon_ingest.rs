@@ -19,6 +19,8 @@
 //!     target, and with truth= assert the recovered bits match.
 //! ```
 //!
+//! Options follow the positional arguments; the first `key=` wins, and a
+//! key the subcommand does not read exits with status 2 and names it.
 //! Exits non-zero on any error or failed verification.
 
 use falcon_dema::attack::{recover_coefficient_block, AttackConfig};
@@ -30,10 +32,29 @@ use std::io::BufReader;
 use std::path::Path;
 use std::process::ExitCode;
 
-/// `key=value` lookup over the free arguments, with a default.
+/// Each subcommand: its name, its count of positional arguments and the
+/// `key=value` keys it reads.
+const SUBCOMMANDS: [(&str, usize, &[&str]); 4] = [
+    ("fixture", 1, &["logn", "targets", "traces", "noise", "seed"]),
+    ("import", 2, &[]),
+    ("convert", 2, &[]),
+    ("verify", 1, &["truth", "attack"]),
+];
+
+/// `key=value` lookup over the free arguments, with a default: the first
+/// `key=` argument wins, as in the bench bins.
 fn arg_or<'a>(args: &'a [String], key: &str, default: &'a str) -> &'a str {
     let pat = format!("{key}=");
-    args.iter().rev().find_map(|a| a.strip_prefix(&pat)).unwrap_or(default)
+    args.iter().find_map(|a| a.strip_prefix(&pat)).unwrap_or(default)
+}
+
+/// The key of the first option that `keys` does not name (a bare word is
+/// its own key), so a misspelt key cannot silently run the default.
+fn unread_key<'a>(options: &'a [String], keys: &[&str]) -> Option<&'a str> {
+    options
+        .iter()
+        .map(|a| a.split_once('=').map_or(a.as_str(), |(k, _)| k))
+        .find(|k| !keys.contains(k))
 }
 
 fn fail(msg: impl std::fmt::Display) -> ExitCode {
@@ -47,12 +68,19 @@ fn main() -> ExitCode {
         return fail("usage: falcon_ingest <fixture|import|convert|verify> ...");
     };
     let rest = &args[1..];
+    let Some(&(_, positional, keys)) = SUBCOMMANDS.iter().find(|(name, ..)| *name == cmd) else {
+        return fail(format!("unknown subcommand {cmd:?}"));
+    };
+    if let Some(key) = unread_key(rest.get(positional..).unwrap_or_default(), keys) {
+        let reads = if keys.is_empty() { "no options".to_string() } else { keys.join(", ") };
+        eprintln!("falcon_ingest {cmd}: unknown argument `{key}` (it reads: {reads})");
+        return ExitCode::from(2);
+    }
     let result = match cmd {
         "fixture" => cmd_fixture(rest),
         "import" => cmd_import(rest),
         "convert" => cmd_convert(rest),
-        "verify" => cmd_verify(rest),
-        other => Err(format!("unknown subcommand {other:?}")),
+        _ => cmd_verify(rest),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -148,4 +176,28 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         return Err(format!("{failures} target(s) disagree with the supplied truth"));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn first_key_wins() {
+        let a = args(&["fx", "traces=40", "traces=220"]);
+        assert_eq!(arg_or(&a, "traces", "1"), "40");
+        assert_eq!(arg_or(&a, "logn", "3"), "3");
+    }
+
+    #[test]
+    fn unread_key_is_named() {
+        let keys = SUBCOMMANDS[0].2;
+        assert_eq!(unread_key(&args(&["logn=3", "traces=40"]), keys), None);
+        assert_eq!(unread_key(&args(&["logn=3", "trace=40"]), keys), Some("trace"));
+        assert_eq!(unread_key(&args(&["extra"]), &[]), Some("extra"));
+    }
 }

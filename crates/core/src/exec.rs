@@ -22,10 +22,11 @@
 //!    sweeps (the determinism test runs the same campaign at 1, 2 and N
 //!    threads and asserts identical keys and checkpoints).
 //!
-//! The executor handles only attacker-known values (public `FFT(c)`
-//! operands, captured samples, candidate guesses), so it carries no
+//! The executor itself handles no key material, so it carries no
 //! `// ct: secret` regions; the constant-time gates are unaffected by
-//! scheduling.
+//! scheduling. Its items are attacker-known values (public `FFT(c)`
+//! operands, captured samples, candidate guesses) and armed device
+//! captures, whose radiation step is the simulated victim's own code.
 
 use crate::error::{Error, Result};
 use crate::obs;

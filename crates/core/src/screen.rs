@@ -16,7 +16,7 @@
 //! screened dataset together with an [`AcquisitionStats`] account of
 //! every capture's fate.
 
-use crate::acquire::{recompute_trace, scatter_rows, Dataset};
+use crate::acquire::{capture_chunks, recompute_trace, scatter_rows, Dataset};
 use crate::error::{Error, Result};
 use crate::exec;
 use crate::obs;
@@ -158,20 +158,22 @@ impl Dataset {
 
         let mut stats = AcquisitionStats { requested: n_traces, ..Default::default() };
 
-        // Pass 1: capture the whole batch (salt + message + raw trace).
+        // Pass 1: capture the whole batch (salt + message + raw trace),
+        // chunk by chunk: arming and finishing stay in capture order,
+        // the radiation between them runs on the executor.
         let mut batch = Vec::with_capacity(n_traces);
         {
             let _capture_span = obs::span("screen.capture");
-            for _ in 0..n_traces {
-                let mut msg = [0u8; 24];
-                msg_rng.fill(&mut msg);
-                let cap = device.capture(&msg);
-                if cap.trace.len() < expected_len {
-                    stats.dropped_trigger += 1;
-                    continue;
+            capture_chunks(device, n_traces, msg_rng, |chunk| {
+                for cap in chunk {
+                    if cap.trace.len() < expected_len {
+                        stats.dropped_trigger += 1;
+                    } else {
+                        batch.push(cap);
+                    }
                 }
-                batch.push(cap);
-            }
+                Ok(())
+            })?;
         }
 
         let gates_span = obs::span("screen.gates");

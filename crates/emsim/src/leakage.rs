@@ -115,6 +115,24 @@ impl GaussianNoise {
         self.spare = Some(r * s);
         r * c
     }
+
+    /// Advances the stream past `count` variates, landing exactly where
+    /// `count` calls to [`GaussianNoise::next`] would. A pending spare
+    /// is consumed first; each further pair reads exactly two 64-bit
+    /// words, so whole pairs become a [`Prng::skip`] of 16 bytes each,
+    /// and an odd count draws one last pair to leave its spare pending.
+    pub fn skip(&mut self, mut count: usize) {
+        if count == 0 {
+            return;
+        }
+        if self.spare.take().is_some() {
+            count -= 1;
+        }
+        self.rng.skip(16 * (count / 2) as u64);
+        if count % 2 == 1 {
+            self.next();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -144,6 +162,27 @@ mod tests {
         assert_eq!(m.signal(0b1011, 0b0001), 2.0 * 3.0 + 0.5 * 2.0);
         let hw_only = LeakageModel::hamming_weight(1.0, 3.0);
         assert_eq!(hw_only.signal(u64::MAX, 0), 64.0);
+    }
+
+    #[test]
+    fn skip_lands_where_sequential_draws_do() {
+        let mut with_spare = GaussianNoise::from_seed(b"skip");
+        with_spare.next();
+        let imported = GaussianNoise::import_state(&with_spare.export_state()).expect("state");
+        for start in [GaussianNoise::from_seed(b"skip"), with_spare, imported] {
+            for count in (0..40).chain([1001, 4096, 7168]) {
+                let mut skipped = start.clone();
+                skipped.skip(count);
+                let mut drawn = start.clone();
+                for _ in 0..count {
+                    drawn.next();
+                }
+                assert_eq!(skipped.export_state(), drawn.export_state(), "skip({count})");
+                for _ in 0..5 {
+                    assert_eq!(skipped.next().to_bits(), drawn.next().to_bits());
+                }
+            }
+        }
     }
 
     #[test]

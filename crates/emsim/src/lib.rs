@@ -30,7 +30,7 @@ pub mod ntt_leak;
 pub mod probe;
 pub mod trace;
 
-pub use device::{CountermeasureConfig, Device};
+pub use device::{Armed, CountermeasureConfig, Device};
 pub use faults::{FaultModel, FaultState};
 pub use leakage::{GaussianNoise, LeakageModel};
 pub use probe::{MeasurementChain, Scope};

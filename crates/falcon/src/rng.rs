@@ -157,6 +157,36 @@ impl Prng {
         }
     }
 
+    /// Advances the stream by `k` bytes, landing exactly where `k` calls
+    /// to [`Prng::next_u8`] would. ChaCha20 is addressed by its block
+    /// counter, so the skipped blocks are never generated; only the
+    /// block the stream lands in is.
+    ///
+    /// ```
+    /// use falcon_sig::rng::Prng;
+    /// let mut a = Prng::from_seed(b"seed");
+    /// let mut b = a.clone();
+    /// a.skip(1000);
+    /// b.fill(&mut [0u8; 1000]);
+    /// assert_eq!(a.next_u64(), b.next_u64());
+    /// ```
+    pub fn skip(&mut self, k: u64) {
+        // ct: allow(stream offsets are public byte counts, independent of the key)
+        let buffered = (64 - self.pos) as u64;
+        // ct: allow(stream offsets are public byte counts, independent of the key)
+        if k <= buffered {
+            self.pos += k as usize;
+            return;
+        }
+        // Past the buffered block: jump the counter over the whole
+        // blocks the reads would consume, then generate the last one.
+        let rest = k - buffered;
+        let whole = (rest - 1) / 64;
+        self.counter += whole;
+        self.refill();
+        self.pos = (rest - 64 * whole) as usize;
+    }
+
     /// A uniform value in `[0, bound)` by rejection (bound must be
     /// nonzero).
     pub fn below(&mut self, bound: u64) -> u64 {
@@ -241,6 +271,37 @@ mod tests {
         let mut bad = r.export_state();
         bad[48] = 65;
         assert!(Prng::import_state(&bad).is_none());
+    }
+
+    /// Asserts that `skip(k)` leaves `start` where reading `k` bytes
+    /// would: same exported state, same bytes after.
+    fn assert_skip_matches_reads(start: &Prng, k: u64) {
+        let mut skipped = start.clone();
+        skipped.skip(k);
+        let mut read = start.clone();
+        for _ in 0..k {
+            read.next_u8();
+        }
+        assert_eq!(skipped.export_state(), read.export_state(), "state after skip({k})");
+        let (mut a, mut b) = ([0u8; 100], [0u8; 100]);
+        skipped.fill(&mut a);
+        read.fill(&mut b);
+        assert_eq!(a, b, "bytes after skip({k})");
+    }
+
+    #[test]
+    fn skip_equals_reading_the_same_bytes() {
+        let fresh = Prng::from_seed(b"skip");
+        let mut mid_block = fresh.clone();
+        mid_block.fill(&mut [0u8; 37]);
+        let imported = Prng::import_state(&mid_block.export_state()).expect("valid state");
+        for start in [&fresh, &mid_block, &imported] {
+            for k in 0..=200 {
+                assert_skip_matches_reads(start, k);
+            }
+            // Many whole blocks, ending mid-block.
+            assert_skip_matches_reads(start, 64 * 97 + 13);
+        }
     }
 
     #[test]
