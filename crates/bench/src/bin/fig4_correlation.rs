@@ -20,7 +20,7 @@ use falcon_bench::report::{arg_or, print_csv, print_table, reject_unread_args};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
 use falcon_dema::attack::{recover_mantissa_half, AttackConfig};
 use falcon_dema::confidence::threshold_9999;
-use falcon_dema::cpa::PearsonSums;
+use falcon_dema::cpa::{PearsonSums, SampleSums};
 use falcon_dema::exec;
 use falcon_dema::model::{
     hyp_add_lo, hyp_exponent_with_carry, hyp_partial_product, hyp_sign, KnownOperand, SecretHalf,
@@ -49,12 +49,14 @@ impl Panel {
         let knowns = [0, 1].map(|occ| {
             block.known_column(occ).iter().map(|&k| KnownOperand::new(k)).collect::<Vec<_>>()
         });
+        let sums =
+            [0, 1].map(|occ| StepKind::ALL.map(|s| SampleSums::new(block.sample_column(occ, s))));
         let corr = exec::map(&guesses, |&g| {
             let hyps = knowns.each_ref().map(|kn| kn.iter().map(|k| hyp(g, k)).collect::<Vec<_>>());
             StepKind::ALL.map(|step| {
                 let mut acc = PearsonSums::default();
                 for (occ, h) in hyps.iter().enumerate() {
-                    acc.push_column(h, block.sample_column(occ, step));
+                    acc.push_column(h, block.sample_column(occ, step), &sums[occ][step as usize]);
                 }
                 acc.corr()
             })

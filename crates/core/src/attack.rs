@@ -239,17 +239,17 @@ impl TargetColumns<'_> {
                 SecretHalf::Low => {
                     scratch.clear();
                     scratch.extend(kn.iter().map(|k| hyp_add_lo(cand, k)));
-                    acc.push_column_reusing(scratch, self.prune[occ], &sums.prune[occ]);
+                    acc.push_column(scratch, self.prune[occ], &sums.prune[occ]);
                     if let Some(c_hi) = other_half {
                         scratch.clear();
                         scratch.extend(kn.iter().map(|k| hyp_add_hi(c_hi, cand, k)));
-                        acc.push_column_reusing(scratch, self.extra_prune[occ], &sums.extra[occ]);
+                        acc.push_column(scratch, self.extra_prune[occ], &sums.extra[occ]);
                     }
                 }
                 SecretHalf::High => {
                     scratch.clear();
                     scratch.extend(kn.iter().map(|k| hyp_add_hi(cand, other_half.unwrap_or(0), k)));
-                    acc.push_column_reusing(scratch, self.prune[occ], &sums.prune[occ]);
+                    acc.push_column(scratch, self.prune[occ], &sums.prune[occ]);
                 }
             }
         }
@@ -685,13 +685,13 @@ pub fn recover_sign_exponent(
                 .zip(&rot_top)
                 .map(|(&lhw, &rt)| (lhw + (top ^ rt).count_ones()) as f64),
         );
-        sums.push_column_reusing(scratch, &s_load, &load_sums);
+        sums.push_column(scratch, &s_load, &load_sums);
         scratch.clear();
         scratch.extend(exp_base.iter().map(|&eb| ((eb + ef as i32) as u32).count_ones() as f64));
-        sums.push_column_reusing(scratch, &s_exp, &exp_sums);
+        sums.push_column(scratch, &s_exp, &exp_sums);
         scratch.clear();
         scratch.extend(k_sign.iter().map(|&ks| (sign ^ ks) as f64));
-        sums.push_column_reusing(scratch, &s_sign, &sign_sums);
+        sums.push_column(scratch, &s_sign, &sign_sums);
         sums.corr()
     });
     let scored: Vec<(u64, f64)> = cands
@@ -728,7 +728,9 @@ pub fn coefficient_confidence(block: &TargetBlock<'_>, bits: u64) -> f64 {
             }
         }
         for (s, &step) in StepKind::ALL.iter().enumerate() {
-            sums.push_column(&hw[s * traces..(s + 1) * traces], block.sample_column(occ, step));
+            let samples = block.sample_column(occ, step);
+            let h = &hw[s * traces..(s + 1) * traces];
+            sums.push_column(h, samples, &SampleSums::new(samples));
         }
     }
     sums.corr()

@@ -4,11 +4,12 @@
 //! Hamming-weight hypotheses and trace samples (its Equation 1). This
 //! module has three estimators, each with its own job:
 //!
-//! * [`PearsonSums`], the attack's one-pass tile accumulator, with
-//!   [`SampleSums`] replaying the candidate-independent sample side and
+//! * [`PearsonSums`], the attack's one-pass tile accumulator: one column
+//!   entry point, [`PearsonSums::push_column`], with the
+//!   candidate-independent sample side taken from a [`SampleSums`], and
 //!   [`push_product_column`] fusing the extend step's partial-product
-//!   hypotheses into the tile; the Figure 4 (a–d) correlation-versus-time
-//!   panels are drawn with it too;
+//!   hypotheses into the same tile; the Figure 4 (a–d)
+//!   correlation-versus-time panels are drawn with it too;
 //! * [`pearson`], the offset-robust two-pass estimator for raw or
 //!   imported captures;
 //! * [`pearson_evolution`], prefix series for
@@ -17,9 +18,10 @@
 //! The inner tiles of [`PearsonSums::push_column`] and
 //! [`push_product_column`] dispatch to the [`simd`] submodule, whose
 //! runtime-detected kernels reproduce the scalar four-lane reference
-//! bit-for-bit: AVX-512 for the fused extend tile, AVX2 for both tiles,
-//! and NEON for the plain tile. The kernel is selected once per process
-//! via `FALCON_DEMA_SIMD` / [`simd::set_kernel`].
+//! bit-for-bit: AVX-512 for the fused extend tile and AVX2 for both
+//! tiles; every other host runs the scalar reference. The kernel is
+//! selected once per process via `FALCON_DEMA_SIMD` /
+//! [`simd::set_kernel`].
 
 // The simd module holds the workspace's only unsafe code (std::arch
 // intrinsics), audited by falcon-ct: module allowlisted, every block
@@ -27,18 +29,16 @@
 #[allow(unsafe_code)]
 pub mod simd;
 
-use simd::{GUESS_BLOCK, TILE_LANES};
+use simd::{HypLanes, GUESS_BLOCK, TILE_LANES};
 
 /// Streaming Pearson accumulator over `(hypothesis, sample)` pairs.
 ///
 /// This is the attack's innermost data structure: every extend/prune
-/// candidate folds its whole column set into one of these. Two feeding
-/// modes are provided — scalar [`push`](PearsonSums::push) for
-/// heterogeneous call sites, and the batched
-/// [`push_column`](PearsonSums::push_column) tile kernel that consumes a
-/// whole contiguous column per call (the columnar [`Dataset`] layout
-/// hands those out as borrowed slices, so the hot loop runs
-/// allocation-free over dense memory).
+/// candidate folds its whole column set into one of these through the
+/// batched [`push_column`](PearsonSums::push_column) tile kernel, which
+/// consumes a whole contiguous column per call (the columnar
+/// [`Dataset`] layout hands those out as borrowed slices, so the hot
+/// loop runs allocation-free over dense memory).
 ///
 /// The accumulation is one-pass power sums: the attack's samples are
 /// near-zero-mean Hamming-weight leakage, far from the DC-offset regime
@@ -57,7 +57,9 @@ pub struct PearsonSums {
 }
 
 impl PearsonSums {
-    /// Absorbs one `(hypothesis, sample)` pair.
+    /// Absorbs one `(hypothesis, sample)` pair: the plain sequential sum,
+    /// which the tests hold the tile's fixed lane order against to
+    /// rounding.
     #[inline]
     pub fn push(&mut self, h: f64, t: f64) {
         self.d += 1.0;
@@ -69,65 +71,42 @@ impl PearsonSums {
     }
 
     /// Tile kernel: absorbs a whole hypothesis column against a
-    /// contiguous sample column in one call.
+    /// contiguous sample column in one call, with the sample column's
+    /// Σt/Σt² taken from `sums` (built once per column by
+    /// [`SampleSums::new`] and shared by every candidate scored against
+    /// it).
     ///
     /// Accumulation runs in [`TILE_LANES`] independent lanes (lane `j`
     /// sums every `TILE_LANES`-th element) folded in a fixed order, so
     /// the result is deterministic — independent of thread count and of
     /// how a caller splits its columns — while exposing
     /// reassociation-free data parallelism the scalar `push` chain
-    /// cannot express. The lane accumulation dispatches to the active
+    /// cannot express. The hypothesis-side lanes dispatch to the active
     /// [`simd`] kernel; every kernel reproduces the scalar reference
     /// bit-for-bit, so the dispatch is invisible to results.
     ///
     /// # Panics
     ///
-    /// Panics when the column lengths differ.
-    pub fn push_column(&mut self, hyps: &[f64], samples: &[f32]) {
-        assert_eq!(hyps.len(), samples.len(), "hypothesis and sample columns must align");
-        let lanes = simd::tile_lanes(hyps, samples);
-        // Fold the lanes in index order, then the tail pairs in sequence
-        // — one fixed summation order per (lengths, contents) input.
-        for j in 0..TILE_LANES {
-            self.sh += lanes.sh[j];
-            self.sh2 += lanes.sh2[j];
-            self.st += lanes.st[j];
-            self.st2 += lanes.st2[j];
-            self.sht += lanes.sht[j];
-        }
-        let n = hyps.len() - hyps.len() % TILE_LANES;
-        for (&h, &t) in hyps[n..].iter().zip(&samples[n..]) {
-            let t = t as f64;
-            self.sh += h;
-            self.sh2 += h * h;
-            self.st += t;
-            self.st2 += t * t;
-            self.sht += h * t;
-        }
-        self.d += hyps.len() as f64;
-    }
-
-    /// [`push_column`](PearsonSums::push_column) with the
-    /// candidate-independent sample statistics taken from a precomputed
-    /// [`SampleSums`] instead of re-accumulated per call.
-    ///
-    /// In the extend-and-prune beam every candidate at a level
-    /// correlates against the *same* sample columns; only the
-    /// hypothesis side changes. Reusing Σt/Σt² skips two of the five
-    /// accumulation streams, and because each of this struct's fields
-    /// has its own independent addition chain (lane fold in index
-    /// order, then the tail in sequence — exactly the order
-    /// [`SampleSums::new`] recorded), the result is **bit-identical**
-    /// to calling `push_column` directly.
-    ///
-    /// # Panics
-    ///
     /// Panics when the column lengths differ, or when `sums` was built
     /// from a column of a different length.
-    pub fn push_column_reusing(&mut self, hyps: &[f64], samples: &[f32], sums: &SampleSums) {
-        assert_eq!(hyps.len(), samples.len(), "hypothesis and sample columns must align");
+    pub fn push_column(&mut self, hyps: &[f64], samples: &[f32], sums: &SampleSums) {
         assert_eq!(samples.len(), sums.len, "SampleSums built from a different column length");
         let lanes = simd::tile_lanes_hyp(hyps, samples);
+        let n = hyps.len() - hyps.len() % TILE_LANES;
+        self.fold_column(&lanes, sums, hyps[n..].iter().copied().zip(samples[n..].iter().copied()));
+    }
+
+    /// Folds one column into the sums: the lanes in index order (the
+    /// sample side from `sums`, recorded in the same lane order), then
+    /// the `tail` pairs past the last whole tile in sequence — one fixed
+    /// summation order per (lengths, contents) input, shared by every
+    /// column entry point.
+    fn fold_column(
+        &mut self,
+        lanes: &HypLanes,
+        sums: &SampleSums,
+        tail: impl Iterator<Item = (f64, f32)>,
+    ) {
         for j in 0..TILE_LANES {
             self.sh += lanes.sh[j];
             self.sh2 += lanes.sh2[j];
@@ -135,8 +114,7 @@ impl PearsonSums {
             self.st2 += sums.st2[j];
             self.sht += lanes.sht[j];
         }
-        let n = hyps.len() - hyps.len() % TILE_LANES;
-        for (&h, &t) in hyps[n..].iter().zip(&samples[n..]) {
+        for (h, t) in tail {
             let t = t as f64;
             self.sh += h;
             self.sh2 += h * h;
@@ -144,7 +122,7 @@ impl PearsonSums {
             self.st2 += t * t;
             self.sht += h * t;
         }
-        self.d += hyps.len() as f64;
+        self.d += sums.len as f64;
     }
 
     /// The Pearson correlation of everything absorbed so far (0 when a
@@ -203,7 +181,7 @@ impl PearsonSums {
 /// Bit-identical to building each guess's column with
 /// [`hyp_partial_product`](crate::model::hyp_partial_product) (`mask`
 /// from [`product_mask`](crate::model::product_mask)) and feeding it to
-/// [`PearsonSums::push_column_reusing`]: Σht runs the same four-lane
+/// [`PearsonSums::push_column`]: Σht runs the same four-lane
 /// chain, lane fold and tail, and Σh, Σh² are sums of small integers,
 /// exact in any order.
 ///
@@ -223,33 +201,25 @@ pub fn push_product_column(
     let lanes = simd::product_lanes(guesses, mask, knowns, samples);
     let n = knowns.len() - knowns.len() % TILE_LANES;
     for ((acc, l), &g) in accs.iter_mut().zip(&lanes).zip(&guesses) {
-        for j in 0..TILE_LANES {
-            acc.sh += l.sh[j] as f64;
-            acc.sh2 += l.sh2[j] as f64;
-            acc.st += sums.st[j];
-            acc.st2 += sums.st2[j];
-            acc.sht += l.sht[j];
-        }
-        for (&k, &t) in knowns[n..].iter().zip(&samples[n..]) {
-            let h = f64::from(simd::product_hw(g, k, mask));
-            let t = t as f64;
-            acc.sh += h;
-            acc.sh2 += h * h;
-            acc.st += t;
-            acc.st2 += t * t;
-            acc.sht += h * t;
-        }
-        acc.d += knowns.len() as f64;
+        let lanes =
+            HypLanes { sh: l.sh.map(|v| v as f64), sh2: l.sh2.map(|v| v as f64), sht: l.sht };
+        let tail = knowns[n..].iter().zip(&samples[n..]);
+        acc.fold_column(
+            &lanes,
+            sums,
+            tail.map(|(&k, &t)| (f64::from(simd::product_hw(g, k, mask)), t)),
+        );
     }
 }
 
 /// Precomputed candidate-independent sample statistics for
-/// [`PearsonSums::push_column_reusing`]: the per-lane Σt/Σt² partials of
-/// one sample column, in exactly the lane structure the tile kernel
-/// produces (so replaying them preserves the bitwise summation order).
+/// [`PearsonSums::push_column`]: the per-lane Σt/Σt² partials of one
+/// sample column, in exactly the lane structure of the tile kernel (so
+/// replaying them fixes the bitwise summation order).
 ///
 /// Build one per sample column per beam level; every candidate at that
-/// level then skips the sample-side accumulation entirely.
+/// level then skips the sample-side accumulation entirely. A caller
+/// with a single hypothesis per column passes `&SampleSums::new(column)`.
 #[derive(Debug, Clone)]
 pub struct SampleSums {
     st: [f64; TILE_LANES],
@@ -273,16 +243,6 @@ impl SampleSums {
             }
         }
         SampleSums { st, st2, len: samples.len() }
-    }
-
-    /// Length of the column these sums were built from.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when built from an empty column.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -391,9 +351,7 @@ mod tests {
                 let h: Vec<f64> = (0..len).map(|i| ((i * 31) % 17) as f64).collect();
                 let t = vec![value; len];
                 let mut s = PearsonSums::default();
-                s.push_column(&h, &t);
-                assert_eq!(s.corr().to_bits(), 0f64.to_bits(), "len={len} value={value}");
-                s.push_column_reusing(&h, &t, &SampleSums::new(&t));
+                s.push_column(&h, &t, &SampleSums::new(&t));
                 assert_eq!(s.corr().to_bits(), 0f64.to_bits(), "len={len} value={value}");
             }
         }
@@ -473,7 +431,7 @@ mod tests {
             scalar.push(hv, tv as f64);
         }
         let mut tiled = PearsonSums::default();
-        tiled.push_column(&h, &t);
+        tiled.push_column(&h, &t, &SampleSums::new(&t));
         assert_eq!(tiled.len(), h.len());
         // Tiled and scalar orders agree to rounding; both track the
         // two-pass reference closely on this well-conditioned data.
@@ -490,31 +448,11 @@ mod tests {
         let h: Vec<f64> = (0..101).map(|i| ((i * 7) % 29) as f64).collect();
         let t: Vec<f32> = (0..101).map(|i| ((i * 11) % 31) as f32).collect();
         let mut a = PearsonSums::default();
-        a.push_column(&h, &t);
+        a.push_column(&h, &t, &SampleSums::new(&t));
         let mut b = PearsonSums::default();
-        b.push_column(&h, &t);
+        b.push_column(&h, &t, &SampleSums::new(&t));
         assert_eq!(a.corr().to_bits(), b.corr().to_bits());
         assert_eq!(a.hyp_variance().to_bits(), b.hyp_variance().to_bits());
         assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn sample_sum_reuse_is_bit_identical() {
-        // Reusing precomputed Σt/Σt² lanes must be invisible at the bit
-        // level — the beam relies on this to keep kernel choice and sum
-        // reuse out of the determinism surface.
-        for len in [0usize, 1, 5, 64, 101, 257] {
-            let h: Vec<f64> = (0..len).map(|i| ((i * 37) % 61) as f64 - 30.0).collect();
-            let t: Vec<f32> = (0..len).map(|i| ((i * 13 + 5) % 53) as f32 / 3.0).collect();
-            let mut direct = PearsonSums::default();
-            direct.push_column(&h, &t);
-            let sums = SampleSums::new(&t);
-            assert_eq!(sums.len(), len);
-            let mut reused = PearsonSums::default();
-            reused.push_column_reusing(&h, &t, &sums);
-            let db = direct.components().map(f64::to_bits);
-            let rb = reused.components().map(f64::to_bits);
-            assert_eq!(db, rb, "len={len}");
-        }
     }
 }

@@ -10,11 +10,14 @@
 //! the caller folds the lanes in index order. A 256-bit AVX2 register
 //! holds exactly four `f64` lanes, so one vector add performs the four
 //! scalar lane adds with operand-for-operand identical IEEE-754
-//! roundings; NEON does the same with two `float64x2` register pairs.
-//! The result is **bit-identical** across kernels — verified
-//! exhaustively by `crates/core/tests/kernel_differential.rs` — which
-//! is what lets the determinism suite treat kernel choice like thread
-//! count: an execution detail that cannot move a single output bit.
+//! roundings. The column tile ([`tile_lanes_hyp`]) accumulates only the
+//! hypothesis side (Σh, Σh², Σht); the sample side (Σt, Σt²) is shared
+//! by every candidate and comes from a [`SampleSums`](super::SampleSums)
+//! built once per column. The result is **bit-identical** across
+//! kernels — verified exhaustively by
+//! `crates/core/tests/kernel_differential.rs` — which is what lets the
+//! determinism suite treat kernel choice like thread count: an
+//! execution detail that cannot move a single output bit.
 //!
 //! The fused extend kernel (`product_lanes`) keeps the same tile but
 //! computes its hypotheses itself: `h = popcount((guess · known) &
@@ -27,8 +30,8 @@
 //! with `h` converted to `f64` exactly; the caller's fold (lanes in
 //! index order, then the tail, column by column) is the two-step fold.
 //! So the fused scores are bit-identical to the two-step ones as well as
-//! across kernels. AVX-512 and AVX2 run vector kernels; NEON and the
-//! portable path run the scalar reference.
+//! across kernels. AVX-512 and AVX2 run vector kernels; every other
+//! host (aarch64 included) runs the always-compiled scalar reference.
 //!
 //! The AVX-512 fused kernel holds the whole guess block in one 512-bit
 //! register per statistic. Its eight 64-bit lanes map to guess `q` and
@@ -51,16 +54,16 @@
 //! The active kernel is resolved once (then cached) from, in order:
 //!
 //! 1. [`set_kernel`] — in-process override for tests and benches;
-//! 2. the `FALCON_DEMA_SIMD` environment variable: `off` or `scalar`
-//!    pin the portable tile, `auto` (or unset) enables detection;
+//! 2. the `FALCON_DEMA_SIMD` environment variable: `scalar` (or its
+//!    spelling `off`) pins the portable tile, `auto` (or unset) enables
+//!    detection;
 //! 3. runtime CPU feature detection (`avx2` on x86_64, upgraded to the
 //!    AVX-512 fused kernel when `avx512f` and `avx512vpopcntdq` are both
-//!    present; `neon` on aarch64), falling back to the always-compiled
-//!    scalar tile.
+//!    present), falling back to the always-compiled scalar tile.
 //!
 //! The resolved choice is reported through the `cpa.kernel` obs gauge
-//! (0 = scalar, 1 = AVX2, 2 = NEON, 3 = AVX-512) so every bench and
-//! campaign records which path actually ran. Selection composes with the
+//! (0 = scalar, 1 = AVX2, 3 = AVX-512) so every bench and campaign
+//! records which path actually ran. Selection composes with the
 //! executor's `FALCON_DEMA_THREADS`: kernel state is process-global
 //! atomics, so every `dema::exec` worker dispatches identically.
 //!
@@ -90,11 +93,9 @@ pub enum Kernel {
     Scalar,
     /// AVX2 `f64x4` lanes (x86_64, runtime-detected).
     Avx2,
-    /// NEON `f64x2` lane pairs (aarch64, runtime-detected).
-    Neon,
     /// AVX-512 fused extend kernel with native `vpopcntq` (x86_64,
-    /// runtime-detected `avx512f` + `avx512vpopcntdq`); the column tiles
-    /// run the AVX2 kernel.
+    /// runtime-detected `avx512f` + `avx512vpopcntdq`); the column tile
+    /// runs the AVX2 kernel.
     Avx512,
 }
 
@@ -104,7 +105,6 @@ impl Kernel {
         match self {
             Kernel::Scalar => "scalar",
             Kernel::Avx2 => "avx2",
-            Kernel::Neon => "neon",
             Kernel::Avx512 => "avx512",
         }
     }
@@ -114,7 +114,6 @@ impl Kernel {
         match self {
             Kernel::Scalar => 0.0,
             Kernel::Avx2 => 1.0,
-            Kernel::Neon => 2.0,
             Kernel::Avx512 => 3.0,
         }
     }
@@ -123,11 +122,7 @@ impl Kernel {
 /// Selection policy, before detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelChoice {
-    /// SIMD disabled: always the scalar tile (`FALCON_DEMA_SIMD=off`).
-    Off,
-    /// Explicitly the scalar tile (`FALCON_DEMA_SIMD=scalar`);
-    /// equivalent to [`KernelChoice::Off`] — both exist so campaign
-    /// configs can say what they mean.
+    /// Always the scalar tile (`FALCON_DEMA_SIMD=scalar`, or `off`).
     Scalar,
     /// Detect and use the best available kernel (the default).
     Auto,
@@ -145,8 +140,7 @@ fn env_choice() -> Option<KernelChoice> {
     static ENV: OnceLock<Option<KernelChoice>> = OnceLock::new();
     // ct: allow(opt-in kernel knob, read once and cached)
     *ENV.get_or_init(|| match std::env::var("FALCON_DEMA_SIMD").ok().as_deref() {
-        Some("off") => Some(KernelChoice::Off),
-        Some("scalar") => Some(KernelChoice::Scalar),
+        Some("off" | "scalar") => Some(KernelChoice::Scalar),
         Some("auto") => Some(KernelChoice::Auto),
         _ => None,
     })
@@ -165,24 +159,17 @@ fn detect() -> Kernel {
             return Kernel::Avx2;
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return Kernel::Neon;
-        }
-    }
     Kernel::Scalar
 }
 
 fn resolve() -> Kernel {
     let choice = match OVERRIDE.load(Ordering::Relaxed) {
-        1 => KernelChoice::Off,
-        2 => KernelChoice::Scalar,
-        3 => KernelChoice::Auto,
+        1 => KernelChoice::Scalar,
+        2 => KernelChoice::Auto,
         _ => env_choice().unwrap_or(KernelChoice::Auto),
     };
     let kernel = match choice {
-        KernelChoice::Off | KernelChoice::Scalar => Kernel::Scalar,
+        KernelChoice::Scalar => Kernel::Scalar,
         KernelChoice::Auto => detect(),
     };
     obs::gauge("cpa.kernel").set(kernel.gauge_code());
@@ -196,8 +183,7 @@ pub fn active_kernel() -> Kernel {
     match RESOLVED.load(Ordering::Relaxed) {
         1 => Kernel::Scalar,
         2 => Kernel::Avx2,
-        3 => Kernel::Neon,
-        4 => Kernel::Avx512,
+        3 => Kernel::Avx512,
         _ => resolve(),
     }
 }
@@ -211,9 +197,8 @@ pub fn active_kernel() -> Kernel {
 pub fn set_kernel(choice: Option<KernelChoice>) {
     let code = match choice {
         None => 0,
-        Some(KernelChoice::Off) => 1,
-        Some(KernelChoice::Scalar) => 2,
-        Some(KernelChoice::Auto) => 3,
+        Some(KernelChoice::Scalar) => 1,
+        Some(KernelChoice::Auto) => 2,
     };
     OVERRIDE.store(code, Ordering::Relaxed);
     RESOLVED.store(0, Ordering::Relaxed);
@@ -226,25 +211,10 @@ pub fn simd_available() -> bool {
     detect() != Kernel::Scalar
 }
 
-/// Per-lane accumulator state of one full tile pass: five statistics ×
-/// [`TILE_LANES`] independent lanes.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct Lanes {
-    /// Σh per lane.
-    pub sh: [f64; TILE_LANES],
-    /// Σh² per lane.
-    pub sh2: [f64; TILE_LANES],
-    /// Σt per lane.
-    pub st: [f64; TILE_LANES],
-    /// Σt² per lane.
-    pub st2: [f64; TILE_LANES],
-    /// Σht per lane.
-    pub sht: [f64; TILE_LANES],
-}
-
-/// Hypothesis-side lanes only (Σh, Σh², Σht) — the candidate-dependent
-/// subset, for call sites that reuse precomputed sample sums across a
-/// whole beam level (see [`super::SampleSums`]).
+/// Per-lane accumulator state of one column tile: the
+/// candidate-dependent statistics (Σh, Σh², Σht) × [`TILE_LANES`]
+/// independent lanes. The sample side comes from a precomputed
+/// [`super::SampleSums`].
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct HypLanes {
     /// Σh per lane.
@@ -255,36 +225,15 @@ pub struct HypLanes {
     pub sht: [f64; TILE_LANES],
 }
 
-/// Lane-wise accumulation over the aligned prefix (`len - len %
-/// TILE_LANES` elements) of a column pair, dispatched to the active
-/// kernel. The caller folds the lanes in index order and handles the
-/// remainder.
+/// Lane-wise accumulation of Σh, Σh² and Σht over the aligned prefix
+/// (`len - len % TILE_LANES` elements) of a column pair, dispatched to
+/// the active kernel. The caller folds the lanes in index order and
+/// handles the remainder.
 ///
 /// # Panics
 ///
-/// Panics when the slice lengths differ (the vector kernels read both
+/// Panics when the slice lengths differ (the vector kernel reads both
 /// up to the same index).
-pub fn tile_lanes(hyps: &[f64], samples: &[f32]) -> Lanes {
-    assert_eq!(hyps.len(), samples.len(), "hypothesis and sample columns must align");
-    match active_kernel() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch reaches Avx2 or Avx512 only when runtime
-        // detection confirmed the host supports the avx2 target feature.
-        Kernel::Avx2 | Kernel::Avx512 => unsafe { tile_lanes_avx2(hyps, samples) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch reaches Neon only when runtime detection
-        // confirmed the host supports the neon target feature.
-        Kernel::Neon => unsafe { tile_lanes_neon(hyps, samples) },
-        _ => tile_lanes_scalar(hyps, samples),
-    }
-}
-
-/// Hypothesis-side counterpart of [`tile_lanes`]: skips the Σt/Σt²
-/// streams entirely (they are candidate-independent).
-///
-/// # Panics
-///
-/// Panics when the slice lengths differ.
 pub fn tile_lanes_hyp(hyps: &[f64], samples: &[f32]) -> HypLanes {
     assert_eq!(hyps.len(), samples.len(), "hypothesis and sample columns must align");
     match active_kernel() {
@@ -292,33 +241,12 @@ pub fn tile_lanes_hyp(hyps: &[f64], samples: &[f32]) -> HypLanes {
         // SAFETY: dispatch reaches Avx2 or Avx512 only when runtime
         // detection confirmed the host supports the avx2 target feature.
         Kernel::Avx2 | Kernel::Avx512 => unsafe { tile_lanes_hyp_avx2(hyps, samples) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch reaches Neon only when runtime detection
-        // confirmed the host supports the neon target feature.
-        Kernel::Neon => unsafe { tile_lanes_hyp_neon(hyps, samples) },
         _ => tile_lanes_hyp_scalar(hyps, samples),
     }
 }
 
 /// The reference tile: four independent scalar lanes, multiply then
 /// add. Every SIMD kernel must reproduce this bit-for-bit.
-pub(crate) fn tile_lanes_scalar(hyps: &[f64], samples: &[f32]) -> Lanes {
-    let mut l = Lanes::default();
-    for (hh, ss) in hyps.chunks_exact(TILE_LANES).zip(samples.chunks_exact(TILE_LANES)) {
-        for j in 0..TILE_LANES {
-            let h = hh[j];
-            let t = ss[j] as f64;
-            l.sh[j] += h;
-            l.sh2[j] += h * h;
-            l.st[j] += t;
-            l.st2[j] += t * t;
-            l.sht[j] += h * t;
-        }
-    }
-    l
-}
-
-/// Scalar reference for the hypothesis-side tile.
 pub(crate) fn tile_lanes_hyp_scalar(hyps: &[f64], samples: &[f32]) -> HypLanes {
     let mut l = HypLanes::default();
     for (hh, ss) in hyps.chunks_exact(TILE_LANES).zip(samples.chunks_exact(TILE_LANES)) {
@@ -346,53 +274,12 @@ pub(crate) fn tile_lanes_hyp_scalar(hyps: &[f64], samples: &[f32]) -> HypLanes {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 // SAFETY: unsafe solely via target_feature; dispatch checks AVX2 first.
-unsafe fn tile_lanes_avx2(hyps: &[f64], samples: &[f32]) -> Lanes {
+unsafe fn tile_lanes_hyp_avx2(hyps: &[f64], samples: &[f32]) -> HypLanes {
     use std::arch::x86_64::*;
     let n = hyps.len() - hyps.len() % TILE_LANES;
     // SAFETY: (whole body) every pointer access below reads exactly
     // TILE_LANES elements starting at i, with i + TILE_LANES <= n <=
     // the length of both slices; loadu imposes no alignment.
-    unsafe {
-        let mut vsh = _mm256_setzero_pd();
-        let mut vsh2 = _mm256_setzero_pd();
-        let mut vst = _mm256_setzero_pd();
-        let mut vst2 = _mm256_setzero_pd();
-        let mut vsht = _mm256_setzero_pd();
-        let mut i = 0usize;
-        while i + TILE_LANES <= n {
-            let h = _mm256_loadu_pd(hyps.as_ptr().add(i));
-            let t = _mm256_cvtps_pd(_mm_loadu_ps(samples.as_ptr().add(i)));
-            vsh = _mm256_add_pd(vsh, h);
-            vsh2 = _mm256_add_pd(vsh2, _mm256_mul_pd(h, h));
-            vst = _mm256_add_pd(vst, t);
-            vst2 = _mm256_add_pd(vst2, _mm256_mul_pd(t, t));
-            vsht = _mm256_add_pd(vsht, _mm256_mul_pd(h, t));
-            i += TILE_LANES;
-        }
-        let mut l = Lanes::default();
-        _mm256_storeu_pd(l.sh.as_mut_ptr(), vsh);
-        _mm256_storeu_pd(l.sh2.as_mut_ptr(), vsh2);
-        _mm256_storeu_pd(l.st.as_mut_ptr(), vst);
-        _mm256_storeu_pd(l.st2.as_mut_ptr(), vst2);
-        _mm256_storeu_pd(l.sht.as_mut_ptr(), vsht);
-        l
-    }
-}
-
-/// AVX2 hypothesis-side tile; see [`tile_lanes_avx2`].
-///
-/// # Safety
-///
-/// Same contract as [`tile_lanes_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: unsafe solely via target_feature; dispatch checks AVX2 first.
-unsafe fn tile_lanes_hyp_avx2(hyps: &[f64], samples: &[f32]) -> HypLanes {
-    use std::arch::x86_64::*;
-    let n = hyps.len() - hyps.len() % TILE_LANES;
-    // SAFETY: (whole body) same bounds argument as tile_lanes_avx2 —
-    // every access reads TILE_LANES elements at i with i + TILE_LANES
-    // <= n <= both slice lengths.
     unsafe {
         let mut vsh = _mm256_setzero_pd();
         let mut vsh2 = _mm256_setzero_pd();
@@ -469,8 +356,6 @@ pub(crate) fn product_lanes(
         // SAFETY: dispatch reaches Avx512 only when runtime detection
         // confirmed the host supports avx512f and avx512vpopcntdq.
         Kernel::Avx512 => unsafe { product_lanes_avx512(guesses, mask, knowns, samples) },
-        // NEON (no 64-bit lane popcount-and-convert worth the code) and
-        // the portable path run the scalar reference.
         _ => product_lanes_scalar(guesses, mask, knowns, samples),
     }
 }
@@ -648,98 +533,6 @@ unsafe fn product_lanes_avx512(
     }
 }
 
-/// NEON tile: two `float64x2` registers per statistic (lanes 0–1 and
-/// 2–3), multiply then add (`vmulq`/`vaddq`, never `vfmaq`), samples
-/// widened exactly with `vcvt_f64_f32` — bit-identical to the scalar
-/// tile lane for lane.
-///
-/// # Safety
-///
-/// Caller must ensure the host supports NEON (runtime-detected in the
-/// dispatcher) and that `hyps.len() == samples.len()`.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// SAFETY: unsafe solely via target_feature; dispatch checks NEON first.
-unsafe fn tile_lanes_neon(hyps: &[f64], samples: &[f32]) -> Lanes {
-    use std::arch::aarch64::*;
-    let n = hyps.len() - hyps.len() % TILE_LANES;
-    // SAFETY: (whole body) every pointer access below reads exactly
-    // TILE_LANES elements starting at i, with i + TILE_LANES <= n <=
-    // the length of both slices.
-    unsafe {
-        let mut vsh = [vdupq_n_f64(0.0); 2];
-        let mut vsh2 = [vdupq_n_f64(0.0); 2];
-        let mut vst = [vdupq_n_f64(0.0); 2];
-        let mut vst2 = [vdupq_n_f64(0.0); 2];
-        let mut vsht = [vdupq_n_f64(0.0); 2];
-        let mut i = 0usize;
-        while i + TILE_LANES <= n {
-            let h = [vld1q_f64(hyps.as_ptr().add(i)), vld1q_f64(hyps.as_ptr().add(i + 2))];
-            let t = [
-                vcvt_f64_f32(vld1_f32(samples.as_ptr().add(i))),
-                vcvt_f64_f32(vld1_f32(samples.as_ptr().add(i + 2))),
-            ];
-            for p in 0..2 {
-                vsh[p] = vaddq_f64(vsh[p], h[p]);
-                vsh2[p] = vaddq_f64(vsh2[p], vmulq_f64(h[p], h[p]));
-                vst[p] = vaddq_f64(vst[p], t[p]);
-                vst2[p] = vaddq_f64(vst2[p], vmulq_f64(t[p], t[p]));
-                vsht[p] = vaddq_f64(vsht[p], vmulq_f64(h[p], t[p]));
-            }
-            i += TILE_LANES;
-        }
-        let mut l = Lanes::default();
-        for p in 0..2 {
-            vst1q_f64(l.sh.as_mut_ptr().add(2 * p), vsh[p]);
-            vst1q_f64(l.sh2.as_mut_ptr().add(2 * p), vsh2[p]);
-            vst1q_f64(l.st.as_mut_ptr().add(2 * p), vst[p]);
-            vst1q_f64(l.st2.as_mut_ptr().add(2 * p), vst2[p]);
-            vst1q_f64(l.sht.as_mut_ptr().add(2 * p), vsht[p]);
-        }
-        l
-    }
-}
-
-/// NEON hypothesis-side tile; see [`tile_lanes_neon`].
-///
-/// # Safety
-///
-/// Same contract as [`tile_lanes_neon`].
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// SAFETY: unsafe solely via target_feature; dispatch checks NEON first.
-unsafe fn tile_lanes_hyp_neon(hyps: &[f64], samples: &[f32]) -> HypLanes {
-    use std::arch::aarch64::*;
-    let n = hyps.len() - hyps.len() % TILE_LANES;
-    // SAFETY: (whole body) same bounds argument as tile_lanes_neon.
-    unsafe {
-        let mut vsh = [vdupq_n_f64(0.0); 2];
-        let mut vsh2 = [vdupq_n_f64(0.0); 2];
-        let mut vsht = [vdupq_n_f64(0.0); 2];
-        let mut i = 0usize;
-        while i + TILE_LANES <= n {
-            let h = [vld1q_f64(hyps.as_ptr().add(i)), vld1q_f64(hyps.as_ptr().add(i + 2))];
-            let t = [
-                vcvt_f64_f32(vld1_f32(samples.as_ptr().add(i))),
-                vcvt_f64_f32(vld1_f32(samples.as_ptr().add(i + 2))),
-            ];
-            for p in 0..2 {
-                vsh[p] = vaddq_f64(vsh[p], h[p]);
-                vsh2[p] = vaddq_f64(vsh2[p], vmulq_f64(h[p], h[p]));
-                vsht[p] = vaddq_f64(vsht[p], vmulq_f64(h[p], t[p]));
-            }
-            i += TILE_LANES;
-        }
-        let mut l = HypLanes::default();
-        for p in 0..2 {
-            vst1q_f64(l.sh.as_mut_ptr().add(2 * p), vsh[p]);
-            vst1q_f64(l.sh2.as_mut_ptr().add(2 * p), vsh2[p]);
-            vst1q_f64(l.sht.as_mut_ptr().add(2 * p), vsht[p]);
-        }
-        l
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,16 +555,6 @@ mod tests {
         (h, t)
     }
 
-    fn lanes_bits(l: &Lanes) -> Vec<u64> {
-        l.sh.iter()
-            .chain(&l.sh2)
-            .chain(&l.st)
-            .chain(&l.st2)
-            .chain(&l.sht)
-            .map(|v| v.to_bits())
-            .collect()
-    }
-
     #[test]
     fn detected_kernel_matches_scalar_reference_bitwise() {
         // The in-module smoke test of the bit-identity contract; the
@@ -780,36 +563,25 @@ mod tests {
         for len in [0usize, 1, 3, 4, 7, 64, 257] {
             let (h, t) = columns(len, 0x5EED ^ len as u64);
             set_kernel(Some(KernelChoice::Scalar));
-            let reference = tile_lanes(&h, &t);
+            let reference = tile_lanes_hyp(&h, &t);
             set_kernel(Some(KernelChoice::Auto));
-            let auto = tile_lanes(&h, &t);
+            let auto = tile_lanes_hyp(&h, &t);
             set_kernel(None);
-            assert_eq!(lanes_bits(&reference), lanes_bits(&auto), "len={len}");
+            let bits = |l: HypLanes| [l.sh, l.sh2, l.sht].map(|lane| lane.map(f64::to_bits));
+            assert_eq!(bits(reference), bits(auto), "len={len}");
         }
-    }
-
-    #[test]
-    fn hyp_lanes_agree_with_full_lanes() {
-        let (h, t) = columns(123, 0xBEEF);
-        let full = tile_lanes(&h, &t);
-        let hyp = tile_lanes_hyp(&h, &t);
-        assert_eq!(full.sh.map(f64::to_bits), hyp.sh.map(f64::to_bits));
-        assert_eq!(full.sh2.map(f64::to_bits), hyp.sh2.map(f64::to_bits));
-        assert_eq!(full.sht.map(f64::to_bits), hyp.sht.map(f64::to_bits));
     }
 
     #[test]
     fn override_pins_and_clears() {
         let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_kernel(Some(KernelChoice::Off));
-        assert_eq!(active_kernel(), Kernel::Scalar);
         set_kernel(Some(KernelChoice::Scalar));
         assert_eq!(active_kernel(), Kernel::Scalar);
         set_kernel(None);
         // With the override cleared the kernel reflects the host (or
         // the ambient FALCON_DEMA_SIMD policy, which CI sweeps).
         let k = active_kernel();
-        assert!(matches!(k, Kernel::Scalar | Kernel::Avx2 | Kernel::Neon | Kernel::Avx512));
+        assert!(matches!(k, Kernel::Scalar | Kernel::Avx2 | Kernel::Avx512));
     }
 
     #[test]

@@ -1,25 +1,32 @@
 //! Differential suite for the SIMD Pearson tile kernels.
 //!
-//! The contract under test: every kernel (`scalar`, `avx2`, `neon`)
+//! The contract under test: every kernel (`scalar`, `avx2`, `avx512`)
 //! produces **bit-identical** `PearsonSums` state — not merely close
 //! correlations — for every input class the attack can feed it. The
-//! suite drives the public `push_column`/`push_column_reusing` API with
-//! the kernel pinned to `scalar` and then to `auto`, and compares the
-//! raw accumulator components with `f64::to_bits`.
+//! suite drives the public `push_column` API (hypothesis tile plus
+//! reused `SampleSums`) with the kernel pinned to `scalar` and then to
+//! `auto`, and compares the raw accumulator components with
+//! `f64::to_bits`. `push_column_equals_five_sum_fold` also holds it bit
+//! for bit against a test-local copy of the original five-sum scalar
+//! fold, which accumulated Σt/Σt² inside the tile instead of taking them
+//! from `SampleSums`.
 //!
 //! The fused extend kernel (`push_product_column`, which computes the
 //! partial-product hypotheses in registers) is held to the same bar,
 //! and to the two-step path it replaced: `hyp_partial_product` into a
-//! hypothesis column, then `push_column_reusing`.
+//! hypothesis column, then `push_column`.
 //!
-//! On a host without AVX2/NEON, `auto` resolves to the scalar tile and
-//! every assertion degenerates to scalar-vs-scalar: the suite still
-//! passes (and still guards the fold/tail plumbing around the kernel).
-//! CI runs it under both `FALCON_DEMA_SIMD=off` and `auto` regardless.
+//! On a host without AVX2, `auto` resolves to the scalar tile and every
+//! scalar-against-auto assertion degenerates to scalar-vs-scalar: the
+//! suite still passes (and still guards the fold/tail plumbing around
+//! the kernel). CI runs it under both `FALCON_DEMA_SIMD=off` and `auto`
+//! regardless, and `ambient_simd_policy_selects_the_named_kernel`
+//! proves which kernel each leg ran.
 
-use falcon_dema::cpa::simd::{self, Kernel, KernelChoice, GUESS_BLOCK};
+use falcon_dema::cpa::simd::{self, Kernel, KernelChoice, GUESS_BLOCK, TILE_LANES};
 use falcon_dema::cpa::{push_product_column, PearsonSums, SampleSums};
 use falcon_dema::model::{hyp_partial_product, product_mask};
+use falcon_dema::obs;
 use std::sync::Mutex;
 
 /// Kernel selection is process-global; tests that override it must not
@@ -63,38 +70,61 @@ fn random_columns(len: usize, seed: u64) -> (Vec<f64>, Vec<f32>) {
 fn sums_under(choice: KernelChoice, h: &[f64], t: &[f32]) -> [u64; 6] {
     simd::set_kernel(Some(choice));
     let mut s = PearsonSums::default();
-    s.push_column(h, t);
+    s.push_column(h, t, &SampleSums::new(t));
     let out = s.components().map(f64::to_bits);
     simd::set_kernel(None);
     out
 }
 
-/// Asserts scalar and auto kernels agree bitwise on one column pair,
-/// through both the plain and the sample-reusing entry points.
+/// The original five-sum scalar fold, the reference `push_column` is
+/// held to: Σh, Σh², Σt, Σt² and Σht accumulated together in
+/// [`TILE_LANES`] lanes (multiply, then add), the lanes folded in index
+/// order, then the tail in sequence. Returns the components
+/// `[d, Σh, Σh², Σt, Σt², Σht]` as bits.
+fn five_sum_fold(h: &[f64], t: &[f32]) -> [u64; 6] {
+    let mut lanes = [[0f64; 5]; TILE_LANES];
+    for (hh, tt) in h.chunks_exact(TILE_LANES).zip(t.chunks_exact(TILE_LANES)) {
+        for (l, (&h, &t)) in lanes.iter_mut().zip(hh.iter().zip(tt)) {
+            let t = t as f64;
+            l[0] += h;
+            l[1] += h * h;
+            l[2] += t;
+            l[3] += t * t;
+            l[4] += h * t;
+        }
+    }
+    let mut s = [0f64; 6];
+    for l in lanes {
+        for k in 0..5 {
+            s[k + 1] += l[k];
+        }
+    }
+    let n = h.len() - h.len() % TILE_LANES;
+    for (&h, &t) in h[n..].iter().zip(&t[n..]) {
+        let t = t as f64;
+        s[1] += h;
+        s[2] += h * h;
+        s[3] += t;
+        s[4] += t * t;
+        s[5] += h * t;
+    }
+    s[0] = h.len() as f64;
+    s.map(f64::to_bits)
+}
+
+/// Asserts scalar and auto kernels agree bitwise on one column pair.
 fn assert_bit_identical(h: &[f64], t: &[f32], what: &str) {
     let scalar = sums_under(KernelChoice::Scalar, h, t);
     let auto = sums_under(KernelChoice::Auto, h, t);
     assert_eq!(scalar, auto, "push_column sums diverge: {what}");
 
-    // The reusing path must agree with the plain path under every
-    // kernel (SampleSums itself is kernel-independent by construction).
-    for choice in [KernelChoice::Scalar, KernelChoice::Auto] {
-        simd::set_kernel(Some(choice));
-        let reuse = SampleSums::new(t);
-        let mut s = PearsonSums::default();
-        s.push_column_reusing(h, t, &reuse);
-        let got = s.components().map(f64::to_bits);
-        simd::set_kernel(None);
-        assert_eq!(scalar, got, "push_column_reusing sums diverge ({choice:?}): {what}");
-    }
-
     // And the derived statistics follow the sums.
     simd::set_kernel(Some(KernelChoice::Scalar));
     let mut a = PearsonSums::default();
-    a.push_column(h, t);
+    a.push_column(h, t, &SampleSums::new(t));
     simd::set_kernel(Some(KernelChoice::Auto));
     let mut b = PearsonSums::default();
-    b.push_column(h, t);
+    b.push_column(h, t, &SampleSums::new(t));
     simd::set_kernel(None);
     assert_eq!(a.corr().to_bits(), b.corr().to_bits(), "corr diverges: {what}");
     assert_eq!(
@@ -166,7 +196,7 @@ fn constant_columns_zero_variance() {
         // Zero variance must also yield corr() == 0 exactly, not NaN.
         simd::set_kernel(Some(KernelChoice::Auto));
         let mut s = PearsonSums::default();
-        s.push_column(&hc, &t);
+        s.push_column(&hc, &t, &SampleSums::new(&t));
         assert_eq!(s.corr(), 0.0, "constant hypothesis must give zero correlation");
         simd::set_kernel(None);
     }
@@ -184,7 +214,7 @@ fn multi_column_accumulation_is_bit_identical() {
         simd::set_kernel(Some(choice));
         let mut s = PearsonSums::default();
         for (h, t) in &cols {
-            s.push_column(h, t);
+            s.push_column(h, t, &SampleSums::new(t));
         }
         let out = s.components().map(f64::to_bits);
         simd::set_kernel(None);
@@ -196,7 +226,7 @@ fn multi_column_accumulation_is_bit_identical() {
 #[test]
 fn active_kernel_reports_detection() {
     let _g = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    simd::set_kernel(Some(KernelChoice::Off));
+    simd::set_kernel(Some(KernelChoice::Scalar));
     assert_eq!(simd::active_kernel(), Kernel::Scalar);
     simd::set_kernel(Some(KernelChoice::Auto));
     let auto = simd::active_kernel();
@@ -208,15 +238,73 @@ fn active_kernel_reports_detection() {
     }
 }
 
+#[test]
+fn push_column_equals_five_sum_fold() {
+    // The sample side moved out of the tile into SampleSums; no bit may
+    // move with it. Wide samples round at nearly every add, so any
+    // change to the Σt/Σt² summation order shows.
+    let _g = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let specials =
+        [f32::NAN, f32::INFINITY, -0.0, 0.0, f32::MIN_POSITIVE / 2.0, 1.0e-45, f32::MAX, f32::MIN];
+    for len in [0usize, 1, 2, 3, 4, 5, 6, 7, 64, 97, 131, 4099] {
+        let (h, _) = random_columns(len, 0xF5 ^ (len as u64) << 8);
+        let wide = wide_samples(len, 0x5F ^ (len as u64) << 8);
+        let mut cases = vec![
+            (h.clone(), wide.clone(), "wide samples".to_string()),
+            (vec![3.0; len], wide.clone(), "constant hyps".to_string()),
+            (h.clone(), vec![-1.5; len], "constant samples".to_string()),
+        ];
+        for special in specials {
+            let mut t = wide.clone();
+            for at in (len % 3..len).step_by(7) {
+                t[at] = special;
+            }
+            cases.push((h.clone(), t, format!("special {special:?}")));
+        }
+        for (h, t, what) in cases {
+            for choice in [KernelChoice::Scalar, KernelChoice::Auto] {
+                assert_eq!(
+                    sums_under(choice, &h, &t),
+                    five_sum_fold(&h, &t),
+                    "push_column != five-sum fold ({choice:?}): {what}, len={len}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn ambient_simd_policy_selects_the_named_kernel() {
+    // With no in-process override, FALCON_DEMA_SIMD alone picks the
+    // kernel: a CI leg meant to test the scalar reference must not run
+    // the vector kernels because its value was misspelt.
+    let _g = KERNEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    simd::set_kernel(None);
+    let kernel = simd::active_kernel();
+    let gauge = obs::metrics().snapshot().gauges.get("cpa.kernel").copied();
+    match std::env::var("FALCON_DEMA_SIMD").unwrap_or_default().as_str() {
+        "off" | "scalar" => {
+            assert_eq!(kernel, Kernel::Scalar, "the scalar policy must run the scalar tile");
+            assert_eq!(gauge, Some(0.0), "cpa.kernel must report the scalar tile");
+        }
+        "" | "auto" => {
+            if simd::simd_available() {
+                assert_ne!(kernel, Kernel::Scalar, "auto on a SIMD host must run a vector kernel");
+            }
+        }
+        other => panic!("FALCON_DEMA_SIMD={other:?} names no kernel policy (off, scalar or auto)"),
+    }
+}
+
 /// The two-step extend path for one guess over several `(knowns,
 /// samples)` columns: each hypothesis column written with
-/// `hyp_partial_product`, then folded by `push_column_reusing`.
+/// `hyp_partial_product`, then folded by `push_column`.
 fn two_step(guess: u64, m_bits: u32, full_width: u32, cols: &[(Vec<u32>, Vec<f32>)]) -> [u64; 6] {
     let mut s = PearsonSums::default();
     for (k, t) in cols {
         let h: Vec<f64> =
             k.iter().map(|&kv| hyp_partial_product(guess, m_bits, kv, full_width)).collect();
-        s.push_column_reusing(&h, t, &SampleSums::new(t));
+        s.push_column(&h, t, &SampleSums::new(t));
     }
     s.components().map(f64::to_bits)
 }

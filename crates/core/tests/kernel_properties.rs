@@ -9,7 +9,7 @@
 //! Welford) must agree — including at the catastrophic-cancellation
 //! offset regime the two-pass rewrite fixed.
 
-use falcon_dema::cpa::{pearson, pearson_evolution, PearsonSums};
+use falcon_dema::cpa::{pearson, pearson_evolution, PearsonSums, SampleSums};
 
 /// Deterministic splitmix64 stream.
 struct Rng(u64);
@@ -46,12 +46,12 @@ fn split_column_equals_whole_column() {
     for &len in &[32usize, 64, 4096] {
         let (h, t) = fuzz_columns(&mut rng, len);
         let mut whole = PearsonSums::default();
-        whole.push_column(&h, &t);
+        whole.push_column(&h, &t, &SampleSums::new(&t));
         for cut in [1usize, 4, 7, 16, len / 2 + 1, len - 4] {
             let feed = |(ha, ta): (&[f64], &[f32]), (hb, tb): (&[f64], &[f32])| {
                 let mut s = PearsonSums::default();
-                s.push_column(ha, ta);
-                s.push_column(hb, tb);
+                s.push_column(ha, ta, &SampleSums::new(ta));
+                s.push_column(hb, tb, &SampleSums::new(tb));
                 s
             };
             let split = feed((&h[..cut], &t[..cut]), (&h[cut..], &t[cut..]));
@@ -79,7 +79,7 @@ fn scalar_push_equals_push_column_to_rounding() {
     for &len in &[1usize, 5, 63, 500] {
         let (h, t) = fuzz_columns(&mut rng, len);
         let mut tiled = PearsonSums::default();
-        tiled.push_column(&h, &t);
+        tiled.push_column(&h, &t, &SampleSums::new(&t));
         let mut scalar = PearsonSums::default();
         for (&hv, &tv) in h.iter().zip(&t) {
             scalar.push(hv, tv as f64);
@@ -101,7 +101,7 @@ fn permutation_invariance_of_final_r() {
     for &len in &[17usize, 256, 1001] {
         let (h, t) = fuzz_columns(&mut rng, len);
         let mut s = PearsonSums::default();
-        s.push_column(&h, &t);
+        s.push_column(&h, &t, &SampleSums::new(&t));
         let reference = s.corr();
         for round in 0..4u64 {
             // Deterministic Fisher-Yates.
@@ -113,7 +113,7 @@ fn permutation_invariance_of_final_r() {
             let hp: Vec<f64> = idx.iter().map(|&i| h[i]).collect();
             let tp: Vec<f32> = idx.iter().map(|&i| t[i]).collect();
             let mut p = PearsonSums::default();
-            p.push_column(&hp, &tp);
+            p.push_column(&hp, &tp, &SampleSums::new(&tp));
             assert!(
                 (p.corr() - reference).abs() < 1e-12,
                 "permutation {round} of len {len}: {} vs {reference}",
@@ -157,7 +157,7 @@ fn welford_vs_two_pass_at_large_offset() {
     let evo = pearson_evolution(&h, &t);
     assert!((evo.last().unwrap() - reference).abs() < 1e-9, "Welford lost the offset war");
     let mut sums = PearsonSums::default();
-    sums.push_column(&h, &t);
+    sums.push_column(&h, &t, &SampleSums::new(&t));
     assert!(
         (sums.corr() - reference).abs() > 1e-8,
         "one-pass sums unexpectedly survived the 1e7 offset — if this regime became exact, \

@@ -90,12 +90,6 @@ impl Histogram {
         }
     }
 
-    /// Records the seconds elapsed since `start`.
-    pub fn record_since(&self, start: std::time::Instant) {
-        // ct: allow(observability timing helper; wall-clock by design)
-        self.record(start.elapsed().as_secs_f64());
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)

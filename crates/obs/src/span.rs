@@ -36,12 +36,6 @@ impl Span {
     pub fn depth(&self) -> usize {
         self.depth
     }
-
-    /// Seconds elapsed so far.
-    pub fn elapsed_secs(&self) -> f64 {
-        // ct: allow(span timing is wall-clock by design)
-        self.start.elapsed().as_secs_f64()
-    }
 }
 
 /// Opens a span. Hold the guard for the duration of the stage:

@@ -84,7 +84,6 @@ fn span_nesting_depths_and_histogram_recording() {
             assert_eq!(span_depth(), 2);
         }
         assert_eq!(span_depth(), 1);
-        assert!(outer.elapsed_secs() >= 0.0);
         assert_eq!(outer.name(), "test.outer");
     }
     assert_eq!(span_depth(), 0);

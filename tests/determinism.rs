@@ -14,7 +14,7 @@
 //! The sweep is a **kernel × threads matrix**: every thread count is
 //! also run with the Pearson tile kernel pinned to the scalar reference
 //! (`FALCON_DEMA_SIMD=off` equivalent) and with runtime detection
-//! enabled (`auto` — AVX2/NEON where the host has them). The SIMD
+//! enabled (`auto` — AVX2 or AVX-512 where the host has them). The SIMD
 //! kernels are bit-identical to the scalar tile by construction (see
 //! `cpa::simd`), so the kernel axis, like the thread axis, must not
 //! move a single output bit anywhere in campaign → key → forgery →
@@ -212,10 +212,10 @@ fn campaign_is_bit_identical_across_thread_counts() {
 
     // Kernel × threads: the scalar reference and the auto-detected SIMD
     // kernel at single- and max-threaded execution. On a host without
-    // AVX2/NEON both legs run the scalar tile — still a valid (if
+    // AVX2 both legs run the scalar tile — still a valid (if
     // degenerate) instance of the contract, and CI additionally sweeps
     // the env var so the off/auto split is always exercised somewhere.
-    for kernel in [KernelChoice::Off, KernelChoice::Auto] {
+    for kernel in [KernelChoice::Scalar, KernelChoice::Auto] {
         for threads in [1usize, avail] {
             simd::set_kernel(Some(kernel));
             exec::set_threads(threads);
