@@ -8,6 +8,8 @@
 //! Non-finite floats render as `null` so the output is always valid
 //! JSON.
 
+use falcon_obs::event::escape_into;
+
 /// A JSON value under construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -104,22 +106,6 @@ fn newline_indent(out: &mut String, indent: usize) {
     for _ in 0..indent {
         out.push_str("  ");
     }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl From<bool> for Json {

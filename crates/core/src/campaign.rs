@@ -47,7 +47,14 @@ const CKPT_HEAD: &[u8; 8] = b"FDNCKPT\x01";
 /// Magic and version of the offline (logical) checkpoint format.
 const OCKPT_HEAD: &[u8; 8] = b"FDNOCKP\x01";
 
-/// Campaign policy: batching, budget, convergence rule, screening.
+/// A coefficient converges when its winner's confidence clears `MARGIN`
+/// times the 99.99 % threshold for the accumulated trace count, with
+/// unchanged bits, on `STABLE_BATCHES` consecutive batch evaluations.
+const MARGIN: f64 = 1.2;
+/// See [`MARGIN`].
+const STABLE_BATCHES: usize = 2;
+
+/// Campaign policy: batching, budget, attack parameters, screening.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Targeted flat `FFT(f)` indices; empty means every index `0..n`.
@@ -56,12 +63,6 @@ pub struct CampaignConfig {
     pub batch_size: usize,
     /// Total capture budget (requested captures, not kept traces).
     pub max_traces: usize,
-    /// A winner converges when its confidence exceeds `margin` times the
-    /// 99.99 % threshold for the accumulated trace count.
-    pub margin: f64,
-    /// Consecutive batch evaluations the winner must clear the margin
-    /// with unchanged bits before the coefficient is declared recovered.
-    pub stable_batches: usize,
     /// Extend-and-prune parameters for the per-batch re-attack.
     pub attack: AttackConfig,
     /// Trace screening; `None` keeps every full-length capture
@@ -75,8 +76,6 @@ impl Default for CampaignConfig {
             targets: Vec::new(),
             batch_size: 100,
             max_traces: 5000,
-            margin: 1.2,
-            stable_batches: 2,
             attack: AttackConfig::default(),
             screen: Some(ScreenConfig::default()),
         }
@@ -207,14 +206,14 @@ impl TargetState {
         let r = recover_coefficient_block(block, &cfg.attack);
         let conf = coefficient_confidence(block, r.bits);
         self.confidence = conf;
-        let cleared = conf >= cfg.margin * confidence::threshold_9999(traces as u64);
+        let cleared = conf >= MARGIN * confidence::threshold_9999(traces as u64);
         self.stable = match (cleared, self.last_bits == Some(r.bits)) {
             (false, _) => 0,
             (true, true) => self.stable + 1,
             (true, false) => 1,
         };
         self.last_bits = Some(r.bits);
-        if self.stable >= cfg.stable_batches {
+        if self.stable >= STABLE_BATCHES {
             self.resolved = Some((r.bits, conf, traces));
             obs::metrics().counter("campaign.converged").incr();
             let (target, bits) = (self.target, r.bits);

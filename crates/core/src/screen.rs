@@ -23,26 +23,27 @@ use crate::obs;
 use falcon_emsim::{Device, Trace};
 use falcon_sig::rng::Prng;
 
-/// Screening thresholds. The defaults are deliberately permissive: they
-/// reject only traces that are unusable for correlation, not merely
+/// Discard a trace when more than this fraction of its samples sit on
+/// the ADC rails.
+const MAX_SATURATION_FRAC: f64 = 0.2;
+/// Discard a trace whose sample variance falls below this floor (a dead
+/// probe or an all-zero capture).
+const MIN_VARIANCE: f64 = 1e-9;
+/// Largest misalignment the re-aligner searches for, in samples.
+const MAX_SHIFT: usize = 4;
+/// Discard a trace whose best cross-correlation against the reference
+/// stays below this value (unrecoverably misaligned or corrupted).
+const MIN_XCORR: f64 = 0.2;
+
+/// Screening policy. The per-trace quality gates (`MAX_SATURATION_FRAC`,
+/// `MIN_VARIANCE`, `MIN_XCORR`) are deliberately permissive constants:
+/// they reject only traces that are unusable for correlation, not merely
 /// noisy ones.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScreenConfig {
-    /// Discard a trace when more than this fraction of its samples sit
-    /// on the ADC rails.
-    pub max_saturation_frac: f64,
-    /// Discard a trace whose sample variance falls below this floor
-    /// (a dead probe or an all-zero capture).
-    pub min_variance: f64,
     /// Re-align traces against the batch reference by cross-correlation
-    /// over shifts in `[-max_shift, +max_shift]`.
+    /// over shifts in `[-MAX_SHIFT, +MAX_SHIFT]`.
     pub realign: bool,
-    /// Largest misalignment the re-aligner searches for, in samples.
-    pub max_shift: usize,
-    /// Discard a trace whose best cross-correlation against the
-    /// reference stays below this value (unrecoverably misaligned or
-    /// corrupted).
-    pub min_xcorr: f64,
     /// Winsorisation strength: per-column samples further than
     /// `mad_k · 1.4826 · MAD` from the column median are clamped to that
     /// bound. `0` disables outlier rejection.
@@ -51,14 +52,7 @@ pub struct ScreenConfig {
 
 impl Default for ScreenConfig {
     fn default() -> Self {
-        ScreenConfig {
-            max_saturation_frac: 0.2,
-            min_variance: 1e-9,
-            realign: true,
-            max_shift: 4,
-            min_xcorr: 0.2,
-            mad_k: 8.0,
-        }
+        ScreenConfig { realign: true, mad_k: 8.0 }
     }
 }
 
@@ -191,9 +185,9 @@ impl Dataset {
         let mut kept: Vec<(usize, isize)> = Vec::with_capacity(batch.len());
         match cfg {
             None => kept.extend((0..batch.len()).map(|i| (i, 0isize))),
-            Some(c) => {
+            Some(_) => {
                 let verdicts = exec::map(&batch, |cap| {
-                    screen_trace(&cap.trace.samples, reference.as_deref(), c, rail)
+                    screen_trace(&cap.trace.samples, reference.as_deref(), rail)
                 });
                 for (i, v) in verdicts.iter().enumerate() {
                     match *v {
@@ -282,16 +276,11 @@ fn median_f32(v: &mut [f32]) -> f32 {
 }
 
 /// Applies the per-trace quality gates and finds the best alignment.
-fn screen_trace(
-    samples: &[f32],
-    reference: Option<&[f32]>,
-    cfg: &ScreenConfig,
-    rail: f64,
-) -> Verdict {
+fn screen_trace(samples: &[f32], reference: Option<&[f32]>, rail: f64) -> Verdict {
     // Saturation: fraction of samples pinned to (or clipped at) a rail.
     let sat_level = (0.999 * rail) as f32;
     let saturated = samples.iter().filter(|v| v.abs() >= sat_level).count();
-    if (saturated as f64) > cfg.max_saturation_frac * samples.len() as f64 {
+    if (saturated as f64) > MAX_SATURATION_FRAC * samples.len() as f64 {
         return Verdict::Saturated;
     }
     // Dead trace: no variance worth correlating against.
@@ -300,7 +289,7 @@ fn screen_trace(
     // ct: allow(pinned fold kernel: sequential in-order slice sum)
     let var =
         samples.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / samples.len() as f64;
-    if var < cfg.min_variance {
+    if var < MIN_VARIANCE {
         return Verdict::Dead;
     }
     let Some(reference) = reference else {
@@ -311,7 +300,7 @@ fn screen_trace(
     // drift does not bias the alignment).
     let mut best_shift = 0isize;
     let mut best_corr = f64::NEG_INFINITY;
-    let max = cfg.max_shift as isize;
+    let max = MAX_SHIFT as isize;
     for shift in -max..=max {
         let corr = shifted_correlation(samples, reference, shift);
         if corr > best_corr {
@@ -319,7 +308,7 @@ fn screen_trace(
             best_shift = shift;
         }
     }
-    if best_corr < cfg.min_xcorr {
+    if best_corr < MIN_XCORR {
         return Verdict::Misaligned;
     }
     Verdict::Keep { shift: best_shift }
@@ -539,7 +528,7 @@ mod tests {
         };
         let mut d = device(1.0, fm);
         let mut mrng = Prng::from_seed(b"glitch msgs");
-        let cfg = ScreenConfig { mad_k: 6.0, realign: false, ..Default::default() };
+        let cfg = ScreenConfig { mad_k: 6.0, realign: false };
         let (ds, stats) =
             Dataset::collect_screened(&mut d, &[0, 1, 2, 3], 50, &mut mrng, Some(&cfg)).unwrap();
         assert!(stats.winsorized > 0, "glitches should be clamped: {stats}");

@@ -71,7 +71,6 @@ fn live_checkpoint_mutants_never_panic() {
         max_traces: 100,
         attack: NARROW,
         screen: None,
-        ..Default::default()
     };
     let mut dev = device(b"live mutation");
     let mut msgs = Prng::from_seed(b"live mutation msgs");

@@ -1,5 +1,6 @@
-//! Violation baselines: a checked-in JSONL file of fingerprints for
-//! known (grandfathered) violations, so CI fails only on *new* ones.
+//! Baselines: a checked-in JSONL file of fingerprints for known
+//! (grandfathered) findings — violations in `ct-baseline.jsonl`, leakage
+//! sites in `ct-sites-baseline.jsonl` — so CI fails only on *new* ones.
 //!
 //! Each line is a flat `falcon-obs` event record —
 //! `{"ev":"ct-baseline","file":…,"rule":…,"fp":…}` — parseable with
@@ -9,11 +10,12 @@
 //! deliberate exception documented inline with `// ct: allow(reason)`.
 
 use crate::lint::Violation;
+use crate::sites::LeakSite;
 use falcon_obs::{parse_jsonl, Event, Value};
 use std::collections::BTreeSet;
 use std::path::Path;
 
-/// A loaded set of baselined violation fingerprints.
+/// A loaded set of baselined finding fingerprints.
 #[derive(Debug, Default, Clone)]
 pub struct Baseline {
     fps: BTreeSet<String>,
@@ -57,20 +59,11 @@ impl Baseline {
         Ok(Baseline { fps })
     }
 
-    /// Renders violations as baseline JSONL (sorted by fingerprint for
-    /// a stable diff).
-    pub fn render(violations: &[Violation]) -> String {
-        let mut lines: Vec<String> = violations
-            .iter()
-            .map(|v| {
-                Event::new("ct-baseline")
-                    .with_str("file", v.file.clone())
-                    .with_u64("line", v.line as u64)
-                    .with_str("rule", v.rule.id())
-                    .with_str("fp", v.fingerprint())
-                    .to_json()
-            })
-            .collect();
+    /// Renders findings as baseline JSONL (sorted by fingerprint for a
+    /// stable diff).
+    pub fn render<F: Finding>(findings: &[F]) -> String {
+        let mut lines: Vec<String> =
+            findings.iter().map(|f| f.record().with_str("fp", f.fingerprint()).to_json()).collect();
         lines.sort();
         lines.dedup();
         let mut out = lines.join("\n");
@@ -80,51 +73,16 @@ impl Baseline {
         out
     }
 
-    /// Whether a violation is grandfathered.
-    pub fn contains(&self, v: &Violation) -> bool {
-        self.fps.contains(&v.fingerprint())
+    /// Whether a finding is grandfathered.
+    pub fn contains<F: Finding>(&self, f: &F) -> bool {
+        self.fps.contains(&f.fingerprint())
     }
 
-    /// Whether a raw fingerprint is grandfathered (the site baseline
-    /// compares [`crate::sites::LeakSite::fingerprint`] values).
-    pub fn contains_fp(&self, fp: &str) -> bool {
-        self.fps.contains(fp)
-    }
-
-    /// The loaded fingerprint set.
-    pub fn fingerprints(&self) -> &BTreeSet<String> {
-        &self.fps
-    }
-
-    /// Renders a leakage-site map as baseline JSONL (sorted by
-    /// fingerprint for a stable diff). Scores and ranks are *not*
-    /// baselined — re-ranking is expected as the model sharpens; only
-    /// the existence of a site at a (file, kind, fn, snippet) is.
-    pub fn render_sites(sites: &[crate::sites::LeakSite]) -> String {
-        let mut lines: Vec<String> = sites
-            .iter()
-            .map(|s| {
-                Event::new("ct-site-baseline")
-                    .with_str("file", s.file.clone())
-                    .with_u64("line", s.line as u64)
-                    .with_str("kind", s.kind.id())
-                    .with_str("fn", s.qual.clone())
-                    .with_str("fp", s.fingerprint())
-                    .to_json()
-            })
-            .collect();
-        lines.sort();
-        lines.dedup();
-        let mut out = lines.join("\n");
-        if !out.is_empty() {
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Baseline fingerprints not present in `current` — stale entries.
-    pub fn stale_fps(&self, current: &BTreeSet<String>) -> Vec<String> {
-        self.fps.difference(current).cloned().collect()
+    /// Fingerprints present in the baseline but not matched by any
+    /// current finding — stale entries that should be pruned.
+    pub fn stale<F: Finding>(&self, findings: &[F]) -> Vec<String> {
+        let seen: BTreeSet<String> = findings.iter().map(|f| f.fingerprint()).collect();
+        self.fps.difference(&seen).cloned().collect()
     }
 
     /// Number of baselined fingerprints.
@@ -136,12 +94,78 @@ impl Baseline {
     pub fn is_empty(&self) -> bool {
         self.fps.is_empty()
     }
+}
 
-    /// Fingerprints present in the baseline but not matched by any
-    /// current violation — stale entries that should be pruned.
-    pub fn stale(&self, violations: &[Violation]) -> Vec<String> {
-        let seen: BTreeSet<String> = violations.iter().map(|v| v.fingerprint()).collect();
-        self.fps.difference(&seen).cloned().collect()
+/// Something a baseline can grandfather: a [`Violation`] in
+/// `ct-baseline.jsonl` or a [`LeakSite`] in `ct-sites-baseline.jsonl`.
+pub trait Finding {
+    /// What one finding is called in the gate's summary lines.
+    const NOUN: &'static str;
+
+    /// Content-addressed fingerprint, stable across line drift.
+    fn fingerprint(&self) -> String;
+
+    /// The finding's baseline record, without its `fp` field. Scores and
+    /// messages are *not* recorded — a site may re-rank as the model
+    /// sharpens; only its existence at a location is baselined.
+    fn record(&self) -> Event;
+
+    /// `file:line: [kind] …`, for the `--update-baseline` diff.
+    fn label(&self) -> String;
+}
+
+impl<F: Finding> Finding for &F {
+    const NOUN: &'static str = F::NOUN;
+
+    fn fingerprint(&self) -> String {
+        F::fingerprint(self)
+    }
+
+    fn record(&self) -> Event {
+        F::record(self)
+    }
+
+    fn label(&self) -> String {
+        F::label(self)
+    }
+}
+
+impl Finding for Violation {
+    const NOUN: &'static str = "violation";
+
+    fn fingerprint(&self) -> String {
+        Violation::fingerprint(self)
+    }
+
+    fn record(&self) -> Event {
+        Event::new("ct-baseline")
+            .with_str("file", self.file.clone())
+            .with_u64("line", self.line as u64)
+            .with_str("rule", self.rule.id())
+    }
+
+    fn label(&self) -> String {
+        format!("{}:{}: [{}] {}", self.file, self.line, self.rule, self.snippet)
+    }
+}
+
+impl Finding for LeakSite {
+    const NOUN: &'static str = "site";
+
+    fn fingerprint(&self) -> String {
+        LeakSite::fingerprint(self)
+    }
+
+    fn record(&self) -> Event {
+        Event::new("ct-site-baseline")
+            .with_str("file", self.file.clone())
+            .with_u64("line", self.line as u64)
+            .with_str("kind", self.kind.id())
+            .with_str("fn", self.qual.clone())
+    }
+
+    fn label(&self) -> String {
+        format!("{}:{}: [{}] {}", self.file, self.line, self.kind, self.qual)
     }
 }
 

@@ -16,62 +16,24 @@
 //! Exit status: 0 on success, 1 on a failed assertion, 2 on usage or
 //! I/O errors.
 
+use falcon_ct::gate::Args;
 use falcon_ct::report::graph_report;
 use falcon_ct::{CallGraph, TaintMap};
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Args {
-    root: PathBuf,
-    json: Option<PathBuf>,
-    assert_discoveries: Option<usize>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args { root: default_root(), json: None, assert_discoveries: None };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => args.root = it.next().ok_or("--root needs a value")?.into(),
-            "--json" => args.json = Some(it.next().ok_or("--json needs a value")?.into()),
-            "--assert-discoveries" => {
-                args.assert_discoveries = Some(
-                    it.next()
-                        .ok_or("--assert-discoveries needs a value")?
-                        .parse()
-                        .map_err(|e| format!("--assert-discoveries: {e}"))?,
-                )
-            }
-            "--help" | "-h" => {
-                return Err(
-                    "usage: ct_graph [--root DIR] [--json FILE] [--assert-discoveries N]".into()
-                )
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(args)
-}
-
-/// The workspace root: the nearest ancestor of the current directory
-/// containing `Cargo.toml` with a `[workspace]` table, else `.`.
-fn default_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
-}
+const USAGE: &str = "usage: ct_graph [--root DIR] [--json FILE] [--assert-discoveries N]";
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let mut assert_discoveries: Option<usize> = None;
+    let parsed = Args::parse(std::env::args().skip(1), USAGE, None, |flag, it| {
+        if flag != "--assert-discoveries" {
+            return Ok(false);
+        }
+        let n = it.next().ok_or("--assert-discoveries needs a value")?;
+        assert_discoveries = Some(n.parse().map_err(|e| format!("--assert-discoveries: {e}"))?);
+        Ok(true)
+    });
+    let args = match parsed {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -134,7 +96,7 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(min) = args.assert_discoveries {
+    if let Some(min) = assert_discoveries {
         if outside.len() < min {
             eprintln!(
                 "ct_graph: only {} tainted function(s) outside annotated regions (need >= {min})",

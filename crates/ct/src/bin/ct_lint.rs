@@ -16,62 +16,22 @@
 //! their locations) before rewriting, so a baseline refresh is a
 //! reviewable diff rather than a silent reset.
 //!
-//! Exit status: 0 when no new (non-baselined) violations, 1 when new
-//! violations exist, 2 on usage or I/O errors.
+//! Exit status: 0 when every violation is baselined and every baseline
+//! entry still matches one, 1 on a new violation or a stale entry, 2 on
+//! usage or I/O errors.
 
+use falcon_ct::gate::{Args, Gate};
 use falcon_ct::report::lint_report;
-use falcon_ct::{Baseline, CallAllowlist};
-use std::path::PathBuf;
+use falcon_ct::CallAllowlist;
 use std::process::ExitCode;
 
-struct Args {
-    root: PathBuf,
-    json: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args =
-        Args { root: default_root(), json: None, baseline: None, update_baseline: false };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => args.root = it.next().ok_or("--root needs a value")?.into(),
-            "--json" => args.json = Some(it.next().ok_or("--json needs a value")?.into()),
-            "--baseline" => {
-                args.baseline = Some(it.next().ok_or("--baseline needs a value")?.into())
-            }
-            "--update-baseline" => args.update_baseline = true,
-            "--help" | "-h" => return Err(
-                "usage: ct_lint [--root DIR] [--json FILE] [--baseline FILE] [--update-baseline]"
-                    .into(),
-            ),
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(args)
-}
-
-/// The workspace root: the nearest ancestor of the current directory
-/// containing `Cargo.toml` with a `[workspace]` table, else `.`.
-fn default_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
-}
+const USAGE: &str =
+    "usage: ct_lint [--root DIR] [--json FILE] [--baseline FILE] [--update-baseline]";
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let parsed =
+        Args::parse(std::env::args().skip(1), USAGE, Some("ct-baseline.jsonl"), |_, _| Ok(false));
+    let args = match parsed {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -79,8 +39,6 @@ fn main() -> ExitCode {
         }
     };
     let _span = falcon_obs::span("ct.lint");
-    let baseline_path =
-        args.baseline.clone().unwrap_or_else(|| args.root.join("ct-baseline.jsonl"));
 
     let allow = CallAllowlist::workspace_default();
     let mut outcome = match falcon_ct::lint_tree(&args.root, &allow) {
@@ -119,64 +77,20 @@ fn main() -> ExitCode {
     falcon_obs::counter("ct.lint.files").add(outcome.files as u64);
     falcon_obs::counter("ct.lint.violations").add(outcome.violations.len() as u64);
 
-    if args.update_baseline {
-        // Human-readable diff against the previous baseline before
-        // rewriting it.
-        let previous = Baseline::load(&baseline_path).unwrap_or_default();
-        let mut added = 0usize;
-        for v in &outcome.violations {
-            if !previous.contains(v) {
-                println!(
-                    "baseline + {} {}:{}: [{}] {}",
-                    v.fingerprint(),
-                    v.file,
-                    v.line,
-                    v.rule,
-                    v.snippet
-                );
-                added += 1;
+    let gate =
+        match Gate::check("ct_lint", &args.baseline, &outcome.violations, args.update_baseline) {
+            Ok(g) => g,
+            Err(e) => {
+                eprintln!("ct_lint: {e}");
+                return ExitCode::from(2);
             }
-        }
-        let removed = previous.stale(&outcome.violations);
-        for fp in &removed {
-            println!("baseline - {fp} (no longer present)");
-        }
-        let text = Baseline::render(&outcome.violations);
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("ct_lint: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "ct_lint: baselined {} violation(s) into {} (+{added}, -{})",
-            outcome.violations.len(),
-            baseline_path.display(),
-            removed.len(),
-        );
-    }
-
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("ct_lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let mut new = 0usize;
+        };
     for v in &outcome.violations {
-        if baseline.contains(v) {
-            println!("{v} [baselined]");
-        } else {
-            println!("{v}");
-            new += 1;
-        }
-    }
-    for fp in baseline.stale(&outcome.violations) {
-        eprintln!("ct_lint: stale baseline entry {fp} (violation no longer present — prune it)");
+        println!("{v}{}", if gate.baseline.contains(v) { " [baselined]" } else { "" });
     }
 
     if let Some(json_path) = &args.json {
-        let doc = lint_report(&outcome, &baseline).render();
+        let doc = lint_report(&outcome, &gate.baseline).render();
         if let Err(e) = std::fs::write(json_path, doc) {
             eprintln!("ct_lint: writing {}: {e}", json_path.display());
             return ExitCode::from(2);
@@ -189,12 +103,12 @@ fn main() -> ExitCode {
         outcome.lines,
         outcome.regions,
         outcome.violations.len(),
-        new,
-        outcome.violations.len() - new,
+        gate.new,
+        outcome.violations.len() - gate.new,
     );
-    if new > 0 {
-        ExitCode::from(1)
-    } else {
+    if gate.passed() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

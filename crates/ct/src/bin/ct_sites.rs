@@ -18,86 +18,43 @@
 //! ranking. `--assert-coverage` fails unless every `ct_dyn` primitive
 //! is covered by the static map.
 //!
-//! Exit status: 0 on success, 1 on new sites or failed assertions,
-//! 2 on usage or I/O errors.
+//! Exit status: 0 on success, 1 on a new site, a stale baseline entry or
+//! a failed assertion, 2 on usage or I/O errors.
 
+use falcon_ct::gate::{Args, Gate};
 use falcon_ct::report::sites_report;
 use falcon_ct::sites::covers_primitive;
-use falcon_ct::{Baseline, SiteMap};
-use std::collections::BTreeSet;
-use std::path::PathBuf;
+use falcon_ct::SiteMap;
 use std::process::ExitCode;
 
-struct Args {
-    root: PathBuf,
-    json: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
-    assert_top: Option<String>,
-    assert_coverage: bool,
-    top: usize,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: default_root(),
-        json: None,
-        baseline: None,
-        update_baseline: false,
-        assert_top: None,
-        assert_coverage: false,
-        top: 20,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => args.root = it.next().ok_or("--root needs a value")?.into(),
-            "--json" => args.json = Some(it.next().ok_or("--json needs a value")?.into()),
-            "--baseline" => {
-                args.baseline = Some(it.next().ok_or("--baseline needs a value")?.into())
-            }
-            "--update-baseline" => args.update_baseline = true,
-            "--assert-top" => {
-                args.assert_top = Some(it.next().ok_or("--assert-top needs a site kind")?)
-            }
-            "--assert-coverage" => args.assert_coverage = true,
-            "--top" => {
-                args.top = it
-                    .next()
-                    .ok_or("--top needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--top: {e}"))?
-            }
-            "--help" | "-h" => {
-                return Err("usage: ct_sites [--root DIR] [--json FILE] [--baseline FILE] \
-                            [--update-baseline] [--assert-top KIND] [--assert-coverage] [--top N]"
-                    .into())
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(args)
-}
-
-/// The workspace root: the nearest ancestor of the current directory
-/// containing `Cargo.toml` with a `[workspace]` table, else `.`.
-fn default_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return PathBuf::from(".");
-        }
-    }
-}
+const USAGE: &str = "usage: ct_sites [--root DIR] [--json FILE] [--baseline FILE] \
+                     [--update-baseline] [--assert-top KIND] [--assert-coverage] [--top N]";
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let (mut assert_top, mut assert_coverage, mut top) = (None, false, 20usize);
+    let parsed = Args::parse(
+        std::env::args().skip(1),
+        USAGE,
+        Some("ct-sites-baseline.jsonl"),
+        |flag, it| {
+            match flag {
+                "--assert-top" => {
+                    assert_top = Some(it.next().ok_or("--assert-top needs a site kind")?)
+                }
+                "--assert-coverage" => assert_coverage = true,
+                "--top" => {
+                    top = it
+                        .next()
+                        .ok_or("--top needs a value")?
+                        .parse()
+                        .map_err(|e| format!("--top: {e}"))?
+                }
+                _ => return Ok(false),
+            }
+            Ok(true)
+        },
+    );
+    let args = match parsed {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -105,8 +62,6 @@ fn main() -> ExitCode {
         }
     };
     let _span = falcon_obs::span("ct.sites");
-    let baseline_path =
-        args.baseline.clone().unwrap_or_else(|| args.root.join("ct-sites-baseline.jsonl"));
 
     let graph = match falcon_ct::CallGraph::build(&args.root) {
         Ok(g) => g,
@@ -120,42 +75,8 @@ fn main() -> ExitCode {
 
     falcon_obs::counter("ct.sites.total").add(map.sites.len() as u64);
 
-    if args.update_baseline {
-        let previous = Baseline::load(&baseline_path).unwrap_or_default();
-        let mut added = 0usize;
-        for s in &map.sites {
-            if !previous.contains_fp(&s.fingerprint()) {
-                println!(
-                    "baseline + {} {}:{}: [{}] {}",
-                    s.fingerprint(),
-                    s.file,
-                    s.line,
-                    s.kind,
-                    s.qual
-                );
-                added += 1;
-            }
-        }
-        let current: BTreeSet<String> = map.sites.iter().map(|s| s.fingerprint()).collect();
-        let removed = previous.stale_fps(&current);
-        for fp in &removed {
-            println!("baseline - {fp} (no longer present)");
-        }
-        let text = Baseline::render_sites(&map.sites);
-        if let Err(e) = std::fs::write(&baseline_path, &text) {
-            eprintln!("ct_sites: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "ct_sites: baselined {} site(s) into {} (+{added}, -{})",
-            map.sites.len(),
-            baseline_path.display(),
-            removed.len(),
-        );
-    }
-
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
+    let gate = match Gate::check("ct_sites", &args.baseline, &map.sites, args.update_baseline) {
+        Ok(g) => g,
         Err(e) => {
             eprintln!("ct_sites: {e}");
             return ExitCode::from(2);
@@ -163,25 +84,17 @@ fn main() -> ExitCode {
     };
 
     let mut failed = false;
-    let mut new = 0usize;
     for (rank, s) in map.sites.iter().enumerate() {
-        let known = baseline.contains_fp(&s.fingerprint());
-        if rank < args.top || !known {
+        let known = gate.baseline.contains(s);
+        if rank < top || !known {
             println!("#{:<3} {s}{}", rank + 1, if known { "" } else { " [NEW]" });
         }
-        if !known {
-            new += 1;
-        }
     }
-    if map.sites.len() > args.top {
-        println!("… ({} more; --top N to widen)", map.sites.len() - args.top);
-    }
-    let current: BTreeSet<String> = map.sites.iter().map(|s| s.fingerprint()).collect();
-    for fp in baseline.stale_fps(&current) {
-        eprintln!("ct_sites: stale baseline entry {fp} (site no longer present — prune it)");
+    if map.sites.len() > top {
+        println!("… ({} more; --top N to widen)", map.sites.len() - top);
     }
 
-    if let Some(kind) = &args.assert_top {
+    if let Some(kind) = &assert_top {
         match map.top() {
             Some(top) if top.kind.id() == kind => {
                 println!("ct_sites: top-ranked site is [{kind}] at {}:{} — OK", top.file, top.line)
@@ -199,7 +112,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if args.assert_coverage {
+    if assert_coverage {
         for (name, fns) in falcon_ct::dyncheck::PRIMITIVE_FNS {
             if !covers_primitive(&graph, &taint, fns) {
                 eprintln!("ct_sites: ASSERTION FAILED: dynamic primitive `{name}` not covered by the static map");
@@ -215,7 +128,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(json_path) = &args.json {
-        let doc = sites_report(&graph, &taint, &map, baseline.fingerprints()).render();
+        let doc = sites_report(&graph, &taint, &map, &gate.baseline).render();
         if let Err(e) = std::fs::write(json_path, doc) {
             eprintln!("ct_sites: writing {}: {e}", json_path.display());
             return ExitCode::from(2);
@@ -226,12 +139,12 @@ fn main() -> ExitCode {
         "ct_sites: {} function(s) scanned, {} site(s) ({} new, {} baselined)",
         map.scanned.len(),
         map.sites.len(),
-        new,
-        map.sites.len() - new,
+        gate.new,
+        map.sites.len() - gate.new,
     );
-    if new > 0 || failed {
-        ExitCode::from(1)
-    } else {
+    if gate.passed() && !failed {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

@@ -315,7 +315,14 @@ impl CallGraph {
             });
             if let Some(fi) = cur_fn {
                 if opened_fn != Some(fi) {
-                    for (callee, recv) in call_tokens(code, &toks) {
+                    let mut sites: Vec<(String, Option<String>)> = Vec::new();
+                    for (ti, recv) in call_tokens(code, &toks) {
+                        let callee = toks[ti].text.clone();
+                        if !sites.iter().any(|(n, r)| *n == callee && *r == recv) {
+                            sites.push((callee, recv));
+                        }
+                    }
+                    for (callee, recv) in sites {
                         // A one-line fn's own name reads as a call
                         // token; skip the self-edge at its own line.
                         if one_line_fn == Some(fi) && callee == self.fns[fi].name {
@@ -376,26 +383,41 @@ impl CallGraph {
         self.by_name.get(name).into_iter().flatten().copied().filter(move |&i| !self.fns[i].is_test)
     }
 
+    /// The callees a call to `name` binds to, written `recv::name(…)`
+    /// when `recv` is given: a qualified call binds to the exact
+    /// `Type::name` match only, a free or method call only when the bare
+    /// name is unique in the workspace. An ambiguous homonym binds to
+    /// nothing rather than to a guess. Every pass that follows call
+    /// edges uses this one policy.
+    pub(crate) fn resolve_call(&self, name: &str, recv: Option<&str>) -> Vec<usize> {
+        match recv {
+            Some(r) => {
+                let qual = format!("{r}::{name}");
+                self.resolve(name).filter(|&i| self.fns[i].qual == qual).collect()
+            }
+            None => {
+                let all: Vec<usize> = self.resolve(name).collect();
+                if all.len() == 1 {
+                    all
+                } else {
+                    Vec::new()
+                }
+            }
+        }
+    }
+
     /// Classifies every recorded call site under the taint-propagation
-    /// resolution policy (see [`crate::summary`]): kept when a written
-    /// `Type::name` qualifier matches exactly or the bare name is
-    /// unique among non-test workspace functions; dropped otherwise.
+    /// resolution policy (`resolve_call`): kept when a written
+    /// `Type::name` qualifier matches exactly or the bare name is unique
+    /// among non-test workspace functions; dropped otherwise.
     /// This makes the pass's under-taint surface countable — DESIGN §9
     /// used to record these edges as vanishing silently.
     pub fn edge_stats(&self) -> EdgeStats {
         let mut stats = EdgeStats::default();
         for site in &self.calls {
-            let bare = self.resolve(&site.callee).count();
-            let kept = match &site.recv {
-                Some(r) => {
-                    let qual = format!("{r}::{}", site.callee);
-                    self.resolve(&site.callee).any(|i| self.fns[i].qual == qual)
-                }
-                None => bare == 1,
-            };
-            if kept {
+            if !self.resolve_call(&site.callee, site.recv.as_deref()).is_empty() {
                 stats.resolved += 1;
-            } else if bare >= 2 {
+            } else if self.resolve(&site.callee).count() >= 2 {
                 stats.ambiguous += 1;
             } else {
                 stats.unresolved += 1;
@@ -573,12 +595,13 @@ fn impl_target(_code: &str, toks: &[crate::scan::Tok]) -> Option<String> {
 }
 
 /// Identifier tokens applied with `(` — the lexical call sites of a
-/// statement, each with its `Type::` qualifier when one is written.
-/// Keywords, macros (`name!(…)`) and uppercase-initial constructors are
-/// excluded, mirroring the lint's `secret-call` rule.
-fn call_tokens(code: &str, toks: &[crate::scan::Tok]) -> Vec<(String, Option<String>)> {
+/// statement, in order, as the callee's index into `toks` and its
+/// `Type::` qualifier when one is written. Keywords, macros
+/// (`name!(…)`) and uppercase-initial constructors are excluded,
+/// mirroring the lint's `secret-call` rule.
+pub(crate) fn call_tokens(code: &str, toks: &[crate::scan::Tok]) -> Vec<(usize, Option<String>)> {
     let chars: Vec<char> = code.chars().collect();
-    let mut out: Vec<(String, Option<String>)> = Vec::new();
+    let mut out = Vec::new();
     for (ti, t) in toks.iter().enumerate() {
         if crate::lint::is_keyword(&t.text) || t.text.starts_with(char::is_uppercase) {
             continue;
@@ -604,9 +627,7 @@ fn call_tokens(code: &str, toks: &[crate::scan::Tok]) -> Vec<(String, Option<Str
                         == Some("::".to_string())
             })
             .map(|prev| prev.text.clone());
-        if !out.iter().any(|(n, r)| *n == t.text && *r == recv) {
-            out.push((t.text.clone(), recv));
-        }
+        out.push((ti, recv));
     }
     out
 }

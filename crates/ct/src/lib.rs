@@ -23,10 +23,12 @@
 //!    key-material types (`SigningKey`, `LdlTree`, `Secret`) — minus
 //!    their `ct: public` struct fields — and region annotations, then
 //!    propagated across call edges to a fixpoint with the same
-//!    flow-sensitive replay, so the same rules fire in functions nobody
-//!    annotated. The `ct_graph` binary dumps the graph (including
-//!    resolved/dropped call-edge counts) and asserts a discovery floor
-//!    in CI.
+//!    flow-sensitive taint state, so the same rules fire in functions
+//!    nobody annotated. Propagation, these rule checks and the site map
+//!    (pass 3) walk a body through one shared replay, so they read the
+//!    same directives and skip the same statements. The `ct_graph`
+//!    binary dumps the graph (including resolved/dropped call-edge
+//!    counts) and asserts a discovery floor in CI.
 //! 3. **A ranked leakage-site map** ([`sites`], `ct_sites` binary):
 //!    every secret-dependent operation in every tainted function is
 //!    enumerated as a [`LeakSite`] — mantissa partial-product
@@ -55,11 +57,12 @@
 //! All static findings share one content-addressed fingerprint scheme
 //! and compare against checked-in [baselines](baseline)
 //! (`ct-baseline.jsonl` for violations, `ct-sites-baseline.jsonl` for
-//! sites) so CI fails only on regressions; `--update-baseline` prints
-//! the exact added/removed diff for review. The static passes catch
-//! what never executes in a test run; the dynamic pass catches what the
-//! lexer cannot see (macro-expanded or callee-internal branches). Run
-//! all:
+//! sites) through one [gate]: `ct_lint` and `ct_sites` fail on a
+//! finding the baseline lacks and on a stale entry no finding matches;
+//! `--update-baseline` prints the exact added/removed diff for review.
+//! The static passes catch what never executes in a test run; the
+//! dynamic pass catches what the lexer cannot see (macro-expanded or
+//! callee-internal branches). Run all:
 //!
 //! ```text
 //! cargo run -p falcon-ct --bin ct_lint -- --baseline ct-baseline.jsonl
@@ -74,6 +77,7 @@ pub mod audit;
 pub mod baseline;
 pub mod dyncheck;
 pub mod fields;
+pub mod gate;
 pub mod graph;
 pub mod lint;
 pub mod report;

@@ -104,26 +104,6 @@ impl Rule {
             Rule::Annotation => "annotation",
         }
     }
-
-    /// Inverse of [`Rule::id`] (for baseline loading).
-    pub fn from_id(id: &str) -> Option<Rule> {
-        match id {
-            "secret-branch" => Some(Rule::SecretBranch),
-            "secret-index" => Some(Rule::SecretIndex),
-            "secret-divmod" => Some(Rule::SecretDivMod),
-            "secret-call" => Some(Rule::SecretCall),
-            "unsafe-code" => Some(Rule::UnsafeCode),
-            "unsafe-audit" => Some(Rule::UnsafeAudit),
-            "atomics-order" => Some(Rule::AtomicsOrder),
-            "det-map-iter" => Some(Rule::DetMapIter),
-            "det-wall-clock" => Some(Rule::DetWallClock),
-            "det-env-read" => Some(Rule::DetEnvRead),
-            "det-thread-id" => Some(Rule::DetThreadId),
-            "det-float-fold" => Some(Rule::DetFloatFold),
-            "annotation" => Some(Rule::Annotation),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Rule {
@@ -153,14 +133,7 @@ impl Violation {
     /// number, so unrelated edits above a baselined violation do not
     /// resurface it.
     pub fn fingerprint(&self) -> String {
-        let mut norm = String::with_capacity(self.snippet.len());
-        for (i, word) in self.snippet.split_whitespace().enumerate() {
-            if i > 0 {
-                norm.push(' ');
-            }
-            norm.push_str(word);
-        }
-        format!("{:016x}", fnv1a64(&format!("{}|{}|{}", self.file, self.rule.id(), norm)))
+        fingerprint(&format!("{}|{}", self.file, self.rule.id()), &self.snippet)
     }
 }
 
@@ -170,14 +143,17 @@ impl fmt::Display for Violation {
     }
 }
 
-/// 64-bit FNV-1a over UTF-8 bytes.
-pub(crate) fn fnv1a64(s: &str) -> u64 {
+/// The fingerprint of a finding keyed by `key`: 64-bit FNV-1a over the
+/// key and the snippet with its whitespace runs collapsed, so
+/// reformatting a line does not change it.
+pub(crate) fn fingerprint(key: &str, snippet: &str) -> String {
+    let norm = snippet.split_whitespace().collect::<Vec<_>>().join(" ");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
+    for b in format!("{key}|{norm}").bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h
+    format!("{h:016x}")
 }
 
 /// Outcome of linting one source file.

@@ -121,12 +121,7 @@ pub fn graph_report(g: &CallGraph, map: &TaintMap) -> Json {
 /// plus the dynamic-checker coverage cross-check. `baseline` marks
 /// which sites are already reviewed (the `new_sites` count is the
 /// CI-failing number).
-pub fn sites_report(
-    g: &CallGraph,
-    map: &TaintMap,
-    sites: &SiteMap,
-    known: &std::collections::BTreeSet<String>,
-) -> Json {
+pub fn sites_report(g: &CallGraph, map: &TaintMap, sites: &SiteMap, baseline: &Baseline) -> Json {
     let mut by_kind: BTreeMap<&'static str, usize> = BTreeMap::new();
     for s in &sites.sites {
         *by_kind.entry(s.kind.id()).or_default() += 1;
@@ -135,7 +130,7 @@ pub fn sites_report(
     for (id, n) in by_kind {
         kind_obj = kind_obj.field(id, n);
     }
-    let new_sites = sites.sites.iter().filter(|s| !known.contains(&s.fingerprint())).count();
+    let new_sites = sites.sites.iter().filter(|s| !baseline.contains(*s)).count();
     let coverage: Vec<Json> = PRIMITIVE_FNS
         .iter()
         .map(|(name, fns)| {
@@ -159,13 +154,13 @@ pub fn sites_report(
                     .sites
                     .iter()
                     .enumerate()
-                    .map(|(rank, s)| site_json(rank + 1, s, known))
+                    .map(|(rank, s)| site_json(rank + 1, s, baseline))
                     .collect(),
             ),
         )
 }
 
-fn site_json(rank: usize, s: &LeakSite, known: &std::collections::BTreeSet<String>) -> Json {
+fn site_json(rank: usize, s: &LeakSite, baseline: &Baseline) -> Json {
     Json::obj()
         .field("rank", rank)
         .field("file", s.file.as_str())
@@ -181,7 +176,7 @@ fn site_json(rank: usize, s: &LeakSite, known: &std::collections::BTreeSet<Strin
         .field("message", s.message.as_str())
         .field("snippet", s.snippet.as_str())
         .field("fp", s.fingerprint())
-        .field("baselined", known.contains(&s.fingerprint()))
+        .field("baselined", baseline.contains(s))
 }
 
 fn violation_json(v: &Violation, baseline: &Baseline) -> Json {

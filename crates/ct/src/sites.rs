@@ -6,8 +6,10 @@
 //! This pass answers the *predictive* one the paper starts from: of all
 //! the operations that touch secret data, which ones image into the
 //! side channel, under which leakage model, and how strongly? It
-//! replays every tainted function with the same flow/field-sensitive
-//! [`Taint`](crate::lint::Taint) state the lint uses and records each
+//! replays every tainted function through the interprocedural pass's
+//! body replay (the same flow/field-sensitive
+//! [`Taint`](crate::lint::Taint) state, directives and skipped
+//! statements) and records each
 //! secret-dependent operation as a [`LeakSite`], classified by the
 //! device model's leakage dimensions exported from `falcon-emsim`:
 //!
@@ -37,8 +39,8 @@
 use crate::graph::CallGraph;
 use crate::lint::{self, Rule};
 use crate::rules::CallAllowlist;
-use crate::scan::{idents, Directive};
-use crate::summary::TaintMap;
+use crate::scan::idents;
+use crate::summary::{replay_body, Phase, TaintMap};
 use falcon_emsim::{LeakClass, StepKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -71,19 +73,6 @@ impl SiteKind {
             SiteKind::DivMod => "div-mod",
             SiteKind::Index => "index",
             SiteKind::Branch => "branch",
-        }
-    }
-
-    /// Inverse of [`SiteKind::id`] (for baseline loading).
-    pub fn from_id(id: &str) -> Option<SiteKind> {
-        match id {
-            "mantissa-mul" => Some(SiteKind::MantissaMul),
-            "secret-mul" => Some(SiteKind::SecretMul),
-            "var-latency-loop" => Some(SiteKind::VarLatencyLoop),
-            "div-mod" => Some(SiteKind::DivMod),
-            "index" => Some(SiteKind::Index),
-            "branch" => Some(SiteKind::Branch),
-            _ => None,
         }
     }
 
@@ -149,17 +138,7 @@ impl LeakSite {
     /// and not the score, so re-ranking or unrelated edits above a site
     /// do not churn the baseline.
     pub fn fingerprint(&self) -> String {
-        let mut norm = String::with_capacity(self.snippet.len());
-        for (i, word) in self.snippet.split_whitespace().enumerate() {
-            if i > 0 {
-                norm.push(' ');
-            }
-            norm.push_str(word);
-        }
-        format!(
-            "{:016x}",
-            lint::fnv1a64(&format!("{}|{}|{}|{}", self.file, self.kind.id(), self.qual, norm))
-        )
+        lint::fingerprint(&format!("{}|{}|{}", self.file, self.kind.id(), self.qual), &self.snippet)
     }
 }
 
@@ -210,61 +189,17 @@ impl SiteMap {
             }
             scanned.push(f.qual.clone());
             let lanes = partial_product_lanes(g, i);
-            let mut local = lint::Taint::new();
-            for p in &map.summaries[i].tainted_params {
-                local.seed(p);
-            }
-            for p in &map.summaries[i].public_paths {
-                local.seed_public(p);
-            }
-            let mut in_region = false;
-            let mut pending_allow = false;
-            let (file_idx, stmt_idxs) = (g.body_stmts[i].0, &g.body_stmts[i].1);
-            for si in stmt_idxs {
-                let stmt = &g.files[file_idx].stmts[*si];
-                let code = stmt.code.trim();
-                let mut allowed = false;
-                for (_, d) in &stmt.directives {
-                    match d {
-                        Directive::Secret(vars) => {
-                            in_region = true;
-                            for v in vars {
-                                local.seed(v);
-                            }
-                        }
-                        Directive::Public(paths) => {
-                            for p in paths.iter().filter(|p| p.contains('.')) {
-                                local.seed_public(p);
-                            }
-                        }
-                        Directive::End => in_region = false,
-                        Directive::Allow(_) => {
-                            if code.is_empty() {
-                                pending_allow = true;
-                            } else {
-                                allowed = true;
-                            }
-                        }
-                        Directive::Bad(_) => {}
-                    }
+            replay_body(g, i, map.summaries[i].taint(), |phase, s, local| {
+                if phase == Phase::After {
+                    return;
                 }
-                if code.is_empty() {
-                    continue;
-                }
-                if pending_allow {
-                    allowed = true;
-                    pending_allow = false;
-                }
-                let toks = idents(code);
-                if lint::is_attribute(code) || lint::is_debug_assert(code, &toks) {
-                    continue;
-                }
-                let annotated = in_region || allowed;
+                let (code, toks) = (s.code, &s.toks);
+                let annotated = s.in_region || s.allowed;
                 let mut push = |kind: SiteKind, step: Option<StepKind>, message: String| {
                     let (class, width) = classify(kind, step);
                     sites.push(LeakSite {
                         file: f.file.clone(),
-                        line: stmt.line,
+                        line: s.stmt.line,
                         qual: f.qual.clone(),
                         kind,
                         class,
@@ -274,13 +209,13 @@ impl SiteMap {
                         score: 0, // filled below
                         annotated,
                         message,
-                        snippet: stmt.raw.trim().to_string(),
+                        snippet: s.stmt.raw.trim().to_string(),
                     });
                 };
 
                 // Branch / index / div-mod: reuse the lint's rule
                 // checks verbatim (same taint state, same span logic).
-                lint::check_line(code, &toks, &local, &allow, |rule, msg| {
+                lint::check_line(code, toks, local, &allow, |rule, msg| {
                     let kind = match rule {
                         Rule::SecretBranch => Some(SiteKind::Branch),
                         Rule::SecretIndex => Some(SiteKind::Index),
@@ -307,7 +242,7 @@ impl SiteMap {
                 // bound result is recorded on an observer lane.
                 let chars: Vec<char> = code.chars().collect();
                 let line_tainted =
-                    (0..toks.len()).any(|ti| local.occurrence_tainted(&chars, &toks, ti));
+                    (0..toks.len()).any(|ti| local.occurrence_tainted(&chars, toks, ti));
                 if line_tainted && has_binary_mul(&chars) {
                     let lane_step = lint::binding_eq(&chars).and_then(|eq| {
                         toks.iter()
@@ -327,9 +262,7 @@ impl SiteMap {
                         ),
                     }
                 }
-
-                local.observe(code, &toks);
-            }
+            });
         }
 
         for s in &mut sites {
@@ -431,21 +364,7 @@ fn lane_step(lane: &str) -> Option<StepKind> {
 fn reach_counts(g: &CallGraph, map: &TaintMap) -> Vec<usize> {
     let mut callers: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); g.fns.len()];
     for site in &g.calls {
-        let cands: Vec<usize> = match &site.recv {
-            Some(r) => {
-                let qual = format!("{r}::{}", site.callee);
-                g.resolve(&site.callee).filter(|&i| g.fns[i].qual == qual).collect()
-            }
-            None => {
-                let all: Vec<usize> = g.resolve(&site.callee).collect();
-                if all.len() == 1 {
-                    all
-                } else {
-                    Vec::new()
-                }
-            }
-        };
-        for c in cands {
+        for c in g.resolve_call(&site.callee, site.recv.as_deref()) {
             if c != site.caller {
                 callers[c].insert(site.caller);
             }

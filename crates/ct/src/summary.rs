@@ -31,12 +31,15 @@
 //! lint uses (`secret-branch`, `secret-index`, `secret-divmod`,
 //! `secret-call`) — statements inside explicit `ct: secret` regions are
 //! skipped there, because [`crate::lint::lint_source`] already checks
-//! them and double-reporting would double the baseline.
+//! them and double-reporting would double the baseline. Propagation,
+//! the reporting pass and the site map ([`crate::sites`]) all walk a
+//! body through one replay, `replay_body`, so a directive or a taint
+//! rule changes in one place.
 
-use crate::graph::CallGraph;
+use crate::graph::{call_tokens, CallGraph};
 use crate::lint::{self, Violation};
 use crate::rules::{CallAllowlist, SECRET_SEED_TYPES};
-use crate::scan::{idents, Directive, Tok};
+use crate::scan::{idents, Directive, Stmt, Tok};
 use std::collections::BTreeSet;
 
 /// Taint summary of one function (parallel to [`CallGraph::fns`]).
@@ -58,6 +61,19 @@ impl TaintSummary {
     /// Whether the function handles secrets at all.
     pub fn is_tainted(&self) -> bool {
         !self.tainted_params.is_empty() || self.returns_secret
+    }
+
+    /// The taint a replay of the function's body starts from: the
+    /// tainted parameters, minus their declared public projections.
+    pub(crate) fn taint(&self) -> lint::Taint {
+        let mut t = lint::Taint::new();
+        for p in &self.tainted_params {
+            t.seed(p);
+        }
+        for p in &self.public_paths {
+            t.seed_public(p);
+        }
+        t
     }
 }
 
@@ -114,7 +130,7 @@ impl TaintMap {
             if f.has_region {
                 let param_names: BTreeSet<&str> =
                     f.params.iter().map(|p| p.name.as_str()).collect();
-                for si in body_stmt_indices(g, i) {
+                for &si in &g.body_stmts[i].1 {
                     let stmt = &g.files[g.body_stmts[i].0].stmts[si];
                     for (_, d) in &stmt.directives {
                         if let Directive::Secret(vars) = d {
@@ -164,38 +180,68 @@ impl TaintMap {
     }
 }
 
-/// Indices into the owning file's statement list for fn `i`'s body.
-fn body_stmt_indices(g: &CallGraph, i: usize) -> Vec<usize> {
-    g.body_stmts[i].1.clone()
+/// When a [`replay_body`] visitor sees a statement, relative to the
+/// statement's own [`lint::Taint::observe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Ahead of it: the taint the statement reads (rule checks,
+    /// call-return seeds).
+    Before,
+    /// Behind it: the taint the statement leaves (call arguments,
+    /// return values).
+    After,
 }
 
-/// One propagation round over fn `i`'s body. Returns whether any
-/// summary (its own or a callee's) changed.
-fn propagate_one(g: &CallGraph, i: usize, sums: &mut [TaintSummary]) -> bool {
-    if !sums[i].is_tainted() && !g.fns[i].has_region {
-        return false;
-    }
-    let mut changed = false;
-    let mut local = lint::Taint::new();
-    for p in &sums[i].tainted_params {
-        local.seed(p);
-    }
-    for p in &sums[i].public_paths {
-        local.seed_public(p);
-    }
-    let (file_idx, stmt_idxs) = (g.body_stmts[i].0, g.body_stmts[i].1.clone());
-    // The function's trailing expression is the last statement that is
-    // not a bare closing brace (the `}` that ends the body is itself a
-    // statement).
-    let last_expr =
-        stmt_idxs.iter().rposition(|&si| g.files[file_idx].stmts[si].code.trim() != "}");
+/// One code statement of a function body, as [`replay_body`] hands it
+/// to its visitor.
+pub(crate) struct BodyStmt<'a> {
+    /// Position in the body's statement list (blank statements count).
+    pub pos: usize,
+    /// The statement (line number and raw snippet).
+    pub stmt: &'a Stmt,
+    /// Its trimmed, scrubbed code; never empty.
+    pub code: &'a str,
+    /// Identifier tokens of `code`.
+    pub toks: Vec<Tok>,
+    /// Inside a `ct: secret` … `ct: end` region of the body.
+    pub in_region: bool,
+    /// Under a `ct: allow`: trailing it, or on the line before it.
+    pub allowed: bool,
+}
 
-    for (k, si) in stmt_idxs.iter().enumerate() {
-        let stmt = &g.files[file_idx].stmts[*si];
+/// Replays fn `i`'s body one statement at a time: the body walk every
+/// interprocedural pass (propagation, [`taint_violations`],
+/// [`crate::sites::SiteMap::compute`]) shares.
+///
+/// The taint starts as `seed` (see [`TaintSummary::taint`]). A
+/// statement's directives apply first: `ct: secret(…)` seeds names and
+/// opens a region, `ct: public(…)` declares projections public,
+/// `ct: end` closes the region but leaves the taint live (the
+/// parameters stay secret past it), and `ct: allow` covers its own
+/// statement or, standing alone, the next statement with code.
+/// Attribute and `debug_assert!` statements are then skipped: they
+/// carry no release-build code, so they neither move the taint nor get
+/// visited (the call graph skips attributes the same way). Every other
+/// statement is visited in [`Phase::Before`], observed, and visited
+/// again in [`Phase::After`].
+pub(crate) fn replay_body(
+    g: &CallGraph,
+    i: usize,
+    seed: lint::Taint,
+    mut visit: impl FnMut(Phase, &BodyStmt<'_>, &mut lint::Taint),
+) {
+    let mut local = seed;
+    let mut in_region = false;
+    let mut pending_allow = false;
+    let (file_idx, stmt_idxs) = (g.body_stmts[i].0, &g.body_stmts[i].1);
+    for (pos, &si) in stmt_idxs.iter().enumerate() {
+        let stmt = &g.files[file_idx].stmts[si];
         let code = stmt.code.trim();
+        let mut allowed = false;
         for (_, d) in &stmt.directives {
             match d {
                 Directive::Secret(vars) => {
+                    in_region = true;
                     for v in vars {
                         local.seed(v);
                     }
@@ -205,43 +251,71 @@ fn propagate_one(g: &CallGraph, i: usize, sums: &mut [TaintSummary]) -> bool {
                         local.seed_public(p);
                     }
                 }
-                _ => {}
+                Directive::End => in_region = false,
+                Directive::Allow(_) if code.is_empty() => pending_allow = true,
+                Directive::Allow(_) => allowed = true,
+                Directive::Bad(_) => {} // the region lint reports these
             }
         }
-        if code.is_empty() || lint::is_attribute(code) {
+        if code.is_empty() {
             continue;
         }
+        allowed |= std::mem::take(&mut pending_allow);
         let toks = idents(code);
+        if lint::is_attribute(code) || lint::is_debug_assert(code, &toks) {
+            continue;
+        }
+        let s = BodyStmt { pos, stmt, code, toks, in_region, allowed };
+        visit(Phase::Before, &s, &mut local);
+        local.observe(code, &s.toks);
+        visit(Phase::After, &s, &mut local);
+    }
+}
+
+/// One propagation round over fn `i`'s body. Returns whether any
+/// summary (its own or a callee's) changed.
+fn propagate_one(g: &CallGraph, i: usize, sums: &mut [TaintSummary]) -> bool {
+    if !sums[i].is_tainted() && !g.fns[i].has_region {
+        return false;
+    }
+    // The function's trailing expression is the last statement that is
+    // not a bare closing brace (the `}` that ends the body is itself a
+    // statement).
+    let (file_idx, stmt_idxs) = (g.body_stmts[i].0, &g.body_stmts[i].1);
+    let last_expr =
+        stmt_idxs.iter().rposition(|&si| g.files[file_idx].stmts[si].code.trim() != "}");
+    let mut changed = false;
+    let mut sites = Vec::new();
+    replay_body(g, i, sums[i].taint(), |phase, s, local| {
+        let (code, toks) = (s.code, &s.toks);
         let chars: Vec<char> = code.chars().collect();
-
-        let sites = calls_in(stmt, g);
-
-        // Callee-return taint: a binding whose right side calls a
-        // returns_secret function taints its left side. Method-syntax
-        // sites are excluded — their real flows (`let c = sk.coeff(0)`)
-        // already taint the binding because the receiver is mentioned
-        // on the right-hand side, and a bare-name method binding would
-        // otherwise poison every `.len()`-shaped call in the tree.
-        if let Some(eq) = lint::binding_eq(&chars) {
-            let rhs_secret_call = sites
-                .iter()
-                .filter(|s| s.tok_start > eq && s.kind != CallKind::Method)
-                .any(|s| s.cands.iter().any(|&c| sums[c].returns_secret));
-            if rhs_secret_call {
-                for t in &toks {
-                    if t.start < eq
-                        && !lint::is_keyword(&t.text)
-                        && !t.text.starts_with(char::is_uppercase)
-                        && t.text != "_"
-                    {
-                        local.seed(&t.text);
+        if phase == Phase::Before {
+            sites = calls_in(code, toks, g);
+            // Callee-return taint: a binding whose right side calls a
+            // returns_secret function taints its left side. Method-syntax
+            // sites are excluded — their real flows (`let c = sk.coeff(0)`)
+            // already taint the binding because the receiver is mentioned
+            // on the right-hand side, and a bare-name method binding would
+            // otherwise poison every `.len()`-shaped call in the tree.
+            if let Some(eq) = lint::binding_eq(&chars) {
+                let rhs_secret_call = sites
+                    .iter()
+                    .filter(|s| s.tok_start > eq && s.kind != CallKind::Method)
+                    .any(|s| s.cands.iter().any(|&c| sums[c].returns_secret));
+                if rhs_secret_call {
+                    for t in toks {
+                        if t.start < eq
+                            && !lint::is_keyword(&t.text)
+                            && !t.text.starts_with(char::is_uppercase)
+                            && t.text != "_"
+                        {
+                            local.seed(&t.text);
+                        }
                     }
                 }
             }
+            return;
         }
-
-        // Intra-statement flow-sensitive propagation (gen/kill/join).
-        local.observe(code, &toks);
 
         // Call-argument taint: a tainted identifier inside a call's
         // argument list (matched to the callee parameter by position
@@ -252,7 +326,7 @@ fn propagate_one(g: &CallGraph, i: usize, sums: &mut [TaintSummary]) -> bool {
                 if g.fns[c].is_test {
                     continue;
                 }
-                let hit = tainted_callee_params(&chars, &toks, site.tok_start, &local, &g.fns[c]);
+                let hit = tainted_callee_params(&chars, toks, site.tok_start, local, &g.fns[c]);
                 for p in hit {
                     if sums[c].tainted_params.insert(p) {
                         changed = true;
@@ -267,11 +341,11 @@ fn propagate_one(g: &CallGraph, i: usize, sums: &mut [TaintSummary]) -> bool {
         // Return taint: `return expr` or the trailing expression of a
         // value-returning function mentioning local taint.
         let returnish = toks.first().map(|t| t.text == "return").unwrap_or(false)
-            || (Some(k) == last_expr && !g.fns[i].ret.is_empty() && !code.ends_with(';'));
+            || (Some(s.pos) == last_expr && !g.fns[i].ret.is_empty() && !code.ends_with(';'));
         if returnish
             && !sums[i].returns_secret
             && !g.fns[i].ret.is_empty()
-            && (0..toks.len()).any(|ti| local.occurrence_tainted(&chars, &toks, ti))
+            && (0..toks.len()).any(|ti| local.occurrence_tainted(&chars, toks, ti))
         {
             sums[i].returns_secret = true;
             changed = true;
@@ -279,7 +353,7 @@ fn propagate_one(g: &CallGraph, i: usize, sums: &mut [TaintSummary]) -> bool {
                 sums[i].cause = "returns a locally tainted value".to_string();
             }
         }
-    }
+    });
     changed
 }
 
@@ -305,7 +379,8 @@ struct ResolvedCall {
     cands: Vec<usize>,
 }
 
-/// Call sites in a statement, resolved under the propagation policy:
+/// Call sites in a statement, resolved by [`CallGraph::resolve_call`]'s
+/// policy:
 ///
 /// * **Qualified** calls bind to the exact `Type::name` match only.
 /// * **Free** and **method** calls bind only when the bare name is
@@ -318,31 +393,11 @@ struct ResolvedCall {
 ///   trade.
 ///
 /// Self-calls are kept (recursion saturates harmlessly).
-fn calls_in(stmt: &crate::scan::Stmt, g: &CallGraph) -> Vec<ResolvedCall> {
-    let code = stmt.code.trim();
+fn calls_in(code: &str, toks: &[Tok], g: &CallGraph) -> Vec<ResolvedCall> {
     let chars: Vec<char> = code.chars().collect();
-    let toks = idents(code);
     let mut out = Vec::new();
-    for (ti, t) in toks.iter().enumerate() {
-        if lint::is_keyword(&t.text) || t.text.starts_with(char::is_uppercase) {
-            continue;
-        }
-        let mut j = t.end;
-        while chars.get(j) == Some(&' ') {
-            j += 1;
-        }
-        if chars.get(j) == Some(&'!') || chars.get(j) != Some(&'(') {
-            continue;
-        }
-        let recv = ti
-            .checked_sub(1)
-            .and_then(|p| toks.get(p))
-            .filter(|prev| {
-                prev.text.starts_with(char::is_uppercase)
-                    && chars.get(prev.end..t.start).map(|s| s.iter().collect::<String>())
-                        == Some("::".to_string())
-            })
-            .map(|prev| prev.text.clone());
+    for (ti, recv) in call_tokens(code, toks) {
+        let t = &toks[ti];
         let kind = if recv.is_some() {
             CallKind::Qualified
         } else if t.start > 0 && chars.get(t.start - 1) == Some(&'.') {
@@ -350,20 +405,7 @@ fn calls_in(stmt: &crate::scan::Stmt, g: &CallGraph) -> Vec<ResolvedCall> {
         } else {
             CallKind::Free
         };
-        let cands: Vec<usize> = match (&recv, kind) {
-            (Some(r), _) => {
-                let qual = format!("{r}::{}", t.text);
-                g.resolve(&t.text).filter(|&i| g.fns[i].qual == qual).collect()
-            }
-            (None, _) => {
-                let all: Vec<usize> = g.resolve(&t.text).collect();
-                if all.len() == 1 {
-                    all
-                } else {
-                    Vec::new()
-                }
-            }
-        };
+        let cands = g.resolve_call(&t.text, recv.as_deref());
         if !cands.is_empty() {
             out.push(ResolvedCall { tok_start: t.start, kind, cands });
         }
@@ -479,76 +521,25 @@ fn tainted_callee_params(
 pub fn taint_violations(g: &CallGraph, map: &TaintMap, allow: &CallAllowlist) -> Vec<Violation> {
     let mut out: Vec<Violation> = Vec::new();
     for (i, f) in g.fns.iter().enumerate() {
-        if f.is_test || !map.summaries[i].is_tainted() {
+        // Only the return is secret when no parameter is: nothing to
+        // track in the body.
+        if f.is_test || map.summaries[i].tainted_params.is_empty() {
             continue;
         }
-        if map.summaries[i].tainted_params.is_empty() {
-            // Only the return is secret: nothing to track in the body.
-            continue;
-        }
-        let mut local = lint::Taint::new();
-        for p in &map.summaries[i].tainted_params {
-            local.seed(p);
-        }
-        for p in &map.summaries[i].public_paths {
-            local.seed_public(p);
-        }
-        let (file_idx, stmt_idxs) = (g.body_stmts[i].0, &g.body_stmts[i].1);
-        let mut in_region = false;
-        let mut pending_allow = false;
-        for si in stmt_idxs {
-            let stmt = &g.files[file_idx].stmts[*si];
-            let code = stmt.code.trim();
-            let mut allowed = false;
-            for (_, d) in &stmt.directives {
-                match d {
-                    Directive::Secret(vars) => {
-                        in_region = true;
-                        for v in vars {
-                            local.seed(v);
-                        }
-                    }
-                    Directive::Public(paths) => {
-                        for p in paths.iter().filter(|p| p.contains('.')) {
-                            local.seed_public(p);
-                        }
-                    }
-                    Directive::End => in_region = false,
-                    Directive::Allow(_) => {
-                        if code.is_empty() {
-                            pending_allow = true;
-                        } else {
-                            allowed = true;
-                        }
-                    }
-                    Directive::Bad(_) => {} // lint reports these
-                }
+        replay_body(g, i, map.summaries[i].taint(), |phase, s, local| {
+            if phase == Phase::After || s.in_region || s.allowed {
+                return;
             }
-            if code.is_empty() {
-                continue;
-            }
-            if pending_allow {
-                allowed = true;
-                pending_allow = false;
-            }
-            let toks = idents(code);
-            let skip = in_region
-                || allowed
-                || lint::is_attribute(code)
-                || lint::is_debug_assert(code, &toks);
-            if !skip {
-                lint::check_line(code, &toks, &local, allow, |rule, msg| {
-                    out.push(Violation {
-                        file: f.file.clone(),
-                        line: stmt.line,
-                        rule,
-                        message: format!("[interprocedural, via {}] {msg}", f.qual),
-                        snippet: stmt.raw.trim().to_string(),
-                    });
+            lint::check_line(s.code, &s.toks, local, allow, |rule, msg| {
+                out.push(Violation {
+                    file: f.file.clone(),
+                    line: s.stmt.line,
+                    rule,
+                    message: format!("[interprocedural, via {}] {msg}", f.qual),
+                    snippet: s.stmt.raw.trim().to_string(),
                 });
-            }
-            local.observe(code, &toks);
-        }
+            });
+        });
     }
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out.dedup_by(|a, b| a.fingerprint() == b.fingerprint());

@@ -95,7 +95,10 @@ impl Event {
     }
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string: `"` and `\` are
+/// backslash-escaped, `\n`/`\r`/`\t` get their short escapes and other
+/// control characters `\u00XX`.
+pub fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
