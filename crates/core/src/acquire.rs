@@ -5,9 +5,14 @@
 //! recomputes `FFT(c)` with the public reference code, bit for bit equal
 //! to the device's. A [`Dataset`] keeps, per trace and per targeted
 //! secret index, the two known operands and the 2×14 samples of the two
-//! multiplications involving that secret value. Captures are taken in
-//! chunks whose radiation runs on the [`crate::exec`] executor (see
-//! `capture_chunks`), bit-identical to one capture after another.
+//! multiplications involving that secret value.
+//!
+//! Every capture goes through one loop: [`Dataset::collect_screened`]
+//! (see [`crate::screen`]) takes captures from `capture_chunks` one
+//! chunk at a time, screens each chunk and drops its raw traces;
+//! [`Dataset::collect`] is that loop with screening off. A chunk's
+//! radiation runs on the [`crate::exec`] executor, bit-identical to one
+//! capture after another.
 //!
 //! # Columnar layout (v2)
 //!
@@ -19,8 +24,9 @@
 //! **borrowed slices** straight into the dataset buffer — zero
 //! allocation, zero copy, dense sequential memory under the
 //! [`PearsonSums::push_column`](crate::cpa::PearsonSums::push_column)
-//! tile kernel. Acquisition produces traces row-by-row; the transpose
-//! happens exactly once, at dataset construction.
+//! tile kernel. Captures and imported archives arrive row by row; one
+//! function, `scatter_rows`, transposes them into columns, once, at
+//! dataset construction.
 
 use crate::error::{Error, Result};
 use crate::exec;
@@ -46,21 +52,18 @@ const ACQUIRE_CHUNK: usize = 512;
 /// capture serially, radiates them on the [`crate::exec`] executor and
 /// finishes them in arming order, so the captures and the device state
 /// are bit-identical to `n_traces` calls of [`Device::capture`] at any
-/// thread count.
-///
-/// # Errors
-///
-/// Stops at the first error from `each` and returns it; the device has
-/// then advanced past the whole chunk.
+/// thread count. The `screen.capture` span times the capture work,
+/// not `each`.
 pub(crate) fn capture_chunks(
     device: &mut Device,
     n_traces: usize,
     msg_rng: &mut Prng,
-    mut each: impl FnMut(Vec<Capture>) -> Result<()>,
-) -> Result<()> {
+    mut each: impl FnMut(Vec<Capture>),
+) {
     let mut captured = 0;
     while captured < n_traces {
         let count = ACQUIRE_CHUNK.min(n_traces - captured);
+        let span = crate::obs::span("screen.capture");
         let armed: Vec<Armed> = (0..count)
             .map(|_| {
                 let mut msg = [0u8; 24];
@@ -70,10 +73,11 @@ pub(crate) fn capture_chunks(
             .collect();
         let radiating = &*device;
         exec::map(&armed, |a| radiating.radiate(a));
-        each(armed.into_iter().map(|a| device.finish(a)).collect())?;
+        let chunk = armed.into_iter().map(|a| device.finish(a)).collect();
+        drop(span);
+        each(chunk);
         captured += count;
     }
-    Ok(())
 }
 
 /// An attacker-side dataset for a set of targeted secret indices.
@@ -178,64 +182,18 @@ pub(crate) fn check_finite_samples(points: &[f32]) -> Result<()> {
 }
 
 impl Dataset {
-    /// Runs an acquisition campaign: `n_traces` signatures over random
-    /// messages drawn from `msg_rng`, keeping the windows for `targets`
-    /// (flat `FFT(f)` indices, `0..n`).
-    ///
-    /// Captures run in chunks of at most 512: the device arms
-    /// each capture serially, its emissions are radiated on the
-    /// [`crate::exec`] executor and finished in order, and the per-trace
-    /// attacker-side recomputation (`hash_to_point` + `fft`) fans out
-    /// too, with bit-identical results at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TargetOutOfRange`] when a target index exceeds
-    /// the device's degree. Captures whose trace does not cover the
-    /// expected layout (e.g. a missed trigger under an active
-    /// [`falcon_emsim::FaultModel`]) would corrupt the window extraction
-    /// and are rejected as [`Error::Acquisition`]; use
-    /// [`Dataset::collect_screened`](crate::screen) to tolerate them.
-    pub fn try_collect(
-        device: &mut Device,
-        targets: &[usize],
-        n_traces: usize,
-        msg_rng: &mut Prng,
-    ) -> Result<Dataset> {
-        let _span = crate::obs::span("acquire.collect");
-        let n = device.signing_key().logn().n();
-        for &t in targets {
-            if t >= n {
-                return Err(Error::TargetOutOfRange { target: t, n });
-            }
-        }
-        crate::obs::counter("acquire.traces_requested").add(n_traces as u64);
-        let layout = device.layout();
-        let expected_len = layout.samples_per_trace();
-        let mut rows: Vec<(Vec<u64>, Vec<f32>)> = Vec::with_capacity(n_traces);
-        capture_chunks(device, n_traces, msg_rng, |chunk| {
-            if let Some((i, cap)) =
-                chunk.iter().enumerate().find(|(_, c)| c.trace.len() < expected_len)
-            {
-                return Err(Error::Acquisition(format!(
-                    "trace {} has {} samples, layout needs {expected_len} \
-                     (faulty capture? use collect_screened)",
-                    rows.len() + i,
-                    cap.trace.len()
-                )));
-            }
-            rows.extend(exec::map(&chunk, |cap| recompute_trace(cap, n, targets, &layout, 0)));
-            Ok(())
-        })?;
-        scatter_rows(n, targets, &rows)
-    }
-
-    /// Panicking convenience wrapper around [`Dataset::try_collect`].
+    /// Runs an unscreened acquisition campaign: `n_traces` signatures
+    /// over random messages drawn from `msg_rng`, keeping the windows
+    /// for `targets` (flat `FFT(f)` indices, `0..n`). This is
+    /// [`Dataset::collect_screened`](crate::screen) with `cfg = None`,
+    /// so every capture is kept.
     ///
     /// # Panics
     ///
     /// Panics if a target index is out of range for the device's degree
-    /// or a capture is unusable (see [`Dataset::try_collect`]).
+    /// or a capture lost its trigger (a truncated trace under an active
+    /// [`falcon_emsim::FaultModel`]); use `collect_screened` to tolerate
+    /// those.
     #[track_caller]
     pub fn collect(
         device: &mut Device,
@@ -243,8 +201,13 @@ impl Dataset {
         n_traces: usize,
         msg_rng: &mut Prng,
     ) -> Dataset {
-        match Dataset::try_collect(device, targets, n_traces, msg_rng) {
-            Ok(ds) => ds,
+        match Dataset::collect_screened(device, targets, n_traces, msg_rng, None) {
+            Ok((ds, stats)) if stats.dropped_trigger == 0 => ds,
+            Ok((_, stats)) => panic!(
+                "Dataset::collect failed: {} of {n_traces} captures lost their trigger \
+                 (faulty capture? use collect_screened)",
+                stats.dropped_trigger
+            ),
             Err(e) => panic!("Dataset::collect failed: {e}"),
         }
     }

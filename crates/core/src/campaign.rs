@@ -514,7 +514,7 @@ impl Campaign {
         w.write_all(CKPT_HEAD)?;
         put(&mut w, &[core.n, core.traces_requested])?;
         let mut stats = core.stats;
-        put(&mut w, &stats_fields(&mut stats).map(|v| *v))?;
+        put(&mut w, &stats.fields_mut().map(|v| *v))?;
         put_state(&mut w, &device.export_state())?;
         put_state(&mut w, &msg_rng.export_state())?;
         put(&mut w, &[core.states.len()])?;
@@ -563,7 +563,7 @@ impl Campaign {
         }
         let Campaign { mut core, mut data } = Campaign::new(n, cfg)?;
         let counts = take::<_, 8>(&mut r, "stats")?;
-        stats_fields(&mut core.stats).into_iter().zip(counts).for_each(|(field, v)| *field = v);
+        core.stats.fields_mut().into_iter().zip(counts).for_each(|(field, v)| *field = v);
         let dev_state = take_state(&mut r, "device state")?;
         let rng_state = take_state(&mut r, "message-rng state")?;
         let [count] = take(&mut r, "target count")?;
@@ -816,20 +816,6 @@ fn read_u8<R: Read>(r: &mut R) -> Result<u8> {
     let mut b = [0u8; 1];
     r.read_exact(&mut b)?;
     Ok(b[0])
-}
-
-/// The acquisition counters in checkpoint order, writable in place.
-fn stats_fields(s: &mut AcquisitionStats) -> [&mut usize; 8] {
-    [
-        &mut s.requested,
-        &mut s.kept,
-        &mut s.dropped_trigger,
-        &mut s.discarded_saturated,
-        &mut s.discarded_dead,
-        &mut s.discarded_misaligned,
-        &mut s.realigned,
-        &mut s.winsorized,
-    ]
 }
 
 #[cfg(test)]

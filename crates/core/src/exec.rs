@@ -260,6 +260,24 @@ where
     Ok(out)
 }
 
+/// Runs `f` under a temporary worker-count override, restoring the
+/// previous override afterwards even on panic. Unit tests that pin the
+/// worker count share one lock, so none of them sees another's
+/// override.
+#[cfg(test)]
+pub(crate) fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            THREAD_OVERRIDE.store(self.0, Ordering::Relaxed);
+        }
+    }
+    let _guard = Restore(THREAD_OVERRIDE.swap(n, Ordering::Relaxed));
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,19 +287,6 @@ mod tests {
     // refactor introduces no new `// ct: secret` regions — the
     // workspace-wide zero-new-violations gate in
     // `crates/ct/tests/workspace_lint.rs` enforces exactly that.
-
-    /// Runs `f` under a temporary thread override, restoring the
-    /// previous override afterwards even on panic.
-    fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        struct Restore(usize);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                THREAD_OVERRIDE.store(self.0, Ordering::Relaxed);
-            }
-        }
-        let _guard = Restore(THREAD_OVERRIDE.swap(n, Ordering::Relaxed));
-        f()
-    }
 
     #[test]
     fn map_preserves_order_and_values() {

@@ -42,7 +42,7 @@
 //! The knowns container may be npy (`<u8`/`<i8`/`<u4`/`<i4`) or CSV
 //! (decimal u64).
 
-use crate::acquire::{Dataset, POINTS_PER_TARGET};
+use crate::acquire::{scatter_rows, Dataset, POINTS_PER_TARGET};
 use crate::error::{Error, Result};
 use crate::io::write_dataset;
 use crate::screen::winsorize_dataset;
@@ -546,25 +546,15 @@ pub fn import_archive(dir: &Path) -> Result<(Dataset, ImportReport)> {
         }
         windows.push(off);
     }
-    // Transpose into the columnar layout.
-    let mut knowns = vec![0u64; targets.len() * 2 * traces];
-    let mut points = vec![0f32; targets.len() * POINTS_PER_TARGET * traces];
-    for (ti, &off) in windows.iter().enumerate() {
-        for occ in 0..2 {
-            let kbase = (ti * 2 + occ) * traces;
-            for trace in 0..traces {
-                knowns[kbase + trace] = knowns_rows[trace * kcols + ti * 2 + occ];
-            }
-            for (si, _) in StepKind::ALL.iter().enumerate() {
-                let pbase = ((ti * 2 + occ) * StepKind::COUNT + si) * traces;
-                let col = off + occ * StepKind::COUNT + si;
-                for trace in 0..traces {
-                    points[pbase + trace] = rows.samples[trace * rows.cols + col];
-                }
-            }
-        }
-    }
-    let mut ds = Dataset::try_from_columnar_parts(n, targets, traces, knowns, points)?;
+    // One row per trace: its known operands and its target windows.
+    let windowed: Vec<(Vec<u64>, Vec<f32>)> = (0..traces)
+        .map(|trace| {
+            let row = &rows.samples[trace * rows.cols..][..rows.cols];
+            let points = windows.iter().flat_map(|&off| &row[off..off + POINTS_PER_TARGET]);
+            (knowns_rows[trace * kcols..][..kcols].to_vec(), points.copied().collect())
+        })
+        .collect();
+    let mut ds = scatter_rows(n, &targets, &windowed)?;
     let mut winsorized = 0;
     if let Some(k) = manifest.get("winsorize_k") {
         let k: f64 =

@@ -24,9 +24,9 @@ use falcon_emsim::StepKind;
 use std::io::{Read, Write};
 use std::path::Path;
 
+/// The magic, whose last byte is the format version: the only version
+/// check a reader makes.
 const HEAD: &[u8; 8] = b"FDNDSET\x02";
-/// Current (columnar) dataset format version.
-pub const VERSION_V2: u8 = 2;
 
 /// The parsed header of a serialised dataset: everything up to (and
 /// including) the column directory, with **no payload read**. Besides
@@ -35,8 +35,6 @@ pub const VERSION_V2: u8 = 2;
 /// known/sample regions directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DatasetHeader {
-    /// On-disk format version (always [`VERSION_V2`]).
-    pub version: u8,
     /// Ring degree.
     pub n: usize,
     /// Targeted flat `FFT(f)` indices, in file order.
@@ -137,7 +135,7 @@ pub fn read_dataset_header<R: Read>(r: &mut R) -> Result<DatasetHeader> {
         .checked_mul(n_targets)
         .and_then(|v| v.checked_mul(POINTS_PER_TARGET))
         .ok_or_else(|| bad("sample count overflows"))?;
-    Ok(DatasetHeader { version: VERSION_V2, n, targets, traces })
+    Ok(DatasetHeader { n, targets, traces })
 }
 
 /// Serialises the columns of any source (a resident [`Dataset`], a
@@ -424,7 +422,6 @@ mod tests {
         let mut buf = Vec::new();
         write_dataset(&ds, &mut buf).unwrap();
         let hdr = read_dataset_header(&mut &buf[..]).unwrap();
-        assert_eq!(hdr.version, VERSION_V2);
         assert_eq!(hdr.n, ds.n());
         assert_eq!(hdr.targets, ds.targets());
         assert_eq!(hdr.traces, ds.traces());

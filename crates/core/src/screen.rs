@@ -20,7 +20,7 @@ use crate::acquire::{capture_chunks, recompute_trace, scatter_rows, Dataset};
 use crate::error::{Error, Result};
 use crate::exec;
 use crate::obs;
-use falcon_emsim::{Device, Trace};
+use falcon_emsim::{Capture, Device, Trace};
 use falcon_sig::rng::Prng;
 
 /// Discard a trace when more than this fraction of its samples sit on
@@ -78,16 +78,27 @@ pub struct AcquisitionStats {
 }
 
 impl AcquisitionStats {
+    /// Every counter, in declaration order (the checkpoint order),
+    /// writable in place.
+    pub(crate) fn fields_mut(&mut self) -> [&mut usize; 8] {
+        [
+            &mut self.requested,
+            &mut self.kept,
+            &mut self.dropped_trigger,
+            &mut self.discarded_saturated,
+            &mut self.discarded_dead,
+            &mut self.discarded_misaligned,
+            &mut self.realigned,
+            &mut self.winsorized,
+        ]
+    }
+
     /// Folds another batch's accounting into this one.
     pub fn merge(&mut self, other: &AcquisitionStats) {
-        self.requested += other.requested;
-        self.kept += other.kept;
-        self.dropped_trigger += other.dropped_trigger;
-        self.discarded_saturated += other.discarded_saturated;
-        self.discarded_dead += other.discarded_dead;
-        self.discarded_misaligned += other.discarded_misaligned;
-        self.realigned += other.realigned;
-        self.winsorized += other.winsorized;
+        let mut other = *other;
+        for (field, add) in self.fields_mut().into_iter().zip(other.fields_mut()) {
+            *field += *add;
+        }
     }
 
     /// Traces discarded by quality gates (excluding missed triggers).
@@ -128,7 +139,14 @@ impl Dataset {
     /// fewer traces than requested (the stats say exactly how many and
     /// why). With `cfg = None` only structurally unusable captures
     /// (missed triggers / truncated traces) are skipped — the
-    /// "screening off" baseline of the robustness experiments.
+    /// "screening off" baseline of the robustness experiments, and
+    /// [`Dataset::collect`].
+    ///
+    /// Captures arrive in chunks (see `acquire::capture_chunks`); each
+    /// chunk is screened and its target windows cut as it arrives, then
+    /// its raw traces are dropped, so memory holds one chunk, not the
+    /// batch. Realignment waits only for the reference: the first
+    /// `REF_CAP` full-length captures of the batch.
     ///
     /// # Errors
     ///
@@ -149,68 +167,70 @@ impl Dataset {
         let layout = device.layout();
         let expected_len = layout.samples_per_trace();
         let rail = device.chain().scope.full_scale;
+        let realign = cfg.is_some_and(|c| c.realign);
 
         let mut stats = AcquisitionStats { requested: n_traces, ..Default::default() };
-
-        // Pass 1: capture the whole batch (salt + message + raw trace),
-        // chunk by chunk: arming and finishing stay in capture order,
-        // the radiation between them runs on the executor.
-        let mut batch = Vec::with_capacity(n_traces);
-        {
-            let _capture_span = obs::span("screen.capture");
-            capture_chunks(device, n_traces, msg_rng, |chunk| {
-                for cap in chunk {
-                    if cap.trace.len() < expected_len {
-                        stats.dropped_trigger += 1;
-                    } else {
-                        batch.push(cap);
-                    }
+        let mut reference: Option<Vec<f32>> = None;
+        // Full-length captures not yet screened: held only while the
+        // realignment reference waits for its population.
+        let mut waiting: Vec<Capture> = Vec::new();
+        let mut rows = Vec::new();
+        let mut take = |chunk: Vec<Capture>, last: bool| {
+            let _gates_span = obs::span("screen.gates");
+            for cap in chunk {
+                if cap.trace.len() < expected_len {
+                    stats.dropped_trigger += 1;
+                } else {
+                    waiting.push(cap);
                 }
-                Ok(())
-            })?;
-        }
-
-        let gates_span = obs::span("screen.gates");
-
-        // The realignment reference: the per-sample median over the
-        // batch. A minority of jittered traces cannot move the median,
-        // so the reference stays locked to the majority alignment.
-        let reference = cfg
-            .filter(|c| c.realign)
-            .map(|_| median_reference(batch.iter().map(|c| &c.trace), expected_len));
-
-        // Pass 2a: per-trace quality gates. Pure given the shared batch
-        // reference, so they fan out on the executor (bit-identical
-        // verdicts at any thread count); the stats fold stays serial.
-        let mut kept: Vec<(usize, isize)> = Vec::with_capacity(batch.len());
-        match cfg {
-            None => kept.extend((0..batch.len()).map(|i| (i, 0isize))),
-            Some(_) => {
-                let verdicts = exec::map(&batch, |cap| {
+            }
+            // The realignment reference: the per-sample median over the
+            // batch's first full-length captures. A minority of jittered
+            // traces cannot move the median, so the reference stays
+            // locked to the majority alignment.
+            if realign && reference.is_none() {
+                let full = waiting.iter().filter(|c| c.trace.len() == expected_len).count();
+                if full < REF_CAP && !last {
+                    return;
+                }
+                reference = Some(median_reference(waiting.iter().map(|c| &c.trace), expected_len));
+            }
+            // Per-trace quality gates. Pure given the shared reference,
+            // so they fan out on the executor (bit-identical verdicts at
+            // any thread count); the stats fold stays serial.
+            let verdicts = match cfg {
+                None => waiting.iter().map(|_| Verdict::Keep { shift: 0 }).collect(),
+                Some(_) => exec::map(&waiting, |cap| {
                     screen_trace(&cap.trace.samples, reference.as_deref(), rail)
-                });
-                for (i, v) in verdicts.iter().enumerate() {
-                    match *v {
-                        Verdict::Saturated => stats.discarded_saturated += 1,
-                        Verdict::Dead => stats.discarded_dead += 1,
-                        Verdict::Misaligned => stats.discarded_misaligned += 1,
-                        Verdict::Keep { shift } => {
-                            if shift != 0 {
-                                stats.realigned += 1;
-                            }
-                            kept.push((i, shift));
-                        }
+                }),
+            };
+            let mut kept = Vec::with_capacity(verdicts.len());
+            for (i, v) in verdicts.into_iter().enumerate() {
+                match v {
+                    Verdict::Saturated => stats.discarded_saturated += 1,
+                    Verdict::Dead => stats.discarded_dead += 1,
+                    Verdict::Misaligned => stats.discarded_misaligned += 1,
+                    Verdict::Keep { shift } => {
+                        stats.realigned += usize::from(shift != 0);
+                        kept.push((i, shift));
                     }
                 }
             }
-        }
-        stats.kept = kept.len();
+            // Recompute the attacker-side operands and cut the
+            // (realigned) target windows of every kept trace, in
+            // parallel; the raw traces go when `waiting` is cleared.
+            rows.extend(exec::map(&kept, |&(i, shift)| {
+                recompute_trace(&waiting[i], n, targets, &layout, shift)
+            }));
+            waiting.clear();
+        };
+        capture_chunks(device, n_traces, msg_rng, |chunk| take(chunk, false));
+        // Screens captures still waiting for a reference the batch never
+        // filled (fewer than `REF_CAP` full-length captures).
+        take(Vec::new(), true);
 
-        // Pass 2b: recompute the attacker-side operands and extract the
-        // (realigned) target windows of every kept trace, in parallel;
-        // one columnar scatter builds the dataset.
-        let rows =
-            exec::map(&kept, |&(i, shift)| recompute_trace(&batch[i], n, targets, &layout, shift));
+        let gates_span = obs::span("screen.gates");
+        stats.kept = rows.len();
         let mut ds = scatter_rows(n, targets, &rows)?;
         if let Some(c) = cfg {
             if c.mad_k > 0.0 {
@@ -249,12 +269,15 @@ fn record_batch(stats: &AcquisitionStats) {
     });
 }
 
-/// Per-sample median over full-length traces (the realignment anchor).
+/// Full-length captures whose per-sample median is the realignment
+/// reference: the median stabilises long before the batch does, and
+/// sorting every column over a huge batch is the dominant cost
+/// otherwise.
+const REF_CAP: usize = 64;
+
+/// Per-sample median over the first [`REF_CAP`] full-length traces (the
+/// realignment anchor).
 fn median_reference<'a>(traces: impl Iterator<Item = &'a Trace>, expected_len: usize) -> Vec<f32> {
-    // Cap the reference population: the median stabilises long before
-    // the batch does, and sorting every column over a huge batch is the
-    // dominant cost otherwise.
-    const REF_CAP: usize = 64;
     let pop: Vec<&Trace> = traces.filter(|t| t.len() == expected_len).take(REF_CAP).collect();
     let mut reference = vec![0f32; expected_len];
     if pop.is_empty() {
@@ -342,19 +365,16 @@ fn shifted_correlation(samples: &[f32], reference: &[f32], shift: isize) -> f64 
     cov / (vx * vy).sqrt()
 }
 
-/// Clamps per-column outliers to `median ± k·1.4826·MAD`. Returns the
-/// number of samples clamped. Robust against glitch bursts that survive
-/// the per-trace gates: a burst only touches a few traces per column,
-/// so it cannot move the median or the MAD. In the columnar layout each
-/// `(target, occ, step)` column is a contiguous `traces`-long run of the
-/// sample buffer, so the pass is a straight sweep with no strided
-/// gathers.
 /// Clamps per-column outliers to `median ± k·1.4826·MAD` in place and
-/// returns the number of samples clamped — the same robust clamp the
-/// live screening gate applies, exposed for imported foreign archives
-/// ([`crate::ingest`]), whose oscilloscope glitches never passed
-/// through [`Dataset::collect_screened`]. Datasets with fewer than 8
-/// traces are left untouched (no meaningful MAD estimate).
+/// returns the number of samples clamped. Robust against glitch bursts
+/// that survive the per-trace gates: a burst only touches a few traces
+/// per column, so it cannot move the median or the MAD. Screening
+/// applies it to every batch; it is public for imported foreign
+/// archives ([`crate::ingest`]), whose oscilloscope glitches never
+/// passed through [`Dataset::collect_screened`]. In the columnar layout
+/// each `(target, occ, step)` column is a contiguous `traces`-long run
+/// of the sample buffer, so the pass is a straight sweep. Datasets with
+/// fewer than 8 traces are left untouched (no meaningful MAD estimate).
 pub fn winsorize_dataset(ds: &mut Dataset, k: f64) -> usize {
     let traces = ds.traces();
     if traces < 8 {
@@ -538,6 +558,140 @@ mod tests {
                 for v in ds.window(t, target) {
                     assert!(v.abs() < 400.0, "unclamped outlier {v}");
                 }
+            }
+        }
+    }
+
+    /// The whole-batch screener chunked screening replaced, built from
+    /// the same helpers in the old order: capture the whole batch one
+    /// `Device::capture` after another, take the reference from its
+    /// first `REF_CAP` full-length captures, screen, cut windows,
+    /// scatter and winsorise. Also returns how many full-length
+    /// captures the first 512 requests yielded.
+    fn screen_whole_batch(
+        device: &mut Device,
+        targets: &[usize],
+        n_traces: usize,
+        msg_rng: &mut Prng,
+        cfg: Option<&ScreenConfig>,
+    ) -> (Dataset, AcquisitionStats, usize) {
+        let n = device.signing_key().logn().n();
+        let layout = device.layout();
+        let expected_len = layout.samples_per_trace();
+        let rail = device.chain().scope.full_scale;
+        let mut stats = AcquisitionStats { requested: n_traces, ..Default::default() };
+        let mut batch = Vec::new();
+        let mut first_chunk_full = 0;
+        for i in 0..n_traces {
+            let mut msg = [0u8; 24];
+            msg_rng.fill(&mut msg);
+            let cap = device.capture(&msg);
+            if cap.trace.len() < expected_len {
+                stats.dropped_trigger += 1;
+            } else {
+                first_chunk_full += usize::from(i < 512);
+                batch.push(cap);
+            }
+        }
+        let reference = cfg
+            .filter(|c| c.realign)
+            .map(|_| median_reference(batch.iter().map(|c| &c.trace), expected_len));
+        let mut rows = Vec::new();
+        for cap in &batch {
+            let verdict = match cfg {
+                None => Verdict::Keep { shift: 0 },
+                Some(_) => screen_trace(&cap.trace.samples, reference.as_deref(), rail),
+            };
+            let shift = match verdict {
+                Verdict::Keep { shift } => shift,
+                Verdict::Saturated => {
+                    stats.discarded_saturated += 1;
+                    continue;
+                }
+                Verdict::Dead => {
+                    stats.discarded_dead += 1;
+                    continue;
+                }
+                Verdict::Misaligned => {
+                    stats.discarded_misaligned += 1;
+                    continue;
+                }
+            };
+            stats.realigned += usize::from(shift != 0);
+            rows.push(recompute_trace(cap, n, targets, &layout, shift));
+        }
+        stats.kept = rows.len();
+        let mut ds = scatter_rows(n, targets, &rows).unwrap();
+        if let Some(c) = cfg.filter(|c| c.mad_k > 0.0) {
+            stats.winsorized = winsorize_dataset(&mut ds, c.mad_k);
+        }
+        (ds, stats, first_chunk_full)
+    }
+
+    #[test]
+    fn chunked_screening_matches_whole_batch_screening() {
+        let faults = FaultModel {
+            drop_prob: 0.05,
+            jitter_prob: 0.3,
+            max_jitter: 3,
+            glitch_prob: 0.1,
+            glitch_amplitude: 300.0,
+            glitch_len: 20,
+            saturation_prob: 0.05,
+            ..Default::default()
+        };
+        let heavy_drop = FaultModel { drop_prob: 0.9, jitter_prob: 0.3, max_jitter: 3, ..faults };
+        let screened = ScreenConfig { realign: true, mad_k: 6.0 };
+        let cases: [(&str, FaultModel, usize, Option<&ScreenConfig>); 4] = [
+            ("faulty", faults, 2 * 512 + 37, Some(&screened)),
+            ("heavy drop", heavy_drop, 2 * 512 + 37, Some(&screened)),
+            ("short reference", heavy_drop, 300, Some(&screened)),
+            ("unscreened", faults, 2 * 512 + 37, None),
+        ];
+        let targets = [0, 3, 5, 6];
+        for (name, fm, n_traces, cfg) in cases {
+            let mut whole_dev = device(2.0, fm);
+            let (want, want_stats, first_chunk_full) = screen_whole_batch(
+                &mut whole_dev,
+                &targets,
+                n_traces,
+                &mut Prng::from_seed(b"differential msgs"),
+                cfg,
+            );
+            match name {
+                "faulty" => assert!(
+                    want_stats.realigned > 0
+                        && want_stats.discarded_saturated > 0
+                        && want_stats.winsorized > 0,
+                    "{name}: the faults must fire: {want_stats}"
+                ),
+                "heavy drop" => assert!(first_chunk_full < REF_CAP, "{name}: {first_chunk_full}"),
+                "short reference" => {
+                    assert!(want_stats.requested - want_stats.dropped_trigger < REF_CAP)
+                }
+                _ => assert!(want_stats.dropped_trigger > 0, "{name}: {want_stats}"),
+            }
+            for threads in [1, 2] {
+                let mut dev = device(2.0, fm);
+                let (got, stats) = exec::with_threads(threads, || {
+                    Dataset::collect_screened(
+                        &mut dev,
+                        &targets,
+                        n_traces,
+                        &mut Prng::from_seed(b"differential msgs"),
+                        cfg,
+                    )
+                })
+                .unwrap();
+                let leg = format!("{name} at {threads} threads");
+                assert_eq!(stats, want_stats, "{leg}");
+                assert_eq!(got.traces(), want.traces(), "{leg}");
+                let bits = |ds: &Dataset| -> Vec<u32> {
+                    ds.points_columnar().iter().map(|p| p.to_bits()).collect()
+                };
+                assert!(bits(&got) == bits(&want), "{leg}: samples differ");
+                assert!(got.knowns_columnar() == want.knowns_columnar(), "{leg}: knowns differ");
+                assert_eq!(dev.export_state(), whole_dev.export_state(), "{leg}: device state");
             }
         }
     }

@@ -71,6 +71,27 @@ pub struct FnInfo {
     pub has_region: bool,
 }
 
+impl FnInfo {
+    /// Whether the first parameter is a `self` receiver, in any of its
+    /// forms (`self`, `mut self`, `&self`, `&mut self`, `&'a self`,
+    /// `self: T`): only such a function can be called as `x.name(…)`.
+    pub fn takes_self(&self) -> bool {
+        self.params.first().is_some_and(|p| p.name == "self")
+    }
+}
+
+/// How a call is written at its site, which decides what it may bind
+/// to (see `CallGraph::resolve_call`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CallForm {
+    /// `helper(x)`.
+    Free,
+    /// `expr.name(x)`: binds only to a function that takes `self`.
+    Method,
+    /// `Type::name(x)`: binds to the exact `Type::name` only.
+    Qualified(String),
+}
+
 /// A call site inside a function body.
 #[derive(Debug, Clone)]
 pub struct CallSite {
@@ -78,10 +99,8 @@ pub struct CallSite {
     pub caller: usize,
     /// Bare callee name as written at the call site.
     pub callee: String,
-    /// Type qualifier when the call was written `Type::callee(…)`;
-    /// lets resolution prefer `Type::callee` over every bare-name
-    /// homonym.
-    pub recv: Option<String>,
+    /// How the call is written: free, method or `Type::`-qualified.
+    pub form: CallForm,
     /// 1-based line of the statement containing the call.
     pub line: usize,
 }
@@ -315,20 +334,20 @@ impl CallGraph {
             });
             if let Some(fi) = cur_fn {
                 if opened_fn != Some(fi) {
-                    let mut sites: Vec<(String, Option<String>)> = Vec::new();
-                    for (ti, recv) in call_tokens(code, &toks) {
+                    let mut sites: Vec<(String, CallForm)> = Vec::new();
+                    for (ti, form) in call_tokens(code, &toks) {
                         let callee = toks[ti].text.clone();
-                        if !sites.iter().any(|(n, r)| *n == callee && *r == recv) {
-                            sites.push((callee, recv));
+                        if !sites.iter().any(|(n, f)| *n == callee && *f == form) {
+                            sites.push((callee, form));
                         }
                     }
-                    for (callee, recv) in sites {
+                    for (callee, form) in sites {
                         // A one-line fn's own name reads as a call
                         // token; skip the self-edge at its own line.
                         if one_line_fn == Some(fi) && callee == self.fns[fi].name {
                             continue;
                         }
-                        self.calls.push(CallSite { caller: fi, callee, recv, line: stmt.line });
+                        self.calls.push(CallSite { caller: fi, callee, form, line: stmt.line });
                     }
                 }
                 if stmt.directives.iter().any(|(_, d)| matches!(d, Directive::Secret(_))) {
@@ -383,39 +402,36 @@ impl CallGraph {
         self.by_name.get(name).into_iter().flatten().copied().filter(move |&i| !self.fns[i].is_test)
     }
 
-    /// The callees a call to `name` binds to, written `recv::name(…)`
-    /// when `recv` is given: a qualified call binds to the exact
-    /// `Type::name` match only, a free or method call only when the bare
-    /// name is unique in the workspace. An ambiguous homonym binds to
-    /// nothing rather than to a guess. Every pass that follows call
-    /// edges uses this one policy.
-    pub(crate) fn resolve_call(&self, name: &str, recv: Option<&str>) -> Vec<usize> {
-        match recv {
-            Some(r) => {
-                let qual = format!("{r}::{name}");
-                self.resolve(name).filter(|&i| self.fns[i].qual == qual).collect()
-            }
-            None => {
-                let all: Vec<usize> = self.resolve(name).collect();
-                if all.len() == 1 {
-                    all
-                } else {
-                    Vec::new()
-                }
-            }
+    /// The callees a call to `name` written in `form` binds to: a
+    /// qualified call binds to the exact `Type::name` match only, a free
+    /// or method call only when the bare name is unique in the
+    /// workspace, and a method call only to a function that takes `self`
+    /// (so `xs.iter().collect()` never binds to an associated
+    /// `fn collect(..)`). An ambiguous homonym binds to nothing rather
+    /// than to a guess. Every pass that follows call edges uses this one
+    /// policy.
+    pub(crate) fn resolve_call(&self, name: &str, form: &CallForm) -> Vec<usize> {
+        if let CallForm::Qualified(r) = form {
+            let qual = format!("{r}::{name}");
+            return self.resolve(name).filter(|&i| self.fns[i].qual == qual).collect();
+        }
+        match self.resolve(name).collect::<Vec<_>>()[..] {
+            [only] if *form == CallForm::Free || self.fns[only].takes_self() => vec![only],
+            _ => Vec::new(),
         }
     }
 
     /// Classifies every recorded call site under the taint-propagation
     /// resolution policy (`resolve_call`): kept when a written
     /// `Type::name` qualifier matches exactly or the bare name is unique
-    /// among non-test workspace functions; dropped otherwise.
+    /// among non-test workspace functions (and, for a method call, that
+    /// function takes `self`); dropped otherwise.
     /// This makes the pass's under-taint surface countable — DESIGN §9
     /// used to record these edges as vanishing silently.
     pub fn edge_stats(&self) -> EdgeStats {
         let mut stats = EdgeStats::default();
         for site in &self.calls {
-            if !self.resolve_call(&site.callee, site.recv.as_deref()).is_empty() {
+            if !self.resolve_call(&site.callee, &site.form).is_empty() {
                 stats.resolved += 1;
             } else if self.resolve(&site.callee).count() >= 2 {
                 stats.ambiguous += 1;
@@ -546,8 +562,12 @@ fn resolve_self(params: String, impl_ty: Option<&str>) -> Vec<Param> {
                 .to_string();
             out.push(Param { name, ty: ty.trim().to_string() });
         } else {
-            // Receiver forms: `self`, `&self`, `&mut self`, `mut self`.
-            let bare = text.trim_start_matches('&').trim();
+            // Receiver forms: `self`, `mut self`, `&self`, `&mut self`,
+            // `&'a self`, `&'a mut self` (`self: T` split above).
+            let mut bare = text.trim_start_matches('&').trim();
+            if bare.starts_with('\'') {
+                bare = bare.split_once(' ').map_or(bare, |(_, rest)| rest.trim());
+            }
             let bare = bare.trim_start_matches("mut ").trim();
             if bare == "self" {
                 out.push(Param {
@@ -595,11 +615,11 @@ fn impl_target(_code: &str, toks: &[crate::scan::Tok]) -> Option<String> {
 }
 
 /// Identifier tokens applied with `(` — the lexical call sites of a
-/// statement, in order, as the callee's index into `toks` and its
-/// `Type::` qualifier when one is written. Keywords, macros
-/// (`name!(…)`) and uppercase-initial constructors are excluded,
-/// mirroring the lint's `secret-call` rule.
-pub(crate) fn call_tokens(code: &str, toks: &[crate::scan::Tok]) -> Vec<(usize, Option<String>)> {
+/// statement, in order, as the callee's index into `toks` and the
+/// call's [`CallForm`]. Keywords, macros (`name!(…)`) and
+/// uppercase-initial constructors are excluded, mirroring the lint's
+/// `secret-call` rule.
+pub(crate) fn call_tokens(code: &str, toks: &[crate::scan::Tok]) -> Vec<(usize, CallForm)> {
     let chars: Vec<char> = code.chars().collect();
     let mut out = Vec::new();
     for (ti, t) in toks.iter().enumerate() {
@@ -617,7 +637,7 @@ pub(crate) fn call_tokens(code: &str, toks: &[crate::scan::Tok]) -> Vec<(usize, 
             continue;
         }
         // `Type::name(` — the previous token is uppercase-initial and
-        // immediately adjoins via `::`.
+        // immediately adjoins via `::`; `expr.name(` — a `.` adjoins.
         let recv = ti
             .checked_sub(1)
             .and_then(|p| toks.get(p))
@@ -627,7 +647,12 @@ pub(crate) fn call_tokens(code: &str, toks: &[crate::scan::Tok]) -> Vec<(usize, 
                         == Some("::".to_string())
             })
             .map(|prev| prev.text.clone());
-        out.push((ti, recv));
+        let form = match recv {
+            Some(r) => CallForm::Qualified(r),
+            None if t.start > 0 && chars.get(t.start - 1) == Some(&'.') => CallForm::Method,
+            None => CallForm::Free,
+        };
+        out.push((ti, form));
     }
     out
 }
@@ -695,6 +720,40 @@ mod tests {
         // Resolution excludes test functions.
         let targets: Vec<usize> = g.resolve("helper").collect();
         assert_eq!(targets, vec![2]);
+    }
+
+    #[test]
+    fn every_self_receiver_form_takes_self() {
+        let src = "\
+impl<'a> Key<'a> {
+    fn by_value(self) {}
+    fn by_mut_value(mut self) {}
+    fn by_ref(&self) {}
+    fn by_mut_ref(&mut self) {}
+    fn by_lifetime_ref(&'a self) {}
+    fn by_lifetime_mut_ref(&'a mut self, by: usize) {}
+    fn typed(self: Box<Self>) {}
+    fn associated(key: &Key) {}
+}
+";
+        let g = CallGraph::from_sources(&[("crates/x/src/key.rs", src)]);
+        let takes: Vec<(&str, bool)> =
+            g.fns.iter().map(|f| (f.name.as_str(), f.takes_self())).collect();
+        assert_eq!(
+            takes,
+            vec![
+                ("by_value", true),
+                ("by_mut_value", true),
+                ("by_ref", true),
+                ("by_mut_ref", true),
+                ("by_lifetime_ref", true),
+                ("by_lifetime_mut_ref", true),
+                ("typed", true),
+                ("associated", false),
+            ]
+        );
+        assert_eq!(g.fns[5].params[0].ty, "Key");
+        assert_eq!(g.fns[5].params[1].name, "by");
     }
 
     #[test]

@@ -364,7 +364,7 @@ fn lane_step(lane: &str) -> Option<StepKind> {
 fn reach_counts(g: &CallGraph, map: &TaintMap) -> Vec<usize> {
     let mut callers: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); g.fns.len()];
     for site in &g.calls {
-        for c in g.resolve_call(&site.callee, site.recv.as_deref()) {
+        for c in g.resolve_call(&site.callee, &site.form) {
             if c != site.caller {
                 callers[c].insert(site.caller);
             }

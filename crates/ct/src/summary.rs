@@ -36,7 +36,7 @@
 //! body through one replay, `replay_body`, so a directive or a taint
 //! rule changes in one place.
 
-use crate::graph::{call_tokens, CallGraph};
+use crate::graph::{call_tokens, CallForm, CallGraph};
 use crate::lint::{self, Violation};
 use crate::rules::{CallAllowlist, SECRET_SEED_TYPES};
 use crate::scan::{idents, Directive, Stmt, Tok};
@@ -300,7 +300,7 @@ fn propagate_one(g: &CallGraph, i: usize, sums: &mut [TaintSummary]) -> bool {
             if let Some(eq) = lint::binding_eq(&chars) {
                 let rhs_secret_call = sites
                     .iter()
-                    .filter(|s| s.tok_start > eq && s.kind != CallKind::Method)
+                    .filter(|s| s.tok_start > eq && s.form != CallForm::Method)
                     .any(|s| s.cands.iter().any(|&c| sums[c].returns_secret));
                 if rhs_secret_call {
                     for t in toks {
@@ -326,7 +326,7 @@ fn propagate_one(g: &CallGraph, i: usize, sums: &mut [TaintSummary]) -> bool {
                 if g.fns[c].is_test {
                     continue;
                 }
-                let hit = tainted_callee_params(&chars, toks, site.tok_start, local, &g.fns[c]);
+                let hit = tainted_callee_params(&chars, toks, site, local, &g.fns[c]);
                 for p in hit {
                     if sums[c].tainted_params.insert(p) {
                         changed = true;
@@ -357,23 +357,11 @@ fn propagate_one(g: &CallGraph, i: usize, sums: &mut [TaintSummary]) -> bool {
     changed
 }
 
-/// How a call site was written, which governs how aggressively taint
-/// may cross it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CallKind {
-    /// `helper(x)` — free function.
-    Free,
-    /// `Type::method(x)` — explicit impl qualifier.
-    Qualified,
-    /// `expr.method(x)` — receiver type unknown to the lexer.
-    Method,
-}
-
 /// A resolved call site inside one statement.
 struct ResolvedCall {
     /// Char index of the callee name token.
     tok_start: usize,
-    kind: CallKind,
+    form: CallForm,
     /// Candidate callee indices, already narrowed by the propagation
     /// policy (see [`calls_in`]); empty sites are dropped.
     cands: Vec<usize>,
@@ -384,7 +372,8 @@ struct ResolvedCall {
 ///
 /// * **Qualified** calls bind to the exact `Type::name` match only.
 /// * **Free** and **method** calls bind only when the bare name is
-///   *unique* in the workspace — an ambiguous homonym (`add` on both
+///   *unique* in the workspace, and a method call only to a function
+///   that takes `self` — an ambiguous homonym (`add` on both
 ///   `Fpr` and `Counter`, `record` on three observer types) is dropped
 ///   rather than over-connected, because binding a `.len()` on a `Vec`
 ///   to some workspace type's `len` would cascade taint through every
@@ -394,27 +383,18 @@ struct ResolvedCall {
 ///
 /// Self-calls are kept (recursion saturates harmlessly).
 fn calls_in(code: &str, toks: &[Tok], g: &CallGraph) -> Vec<ResolvedCall> {
-    let chars: Vec<char> = code.chars().collect();
     let mut out = Vec::new();
-    for (ti, recv) in call_tokens(code, toks) {
+    for (ti, form) in call_tokens(code, toks) {
         let t = &toks[ti];
-        let kind = if recv.is_some() {
-            CallKind::Qualified
-        } else if t.start > 0 && chars.get(t.start - 1) == Some(&'.') {
-            CallKind::Method
-        } else {
-            CallKind::Free
-        };
-        let cands = g.resolve_call(&t.text, recv.as_deref());
+        let cands = g.resolve_call(&t.text, &form);
         if !cands.is_empty() {
-            out.push(ResolvedCall { tok_start: t.start, kind, cands });
+            out.push(ResolvedCall { tok_start: t.start, form, cands });
         }
     }
     out
 }
 
-/// Which of `callee`'s parameter names receive taint at the call whose
-/// name token starts at `tok_start`.
+/// Which of `callee`'s parameter names receive taint at `site`.
 ///
 /// The argument span is split on top-level commas and matched to the
 /// parameter list by position (skipping the `self` receiver for
@@ -425,10 +405,11 @@ fn calls_in(code: &str, toks: &[Tok], g: &CallGraph) -> Vec<ResolvedCall> {
 fn tainted_callee_params(
     chars: &[char],
     toks: &[Tok],
-    tok_start: usize,
+    site: &ResolvedCall,
     local: &lint::Taint,
     callee: &crate::graph::FnInfo,
 ) -> Vec<String> {
+    let tok_start = site.tok_start;
     // Locate the opening paren after the name token.
     let name_end = toks.iter().find(|t| t.start == tok_start).map(|t| t.end).unwrap_or(tok_start);
     let mut open = name_end;
@@ -483,14 +464,14 @@ fn tainted_callee_params(
         })
         .collect();
 
-    let method_syntax = tok_start > 0 && chars.get(tok_start - 1) == Some(&'.');
+    let method_syntax = site.form == CallForm::Method;
     let recv_tainted = method_syntax
         && (0..toks.len())
             .any(|ti| toks[ti].end < tok_start && local.occurrence_tainted(chars, toks, ti));
 
     let mut out = Vec::new();
     let params = &callee.params;
-    let has_self = params.first().map(|p| p.name == "self").unwrap_or(false);
+    let has_self = callee.takes_self();
     if recv_tainted && has_self {
         out.push("self".to_string());
     }
@@ -632,6 +613,49 @@ pub fn public_len(xs: &[u8]) -> usize {
         assert!(names.contains(&"helper"), "{names:?}");
         assert!(names.contains(&"norm"), "{names:?}");
         assert!(!names.contains(&"public_len"), "{names:?}");
+    }
+
+    #[test]
+    fn method_calls_bind_only_to_functions_that_take_self() {
+        let src = "\
+pub struct SigningKey { f: Vec<u64> }
+pub struct Dataset;
+impl Dataset {
+    pub fn collect(n: usize) -> usize {
+        if n > 0 {
+            return 1;
+        }
+        0
+    }
+}
+pub struct Prng;
+impl Prng {
+    pub fn fill(&mut self, buf: u64) -> u64 {
+        buf
+    }
+}
+pub fn sign(sk: &SigningKey, rng: &mut Prng) -> Vec<u64> {
+    let buf = sk.f[0];
+    rng.fill(buf);
+    sk.f.iter().collect()
+}
+";
+        let g = CallGraph::from_sources(&[("crates/x/src/m.rs", src)]);
+        let m = TaintMap::compute(&g);
+        let at = |qual: &str| g.fns.iter().position(|f| f.qual == qual).unwrap();
+        let (sign, collect, fill) = (at("sign"), at("Dataset::collect"), at("Prng::fill"));
+        let edges: Vec<(&str, Vec<usize>)> = g
+            .calls
+            .iter()
+            .filter(|c| c.caller == sign)
+            .map(|c| (c.callee.as_str(), g.resolve_call(&c.callee, &c.form)))
+            .collect();
+        assert!(edges.contains(&("collect", vec![])), "{edges:?}");
+        assert!(edges.contains(&("fill", vec![fill])), "{edges:?}");
+        assert!(!m.summaries[collect].is_tainted(), "{:?}", m.summaries[collect]);
+        assert!(m.summaries[fill].tainted_params.contains("buf"), "{:?}", m.summaries[fill]);
+        let v = taint_violations(&g, &m, &CallAllowlist::workspace_default());
+        assert!(!v.iter().any(|x| x.snippet.contains("if n > 0")), "{v:?}");
     }
 
     #[test]

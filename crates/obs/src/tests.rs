@@ -197,6 +197,9 @@ fn noop_default_emits_zero_events_and_never_builds_them() {
 
 #[test]
 fn ops_counter_counts_primitive_operations() {
+    // `emit` reaches whatever sink another test installed: hold the
+    // sink lock so this event cannot land in that test's MemorySink.
+    let _guard = sink_lock();
     let before = crate::ops();
     metrics().counter("test.ops").incr();
     metrics().gauge("test.ops.gauge").set(1.0);
