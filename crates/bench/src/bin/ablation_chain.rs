@@ -11,6 +11,7 @@ use falcon_bench::report::{arg_or, print_table, reject_unread_args};
 use falcon_dema::confidence::traces_to_disclosure;
 use falcon_dema::cpa::pearson_evolution;
 use falcon_dema::model::{hyp_add_lo, hyp_sign, KnownOperand};
+use falcon_dema::source::ColumnSource;
 use falcon_dema::Dataset;
 use falcon_emsim::{Device, LeakageModel, MeasurementChain, Scope, StepKind};
 use falcon_sig::rng::Prng;
@@ -60,15 +61,16 @@ fn main() {
         let mut dev = Device::new(sk.clone(), chain, b"ablation chain bench");
         let mut msgs = Prng::from_seed(b"ablation chain msgs");
         let ds = Dataset::collect(&mut dev, &[coeff], traces, &mut msgs);
+        let block = ds.target_block(coeff).expect("the dataset holds its target");
         let knowns: Vec<KnownOperand> =
-            ds.known_column(coeff, 0).iter().map(|&kb| KnownOperand::new(kb)).collect();
+            block.known_column(0).iter().map(|&kb| KnownOperand::new(kb)).collect();
 
         let sign_hyp: Vec<f64> = knowns.iter().map(|k| hyp_sign(sign, k)).collect();
-        let sign_samples = ds.sample_column(coeff, 0, StepKind::SignXor);
+        let sign_samples = block.sample_column(0, StepKind::SignXor);
         let sign_disc = traces_to_disclosure(&pearson_evolution(&sign_hyp, sign_samples));
 
         let add_hyp: Vec<f64> = knowns.iter().map(|k| hyp_add_lo(d_lo, k)).collect();
-        let add_samples = ds.sample_column(coeff, 0, StepKind::AddLoHi);
+        let add_samples = block.sample_column(0, StepKind::AddLoHi);
         let add_evo = pearson_evolution(&add_hyp, add_samples);
         let add_disc = traces_to_disclosure(&add_evo);
 

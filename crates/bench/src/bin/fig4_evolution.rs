@@ -15,6 +15,7 @@ use falcon_dema::cpa::pearson_evolution;
 use falcon_dema::model::{
     hyp_add_lo, hyp_exponent_with_carry, hyp_partial_product, hyp_sign, KnownOperand,
 };
+use falcon_dema::source::ColumnSource;
 use falcon_dema::Dataset;
 use falcon_emsim::StepKind;
 use falcon_sig::rng::Prng;
@@ -40,8 +41,9 @@ fn main() {
     let true_sign = (bits >> 63) as u32;
     let true_exp = ((bits >> 52) & 0x7FF) as u32;
 
+    let block = ds.target_block(coeff).expect("the dataset holds its target");
     let knowns: Vec<KnownOperand> =
-        ds.known_column(coeff, 0).iter().map(|&kb| KnownOperand::new(kb)).collect();
+        block.known_column(0).iter().map(|&kb| KnownOperand::new(kb)).collect();
 
     // (component name, per-trace hypothesis for the *correct* guess, the
     // step to observe) — first-occurrence columns give a clean
@@ -67,7 +69,7 @@ fn main() {
 
     let mut summary = Vec::new();
     for (name, hyps, step) in &panels {
-        let samples = ds.sample_column(coeff, 0, *step);
+        let samples = block.sample_column(0, *step);
         let evo = pearson_evolution(hyps, samples);
         let disc = traces_to_disclosure(&evo);
         summary.push(vec![
@@ -109,7 +111,7 @@ fn main() {
     // A false guess for contrast on the sign panel (paper: symmetric,
     // negative branch).
     let wrong: Vec<f64> = knowns.iter().map(|k| hyp_sign(1 - true_sign, k)).collect();
-    let samples = ds.sample_column(coeff, 0, StepKind::SignXor);
+    let samples = block.sample_column(0, StepKind::SignXor);
     let evo_wrong = pearson_evolution(&wrong, samples);
     println!(
         "\nsign panel contrast: correct-guess corr {:+.4}, wrong-guess corr {:+.4} (mirror image)",

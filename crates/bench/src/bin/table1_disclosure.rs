@@ -17,6 +17,7 @@ use falcon_dema::cpa::pearson_evolution;
 use falcon_dema::model::{
     hyp_add_lo, hyp_exponent_with_carry, hyp_partial_product, hyp_sign, KnownOperand,
 };
+use falcon_dema::source::ColumnSource;
 use falcon_dema::Dataset;
 use falcon_emsim::StepKind;
 use falcon_sig::rng::Prng;
@@ -48,8 +49,9 @@ fn main() {
             let (d_lo, c_hi) = (tm & 0x1FF_FFFF, tm >> 25);
             let sgn = (bits >> 63) as u32;
             let exp = ((bits >> 52) & 0x7FF) as u32;
+            let block = ds.target_block(t).expect("the dataset holds its targets");
             let knowns: Vec<KnownOperand> =
-                ds.known_column(t, 0).iter().map(|&kb| KnownOperand::new(kb)).collect();
+                block.known_column(0).iter().map(|&kb| KnownOperand::new(kb)).collect();
             let cases: [(usize, Vec<f64>, StepKind); 4] = [
                 (0, knowns.iter().map(|k| hyp_sign(sgn, k)).collect(), StepKind::SignXor),
                 (
@@ -65,7 +67,7 @@ fn main() {
                 (3, knowns.iter().map(|k| hyp_add_lo(d_lo, k)).collect(), StepKind::AddLoHi),
             ];
             for (idx, hyps, step) in cases {
-                let samples = ds.sample_column(t, 0, step);
+                let samples = block.sample_column(0, step);
                 let evo = pearson_evolution(&hyps, samples);
                 per_component[idx].push(traces_to_disclosure(&evo));
             }

@@ -23,6 +23,7 @@ use falcon_dema::model::{
     hyp_add_lo, hyp_exponent_with_carry, hyp_partial_product, hyp_sign, KnownOperand,
 };
 use falcon_dema::ntt_attack::attack_ntt_coefficient;
+use falcon_dema::source::ColumnSource;
 use falcon_dema::Dataset;
 use falcon_emsim::ntt_leak::NttDevice;
 use falcon_emsim::{LeakageModel, StepKind};
@@ -60,8 +61,9 @@ fn main() {
         let (d_lo, c_hi) = (tm & 0x1FF_FFFF, tm >> 25);
         let sgn = (bits >> 63) as u32;
         let exp = ((bits >> 52) & 0x7FF) as u32;
+        let block = ds.target_block(t).expect("the dataset holds its targets");
         let knowns: Vec<KnownOperand> =
-            ds.known_column(t, 0).iter().map(|&kb| KnownOperand::new(kb)).collect();
+            block.known_column(0).iter().map(|&kb| KnownOperand::new(kb)).collect();
         let components: [(Vec<f64>, StepKind); 4] = [
             (knowns.iter().map(|k| hyp_sign(sgn, k)).collect(), StepKind::SignXor),
             (
@@ -77,7 +79,7 @@ fn main() {
         // Full FFT-coefficient disclosure = the slowest component.
         let mut worst: Option<usize> = Some(0);
         for (hyps, step) in &components {
-            let samples = ds.sample_column(t, 0, *step);
+            let samples = block.sample_column(0, *step);
             let disc = traces_to_disclosure(&pearson_evolution(hyps, samples));
             worst = match (worst, disc) {
                 (Some(w), Some(d)) => Some(w.max(d)),

@@ -58,10 +58,11 @@ fn main() {
     for &t in &targets {
         let true_sign = (truth[t] >> 63) as u32;
         // Non-profiled: correlation evolution.
+        let block = ds.target_block(t).expect("the dataset holds its targets");
         let knowns: Vec<KnownOperand> =
-            ds.known_column(t, 0).iter().map(|&kb| KnownOperand::new(kb)).collect();
+            block.known_column(0).iter().map(|&kb| KnownOperand::new(kb)).collect();
         let hyps: Vec<f64> = knowns.iter().map(|k| hyp_sign(true_sign, k)).collect();
-        let samples = ds.sample_column(t, 0, StepKind::SignXor);
+        let samples = block.sample_column(0, StepKind::SignXor);
         let cpa = traces_to_disclosure(&pearson_evolution(&hyps, samples));
         // Like-for-like criterion: smallest prefix from which the
         // distinguisher's top guess is (and stays) correct. For CPA the
@@ -76,7 +77,6 @@ fn main() {
             }
         }
         // Profiled: smallest stable-correct prefix.
-        let block = ds.target_block(t).expect("the dataset holds its targets");
         let tpl = template_sign_stability(&block, &templates, true_sign);
         rows.push(vec![
             t.to_string(),

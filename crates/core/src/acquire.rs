@@ -14,22 +14,22 @@
 //! radiation runs on the [`crate::exec`] executor, bit-identical to one
 //! capture after another.
 //!
-//! # Columnar layout (v2)
+//! # Columns
 //!
 //! The distinguisher consumes *columns*: one `(target, occurrence,
-//! step)` series across all traces per Pearson accumulation. Storage is
-//! therefore struct-of-arrays, keyed `[target][occ][step][trace]` for
-//! samples and `[target][occ][trace]` for known operands, so
-//! [`Dataset::sample_column`] and [`Dataset::known_column`] return
-//! **borrowed slices** straight into the dataset buffer — zero
-//! allocation, zero copy, dense sequential memory under the
+//! step)` series across all traces per Pearson accumulation. A
+//! [`Dataset`] therefore keeps one column store per target and is read
+//! only through [`ColumnSource::target_block`], which lends that
+//! target's columns as a borrowed [`TargetBlock`] — zero allocation,
+//! zero copy, dense sequential memory under the
 //! [`PearsonSums::push_column`](crate::cpa::PearsonSums::push_column)
-//! tile kernel. Captures and imported archives arrive row by row; one
-//! function, `scatter_rows`, transposes them into columns, once, at
-//! dataset construction.
+//! tile kernel. Captures and imported archives arrive row by row and
+//! are transposed into the stores once, at dataset construction (see
+//! [`crate::source`]).
 
 use crate::error::{Error, Result};
 use crate::exec;
+use crate::source::{ColumnSource, TargetBlock, TraceStore};
 use falcon_emsim::{Armed, Capture, Device, StepKind};
 use falcon_fpr::Fpr;
 use falcon_sig::fft::fft;
@@ -80,16 +80,15 @@ pub(crate) fn capture_chunks(
     }
 }
 
-/// An attacker-side dataset for a set of targeted secret indices.
+/// An attacker-side dataset for a set of targeted secret indices, read
+/// through [`ColumnSource::target_block`].
 #[derive(Debug, Clone)]
 pub struct Dataset {
     n: usize,
     targets: Vec<usize>,
     traces: usize,
-    /// Columnar known operands: `[target][occ][trace]`.
-    knowns: Vec<u64>,
-    /// Columnar samples: `[target][occ][step][trace]`.
-    points: Vec<f32>,
+    /// One column store per target, in `targets` order.
+    stores: Vec<TraceStore>,
 }
 
 /// Recomputes the attacker-side known operands and extracts the target
@@ -124,28 +123,6 @@ pub(crate) fn recompute_trace(
     (knowns, points)
 }
 
-/// Row-major → columnar scatter of one acquisition batch: `rows` holds
-/// per-trace `(knowns, points)` in trace order.
-pub(crate) fn scatter_rows(
-    n: usize,
-    targets: &[usize],
-    rows: &[(Vec<u64>, Vec<f32>)],
-) -> Result<Dataset> {
-    let traces = rows.len();
-    let n_cols = targets.len() * 2;
-    let mut knowns = vec![0u64; traces * n_cols];
-    let mut points = vec![0f32; traces * n_cols * StepKind::COUNT];
-    for (trace, (row_k, row_p)) in rows.iter().enumerate() {
-        for (c, &k) in row_k.iter().enumerate() {
-            knowns[c * traces + trace] = k;
-        }
-        for (c, &p) in row_p.iter().enumerate() {
-            points[c * traces + trace] = p;
-        }
-    }
-    Dataset::try_from_columnar_parts(n, targets.to_vec(), traces, knowns, points)
-}
-
 /// Rejects a target list that names a coefficient twice: each target
 /// owns one column block, and a repeat would let a key look complete
 /// with a coefficient never attacked.
@@ -158,25 +135,6 @@ pub(crate) fn check_distinct_targets(targets: &[usize]) -> Result<()> {
     sorted.sort_unstable();
     match sorted.windows(2).find(|w| w[0] == w[1]) {
         Some(w) => Err(Error::invalid(format!("target {} is listed more than once", w[0]))),
-        None => Ok(()),
-    }
-}
-
-/// Rejects a sample column holding a NaN or an infinity. One such sample
-/// makes its column's variance non-finite, every correlation over the
-/// column then reads 0, and the beam would keep its first guesses by
-/// index instead of failing.
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidData`] naming the first non-finite sample.
-pub(crate) fn check_finite_samples(points: &[f32]) -> Result<()> {
-    // ct: allow(attacker-side input validation of captured samples)
-    match points.iter().position(|p| !p.is_finite()) {
-        Some(i) => {
-            // ct: allow(attacker-side input validation of captured samples)
-            Err(Error::invalid(format!("sample {i} is {}; samples must be finite", points[i])))
-        }
         None => Ok(()),
     }
 }
@@ -212,64 +170,25 @@ impl Dataset {
         }
     }
 
-    fn check_shapes(
-        n: usize,
-        targets: &[usize],
-        traces: usize,
-        n_knowns: usize,
-        n_points: usize,
-    ) -> Result<()> {
-        if !n.is_power_of_two() || n < 2 {
-            return Err(Error::BadDegree { n });
-        }
-        let want_knowns = traces
-            .checked_mul(targets.len())
-            .and_then(|v| v.checked_mul(2))
-            .ok_or_else(|| Error::invalid("known-operand count overflows"))?;
-        if n_knowns != want_knowns {
-            return Err(Error::ShapeMismatch {
-                what: "known operands",
-                expected: want_knowns,
-                got: n_knowns,
-            });
-        }
-        let want_points = traces
-            .checked_mul(targets.len())
-            .and_then(|v| v.checked_mul(POINTS_PER_TARGET))
-            .ok_or_else(|| Error::invalid("sample count overflows"))?;
-        if n_points != want_points {
-            return Err(Error::ShapeMismatch {
-                what: "samples",
-                expected: want_points,
-                got: n_points,
-            });
-        }
-        if let Some(&t) = targets.iter().find(|&&t| t >= n) {
-            return Err(Error::TargetOutOfRange { target: t, n });
-        }
-        check_distinct_targets(targets)
-    }
-
-    /// Rebuilds a dataset from **columnar** raw storage — the internal
-    /// `[target][occ][trace]` / `[target][occ][step][trace]` layout, as
-    /// serialised by the v2 on-disk format. No transpose.
+    /// Assembles a dataset from one store per target, in acquisition
+    /// order, each holding `traces` traces.
     ///
     /// # Errors
     ///
-    /// Returns a typed error when the component lengths are inconsistent
-    /// with the dimensions, a target is out of range or repeated, or a
-    /// sample is not finite.
-    pub fn try_from_columnar_parts(
-        n: usize,
-        targets: Vec<usize>,
-        traces: usize,
-        knowns: Vec<u64>,
-        points: Vec<f32>,
-    ) -> Result<Dataset> {
-        Self::check_shapes(n, &targets, traces, knowns.len(), points.len())?;
-        // ct: allow(attacker-side input validation of captured samples)
-        check_finite_samples(&points)?;
-        Ok(Dataset { n, targets, traces, knowns, points })
+    /// Returns [`Error::BadDegree`] for a degree that is not a power of
+    /// two of at least 2, [`Error::TargetOutOfRange`] for a target
+    /// outside `0..n`, and [`Error::InvalidData`] for a repeated target.
+    pub(crate) fn from_stores(n: usize, traces: usize, stores: Vec<TraceStore>) -> Result<Dataset> {
+        if !n.is_power_of_two() || n < 2 {
+            return Err(Error::BadDegree { n });
+        }
+        let targets: Vec<usize> = stores.iter().map(|s| s.targets()[0]).collect();
+        if let Some(&t) = targets.iter().find(|&&t| t >= n) {
+            return Err(Error::TargetOutOfRange { target: t, n });
+        }
+        check_distinct_targets(&targets)?;
+        debug_assert!(stores.iter().all(|s| s.n() == n && s.traces() == traces));
+        Ok(Dataset { n, targets, traces, stores })
     }
 
     /// Ring degree.
@@ -287,72 +206,34 @@ impl Dataset {
         self.traces
     }
 
-    /// Position of `target` in the target list; panics when absent.
-    #[track_caller]
-    fn target_pos(&self, target: usize) -> usize {
-        match self.targets.iter().position(|&t| t == target) {
-            Some(p) => p,
-            None => panic!("{}", Error::TargetNotInDataset { target }),
-        }
+    /// The column stores, one per target (screening's winsorisation
+    /// rewrites their sample columns in place).
+    pub(crate) fn stores_mut(&mut self) -> &mut [TraceStore] {
+        &mut self.stores
+    }
+}
+
+impl ColumnSource for Dataset {
+    fn n(&self) -> usize {
+        self.n
     }
 
-    /// Known operand bits for `(trace, target, occurrence)`.
-    pub fn known(&self, trace: usize, target: usize, occ: usize) -> u64 {
-        self.known_column(target, occ)[trace]
+    fn targets(&self) -> &[usize] {
+        &self.targets
     }
 
-    /// Measured sample for `(trace, target, occurrence, step)`.
-    pub fn sample(&self, trace: usize, target: usize, occ: usize, step: StepKind) -> f32 {
-        self.sample_column(target, occ, step)[trace]
+    fn traces(&self) -> usize {
+        self.traces
     }
 
-    /// Column of samples across all traces for `(target, occurrence,
-    /// step)` — a borrowed slice straight into the columnar buffer.
-    pub fn sample_column(&self, target: usize, occ: usize, step: StepKind) -> &[f32] {
-        debug_assert!(occ < 2);
-        let ti = self.target_pos(target);
-        let base = ((ti * 2 + occ) * StepKind::COUNT + step as usize) * self.traces;
-        &self.points[base..base + self.traces]
-    }
-
-    /// Known-operand column across traces for `(target, occurrence)` — a
-    /// borrowed slice straight into the columnar buffer.
-    pub fn known_column(&self, target: usize, occ: usize) -> &[u64] {
-        debug_assert!(occ < 2);
-        let ti = self.target_pos(target);
-        let base = (ti * 2 + occ) * self.traces;
-        &self.knowns[base..base + self.traces]
-    }
-
-    /// The 28-sample window (both occurrences, all steps) of one trace
-    /// for a target — the per-coefficient "time axis" used by the
-    /// correlation-versus-time figures. Gathered across columns (the
-    /// columnar layout stores trace-major windows non-contiguously).
-    pub fn window(&self, trace: usize, target: usize) -> Vec<f32> {
-        let ti = self.target_pos(target);
-        let base = ti * 2 * StepKind::COUNT;
-        (0..POINTS_PER_TARGET).map(|c| self.points[(base + c) * self.traces + trace]).collect()
-    }
-
-    /// The columnar known-operand storage (`[target][occ][trace]`),
-    /// lent per target by
-    /// [`ColumnSource::target_block`](crate::source::ColumnSource::target_block).
-    pub(crate) fn knowns_columnar(&self) -> &[u64] {
-        &self.knowns
-    }
-
-    /// The columnar sample storage (`[target][occ][step][trace]`), lent
-    /// per target like [`Dataset::knowns_columnar`].
-    pub(crate) fn points_columnar(&self) -> &[f32] {
-        &self.points
-    }
-
-    /// Mutable access to the flat columnar sample storage — every
-    /// consecutive `traces()` values form one `(target, occ, step)`
-    /// column (screening's outlier winsorisation rewrites columns in
-    /// place).
-    pub(crate) fn points_mut(&mut self) -> &mut [f32] {
-        &mut self.points
+    /// Lends `target`'s store as a dense borrowed block.
+    fn target_block(&self, target: usize) -> Result<TargetBlock<'_>> {
+        let ti = self
+            .targets
+            .iter()
+            .position(|&t| t == target)
+            .ok_or(Error::TargetNotInDataset { target })?;
+        self.stores[ti].target_block(target)
     }
 }
 
@@ -381,39 +262,37 @@ mod tests {
         let ds = Dataset::collect(&mut d, &[0, 3, 7], 10, &mut mrng);
         assert_eq!(ds.traces(), 10);
         assert_eq!(ds.targets(), &[0, 3, 7]);
-        assert_eq!(ds.window(0, 3).len(), POINTS_PER_TARGET);
-        assert_eq!(ds.sample_column(7, 1, StepKind::SignXor).len(), 10);
+        let block = ds.target_block(7).unwrap();
+        assert_eq!((block.target(), block.traces()), (7, 10));
+        assert_eq!(block.sample_column(1, StepKind::SignXor).len(), 10);
+        assert!(matches!(ds.target_block(1), Err(Error::TargetNotInDataset { target: 1 })));
     }
 
     #[test]
     fn columns_are_borrowed_slices_into_the_dataset_buffer() {
-        // Pointer-provenance check of the zero-copy contract: the slices
-        // returned by the column accessors must lie inside the dataset's
-        // own columnar storage, not in a fresh allocation.
+        // Zero-copy contract: two blocks of one target, alive at once,
+        // lend the same columns; a block that copied would not.
         let mut d = device(1.0);
         let mut mrng = Prng::from_seed(b"provenance msgs");
         let ds = Dataset::collect(&mut d, &[1, 4], 16, &mut mrng);
-        let points = ds.points_columnar().as_ptr_range();
-        let knowns = ds.knowns_columnar().as_ptr_range();
-        for &target in &[1usize, 4] {
+        for &target in ds.targets() {
+            let (a, b) = (ds.target_block(target).unwrap(), ds.target_block(target).unwrap());
             for occ in 0..2 {
-                let kc = ds.known_column(target, occ);
-                assert!(knowns.contains(&kc.as_ptr()), "known column must borrow from the buffer");
+                let kc = a.known_column(occ);
+                assert_eq!(kc.as_ptr(), b.known_column(occ).as_ptr(), "known column copied");
                 assert_eq!(kc.len(), ds.traces());
                 for step in StepKind::ALL {
-                    let sc = ds.sample_column(target, occ, step);
-                    assert!(
-                        points.contains(&sc.as_ptr()),
-                        "sample column must borrow from the buffer"
-                    );
+                    let sc = a.sample_column(occ, step);
+                    assert_eq!(sc.as_ptr(), b.sample_column(occ, step).as_ptr(), "samples copied");
                     assert_eq!(sc.len(), ds.traces());
                 }
             }
         }
         // Adjacent steps of one occurrence are adjacent columns: the
         // tile kernel's cache-density assumption.
-        let a = ds.sample_column(1, 0, StepKind::ALL[0]).as_ptr() as usize;
-        let b = ds.sample_column(1, 0, StepKind::ALL[1]).as_ptr() as usize;
+        let block = ds.target_block(1).unwrap();
+        let a = block.sample_column(0, StepKind::ALL[0]).as_ptr() as usize;
+        let b = block.sample_column(0, StepKind::ALL[1]).as_ptr() as usize;
         assert_eq!(b - a, ds.traces() * core::mem::size_of::<f32>());
     }
 
@@ -424,13 +303,14 @@ mod tests {
         let truth = d.signing_key().f_fft().to_vec();
         let mut mrng = Prng::from_seed(b"gt");
         let ds = Dataset::collect(&mut d, &[1, 5], 5, &mut mrng);
-        for trace in 0..5 {
-            for &target in &[1usize, 5] {
+        for &target in &[1usize, 5] {
+            let block = ds.target_block(target).unwrap();
+            for trace in 0..5 {
                 for occ in 0..2 {
-                    let known = KnownOperand::new(ds.known(trace, target, occ));
+                    let known = KnownOperand::new(block.known(trace, occ));
                     for step in StepKind::ALL {
                         let want = hyp_exact(truth[target].to_bits(), &known, step);
-                        let got = ds.sample(trace, target, occ, step) as f64;
+                        let got = block.sample(trace, occ, step) as f64;
                         assert_eq!(got, want, "trace {trace} target {target} occ {occ} {step:?}");
                     }
                 }

@@ -741,8 +741,9 @@ pub fn coefficient_confidence(block: &TargetBlock<'_>, bits: u64) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics when `ds` does not hold `target`, like
-/// [`Dataset::sample_column`].
+/// Panics when `ds` does not hold `target`, with the
+/// [`Error::TargetNotInDataset`](crate::Error::TargetNotInDataset)
+/// message.
 #[track_caller]
 pub fn recover_coefficient(ds: &Dataset, target: usize, cfg: &AttackConfig) -> CoefficientResult {
     match ds.target_block(target) {
@@ -909,24 +910,19 @@ mod tests {
     /// model values for a planted secret — isolating the recovery logic
     /// from the device/acquisition plumbing.
     fn synthetic_dataset(secret: u64, knowns: &[u64]) -> Dataset {
-        use crate::model::step_words;
-        let n = 8usize; // layout degree; target index 0
+        use crate::model::{step_words, KnownOperand};
         let traces = knowns.len();
-        // Columnar: knowns `[occ][trace]`, samples `[occ][step][trace]`.
-        let mut ks = vec![0u64; 2 * traces];
-        let mut points = vec![0f32; crate::acquire::POINTS_PER_TARGET * traces];
-        for (i, &k) in knowns.iter().enumerate() {
-            // Two occurrences with different known operands.
-            let k2 = knowns[(i + traces / 2) % traces].rotate_left(1) | 1 << 52;
-            for (occ, kb) in [k, k2].into_iter().enumerate() {
-                ks[occ * traces + i] = kb;
-                let words = step_words(secret, &crate::model::KnownOperand::new(kb));
-                for (step, w) in words.iter().enumerate() {
-                    points[(occ * StepKind::COUNT + step) * traces + i] = w.count_ones() as f32;
-                }
-            }
-        }
-        Dataset::try_from_columnar_parts(n, vec![0], traces, ks, points).unwrap()
+        // One row per trace: two occurrences with different known
+        // operands, then their 2×14 model samples.
+        let rows: Vec<(Vec<u64>, Vec<f32>)> = (knowns.iter().enumerate())
+            .map(|(i, &k)| {
+                let k2 = knowns[(i + traces / 2) % traces].rotate_left(1) | 1 << 52;
+                let words = [k, k2].map(|kb| step_words(secret, &KnownOperand::new(kb)));
+                (vec![k, k2], words.iter().flatten().map(|w| w.count_ones() as f32).collect())
+            })
+            .collect();
+        // Layout degree 8, target index 0.
+        crate::source::scatter_rows(8, &[0], &rows).unwrap()
     }
 
     /// One planted-coefficient recovery case: exact-model samples for a
@@ -994,9 +990,9 @@ mod tests {
 
     #[test]
     fn recover_all_verified_on_a_dataset_without_targets_is_empty() {
-        let empty = Dataset::try_from_columnar_parts(8, vec![], 0, vec![], vec![]).unwrap();
+        let empty = Dataset::from_stores(8, 0, vec![]).unwrap();
         assert!(recover_all_verified(&empty, &AttackConfig::default()).is_empty());
-        let parts = Dataset::try_from_columnar_parts(8, vec![], 5, vec![], vec![]).unwrap();
+        let parts = Dataset::from_stores(8, 5, vec![]).unwrap();
         assert!(recover_all_verified(&parts, &AttackConfig::default()).is_empty());
     }
 

@@ -897,7 +897,8 @@ mod tests {
         let cfg = CampaignConfig { targets: repeated.clone(), ..small_cfg() };
         assert!(matches!(Campaign::new(8, cfg), Err(Error::InvalidData(_))));
         // Dataset shape check.
-        let parts = Dataset::try_from_columnar_parts(8, repeated.clone(), 0, vec![], vec![]);
+        let stores = repeated.iter().map(|&t| TraceStore::new(8, t)).collect();
+        let parts = Dataset::from_stores(8, 0, stores);
         assert!(matches!(parts, Err(Error::InvalidData(_))));
         // Archive header: magic, n, target count and traces, then one
         // u64 per target; the last entry is rewritten to repeat 6.

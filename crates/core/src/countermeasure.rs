@@ -11,6 +11,7 @@ use crate::attack::{recover_coefficient, AttackConfig};
 use crate::confidence::traces_to_disclosure;
 use crate::cpa::pearson_evolution;
 use crate::model::{hyp_sign, KnownOperand};
+use crate::source::ColumnSource;
 use falcon_emsim::{Device, StepKind};
 use falcon_sig::rng::Prng;
 
@@ -41,8 +42,9 @@ pub fn evaluate_device(
 
     // Sign-leak evolution with the true sign hypothesis (occurrence 0).
     let true_sign = (truth >> 63) as u32;
-    let knowns = ds.known_column(target, 0);
-    let samples = ds.sample_column(target, 0, StepKind::SignXor);
+    let block = ds.target_block(target).expect("the dataset holds its target");
+    let knowns = block.known_column(0);
+    let samples = block.sample_column(0, StepKind::SignXor);
     let hyps: Vec<f64> =
         knowns.iter().map(|&k| hyp_sign(true_sign, &KnownOperand::new(k))).collect();
     let evo = pearson_evolution(&hyps, samples);

@@ -42,10 +42,11 @@
 //! The knowns container may be npy (`<u8`/`<i8`/`<u4`/`<i4`) or CSV
 //! (decimal u64).
 
-use crate::acquire::{scatter_rows, Dataset, POINTS_PER_TARGET};
+use crate::acquire::{Dataset, POINTS_PER_TARGET};
 use crate::error::{Error, Result};
 use crate::io::write_dataset;
 use crate::screen::winsorize_dataset;
+use crate::source::{scatter_rows, ColumnSource, TargetBlock};
 use falcon_emsim::StepKind;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -251,6 +252,31 @@ pub fn write_npy<W: Write>(
 }
 
 // ---------------------------------------------------------------------------
+// Text lines.
+// ---------------------------------------------------------------------------
+
+/// The lines of `text` that carry data, trimmed, with their 1-based
+/// line numbers: blank lines and `#` comments are skipped.
+fn data_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let lines = text.lines().enumerate().map(|(no, line)| (no + 1, line.trim()));
+    lines.filter(|(_, line)| !line.is_empty() && !line.starts_with('#'))
+}
+
+/// The `key = value` data lines of `text`, key and value trimmed, with
+/// their line numbers; `what` names the text in the error for a line
+/// without `=`.
+fn key_values<'a>(
+    text: &'a str,
+    what: &'a str,
+) -> impl Iterator<Item = Result<(usize, &'a str, &'a str)>> + 'a {
+    data_lines(text).map(move |(no, line)| {
+        let (k, v) =
+            line.split_once('=').ok_or_else(|| bad(format!("{what} line {no}: missing '='")))?;
+        Ok((no, k.trim(), v.trim()))
+    })
+}
+
+// ---------------------------------------------------------------------------
 // Manifest.
 // ---------------------------------------------------------------------------
 
@@ -268,17 +294,9 @@ impl Manifest {
     ///
     /// [`Error::InvalidData`] on a line without `=`.
     pub fn parse(text: &str) -> Result<Manifest> {
-        let mut entries = Vec::new();
-        for (no, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| bad(format!("manifest line {}: missing '='", no + 1)))?;
-            entries.push((k.trim().to_string(), v.trim().to_string()));
-        }
+        let entries = key_values(text, "manifest")
+            .map(|kv| kv.map(|(_, k, v)| (k.to_string(), v.to_string())))
+            .collect::<Result<_>>()?;
         Ok(Manifest { entries })
     }
 
@@ -329,53 +347,66 @@ pub fn read_trace_rows(path: &Path) -> Result<TraceRows> {
     if path.is_dir() {
         return read_trace_dir(path);
     }
-    match path.extension().and_then(|e| e.to_str()) {
-        Some("npy") => {
-            let arr = parse_npy(&std::fs::read(path)?)?;
-            let (rows, cols) = arr.shape;
-            let mut samples = Vec::with_capacity(rows * cols);
-            for r in 0..rows {
-                for c in 0..cols {
-                    samples.push(arr.get_f64(r, c) as f32);
-                }
-            }
-            Ok(TraceRows { cols, samples })
+    let (cols, samples) = match path.extension().and_then(|e| e.to_str()) {
+        Some("npy") => read_npy_rows(path, |arr, r, c| Ok(arr.get_f64(r, c) as f32))?,
+        Some("csv") => read_csv_rows(path, "trace csv row", "a float", |s| s.parse().ok())?,
+        _ => {
+            return Err(bad(format!(
+                "unsupported trace container {:?} (.npy, .csv, or a directory)",
+                path.display()
+            )))
         }
-        Some("csv") => {
-            let text = std::fs::read_to_string(path)?;
-            let mut cols = 0usize;
-            let mut samples = Vec::new();
-            for (no, line) in text.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let row: Vec<f32> = line
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse::<f32>().map_err(|_| {
-                            bad(format!("trace csv line {}: {s:?} is not a float", no + 1))
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                if cols == 0 {
-                    cols = row.len();
-                } else if row.len() != cols {
-                    return Err(Error::ShapeMismatch {
-                        what: "trace csv row",
-                        expected: cols,
-                        got: row.len(),
-                    });
-                }
-                samples.extend(row);
-            }
-            Ok(TraceRows { cols, samples })
+    };
+    Ok(TraceRows { cols, samples })
+}
+
+/// Every element of a 2-D npy file, row-major, read through `get`,
+/// with the row width.
+fn read_npy_rows<T>(
+    path: &Path,
+    get: impl Fn(&NpyArray, usize, usize) -> Result<T>,
+) -> Result<(usize, Vec<T>)> {
+    let arr = parse_npy(&std::fs::read(path)?)?;
+    let (rows, cols) = arr.shape;
+    let mut out = Vec::with_capacity(rows * cols);
+    for r in 0..rows {
+        for c in 0..cols {
+            out.push(get(&arr, r, c)?);
         }
-        _ => Err(bad(format!(
-            "unsupported trace container {:?} (.npy, .csv, or a directory)",
-            path.display()
-        ))),
     }
+    Ok((cols, out))
+}
+
+/// Every cell of a CSV file, row-major, with the row width: one
+/// comma-separated row per data line, each as wide as the first.
+/// `parse` reads one trimmed cell; a cell it rejects is reported as
+/// not being `ty`, and a ragged row as a [`Error::ShapeMismatch`] of
+/// `what` (`"trace csv row"`, whose lines are called `trace csv line`).
+fn read_csv_rows<T>(
+    path: &Path,
+    what: &'static str,
+    ty: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<(usize, Vec<T>)> {
+    let text = std::fs::read_to_string(path)?;
+    let line_name = what.trim_end_matches(" row");
+    let mut cols = 0usize;
+    let mut out = Vec::new();
+    for (no, line) in data_lines(&text) {
+        let start = out.len();
+        for s in line.split(',').map(str::trim) {
+            let v =
+                parse(s).ok_or_else(|| bad(format!("{line_name} line {no}: {s:?} is not {ty}")))?;
+            out.push(v);
+        }
+        let got = out.len() - start;
+        if cols == 0 {
+            cols = got;
+        } else if got != cols {
+            return Err(Error::ShapeMismatch { what, expected: cols, got });
+        }
+    }
+    Ok((cols, out))
 }
 
 /// The ChipWhisperer segment layout: one raw little-endian f32 file per
@@ -421,52 +452,13 @@ fn read_trace_dir(dir: &Path) -> Result<TraceRows> {
 /// Typed errors on unreadable files, malformed containers, or ragged
 /// rows.
 pub fn read_known_rows(path: &Path) -> Result<(usize, Vec<u64>)> {
+    let hex_or_decimal = |s: &str| match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => s.parse().ok(),
+    };
     match path.extension().and_then(|e| e.to_str()) {
-        Some("npy") => {
-            let arr = parse_npy(&std::fs::read(path)?)?;
-            let (rows, cols) = arr.shape;
-            let mut out = Vec::with_capacity(rows * cols);
-            for r in 0..rows {
-                for c in 0..cols {
-                    out.push(arr.get_u64(r, c)?);
-                }
-            }
-            Ok((cols, out))
-        }
-        Some("csv") => {
-            let text = std::fs::read_to_string(path)?;
-            let mut cols = 0usize;
-            let mut out = Vec::new();
-            for (no, line) in text.lines().enumerate() {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let row: Vec<u64> = line
-                    .split(',')
-                    .map(|s| {
-                        let s = s.trim();
-                        if let Some(hex) = s.strip_prefix("0x") {
-                            u64::from_str_radix(hex, 16)
-                        } else {
-                            s.parse::<u64>()
-                        }
-                        .map_err(|_| bad(format!("known csv line {}: {s:?} is not a u64", no + 1)))
-                    })
-                    .collect::<Result<_>>()?;
-                if cols == 0 {
-                    cols = row.len();
-                } else if row.len() != cols {
-                    return Err(Error::ShapeMismatch {
-                        what: "known csv row",
-                        expected: cols,
-                        got: row.len(),
-                    });
-                }
-                out.extend(row);
-            }
-            Ok((cols, out))
-        }
+        Some("npy") => read_npy_rows(path, NpyArray::get_u64),
+        Some("csv") => read_csv_rows(path, "known csv row", "a u64", hex_or_decimal),
         _ => Err(bad(format!("unsupported known container {:?} (.npy or .csv)", path.display()))),
     }
 }
@@ -628,17 +620,19 @@ pub fn write_fixture_archive(
     let cols = targets.len() * POINTS_PER_TARGET;
     let mut tbytes = Vec::with_capacity(ds.traces() * cols * 4);
     let mut kbytes = Vec::with_capacity(ds.traces() * targets.len() * 2 * 8);
+    let blocks: Vec<TargetBlock<'_>> =
+        targets.iter().map(|&t| ds.target_block(t)).collect::<Result<_>>()?;
     for trace in 0..ds.traces() {
-        for &t in targets {
+        for block in &blocks {
             for occ in 0..2 {
                 for &step in StepKind::ALL.iter() {
-                    tbytes.extend_from_slice(&ds.sample(trace, t, occ, step).to_le_bytes());
+                    tbytes.extend_from_slice(&block.sample(trace, occ, step).to_le_bytes());
                 }
             }
         }
-        for &t in targets {
+        for block in &blocks {
             for occ in 0..2 {
-                kbytes.extend_from_slice(&ds.known(trace, t, occ).to_le_bytes());
+                kbytes.extend_from_slice(&block.known(trace, occ).to_le_bytes());
             }
         }
     }
@@ -676,25 +670,16 @@ pub fn write_fixture_archive(
 ///
 /// [`Error::InvalidData`] on malformed lines.
 pub fn parse_truth(text: &str) -> Result<Vec<(usize, u64)>> {
-    let mut out = Vec::new();
-    for (no, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (t, b) = line
-            .split_once('=')
-            .ok_or_else(|| bad(format!("truth line {}: missing '='", no + 1)))?;
-        let target = t
-            .trim()
-            .parse::<usize>()
-            .map_err(|_| bad(format!("truth line {}: bad target", no + 1)))?;
-        let b = b.trim().trim_start_matches("0x");
-        let bits = u64::from_str_radix(b, 16)
-            .map_err(|_| bad(format!("truth line {}: bad bits", no + 1)))?;
-        out.push((target, bits));
-    }
-    Ok(out)
+    key_values(text, "truth")
+        .map(|kv| {
+            let (no, t, b) = kv?;
+            let target =
+                t.parse::<usize>().map_err(|_| bad(format!("truth line {no}: bad target")))?;
+            let bits = u64::from_str_radix(b.trim_start_matches("0x"), 16)
+                .map_err(|_| bad(format!("truth line {no}: bad bits")))?;
+            Ok((target, bits))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -814,10 +799,13 @@ mod tests {
             .replace("knowns.npy", "knowns.csv");
         std::fs::write(dir.join("manifest.txt"), &manifest).unwrap();
         let (csv_ds, _) = import_archive(&dir).unwrap();
-        assert_eq!(csv_ds.knowns_columnar(), base.knowns_columnar());
-        let a: Vec<u32> = csv_ds.points_columnar().iter().map(|v| v.to_bits()).collect();
-        let b: Vec<u32> = base.points_columnar().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(a, b, "csv float round-trip must be exact");
+        let archive = |ds: &Dataset| {
+            let mut bytes = Vec::new();
+            write_dataset(ds, &mut bytes).unwrap();
+            bytes
+        };
+        let base = archive(&base);
+        assert!(archive(&csv_ds) == base, "csv float round-trip must be exact");
 
         // Binary trace directory (ChipWhisperer segment layout).
         let bin = dir.join("traces");
@@ -831,8 +819,7 @@ mod tests {
         let manifest = manifest.replace("traces.csv", "traces");
         std::fs::write(dir.join("manifest.txt"), &manifest).unwrap();
         let (bin_ds, _) = import_archive(&dir).unwrap();
-        let c: Vec<u32> = bin_ds.points_columnar().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(c, b, "binary container must import bit-identically");
+        assert!(archive(&bin_ds) == base, "binary container must import bit-identically");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -16,10 +16,11 @@
 //! screened dataset together with an [`AcquisitionStats`] account of
 //! every capture's fate.
 
-use crate::acquire::{capture_chunks, recompute_trace, scatter_rows, Dataset};
+use crate::acquire::{capture_chunks, recompute_trace, Dataset};
 use crate::error::{Error, Result};
 use crate::exec;
 use crate::obs;
+use crate::source::{scatter_rows, TraceStore};
 use falcon_emsim::{Capture, Device, Trace};
 use falcon_sig::rng::Prng;
 
@@ -371,20 +372,19 @@ fn shifted_correlation(samples: &[f32], reference: &[f32], shift: isize) -> f64 
 /// per column, so it cannot move the median or the MAD. Screening
 /// applies it to every batch; it is public for imported foreign
 /// archives ([`crate::ingest`]), whose oscilloscope glitches never
-/// passed through [`Dataset::collect_screened`]. In the columnar layout
-/// each `(target, occ, step)` column is a contiguous `traces`-long run
-/// of the sample buffer, so the pass is a straight sweep. Datasets with
-/// fewer than 8 traces are left untouched (no meaningful MAD estimate).
+/// passed through [`Dataset::collect_screened`]. The pass sweeps every
+/// `(target, occ, step)` sample column of every target's store.
+/// Datasets with fewer than 8 traces are left untouched (no meaningful
+/// MAD estimate).
 pub fn winsorize_dataset(ds: &mut Dataset, k: f64) -> usize {
     let traces = ds.traces();
     if traces < 8 {
         // Too few traces for a meaningful MAD estimate.
         return 0;
     }
-    let points = ds.points_mut();
     let mut clamped = 0usize;
     let mut scratch = Vec::with_capacity(traces);
-    for col in points.chunks_exact_mut(traces) {
+    for col in ds.stores_mut().iter_mut().flat_map(TraceStore::sample_columns_mut) {
         scratch.clear();
         scratch.extend_from_slice(col);
         let med = median_f32(&mut scratch);
@@ -413,8 +413,23 @@ pub fn winsorize_dataset(ds: &mut Dataset, k: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use falcon_emsim::{FaultModel, LeakageModel, MeasurementChain, Scope};
+    use crate::acquire::POINTS_PER_TARGET;
+    use crate::source::ColumnSource;
+    use falcon_emsim::{FaultModel, LeakageModel, MeasurementChain, Scope, StepKind};
     use falcon_sig::{KeyPair, LogN};
+
+    /// The v2 archive bytes of `ds`: equal bytes mean equal datasets.
+    fn archive(ds: &Dataset) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        crate::io::write_dataset(ds, &mut bytes).unwrap();
+        bytes
+    }
+
+    /// The 28 samples of one trace for `target`, occurrence-major.
+    fn window(ds: &Dataset, trace: usize, target: usize) -> Vec<f32> {
+        let block = ds.target_block(target).unwrap();
+        (0..2).flat_map(|occ| StepKind::ALL.map(|step| block.sample(trace, occ, step))).collect()
+    }
 
     fn device(noise: f64, fm: FaultModel) -> Device {
         let mut rng = Prng::from_seed(b"screen test key");
@@ -459,14 +474,7 @@ mod tests {
         let (screened, _) =
             Dataset::collect_screened(&mut d2, &[1, 4], 25, &mut m2, Some(&cfg)).unwrap();
         assert_eq!(screened.traces(), plain.traces());
-        for t in 0..plain.traces() {
-            for &target in &[1usize, 4] {
-                assert_eq!(plain.window(t, target), screened.window(t, target));
-                for occ in 0..2 {
-                    assert_eq!(plain.known(t, target, occ), screened.known(t, target, occ));
-                }
-            }
-        }
+        assert!(archive(&plain) == archive(&screened), "screening changed the dataset");
     }
 
     #[test]
@@ -507,7 +515,9 @@ mod tests {
         let mut total = 0usize;
         for t in 0..30 {
             for &target in &[2usize, 6] {
-                for (a, b) in plain.window(t, target).into_iter().zip(screened.window(t, target)) {
+                for (a, b) in
+                    window(&plain, t, target).into_iter().zip(window(&screened, t, target))
+                {
                     total += 1;
                     if a == b {
                         matching += 1;
@@ -555,8 +565,86 @@ mod tests {
         // No sample may remain near the glitch amplitude.
         for t in 0..ds.traces() {
             for &target in &[0usize, 1, 2, 3] {
-                for v in ds.window(t, target) {
+                for v in window(&ds, t, target) {
                     assert!(v.abs() < 400.0, "unclamped outlier {v}");
+                }
+            }
+        }
+    }
+
+    /// Median of `v` by a full sort: the element at index `len / 2`.
+    fn sorted_median(v: &[f32]) -> f32 {
+        let mut v = v.to_vec();
+        v.sort_by(f32::total_cmp);
+        v[v.len() / 2]
+    }
+
+    #[test]
+    fn winsorisation_matches_a_sort_based_reference_per_column() {
+        // Four targets, 96 traces, two planted outliers per column
+        // (high and low), and one column that is constant apart from
+        // its outliers (a zero MAD, left alone).
+        const TRACES: usize = 96;
+        let targets = [0usize, 3, 5, 6];
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let rows: Vec<(Vec<u64>, Vec<f32>)> = (0..TRACES)
+            .map(|trace| {
+                let knowns = (0..2 * targets.len()).map(|_| next()).collect();
+                let points = (0..targets.len() * POINTS_PER_TARGET)
+                    .map(|c| {
+                        let noise = (next() >> 40) as f32 / (1 << 24) as f32 * 8.0 - 4.0;
+                        match ((trace + 5 * c) % 37, c) {
+                            (0, _) => 450.0 + c as f32,
+                            (1, _) => -300.0 - trace as f32,
+                            (_, POINTS_PER_TARGET) => 1.5,
+                            _ => noise + c as f32,
+                        }
+                    })
+                    .collect();
+                (knowns, points)
+            })
+            .collect();
+        let mut ds = scatter_rows(8, &targets, &rows).unwrap();
+        let k = 3.0;
+        let mut want = Vec::new();
+        let mut want_clamped = 0;
+        for &t in &targets {
+            let block = ds.target_block(t).unwrap();
+            for occ in 0..2 {
+                for step in StepKind::ALL {
+                    let mut col = block.sample_column(occ, step).to_vec();
+                    let med = sorted_median(&col);
+                    let dev: Vec<f32> = col.iter().map(|v| (v - med).abs()).collect();
+                    let mad = sorted_median(&dev);
+                    if mad != 0.0 {
+                        let bound = (k * 1.4826 * mad as f64) as f32;
+                        for v in &mut col {
+                            let c = v.clamp(med - bound, med + bound);
+                            want_clamped += usize::from(c != *v);
+                            *v = c;
+                        }
+                    }
+                    want.push(col);
+                }
+            }
+        }
+        assert!(want_clamped >= 2 * (want.len() - 1), "planted outliers: {want_clamped}");
+        assert_eq!(winsorize_dataset(&mut ds, k), want_clamped);
+        let mut want = want.into_iter();
+        for &t in &targets {
+            let block = ds.target_block(t).unwrap();
+            for occ in 0..2 {
+                for step in StepKind::ALL {
+                    let got: Vec<u32> =
+                        block.sample_column(occ, step).iter().map(|v| v.to_bits()).collect();
+                    let col: Vec<u32> = want.next().unwrap().iter().map(|v| v.to_bits()).collect();
+                    assert!(got == col, "target {t} occ {occ} {step:?}: samples differ");
                 }
             }
         }
@@ -686,11 +774,7 @@ mod tests {
                 let leg = format!("{name} at {threads} threads");
                 assert_eq!(stats, want_stats, "{leg}");
                 assert_eq!(got.traces(), want.traces(), "{leg}");
-                let bits = |ds: &Dataset| -> Vec<u32> {
-                    ds.points_columnar().iter().map(|p| p.to_bits()).collect()
-                };
-                assert!(bits(&got) == bits(&want), "{leg}: samples differ");
-                assert!(got.knowns_columnar() == want.knowns_columnar(), "{leg}: knowns differ");
+                assert!(archive(&got) == archive(&want), "{leg}: datasets differ");
                 assert_eq!(dev.export_state(), whole_dev.export_state(), "{leg}: device state");
             }
         }

@@ -1,33 +1,44 @@
-//! The column-lending contract of the data plane.
+//! The column-lending contract of the data plane, and the one type
+//! that owns trace columns.
 //!
 //! Every analysis stage in this crate — the CPA kernels, the
 //! extend-and-prune attack, campaign convergence, the NTT attack —
 //! consumes traces **column-wise**: one known-operand column and a
-//! handful of sample columns per target, each `traces` long. The
-//! resident [`Dataset`] happens to hold those columns contiguously in
-//! RAM, but nothing downstream actually needs the whole dataset at
-//! once; it needs *one target's columns at a time*.
+//! handful of sample columns per target, each `traces` long. Nothing
+//! downstream needs the whole dataset at once; it needs *one target's
+//! columns at a time*.
 //!
 //! [`ColumnSource`] names that contract. A source hands out
 //! [`TargetBlock`]s — the complete column set of a single target — and
 //! implementations are free to lend borrowed slices (the resident
-//! [`Dataset`]) or to materialise the block from disk on demand (the
-//! out-of-core [`StreamedDataset`](crate::stream::StreamedDataset)).
-//! Because the attack layers consume whole columns in a fixed order,
-//! any source that returns byte-identical blocks yields bit-identical
-//! results — the determinism suite pins exactly this.
+//! [`Dataset`], a campaign's trace store) or to materialise the block
+//! from disk on demand (the out-of-core
+//! [`StreamedDataset`](crate::stream::StreamedDataset)). Because the
+//! attack layers consume whole columns in a fixed order, any source
+//! that returns byte-identical blocks yields bit-identical results —
+//! the determinism suite pins exactly this.
+//!
+//! # One owner of the columns
+//!
+//! A `TraceStore` holds one target's `[occ][trace]` known and
+//! `[occ][step][trace]` sample columns. It is the only type that owns
+//! trace columns and the only place that knows their index
+//! arithmetic: a [`Dataset`] is one store per target, the campaign
+//! engines keep one append-only store per target, captures and
+//! imported archives are transposed from rows straight into stores
+//! (`scatter_rows`), and `io::read_dataset` reads each target's column
+//! ranges into its store.
 //!
 //! # Stride and prefixes
 //!
 //! A block's columns start `stride` elements apart in its buffers
 //! (`stride >= traces`); [`TargetBlock::new`] builds dense blocks
-//! (`stride == traces`), as every source lends them.
+//! (`stride == traces`). A store lends its columns at its capacity,
+//! which equals its trace count for a [`Dataset`]'s stores.
 //! [`TargetBlock::prefix`] lends the first `k` traces of every column
 //! as a borrowed view at the same stride, with no copy. Consumers read
 //! only through the column accessors, so a prefix scores exactly like a
-//! dense block holding the same columns. The campaign engines keep each
-//! target's traces in an append-only `TraceStore` and score borrowed
-//! prefixes of it.
+//! dense block holding the same columns.
 
 use crate::acquire::{Dataset, POINTS_PER_TARGET};
 use crate::error::{Error, Result};
@@ -37,7 +48,7 @@ use std::borrow::Cow;
 /// The complete column set of one target: both occurrences' known
 /// operands (`[occ][trace]`, `2·traces` words) and all sample columns
 /// (`[occ][step][trace]`, `28·traces` samples) — the exact columnar
-/// layout of the v2 on-disk format and the in-memory [`Dataset`].
+/// layout of one target in the v2 on-disk format and in a store.
 ///
 /// Borrowing sources lend `Cow::Borrowed` slices with zero copies;
 /// streaming sources return `Cow::Owned` buffers decoded from disk.
@@ -169,42 +180,12 @@ pub trait ColumnSource {
     fn target_block(&self, target: usize) -> Result<TargetBlock<'_>>;
 }
 
-impl ColumnSource for Dataset {
-    fn n(&self) -> usize {
-        Dataset::n(self)
-    }
-
-    fn targets(&self) -> &[usize] {
-        Dataset::targets(self)
-    }
-
-    fn traces(&self) -> usize {
-        Dataset::traces(self)
-    }
-
-    fn target_block(&self, target: usize) -> Result<TargetBlock<'_>> {
-        let ti = Dataset::targets(self)
-            .iter()
-            .position(|&t| t == target)
-            .ok_or(Error::TargetNotInDataset { target })?;
-        let traces = Dataset::traces(self);
-        let kbase = ti * 2 * traces;
-        let pbase = ti * POINTS_PER_TARGET * traces;
-        TargetBlock::new(
-            target,
-            traces,
-            Cow::Borrowed(&self.knowns_columnar()[kbase..kbase + 2 * traces]),
-            Cow::Borrowed(&self.points_columnar()[pbase..pbase + POINTS_PER_TARGET * traces]),
-        )
-    }
-}
-
-/// The append-only trace store of one target: its `[occ]` known and
-/// `[occ][step]` sample columns, `capacity` apart. A push copies only
-/// the new traces, in place; the columns are re-laid only when the
-/// capacity grows, at least doubling, so `T` traces pushed in batches
-/// cost `O(T)` copies instead of `O(T²/batch)`. The store lends its
-/// traces as one strided block through [`ColumnSource`].
+/// The trace store of one target: its `[occ]` known and `[occ][step]`
+/// sample columns, `capacity` apart. A push copies only the new
+/// traces, in place; the columns are re-laid only when the capacity
+/// grows, at least doubling, so `T` traces pushed in batches cost
+/// `O(T)` copies instead of `O(T²/batch)`. The store lends its traces
+/// as one strided block through [`ColumnSource`].
 #[derive(Debug, Clone)]
 pub(crate) struct TraceStore {
     n: usize,
@@ -223,6 +204,28 @@ impl TraceStore {
         TraceStore { n, target: [target], traces: 0, capacity: 0, knowns, points }
     }
 
+    /// A store of `traces` traces over dense columns: `knowns` is
+    /// `[occ][trace]` and `points` is `[occ][step][trace]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] when a buffer disagrees with
+    /// that geometry, and [`Error::InvalidData`] for a non-finite
+    /// sample.
+    pub(crate) fn from_columns(
+        n: usize,
+        target: usize,
+        traces: usize,
+        knowns: Vec<u64>,
+        points: Vec<f32>,
+    ) -> Result<TraceStore> {
+        let block = TargetBlock::new(target, traces, Cow::Owned(knowns), Cow::Owned(points))?;
+        // ct: allow(attacker-side input validation of captured samples)
+        check_finite_samples(&block.points)?;
+        let (knowns, points) = (block.knowns.into_owned(), block.points.into_owned());
+        Ok(TraceStore { n, target: [target], traces, capacity: traces, knowns, points })
+    }
+
     /// Appends every trace of `block`, a block of this store's target.
     pub(crate) fn push(&mut self, block: &TargetBlock<'_>) {
         debug_assert_eq!(block.target, self.target[0]);
@@ -239,6 +242,64 @@ impl TraceStore {
         copy_columns(&mut self.knowns, self.capacity, old, &block.knowns, block.stride, add);
         copy_columns(&mut self.points, self.capacity, old, &block.points, block.stride, add);
         self.traces = old + add;
+    }
+
+    /// Every sample column, `traces` long, for rewriting in place
+    /// (screening's winsorisation).
+    pub(crate) fn sample_columns_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        let traces = self.traces;
+        self.points.chunks_exact_mut(self.capacity.max(1)).map(move |c| &mut c[..traces])
+    }
+}
+
+/// Row → column transpose of one acquisition batch into a [`Dataset`]:
+/// `rows` holds each trace's `(knowns, points)` row, `[target][occ]`
+/// operands and `[target][occ·14+step]` samples, in trace order. Each
+/// target's columns are written straight into its own store.
+///
+/// # Errors
+///
+/// See [`TraceStore::from_columns`] and `Dataset::from_stores`.
+pub(crate) fn scatter_rows(
+    n: usize,
+    targets: &[usize],
+    rows: &[(Vec<u64>, Vec<f32>)],
+) -> Result<Dataset> {
+    let traces = rows.len();
+    let store = |(ti, &target): (usize, &usize)| {
+        let mut knowns = vec![0u64; 2 * traces];
+        let mut points = vec![0f32; POINTS_PER_TARGET * traces];
+        for (trace, (row_k, row_p)) in rows.iter().enumerate() {
+            for (c, &k) in row_k[2 * ti..2 * ti + 2].iter().enumerate() {
+                knowns[c * traces + trace] = k;
+            }
+            let window = &row_p[ti * POINTS_PER_TARGET..(ti + 1) * POINTS_PER_TARGET];
+            for (c, &p) in window.iter().enumerate() {
+                points[c * traces + trace] = p;
+            }
+        }
+        TraceStore::from_columns(n, target, traces, knowns, points)
+    };
+    let stores = targets.iter().enumerate().map(store).collect::<Result<_>>()?;
+    Dataset::from_stores(n, traces, stores)
+}
+
+/// Rejects a sample column holding a NaN or an infinity. One such sample
+/// makes its column's variance non-finite, every correlation over the
+/// column then reads 0, and the beam would keep its first guesses by
+/// index instead of failing.
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidData`] naming the first non-finite sample.
+pub(crate) fn check_finite_samples(points: &[f32]) -> Result<()> {
+    // ct: allow(attacker-side input validation of captured samples)
+    match points.iter().position(|p| !p.is_finite()) {
+        Some(i) => {
+            // ct: allow(attacker-side input validation of captured samples)
+            Err(Error::invalid(format!("sample {i} is {}; samples must be finite", points[i])))
+        }
+        None => Ok(()),
     }
 }
 
@@ -311,23 +372,33 @@ mod tests {
 
     #[test]
     fn resident_blocks_borrow_the_exact_columns() {
-        let ds = sample_dataset();
-        for &t in ds.targets() {
+        // Rows numbered by (trace, column), so every cell is distinct:
+        // the transpose must put each in its target's column at its
+        // trace, and the dataset lends those columns without a copy.
+        let (targets, traces) = ([5usize, 0, 2], 9);
+        let rows: Vec<(Vec<u64>, Vec<f32>)> = (0..traces)
+            .map(|trace| {
+                let knowns = (0..2 * targets.len()).map(|c| (trace * 100 + c) as u64).collect();
+                let width = POINTS_PER_TARGET * targets.len();
+                (knowns, (0..width).map(|c| (trace * 1000 + c) as f32).collect())
+            })
+            .collect();
+        let ds = scatter_rows(8, &targets, &rows).unwrap();
+        for (ti, &t) in targets.iter().enumerate() {
             let block = ColumnSource::target_block(&ds, t).unwrap();
-            assert_eq!(block.target(), t);
-            assert_eq!(block.traces(), ds.traces());
+            assert_eq!((block.target(), block.traces(), block.stride), (t, traces, traces));
             assert!(matches!(block.knowns, Cow::Borrowed(_)));
             assert!(matches!(block.points, Cow::Borrowed(_)));
-            for occ in 0..2 {
-                assert_eq!(block.known_column(occ), ds.known_column(t, occ));
-                for step in StepKind::ALL {
-                    assert_eq!(block.sample_column(occ, step), ds.sample_column(t, occ, step));
-                    for trace in 0..ds.traces() {
-                        assert_eq!(block.sample(trace, occ, step), ds.sample(trace, t, occ, step));
+            for (trace, (row_k, row_p)) in rows.iter().enumerate() {
+                for occ in 0..2 {
+                    assert_eq!(block.known(trace, occ), row_k[2 * ti + occ]);
+                    assert_eq!(block.known_column(occ)[trace], row_k[2 * ti + occ]);
+                    for step in StepKind::ALL {
+                        let want =
+                            row_p[ti * POINTS_PER_TARGET + occ * StepKind::COUNT + step as usize];
+                        assert_eq!(block.sample(trace, occ, step), want);
+                        assert_eq!(block.sample_column(occ, step)[trace], want);
                     }
-                }
-                for trace in 0..ds.traces() {
-                    assert_eq!(block.known(trace, occ), ds.known(trace, t, occ));
                 }
             }
         }
@@ -356,6 +427,7 @@ mod tests {
         let batches = [0usize, 1, 7, 1, 3, 30, 5];
         let capacities = [0usize, 1, 8, 16, 16, 42, 84];
         let whole = Dataset::collect(&mut device(), &[3], 47, &mut Prng::from_seed(b"store"));
+        let whole = ColumnSource::target_block(&whole, 3).unwrap();
         let (mut dev, mut msgs) = (device(), Prng::from_seed(b"store"));
         let mut store = TraceStore::new(8, 3);
         for (&batch, &capacity) in batches.iter().zip(&capacities) {
@@ -377,11 +449,11 @@ mod tests {
                 assert_eq!((prefix.target(), prefix.traces()), (3, k));
                 for occ in 0..2 {
                     let kc = prefix.known_column(occ);
-                    assert_eq!(kc, &whole.known_column(3, occ)[..k]);
+                    assert_eq!(kc, &whole.known_column(occ)[..k]);
                     assert!(knowns.start <= kc.as_ptr() && kc.as_ptr_range().end <= knowns.end);
                     for step in StepKind::ALL {
                         let sc = prefix.sample_column(occ, step);
-                        assert_eq!(sc, &whole.sample_column(3, occ, step)[..k]);
+                        assert_eq!(sc, &whole.sample_column(occ, step)[..k]);
                         assert!(points.start <= sc.as_ptr() && sc.as_ptr_range().end <= points.end);
                     }
                 }

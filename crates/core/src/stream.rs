@@ -5,9 +5,11 @@
 //! target's column set at a time by reading the target's two
 //! contiguous byte ranges (knowns, then samples) on the calling thread.
 //! Each range is read in pieces of at most [`STAGE_BYTES`] through one
-//! staging buffer per fetch, and every piece is decoded as it arrives,
-//! so the bytes staged beyond the decoded columns themselves stay
-//! bounded by [`STAGE_BYTES`] regardless of file size.
+//! staging buffer per fetch by the same little-endian reader
+//! [`read_dataset`](crate::io::read_dataset) uses, and every piece is
+//! decoded as it arrives, so the bytes staged beyond the decoded
+//! columns themselves stay bounded by [`STAGE_BYTES`] regardless of
+//! file size.
 //!
 //! # Determinism
 //!
@@ -29,11 +31,11 @@
 //! staging bound while streaming files many times larger.
 
 use crate::error::{Error, Result};
-use crate::io::{read_dataset_header, DatasetHeader};
-use crate::source::{ColumnSource, TargetBlock};
+use crate::io::{read_dataset_header, read_le, DatasetHeader};
+use crate::source::{check_finite_samples, ColumnSource, TargetBlock};
 use std::borrow::Cow;
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::io::{BufReader, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 /// Largest single read while fetching a target block. A multiple of 8,
@@ -44,28 +46,6 @@ pub const STAGE_BYTES: usize = 64 << 10;
 /// gauge), so a test can bound the peak of one specific streaming pass.
 pub fn reset_ring_peak() {
     crate::obs::gauge("stream.ring_peak_bytes").set(0.0);
-}
-
-/// Reads the byte range `(off, len)` of `f` in pieces of at most
-/// `stage.len()`, handing each piece to `decode` as it arrives.
-fn read_range(
-    f: &mut File,
-    (off, len): (u64, u64),
-    stage: &mut [u8],
-    mut decode: impl FnMut(&[u8]),
-) -> Result<()> {
-    let bytes_read = crate::obs::counter("stream.bytes_read");
-    f.seek(SeekFrom::Start(off))?;
-    let mut left = len;
-    while left > 0 {
-        let take = left.min(stage.len() as u64) as usize;
-        let piece = &mut stage[..take];
-        f.read_exact(piece)?;
-        decode(piece);
-        bytes_read.add(piece.len() as u64);
-        left -= piece.len() as u64;
-    }
-    Ok(())
 }
 
 /// A [`ColumnSource`] over an on-disk `FDNDSET\x02` archive, holding
@@ -106,34 +86,34 @@ impl StreamedDataset {
         &self.header
     }
 
-    /// Reads the byte ranges of one target (knowns then points) through
-    /// one staging buffer, decoding into owned column buffers, and
-    /// rejects a NaN or infinite sample with [`Error::InvalidData`].
+    /// Reads the byte ranges of one target (knowns then points)
+    /// through one staging buffer, decoding into owned column buffers,
+    /// and rejects a NaN or infinite sample with [`Error::InvalidData`].
     fn fetch(&self, ti: usize) -> Result<(Vec<u64>, Vec<f32>)> {
-        let (krange, prange) =
-            (self.header.target_knowns_range(ti), self.header.target_points_range(ti));
-        let (klen, plen) = (krange.1, prange.1);
-        let mut knowns = Vec::with_capacity((klen / 8) as usize);
-        let mut points = Vec::with_capacity((plen / 4) as usize);
+        let (kstart, klen) = self.header.target_knowns_range(ti);
+        let (pstart, plen) = self.header.target_points_range(ti);
         // Both range lengths are multiples of 8, as is STAGE_BYTES, so
-        // every piece decodes wholly as u64s or wholly as f32s.
+        // no word straddles two reads.
         let mut stage = vec![0u8; STAGE_BYTES.min(klen.max(plen) as usize)];
         let peak = crate::obs::gauge("stream.ring_peak_bytes");
         if stage.len() as f64 > peak.get() {
             peak.set(stage.len() as f64);
         }
+        let bytes_read = crate::obs::counter("stream.bytes_read");
         let mut f = File::open(&self.path)?;
-        read_range(&mut f, krange, &mut stage, |piece| {
-            knowns.extend(
-                piece.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
-            );
-        })?;
-        read_range(&mut f, prange, &mut stage, |piece| {
-            points.extend(
-                piece.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
-            );
-        })?;
-        crate::acquire::check_finite_samples(&points)?;
+        // `open_default` checked the file length against the header, so
+        // the ranges' lengths can size the buffers up front.
+        f.seek(SeekFrom::Start(kstart))?;
+        let words = (klen / 8) as usize;
+        let out = Vec::with_capacity(words);
+        let knowns = read_le(&mut f, words, &mut stage, u64::from_le_bytes, out)?;
+        bytes_read.add(klen);
+        f.seek(SeekFrom::Start(pstart))?;
+        let samples = (plen / 4) as usize;
+        let out = Vec::with_capacity(samples);
+        let points = read_le(&mut f, samples, &mut stage, f32::from_le_bytes, out)?;
+        bytes_read.add(plen);
+        check_finite_samples(&points)?;
         crate::obs::counter("stream.blocks_fetched").incr();
         Ok((knowns, points))
     }

@@ -12,7 +12,7 @@
 
 use crate::acquire::Dataset;
 use crate::model::{hyp_exact, KnownOperand};
-use crate::source::TargetBlock;
+use crate::source::{ColumnSource, TargetBlock};
 use falcon_emsim::{Device, StepKind};
 use falcon_sig::rng::Prng;
 
@@ -121,13 +121,17 @@ pub fn profile_step(
     // multiplication is a labelled observation.
     let targets: Vec<usize> = (0..n).collect();
     let ds = Dataset::collect(device, &targets, n_traces, msg_rng);
+    let blocks: Vec<TargetBlock<'_>> = targets
+        .iter()
+        .map(|&t| ds.target_block(t).expect("the dataset holds its targets"))
+        .collect();
     let mut obs = Vec::with_capacity(n_traces * n * 2);
     for trace in 0..ds.traces() {
-        for &t in ds.targets() {
+        for (block, &t) in blocks.iter().zip(&targets) {
             for occ in 0..2 {
-                let k = KnownOperand::new(ds.known(trace, t, occ));
+                let k = KnownOperand::new(block.known(trace, occ));
                 let hw = hyp_exact(truth[t], &k, step) as u32;
-                obs.push((hw, ds.sample(trace, t, occ, step)));
+                obs.push((hw, block.sample(trace, occ, step)));
             }
         }
     }

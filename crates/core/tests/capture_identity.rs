@@ -14,6 +14,7 @@
 //! process-global.
 
 use falcon_dema::acquire::Dataset;
+use falcon_dema::source::ColumnSource;
 use falcon_dema::{exec, obs};
 use falcon_emsim::{Capture, CountermeasureConfig, Device, FaultModel, MeasurementChain};
 use falcon_fpr::Fpr;
@@ -77,13 +78,14 @@ fn assert_dataset_is(ds: &Dataset, caps: &[Capture], dev: &Device, leg: &str) {
         })
         .collect();
     for target in 0..n {
+        let block = ds.target_block(target).unwrap();
         for (occ, (mul, known)) in layout.muls_for_secret(target).into_iter().enumerate() {
-            let knowns = ds.known_column(target, occ);
+            let knowns = block.known_column(occ);
             for (t, c_fft) in c_ffts.iter().enumerate() {
                 assert_eq!(knowns[t], c_fft[known].to_bits(), "{leg}: trace {t} known {target}");
             }
             for step in falcon_emsim::StepKind::ALL {
-                let column = ds.sample_column(target, occ, step);
+                let column = block.sample_column(occ, step);
                 let at = layout.sample_index(mul, step);
                 for (t, cap) in caps.iter().enumerate() {
                     assert_eq!(

@@ -11,7 +11,9 @@
 //! return an error, but must not panic.
 
 use falcon_dema::ingest::{import_archive, read_known_rows, read_trace_rows};
+use falcon_dema::source::ColumnSource;
 use falcon_dema::Error;
+use falcon_emsim::StepKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -88,8 +90,13 @@ fn reads_and_imports<T>(dir: &Path, reader: impl Fn() -> falcon_dema::Result<T>)
 fn assert_clean(dir: &Path) {
     let (ds, report) = import_archive(dir).unwrap();
     assert_eq!((report.traces, report.targets), (TRACES, 1));
+    let block = ds.target_block(3).unwrap();
     for row in 0..TRACES {
-        assert_eq!(ds.window(row, 3), (0..COLS).map(|c| sample(row, c)).collect::<Vec<_>>());
+        let window = (0..2).flat_map(|occ| StepKind::ALL.map(|step| block.sample(row, occ, step)));
+        assert_eq!(
+            window.collect::<Vec<_>>(),
+            (0..COLS).map(|c| sample(row, c)).collect::<Vec<_>>()
+        );
     }
 }
 

@@ -20,7 +20,7 @@ use falcon_down::ct::{CallGraph, SiteKind, SiteMap, TaintMap};
 use falcon_down::dema::attack::{recover_all_verified, AttackConfig};
 use falcon_down::dema::model::{hyp_exact, KnownOperand};
 use falcon_down::dema::recover::key_from_fft_bits;
-use falcon_down::dema::Dataset;
+use falcon_down::dema::{ColumnSource, Dataset};
 use falcon_down::emsim::{Device, LeakageModel, MeasurementChain, Scope, StepKind};
 use falcon_down::sig::rng::Prng;
 use falcon_down::sig::{KeyPair, LogN};
@@ -130,9 +130,10 @@ fn pearson(xs: &[f64], ys: &[f32]) -> f64 {
 fn targets_won_at(ds: &Dataset, truth: &[u64], step: StepKind) -> usize {
     let mut won = 0;
     for (t, &secret) in truth.iter().enumerate() {
+        let block = ds.target_block(t).unwrap();
         let knowns: Vec<KnownOperand> =
-            ds.known_column(t, 0).iter().map(|&k| KnownOperand::new(k)).collect();
-        let samples = ds.sample_column(t, 0, step);
+            block.known_column(0).iter().map(|&k| KnownOperand::new(k)).collect();
+        let samples = block.sample_column(0, step);
         let corr_of = |guess: u64| {
             let hyp: Vec<f64> = knowns.iter().map(|k| hyp_exact(guess, k, step)).collect();
             pearson(&hyp, samples).abs()
