@@ -64,10 +64,16 @@ pub fn arg_or<T: std::str::FromStr>(key: &str, default: T) -> T {
 /// Exits with status 2 and a message naming the key when an argument's
 /// key was read by no [`arg_or`] call, so a misspelt key cannot
 /// silently run the default. Call it after the bin's last `arg_or`.
+/// It also exits 2, naming the variable and its value, when
+/// `FALCON_DEMA_SIMD` or `FALCON_DEMA_THREADS` names nothing
+/// ([`falcon_dema::exec::check_env`]).
 pub fn reject_unread_args() {
     let read = READ_KEYS.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(key) = unread_key(std::env::args().skip(1), &read) {
         exit_usage(&format!("unknown argument `{key}` (this bin reads: {})", read.join(", ")));
+    }
+    if let Err(e) = falcon_dema::exec::check_env() {
+        exit_usage(&e.to_string());
     }
 }
 

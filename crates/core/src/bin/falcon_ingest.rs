@@ -63,6 +63,10 @@ fn fail(msg: impl std::fmt::Display) -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    if let Err(e) = falcon_dema::exec::check_env() {
+        eprintln!("falcon_ingest: {e}");
+        return ExitCode::from(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().map(String::as_str) else {
         return fail("usage: falcon_ingest <fixture|import|convert|verify> ...");

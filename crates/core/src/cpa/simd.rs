@@ -135,15 +135,23 @@ static RESOLVED: AtomicU8 = AtomicU8::new(0);
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// The `FALCON_DEMA_SIMD` value at first use (cached: the kernel
-/// dispatcher sits on the hot path and `std::env::var` takes a lock).
-fn env_choice() -> Option<KernelChoice> {
-    static ENV: OnceLock<Option<KernelChoice>> = OnceLock::new();
+/// dispatcher sits on the hot path and `std::env::var` takes a lock),
+/// parsed by [`parse_choice`].
+pub(crate) fn env_choice() -> &'static Result<Option<KernelChoice>, String> {
+    static ENV: OnceLock<Result<Option<KernelChoice>, String>> = OnceLock::new();
     // ct: allow(opt-in kernel knob, read once and cached)
-    *ENV.get_or_init(|| match std::env::var("FALCON_DEMA_SIMD").ok().as_deref() {
-        Some("off" | "scalar") => Some(KernelChoice::Scalar),
-        Some("auto") => Some(KernelChoice::Auto),
-        _ => None,
-    })
+    ENV.get_or_init(|| parse_choice(&std::env::var("FALCON_DEMA_SIMD").unwrap_or_default()))
+}
+
+/// A `FALCON_DEMA_SIMD` value: `None` when empty (unset), else the
+/// policy it names; a value that names none comes back as the error.
+fn parse_choice(value: &str) -> Result<Option<KernelChoice>, String> {
+    match value {
+        "" => Ok(None),
+        "off" | "scalar" => Ok(Some(KernelChoice::Scalar)),
+        "auto" => Ok(Some(KernelChoice::Auto)),
+        other => Err(other.to_string()),
+    }
 }
 
 /// What the CPU supports, independent of policy.
@@ -166,7 +174,9 @@ fn resolve() -> Kernel {
     let choice = match OVERRIDE.load(Ordering::Relaxed) {
         1 => KernelChoice::Scalar,
         2 => KernelChoice::Auto,
-        _ => env_choice().unwrap_or(KernelChoice::Auto),
+        // A value that names no policy resolves as auto here;
+        // `exec::check_env` is where the bins reject it.
+        _ => env_choice().clone().ok().flatten().unwrap_or(KernelChoice::Auto),
     };
     let kernel = match choice {
         KernelChoice::Scalar => Kernel::Scalar,
@@ -541,6 +551,17 @@ mod tests {
     /// not interleave. (Tests that merely *use* the kernels don't care:
     /// every kernel is bit-identical, which is the whole contract.)
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn simd_policies_are_accepted_and_other_values_rejected() {
+        assert_eq!(parse_choice(""), Ok(None));
+        assert_eq!(parse_choice("off"), Ok(Some(KernelChoice::Scalar)));
+        assert_eq!(parse_choice("scalar"), Ok(Some(KernelChoice::Scalar)));
+        assert_eq!(parse_choice("auto"), Ok(Some(KernelChoice::Auto)));
+        for bad in ["scalr", "OFF", "avx2", " auto"] {
+            assert_eq!(parse_choice(bad), Err(bad.to_string()));
+        }
+    }
 
     fn columns(len: usize, seed: u64) -> (Vec<f64>, Vec<f32>) {
         let mut state = seed | 1;

@@ -79,6 +79,16 @@ pub enum Error {
     /// An orchestrated job violated a supervision constraint (bad spec,
     /// unknown job, illegal state transition).
     Orchestration(String),
+    /// An environment variable this crate reads holds a value that names
+    /// nothing (see [`crate::exec::check_env`]).
+    Env {
+        /// The variable.
+        var: &'static str,
+        /// Its rejected value.
+        value: String,
+        /// What the variable accepts.
+        expected: &'static str,
+    },
 }
 
 impl Error {
@@ -116,6 +126,9 @@ impl fmt::Display for Error {
                 write!(f, "parallel worker panicked on chunk {chunk}: {payload}")
             }
             Error::Orchestration(msg) => write!(f, "orchestration error: {msg}"),
+            Error::Env { var, value, expected } => {
+                write!(f, "{var}={value:?} names nothing (expected {expected})")
+            }
         }
     }
 }

@@ -84,13 +84,38 @@ fn panicked(chunk: usize, payload: Box<dyn std::any::Any + Send>) -> Error {
 }
 
 /// The `FALCON_DEMA_THREADS` value at first use (cached: the executor
-/// sits on hot paths and `std::env::var` takes a lock).
-fn env_threads() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
+/// sits on hot paths and `std::env::var` takes a lock), parsed by
+/// [`parse_threads`].
+fn env_threads() -> &'static std::result::Result<Option<usize>, String> {
+    static ENV: OnceLock<std::result::Result<Option<usize>, String>> = OnceLock::new();
     // ct: allow(opt-in worker-count knob, read once and cached)
-    *ENV.get_or_init(|| {
-        std::env::var("FALCON_DEMA_THREADS").ok().and_then(|v| v.trim().parse::<usize>().ok())
-    })
+    ENV.get_or_init(|| parse_threads(&std::env::var("FALCON_DEMA_THREADS").unwrap_or_default()))
+}
+
+/// A `FALCON_DEMA_THREADS` value: `None` when empty (unset), else the
+/// count; a value that is not a count comes back as the error.
+fn parse_threads(value: &str) -> std::result::Result<Option<usize>, String> {
+    match value.trim() {
+        "" => Ok(None),
+        count => count.parse().map(Some).map_err(|_| value.to_string()),
+    }
+}
+
+/// Rejects a `FALCON_DEMA_SIMD` or `FALCON_DEMA_THREADS` value that
+/// names nothing ([`Error::Env`]), from the same parse, cached at first
+/// use, that the kernel dispatcher and the executor read. Without this
+/// check a misspelt value runs the default (`auto` kernels, every
+/// core), so the bins call it at start and exit 2 on the error.
+pub fn check_env() -> Result<()> {
+    if let Err(value) = crate::cpa::simd::env_choice() {
+        let (var, expected) = ("FALCON_DEMA_SIMD", "off, scalar or auto");
+        return Err(Error::Env { var, value: value.clone(), expected });
+    }
+    if let Err(value) = env_threads() {
+        let (var, expected) = ("FALCON_DEMA_THREADS", "a thread count");
+        return Err(Error::Env { var, value: value.clone(), expected });
+    }
+    Ok(())
 }
 
 /// The worker count the executor will use for the next fan-out:
@@ -101,9 +126,9 @@ pub fn threads() -> usize {
     if explicit > 0 {
         return explicit;
     }
-    if let Some(env) = env_threads() {
-        if env > 0 {
-            return env;
+    if let Ok(Some(env)) = env_threads() {
+        if *env > 0 {
+            return *env;
         }
     }
     std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1)
@@ -281,6 +306,18 @@ pub(crate) fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_counts_are_accepted_and_other_values_rejected() {
+        assert_eq!(parse_threads(""), Ok(None));
+        assert_eq!(parse_threads(" 2 "), Ok(Some(2)));
+        assert_eq!(parse_threads("0"), Ok(Some(0)));
+        for bad in ["two", "-1", "2.5"] {
+            assert_eq!(parse_threads(bad), Err(bad.to_string()));
+        }
+        let e = Error::Env { var: "FALCON_DEMA_THREADS", value: "two".into(), expected: "a count" };
+        assert!(e.to_string().starts_with("FALCON_DEMA_THREADS=\"two\""), "{e}");
+    }
 
     // `ct_lint` note: this module processes attacker-known data only
     // (candidate guesses, public operands, measured samples), so the

@@ -34,80 +34,36 @@
 //! zero findings, so ROADMAP item 3's multi-host sharding lands
 //! against an existing contract.
 //!
-//! Test code (`tests/`, `benches/`, `examples/`, `#[cfg(test)]`
-//! modules) is exempt from the determinism and atomics lints — tests
-//! may time things — but **not** from the unsafe audit.
+//! Test code (the statement walk's `test` flag: `tests/`, `benches/`,
+//! `examples/`, `#[cfg(test)]` items) is exempt from the determinism
+//! and atomics lints — tests may time things — but **not** from the
+//! unsafe audit.
 
-use crate::lint::{collect_rs_files, Rule, Violation};
+use crate::lint::{Rule, Violation};
 use crate::rules::UNSAFE_ALLOWED_MODULES;
-use crate::scan::{idents, stitch, Directive, Stmt, Tok};
+use crate::scan::{idents, is_attribute, SourceFile, Stmt, Tok};
 use std::collections::BTreeSet;
-use std::path::Path;
 
 /// How far above an `unsafe` statement a `// SAFETY:` comment may sit.
 const SAFETY_COMMENT_WINDOW: usize = 3;
 
-/// Runs both audit passes over one file. `rel` must be the
-/// workspace-relative path (it selects the unsafe-module allowlist and
-/// the test exemption).
-pub fn audit_source(rel: &str, src: &str) -> Vec<Violation> {
-    let stmts = stitch(src);
-    let raw_lines: Vec<&str> = src.lines().collect();
+/// Runs the audit passes over one file. Its workspace-relative path
+/// selects the unsafe-module allowlist and the audited modules.
+pub fn audit_source(f: &SourceFile) -> Vec<Violation> {
+    let rel = f.file.as_str();
+    let raw_lines: Vec<&str> = f.src.lines().collect();
     let mut out = Vec::new();
+    let unordered = unordered_names(&f.stmts);
 
-    let in_test_path = is_test_path(rel);
-    let unordered = unordered_names(&stmts);
-    let mut pending_allow = false;
-    let mut cfg_test_depth: Option<usize> = None;
-    let mut depth = 0usize;
-    let mut pending_cfg_test = false;
-
-    for stmt in &stmts {
+    for stmt in &f.stmts {
         let code = stmt.code.trim();
-        let mut allowed = false;
-        for (_, d) in &stmt.directives {
-            if let Directive::Allow(_) = d {
-                if code.is_empty() {
-                    pending_allow = true;
-                } else {
-                    allowed = true;
-                }
-            }
-        }
-        if code.is_empty() {
+        if code.is_empty() || is_attribute(code) {
             continue;
         }
-        if pending_allow {
-            allowed = true;
-            pending_allow = false;
-        }
-
-        // Track #[cfg(test)] modules so in-file unit tests are exempt
-        // from the determinism rules.
         let toks = idents(code);
-        if code.starts_with('#') {
-            if toks.iter().any(|t| t.text == "cfg") && toks.iter().any(|t| t.text == "test") {
-                pending_cfg_test = true;
-            }
-            continue;
-        }
-        let opens = code.matches('{').count();
-        let closes = code.matches('}').count();
-        if opens > closes && pending_cfg_test && cfg_test_depth.is_none() {
-            cfg_test_depth = Some(depth + 1);
-        }
-        pending_cfg_test = false;
-        depth += opens;
-        depth = depth.saturating_sub(closes);
-        if let Some(d) = cfg_test_depth {
-            if depth < d {
-                cfg_test_depth = None;
-            }
-        }
-        let in_test = in_test_path || cfg_test_depth.is_some();
 
         // ---- unsafe audit (applies to test code too) -----------------
-        if toks.iter().any(|t| t.text == "unsafe") && !allowed {
+        if toks.iter().any(|t| t.text == "unsafe") && !stmt.allowed {
             let module_ok = UNSAFE_ALLOWED_MODULES.iter().any(|m| rel.starts_with(m));
             if !module_ok {
                 push(
@@ -133,7 +89,7 @@ pub fn audit_source(rel: &str, src: &str) -> Vec<Violation> {
         }
 
         // ---- determinism + atomics lints -----------------------------
-        if in_test || allowed || code.starts_with("use ") || code.starts_with("pub use ") {
+        if stmt.test || stmt.allowed || code.starts_with("use ") || code.starts_with("pub use ") {
             continue;
         }
         check_atomics(rel, stmt, code, &mut out);
@@ -315,30 +271,13 @@ fn check_determinism(
     }
 }
 
-/// Whether a workspace-relative path is test/bench/example code.
-fn is_test_path(rel: &str) -> bool {
-    let parts: Vec<&str> = rel.split('/').collect();
-    parts.iter().any(|p| *p == "tests" || *p == "benches" || *p == "examples")
-        || rel.ends_with("tests.rs")
-}
-
-/// Runs both audit passes over every `.rs` file under `root`.
-pub fn audit_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
-    let mut out = Vec::new();
-    for rel in &files {
-        let src = std::fs::read_to_string(root.join(rel))?;
-        out.extend(audit_source(rel, &src));
-    }
-    out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn audit_source(rel: &str, src: &str) -> Vec<Violation> {
+        super::audit_source(&SourceFile::new(rel, src))
+    }
 
     #[test]
     fn unsafe_outside_allowlist_is_flagged() {

@@ -1,10 +1,11 @@
 //! Static constant-time verification runner.
 //!
 //! Runs the three lexical passes over every `.rs` file under the
-//! workspace root — the `ct: secret` region lint, the interprocedural
-//! taint pass (type-seeded, call-graph propagated) and the
-//! unsafe/determinism audits — merges their findings (deduplicated by
-//! fingerprint), prints them as `file:line: [rule] message`, optionally
+//! workspace root through [`falcon_ct::lint_tree`] — the `ct: secret`
+//! region lint, the interprocedural taint pass (type-seeded, call-graph
+//! propagated) and the unsafe/determinism audits, merged and
+//! deduplicated by fingerprint — prints the findings as
+//! `file:line: [rule] message`, optionally
 //! writes a JSON report, and compares against the checked-in baseline
 //! (`ct-baseline.jsonl` at the root).
 //!
@@ -40,40 +41,13 @@ fn main() -> ExitCode {
     };
     let _span = falcon_obs::span("ct.lint");
 
-    let allow = CallAllowlist::workspace_default();
-    let mut outcome = match falcon_ct::lint_tree(&args.root, &allow) {
+    let outcome = match falcon_ct::lint_tree(&args.root, &CallAllowlist::workspace_default()) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("ct_lint: scanning {}: {e}", args.root.display());
             return ExitCode::from(2);
         }
     };
-
-    // Interprocedural taint pass over the same tree.
-    let graph = match falcon_ct::CallGraph::build(&args.root) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("ct_lint: building call graph under {}: {e}", args.root.display());
-            return ExitCode::from(2);
-        }
-    };
-    let taint = falcon_ct::TaintMap::compute(&graph);
-    outcome.violations.extend(falcon_ct::summary::taint_violations(&graph, &taint, &allow));
-
-    // Unsafe-audit and determinism passes.
-    match falcon_ct::audit::audit_tree(&args.root) {
-        Ok(v) => outcome.violations.extend(v),
-        Err(e) => {
-            eprintln!("ct_lint: auditing {}: {e}", args.root.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    // Merge: sort and deduplicate by fingerprint (a region finding and
-    // an interprocedural finding at the same statement hash alike).
-    outcome.violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    outcome.violations.dedup_by(|a, b| a.fingerprint() == b.fingerprint());
-
     falcon_obs::counter("ct.lint.files").add(outcome.files as u64);
     falcon_obs::counter("ct.lint.violations").add(outcome.violations.len() as u64);
 

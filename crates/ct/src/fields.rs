@@ -7,7 +7,7 @@
 //! public field used to drag whole call chains into the taint set.
 //!
 //! This module extracts struct definitions (name → ordered field list)
-//! from the same scrubbed statement stream the call-graph walker uses,
+//! from the same walked statements the call-graph walker uses,
 //! together with `// ct: public(field, …)` annotations on the
 //! definition. A struct that carries such an annotation opts into
 //! field-sensitive seeding: parameters of that type are keyed per
@@ -16,7 +16,7 @@
 //! not. Structs without an annotation keep the conservative whole-value
 //! seeding, so an unannotated secret container can never under-taint.
 
-use crate::scan::{idents, stitch, Directive};
+use crate::scan::{idents, Directive, SourceFile};
 use std::collections::BTreeMap;
 
 /// One struct definition with its taint-relevant field classification.
@@ -58,52 +58,30 @@ impl FieldMap {
         FieldMap::default()
     }
 
-    /// Extracts every struct definition from one file's source text.
-    pub fn add_file(&mut self, file: &str, src: &str) {
-        // Depth of the currently open struct body, if any: the opening
-        // statement ends in `{` at depth 0, fields live at depth 1.
-        let mut open: Option<(StructInfo, i32)> = None;
-        let mut depth: i32 = 0;
-        for stmt in stitch(src) {
-            if let Some((info, _)) = open.as_mut() {
+    /// Extracts every struct definition from one file.
+    pub fn add_file(&mut self, f: &SourceFile) {
+        // The open struct and its body depth: the opening statement ends
+        // in `{`, so the fields sit at the depth after it.
+        let mut open: Option<(StructInfo, usize)> = None;
+        for stmt in &f.stmts {
+            match open.as_mut() {
+                Some((info, _)) => info.fields.extend(field_names(&stmt.code)),
+                None => {
+                    open = struct_open(&stmt.code).map(|name| {
+                        let (file, line) = (f.file.clone(), stmt.line);
+                        (StructInfo { name, file, line, ..StructInfo::default() }, stmt.depth_after)
+                    });
+                }
+            }
+            if let Some((info, body_depth)) = open.as_mut() {
                 for (_, d) in &stmt.directives {
                     if let Directive::Public(names) = d {
                         info.public_fields.extend(names.iter().cloned());
                     }
                 }
-                for name in field_names(&stmt.code) {
-                    info.fields.push(name);
-                }
-            }
-            for c in stmt.code.chars() {
-                match c {
-                    '{' => depth += 1,
-                    '}' => {
-                        depth -= 1;
-                        if let Some((_, body_depth)) = open.as_ref() {
-                            if depth < *body_depth {
-                                let (info, _) = open.take().expect("checked");
-                                self.insert(info);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if open.is_none() {
-                if let Some(name) = struct_open(&stmt.code) {
-                    let mut info = StructInfo {
-                        name,
-                        file: file.to_string(),
-                        line: stmt.line,
-                        ..StructInfo::default()
-                    };
-                    for (_, d) in &stmt.directives {
-                        if let Directive::Public(names) = d {
-                            info.public_fields.extend(names.iter().cloned());
-                        }
-                    }
-                    open = Some((info, depth));
+                if stmt.depth_after < *body_depth {
+                    let (info, _) = open.take().expect("checked");
+                    self.insert(info);
                 }
             }
         }
@@ -240,7 +218,7 @@ pub struct Generic<T: Clone> {
     #[test]
     fn extracts_fields_and_public_annotations() {
         let mut fm = FieldMap::new();
-        fm.add_file("k.rs", SRC);
+        fm.add_file(&SourceFile::new("k.rs", SRC));
         let key = fm.get("Key").expect("Key extracted");
         assert_eq!(key.fields, vec!["size", "secret_poly", "tag"]);
         assert_eq!(key.public_fields, vec!["size", "tag"]);
@@ -255,7 +233,7 @@ pub struct Generic<T: Clone> {
     #[test]
     fn sensitive_lookup_sees_through_references() {
         let mut fm = FieldMap::new();
-        fm.add_file("k.rs", SRC);
+        fm.add_file(&SourceFile::new("k.rs", SRC));
         assert_eq!(fm.sensitive_in_type("&Key").map(|s| s.name.as_str()), Some("Key"));
         assert!(fm.sensitive_in_type("&Plain").is_none(), "unannotated structs stay whole");
         assert!(fm.sensitive_in_type("u64").is_none());
@@ -264,8 +242,8 @@ pub struct Generic<T: Clone> {
     #[test]
     fn duplicate_definitions_are_dropped() {
         let mut fm = FieldMap::new();
-        fm.add_file("a.rs", "pub struct D {\n // ct: public(x)\n x: u32,\n}\n");
-        fm.add_file("b.rs", "pub struct D {\n y: u32,\n}\n");
+        fm.add_file(&SourceFile::new("a.rs", "pub struct D {\n // ct: public(x)\n x: u32,\n}\n"));
+        fm.add_file(&SourceFile::new("b.rs", "pub struct D {\n y: u32,\n}\n"));
         assert!(fm.get("D").is_none(), "ambiguous layouts must not steer seeding");
     }
 }

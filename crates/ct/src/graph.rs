@@ -1,16 +1,16 @@
 //! Workspace module map, function extraction and call graph for the
 //! interprocedural taint pass.
 //!
-//! This is a *lexical* call graph, built from the same scrubbed,
-//! statement-stitched source the lint sees — not from the compiler.
-//! Per file it recovers:
+//! This is a *lexical* call graph, built from the same loaded,
+//! statement-stitched files the lint reads ([`SourceFile`]) — not from
+//! the compiler. Per file it recovers:
 //!
 //! * the crate/module path (derived from the file's workspace-relative
 //!   location, e.g. `crates/fpr/src/mul.rs` → `falcon_fpr::mul`);
 //! * every `fn` item with its signature (parameter names and type
 //!   text, return type text), enclosing `impl` type, body line span,
-//!   and whether it lives in test code (`#[cfg(test)]` modules,
-//!   `tests/` trees, bench binaries);
+//!   and whether it lives in test code (the statement walk's `test`
+//!   flag on its opening statement);
 //! * call sites inside each body: identifier tokens directly applied
 //!   with `(`, resolved to workspace functions **by bare name** —
 //!   every same-named function is a candidate callee.
@@ -29,7 +29,7 @@
 //! exactly these approximations.
 
 use crate::fields::FieldMap;
-use crate::scan::{idents, stitch, Directive, Stmt};
+use crate::scan::{idents, is_attribute, load_tree, Directive, SourceFile};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -64,7 +64,7 @@ pub struct FnInfo {
     /// Inclusive physical-line span of the body (after the opening
     /// brace line through the closing brace line).
     pub body: (usize, usize),
-    /// Whether the function lives in test code (`#[cfg(test)]` module,
+    /// Whether the function lives in test code (`#[cfg(test)]` item,
     /// `tests/` tree, `benches/`, `examples/`).
     pub is_test: bool,
     /// Whether the body contains a `// ct: secret` region annotation.
@@ -105,16 +105,6 @@ pub struct CallSite {
     pub line: usize,
 }
 
-/// Per-file artifacts kept for the taint pass: the stitched statements
-/// of the whole file, indexed once.
-#[derive(Debug, Default)]
-pub struct FileStmts {
-    /// Workspace-relative path.
-    pub file: String,
-    /// All logical statements in the file, in order.
-    pub stmts: Vec<Stmt>,
-}
-
 /// The workspace call graph.
 #[derive(Debug, Default)]
 pub struct CallGraph {
@@ -125,8 +115,9 @@ pub struct CallGraph {
     /// Bare name → indices of same-named functions (the conservative
     /// resolution set).
     pub by_name: BTreeMap<String, Vec<usize>>,
-    /// Retained statements per file, for the taint pass's body replays.
-    pub files: Vec<FileStmts>,
+    /// The loaded files, in path order: every static pass reads their
+    /// statements.
+    pub files: Vec<SourceFile>,
     /// fn index → indices into the owning file's statement list that
     /// fall inside the body span.
     pub body_stmts: Vec<(usize, Vec<usize>)>,
@@ -162,74 +153,57 @@ impl EdgeStats {
 }
 
 impl CallGraph {
-    /// Builds the graph for every `.rs` file under `root` (skipping
-    /// `target/` and hidden directories).
+    /// Builds the graph over every `.rs` file under `root`, read once by
+    /// [`load_tree`].
     pub fn build(root: &Path) -> std::io::Result<CallGraph> {
-        let mut rels = Vec::new();
-        crate::lint::collect_rs_files(root, root, &mut rels)?;
-        rels.sort();
-        let mut g = CallGraph::default();
-        for rel in &rels {
-            let src = std::fs::read_to_string(root.join(rel))?;
-            g.add_file(rel, &src);
-        }
-        g.index();
-        Ok(g)
+        Ok(CallGraph::from_files(load_tree(root)?))
     }
 
     /// Builds a graph from in-memory sources (fixture tests).
     pub fn from_sources(sources: &[(&str, &str)]) -> CallGraph {
+        CallGraph::from_files(sources.iter().map(|(rel, src)| SourceFile::new(rel, src)).collect())
+    }
+
+    fn from_files(files: Vec<SourceFile>) -> CallGraph {
         let mut g = CallGraph::default();
-        for (rel, src) in sources {
-            g.add_file(rel, src);
+        for f in &files {
+            g.add_file(f);
         }
+        g.files = files;
         g.index();
         g
     }
 
-    /// Parses one file into functions, call sites and retained
-    /// statements.
-    fn add_file(&mut self, rel: &str, src: &str) {
-        self.structs.add_file(rel, src);
-        let stmts = stitch(src);
+    /// Extracts one file's structs, functions and call sites.
+    fn add_file(&mut self, f: &SourceFile) {
+        self.structs.add_file(f);
+        let rel = f.file.as_str();
         let module = module_path(rel);
-        let path_is_test = path_is_test(rel);
-        let file_idx = self.files.len();
 
         // Context stack entries: (brace depth *after* the opening
         // brace, kind).
         enum Ctx {
             Impl(String),
-            TestMod,
             Fn(usize),
             Other,
         }
         let mut ctx: Vec<(usize, Ctx)> = Vec::new();
-        let mut depth = 0usize;
-        let mut pending_cfg_test = false;
         // A signature parsed on a statement that did not open its brace
         // yet (rustfmt puts `where` clauses and the `{` on later
         // lines): carried until the brace arrives or a `;` (trait
         // method declaration) drops it.
         let mut pending_fn: Option<(String, String, String, usize, bool)> = None;
 
-        for stmt in &stmts {
+        for stmt in &f.stmts {
             let code = stmt.code.trim();
+            if is_attribute(code) {
+                continue;
+            }
             let toks = idents(code);
-            let in_test = path_is_test || ctx.iter().any(|(_, k)| matches!(k, Ctx::TestMod));
             let impl_ty = ctx.iter().rev().find_map(|(_, k)| match k {
                 Ctx::Impl(t) => Some(t.clone()),
                 _ => None,
             });
-
-            // Attribute statements: remember #[cfg(test)] for the next
-            // item, then skip.
-            if code.starts_with('#') {
-                if toks.iter().any(|t| t.text == "cfg") && toks.iter().any(|t| t.text == "test") {
-                    pending_cfg_test = true;
-                }
-                continue;
-            }
 
             let opens = code.matches('{').count();
             let closes = code.matches('}').count();
@@ -267,48 +241,29 @@ impl CallGraph {
             let mut one_line_fn: Option<usize> = None;
             if opens > closes {
                 if let Some((name, params, ret)) = sig {
-                    let fi = push_fn(
-                        name,
-                        params,
-                        ret,
-                        stmt.line,
-                        in_test || pending_cfg_test,
-                        &mut self.fns,
-                    );
-                    ctx.push((depth + 1, Ctx::Fn(fi)));
+                    let fi = push_fn(name, params, ret, stmt.line, stmt.test, &mut self.fns);
+                    ctx.push((stmt.depth + 1, Ctx::Fn(fi)));
                     opened_fn = Some(fi);
                 } else if let Some((name, params, ret, line, test)) = pending_fn.take() {
                     // `where`-clause signature finally opening its body.
                     let fi = push_fn(name, params, ret, line, test, &mut self.fns);
-                    ctx.push((depth + 1, Ctx::Fn(fi)));
+                    ctx.push((stmt.depth + 1, Ctx::Fn(fi)));
                     opened_fn = Some(fi);
                 } else if let Some(ty) = impl_target(code, &toks) {
-                    ctx.push((depth + 1, Ctx::Impl(ty)));
-                } else if toks.first().map(|t| t.text == "mod").unwrap_or(false)
-                    || (toks.first().map(|t| t.text == "pub").unwrap_or(false)
-                        && toks.get(1).map(|t| t.text == "mod").unwrap_or(false))
-                {
-                    ctx.push((depth + 1, if pending_cfg_test { Ctx::TestMod } else { Ctx::Other }));
+                    ctx.push((stmt.depth + 1, Ctx::Impl(ty)));
                 } else {
-                    ctx.push((depth + 1, Ctx::Other));
+                    ctx.push((stmt.depth + 1, Ctx::Other));
                 }
             } else if let Some((name, params, ret)) = sig {
                 if opens > 0 {
                     // One-line body: `fn flush(&self) {}` or a stitched
                     // short method. Calls inside it are recorded below.
-                    let fi = push_fn(
-                        name,
-                        params,
-                        ret,
-                        stmt.line,
-                        in_test || pending_cfg_test,
-                        &mut self.fns,
-                    );
+                    let fi = push_fn(name, params, ret, stmt.line, stmt.test, &mut self.fns);
                     self.fns[fi].body = (stmt.line, stmt.line + stmt.span - 1);
                     one_line_fn = Some(fi);
                 } else if !code.ends_with(';') {
                     // Signature awaiting its `where` clause / brace.
-                    pending_fn = Some((name, params, ret, stmt.line, in_test || pending_cfg_test));
+                    pending_fn = Some((name, params, ret, stmt.line, stmt.test));
                 }
             } else if pending_fn.is_some() && (code.ends_with(';') || opens == 0 && closes > 0) {
                 // Trait method declaration or an aborted signature.
@@ -319,7 +274,6 @@ impl CallGraph {
                     pending_fn = None;
                 }
             }
-            pending_cfg_test = false;
 
             // Record calls and region annotations against the innermost
             // enclosing fn. The statement that *opens* a body is its
@@ -356,11 +310,9 @@ impl CallGraph {
                 self.fns[fi].body.1 = stmt.line + stmt.span - 1;
             }
 
-            // Apply depth changes and pop contexts whose brace closed.
-            depth += opens;
-            depth = depth.saturating_sub(closes);
+            // Pop the contexts whose brace closed.
             while let Some((open_depth, _)) = ctx.last() {
-                if depth < *open_depth {
+                if stmt.depth_after < *open_depth {
                     if let Some((_, Ctx::Fn(i))) = ctx.last() {
                         self.fns[*i].body.1 = stmt.line + stmt.span - 1;
                     }
@@ -370,31 +322,27 @@ impl CallGraph {
                 }
             }
         }
-
-        self.files.push(FileStmts { file: rel.to_string(), stmts });
-        let _ = file_idx;
     }
 
     /// Builds the name index and per-function body-statement lists.
     fn index(&mut self) {
-        self.by_name.clear();
         for (i, f) in self.fns.iter().enumerate() {
             self.by_name.entry(f.name.clone()).or_default().push(i);
         }
-        self.body_stmts = Vec::with_capacity(self.fns.len());
-        for (i, f) in self.fns.iter().enumerate() {
-            let file =
-                self.files.iter().position(|fs| fs.file == f.file).expect("fn's file was scanned");
-            let idxs: Vec<usize> = self.files[file]
-                .stmts
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.line > f.body.0 && s.line <= f.body.1)
-                .map(|(si, _)| si)
-                .collect();
-            self.body_stmts.push((file, idxs));
-            let _ = i;
-        }
+        self.body_stmts = self
+            .fns
+            .iter()
+            .map(|f| {
+                let file = self.files.iter().position(|fs| fs.file == f.file).expect("fn's file");
+                let stmts = &self.files[file].stmts;
+                (
+                    file,
+                    (0..stmts.len())
+                        .filter(|&si| f.body.0 < stmts[si].line && stmts[si].line <= f.body.1)
+                        .collect(),
+                )
+            })
+            .collect();
     }
 
     /// Indices of non-test functions whose bare name matches.
@@ -469,13 +417,6 @@ pub fn module_path(rel: &str) -> String {
         out.push_str(stem);
     }
     out
-}
-
-/// Whether a path lies in a test/bench/example tree.
-fn path_is_test(rel: &str) -> bool {
-    let parts: Vec<&str> = rel.split('/').collect();
-    parts.iter().any(|p| *p == "tests" || *p == "benches" || *p == "examples")
-        || rel.ends_with("tests.rs")
 }
 
 /// Parses a statement that opens a function body: returns

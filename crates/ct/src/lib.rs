@@ -54,6 +54,12 @@
 //!    identical. The deliberately leaky [`dyncheck::fpr_mul_leaky`]
 //!    fixture must be *flagged*, proving the detector works.
 //!
+//! The static passes read one load of the tree: [`scan::load_tree`]
+//! reads, scrubs and stitches each `.rs` file once per run, and one walk
+//! gives every statement its brace depth, test-code flag and
+//! `ct: allow` cover. [`lint_tree`] runs passes 1, 2 and 4 over that
+//! load and merges their findings.
+//!
 //! All static findings share one content-addressed fingerprint scheme
 //! and compare against checked-in [baselines](baseline)
 //! (`ct-baseline.jsonl` for violations, `ct-sites-baseline.jsonl` for
@@ -92,6 +98,7 @@ pub use fields::FieldMap;
 pub use graph::CallGraph;
 pub use lint::{lint_source, lint_tree, FileOutcome, Rule, TreeOutcome, Violation};
 pub use rules::CallAllowlist;
+pub use scan::SourceFile;
 pub use secret::Secret;
 pub use sites::{LeakSite, SiteKind, SiteMap};
 pub use summary::TaintMap;

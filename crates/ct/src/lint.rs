@@ -44,8 +44,10 @@
 //! `debug_assert!` family macro are skipped entirely: they are compiled
 //! out of release signing builds.
 
+use crate::graph::CallGraph;
 use crate::rules::{CallAllowlist, UNSAFE_ALLOWED_MODULES};
-use crate::scan::{idents, stitch, Directive, Tok};
+use crate::scan::{idents, is_attribute, Directive, SourceFile, Tok};
+use crate::summary::{taint_violations, TaintMap};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
@@ -170,7 +172,8 @@ pub struct FileOutcome {
 /// Outcome of linting a source tree.
 #[derive(Debug, Default)]
 pub struct TreeOutcome {
-    /// Violations across all files, sorted by (file, line, rule).
+    /// Violations of all three static passes across all files, sorted
+    /// by (file, line, rule) and deduplicated by fingerprint.
     pub violations: Vec<Violation>,
     /// Files scanned.
     pub files: usize,
@@ -180,27 +183,25 @@ pub struct TreeOutcome {
     pub lines: usize,
 }
 
-/// Lints one file's source text.
+/// Runs the region lint over one file.
 ///
-/// Physical lines are first joined into logical statements (see
-/// [`stitch`]): a multi-line `if` condition or a call whose arguments
-/// span lines is checked as one unit, so splitting an expression across
-/// lines cannot evade a rule.
-pub fn lint_source(file: &str, src: &str, allow: &CallAllowlist) -> FileOutcome {
-    let mut out = FileOutcome { lines: src.lines().count(), ..FileOutcome::default() };
+/// It reads the file's stitched statements (see [`SourceFile`]): a
+/// multi-line `if` condition or a call whose arguments span lines is
+/// checked as one unit, so splitting an expression across lines cannot
+/// evade a rule.
+pub fn lint_source(f: &SourceFile, allow: &CallAllowlist) -> FileOutcome {
+    let file = f.file.as_str();
+    let mut out = FileOutcome { lines: f.src.lines().count(), ..FileOutcome::default() };
     // `None` = outside any region; `Some(taint)` = inside, with the
     // current flow-sensitive taint state.
     let mut taint: Option<Taint> = None;
-    let mut pending_allow = false;
     // In the allowlisted SIMD modules the blanket unsafe-code rule
     // stands down: the unsafe-audit pass owns those files and holds
     // every block to the stricter `// SAFETY:` standard instead.
     let unsafe_deferred = UNSAFE_ALLOWED_MODULES.iter().any(|m| file.starts_with(m));
 
-    for stmt in stitch(src) {
+    for stmt in &f.stmts {
         let code_blank = stmt.code.trim().is_empty();
-        let mut allowed = false;
-
         for (dline, d) in &stmt.directives {
             match d {
                 Directive::Secret(vars) => {
@@ -231,13 +232,7 @@ pub fn lint_source(file: &str, src: &str, allow: &CallAllowlist) -> FileOutcome 
                     );
                 }
                 Directive::End => taint = None,
-                Directive::Allow(_) => {
-                    if code_blank {
-                        pending_allow = true;
-                    } else {
-                        allowed = true;
-                    }
-                }
+                Directive::Allow(_) => {}
                 Directive::Bad(msg) => {
                     push(&mut out, file, *dline, &stmt.raw, Rule::Annotation, msg.clone());
                 }
@@ -246,13 +241,8 @@ pub fn lint_source(file: &str, src: &str, allow: &CallAllowlist) -> FileOutcome 
         if code_blank {
             continue;
         }
-        if pending_allow {
-            allowed = true;
-            pending_allow = false;
-        }
-
         let toks = idents(&stmt.code);
-        if toks.iter().any(|t| t.text == "unsafe") && !allowed && !unsafe_deferred {
+        if toks.iter().any(|t| t.text == "unsafe") && !stmt.allowed && !unsafe_deferred {
             push(
                 &mut out,
                 file,
@@ -264,7 +254,8 @@ pub fn lint_source(file: &str, src: &str, allow: &CallAllowlist) -> FileOutcome 
         }
 
         if let Some(set) = taint.as_mut() {
-            let skip = allowed || is_attribute(&stmt.code) || is_debug_assert(&stmt.code, &toks);
+            let skip =
+                stmt.allowed || is_attribute(&stmt.code) || is_debug_assert(&stmt.code, &toks);
             if !skip {
                 check_line(&stmt.code, &toks, set, allow, |rule, msg| {
                     push(&mut out, file, stmt.line, &stmt.raw, rule, msg);
@@ -296,11 +287,6 @@ fn push(out: &mut FileOutcome, file: &str, line: usize, raw: &str, rule: Rule, m
         message,
         snippet: raw.trim().to_string(),
     });
-}
-
-/// `#[...]` attribute lines carry no executable code.
-pub(crate) fn is_attribute(code: &str) -> bool {
-    code.trim_start().starts_with('#')
 }
 
 /// Lines that are a `debug_assert!` family invocation: compiled out of
@@ -704,62 +690,25 @@ pub(crate) fn binding_eq(chars: &[char]) -> Option<usize> {
     None
 }
 
-/// Lints every `.rs` file under `root`, skipping `target/` and hidden
-/// directories. Paths in the outcome are relative to `root` with `/`
-/// separators, so reports and baselines are machine-independent.
+/// Runs the three static passes over every `.rs` file under `root`
+/// (see [`crate::scan::load_tree`]), each file read once: the region
+/// lint and the unsafe/determinism/atomics audits per file, the
+/// interprocedural taint pass over the call graph. Their findings are
+/// merged, sorted by (file, line, rule) and deduplicated by fingerprint,
+/// so a region finding and an interprocedural finding at the same
+/// statement count once.
 pub fn lint_tree(root: &Path, allow: &CallAllowlist) -> std::io::Result<TreeOutcome> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
-    let mut out = TreeOutcome { files: files.len(), ..TreeOutcome::default() };
-    for rel in &files {
-        let src = std::fs::read_to_string(root.join(rel))?;
-        let fo = lint_source(rel, &src, allow);
+    let graph = CallGraph::build(root)?;
+    let mut out = TreeOutcome { files: graph.files.len(), ..TreeOutcome::default() };
+    for f in &graph.files {
+        let fo = lint_source(f, allow);
         out.regions += fo.regions;
         out.lines += fo.lines;
         out.violations.extend(fo.violations);
+        out.violations.extend(crate::audit::audit_source(f));
     }
+    out.violations.extend(taint_violations(&graph, &TaintMap::compute(&graph), allow));
     out.violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    out.violations.dedup_by(|a, b| a.fingerprint() == b.fingerprint());
     Ok(out)
-}
-
-/// Collects workspace-relative `/`-separated paths of every `.rs` file
-/// under `dir`, skipping `target/`, hidden directories and nested cargo
-/// workspaces (a subdirectory whose `Cargo.toml` declares its own
-/// `[workspace]` is a separate build, not part of this one). Shared by
-/// the region lint, the interprocedural pass and the audit passes so all
-/// of them see the same tree.
-pub(crate) fn collect_rs_files(
-    root: &Path,
-    dir: &Path,
-    out: &mut Vec<String>,
-) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if path.is_dir() {
-            if name == "target" || name.starts_with('.') || is_own_workspace(&path) {
-                continue;
-            }
-            collect_rs_files(root, &path, out)?;
-        } else if name.ends_with(".rs") {
-            let rel = path
-                .strip_prefix(root)
-                .unwrap_or(&path)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            out.push(rel);
-        }
-    }
-    Ok(())
-}
-
-/// Whether `dir` holds a cargo manifest with a `[workspace]` table of
-/// its own.
-fn is_own_workspace(dir: &Path) -> bool {
-    std::fs::read_to_string(dir.join("Cargo.toml"))
-        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
 }

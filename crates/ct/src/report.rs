@@ -223,7 +223,7 @@ mod tests {
         let src = "// ct: secret(x)\nif x { y(); }\n// ct: end\n";
         let allow = CallAllowlist::workspace_default();
         let mk = || {
-            let fo = crate::lint::lint_source("f.rs", src, &allow);
+            let fo = crate::lint::lint_source(&crate::SourceFile::new("f.rs", src), &allow);
             let out = TreeOutcome {
                 violations: fo.violations,
                 files: 1,

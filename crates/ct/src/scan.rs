@@ -1,5 +1,7 @@
-//! Lexical preprocessing for the lint: comment/literal stripping,
-//! identifier tokenisation, and `ct:` directive parsing.
+//! Lexical preprocessing for every static pass: the one loader
+//! ([`load_tree`]), comment/literal stripping, identifier tokenisation,
+//! `ct:` directive parsing, statement stitching and the one statement
+//! walk.
 //!
 //! The lint works line by line on *scrubbed* source: string and char
 //! literal contents are blanked (so operators and identifiers inside
@@ -7,6 +9,8 @@
 //! directives can be read from them), and lifetimes are removed (so
 //! `'a` does not tokenise as the identifier `a`). Block comments nest,
 //! as they do in Rust, and their state persists across lines.
+
+use std::path::Path;
 
 /// Strips comments and literals from Rust source, one line at a time.
 #[derive(Debug, Default)]
@@ -326,7 +330,7 @@ fn is_ident(s: &str) -> bool {
 /// parentheses), and a line-at-a-time lint silently misses, say, a
 /// secret-guarded `if` whose condition sits on its own line. The
 /// stitcher rejoins such statements so the rule checks see the whole
-/// expression; see [`stitch`] for the joining heuristics.
+/// expression; see `stitch` for the joining heuristics.
 #[derive(Debug, Clone, Default)]
 pub struct Stmt {
     /// 1-based number of the first physical line.
@@ -341,6 +345,19 @@ pub struct Stmt {
     pub directives: Vec<(usize, Directive)>,
     /// Physical lines joined into this statement.
     pub span: usize,
+    /// Brace depth before the statement. The walk counts the braces of
+    /// every statement, attributes included, so an attributed block
+    /// (`#[cfg(debug_assertions)] {`) cannot unbalance it.
+    pub depth: usize,
+    /// Brace depth after the statement.
+    pub depth_after: usize,
+    /// Test code: in a `tests/`, `benches/` or `examples/` tree (or a
+    /// `tests.rs` file), the item right after a `#[cfg(test)]`
+    /// attribute, or inside such an item's braces up to its closing one.
+    pub test: bool,
+    /// Covered by a `ct: allow`: one trailing this statement, or a
+    /// standalone one before it with no code statement between.
+    pub allowed: bool,
 }
 
 /// Upper bound on physical lines joined into one statement; beyond it
@@ -366,7 +383,7 @@ const MAX_STITCH: usize = 24;
 /// depth is intentionally not tracked: a block opener is a boundary, so
 /// `if cond {` and its body lines are separate statements, exactly like
 /// the single-line lint saw them).
-pub fn stitch(src: &str) -> Vec<Stmt> {
+fn stitch(src: &str) -> Vec<Stmt> {
     let mut sc = Scrubber::new();
     let mut scrubbed: Vec<(usize, String, String, String)> = Vec::new();
     for (idx, raw) in src.lines().enumerate() {
@@ -399,6 +416,7 @@ pub fn stitch(src: &str) -> Vec<Stmt> {
                     raw: raw.trim().to_string(),
                     directives: vec![(*line, d)],
                     span: 1,
+                    ..Stmt::default()
                 });
             }
             continue;
@@ -469,6 +487,122 @@ fn continues_before(code: &str) -> bool {
         code.chars().next(),
         Some('.' | '?' | '+' | '-' | '*' | '/' | '%' | '&' | '|' | '^' | '<' | '>' | '=' | ':')
     )
+}
+
+/// One workspace source file, read, scrubbed and stitched once per run.
+/// Every static pass reads its statements and their walk flags.
+#[derive(Debug, Default)]
+pub struct SourceFile {
+    /// Workspace-relative path with `/` separators.
+    pub file: String,
+    /// The raw source text.
+    pub src: String,
+    /// The logical statements, in order, with their walk flags set.
+    pub stmts: Vec<Stmt>,
+}
+
+impl SourceFile {
+    /// Stitches and walks one file's source text.
+    pub fn new(file: &str, src: &str) -> SourceFile {
+        let mut stmts = stitch(src);
+        walk(file, &mut stmts);
+        SourceFile { file: file.to_string(), src: src.to_string(), stmts }
+    }
+}
+
+/// The one statement walk: sets each statement's `depth`,
+/// `depth_after`, `test` and `allowed` (see [`Stmt`]).
+fn walk(file: &str, stmts: &mut [Stmt]) {
+    let test_path = path_is_test(file);
+    let mut depth = 0usize;
+    // Depth below which the open `#[cfg(test)]` item has closed.
+    let mut test_item: Option<usize> = None;
+    let (mut after_cfg_test, mut pending_allow) = (false, false);
+    for stmt in stmts {
+        let code = stmt.code.trim();
+        let allow = stmt.directives.iter().any(|(_, d)| matches!(d, Directive::Allow(_)));
+        stmt.depth = depth;
+        if code.is_empty() {
+            pending_allow |= allow;
+        } else {
+            stmt.allowed = allow || std::mem::take(&mut pending_allow);
+            let (opens, closes) = (code.matches('{').count(), code.matches('}').count());
+            depth = (depth + opens).saturating_sub(closes);
+            if is_attribute(code) {
+                let toks = idents(code);
+                after_cfg_test |=
+                    toks.iter().any(|t| t.text == "cfg") && toks.iter().any(|t| t.text == "test");
+            } else if std::mem::take(&mut after_cfg_test) {
+                stmt.test = true;
+                if opens > closes {
+                    test_item.get_or_insert(stmt.depth + 1);
+                }
+            }
+        }
+        stmt.depth_after = depth;
+        stmt.test |= test_path || test_item.is_some();
+        if test_item.is_some_and(|d| depth < d) {
+            test_item = None;
+        }
+    }
+}
+
+/// `#[...]` attribute statements carry no executable code.
+pub(crate) fn is_attribute(code: &str) -> bool {
+    code.trim_start().starts_with('#')
+}
+
+/// Whether a workspace-relative path lies in a test, bench or example
+/// tree.
+fn path_is_test(rel: &str) -> bool {
+    rel.split('/').any(|p| p == "tests" || p == "benches" || p == "examples")
+        || rel.ends_with("tests.rs")
+}
+
+/// The one loader: reads every `.rs` file under `root` once, in path
+/// order, skipping `target/`, hidden directories and nested cargo
+/// workspaces (a subdirectory whose `Cargo.toml` declares its own
+/// `[workspace]` is a separate build, not part of this one). Paths are
+/// relative to `root` with `/` separators, so reports and baselines are
+/// machine-independent.
+pub fn load_tree(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+    let mut rels = Vec::new();
+    collect_rs_files(root, root, &mut rels)?;
+    rels.sort();
+    rels.iter()
+        .map(|rel| Ok(SourceFile::new(rel, &std::fs::read_to_string(root.join(rel))?)))
+        .collect()
+}
+
+fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let path = entry.path();
+        let name = entry.file_name().to_string_lossy().into_owned();
+        if path.is_dir() {
+            if name == "target" || name.starts_with('.') || is_own_workspace(&path) {
+                continue;
+            }
+            collect_rs_files(root, &path, out)?;
+        } else if name.ends_with(".rs") {
+            let rel = path
+                .strip_prefix(root)
+                .unwrap_or(&path)
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect::<Vec<_>>()
+                .join("/");
+            out.push(rel);
+        }
+    }
+    Ok(())
+}
+
+/// Whether `dir` holds a cargo manifest with a `[workspace]` table of
+/// its own.
+fn is_own_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
 }
 
 #[cfg(test)]
@@ -542,6 +676,47 @@ mod tests {
         assert_eq!(directive(" plain comment"), None);
         // Doc-comment text starts with '/' or '!' and is ignored.
         assert_eq!(directive("/ ct: secret(x)"), None);
+    }
+
+    #[test]
+    fn walk_flags_depth_test_code_and_allow_cover() {
+        let src = "\
+fn lib() {
+    // ct: allow(standalone)
+
+    let a = 1;
+    let b = 2;
+    let c = 3; // ct: allow(trailing)
+    let d = 4;
+    #[cfg(debug_assertions)] {
+        let e = 5;
+    }
+}
+#[cfg(test)]
+mod tests {
+    fn t() {}
+}
+#[cfg(test)]
+fn helper() {
+    let f = 6;
+}
+fn after() {}
+";
+        let flags = |f: SourceFile| -> Vec<(usize, usize, bool, bool)> {
+            f.stmts.iter().map(|s| (s.line, s.depth, s.test, s.allowed)).collect()
+        };
+        let (no, yes) = (false, true);
+        #[rustfmt::skip]
+        let want = vec![
+            (1, 0, no, no), (2, 1, no, no), (4, 1, no, yes), (5, 1, no, no), (6, 1, no, yes),
+            (7, 1, no, no), (8, 1, no, no), (9, 2, no, no), (10, 2, no, no), (11, 1, no, no),
+            (12, 0, no, no), (13, 0, yes, no), (14, 1, yes, no), (15, 1, yes, no),
+            (16, 0, no, no), (17, 0, yes, no), (18, 1, yes, no), (19, 1, yes, no),
+            (20, 0, no, no),
+        ];
+        assert_eq!(flags(SourceFile::new("crates/x/src/lib.rs", src)), want);
+        let test_tree = flags(SourceFile::new("crates/x/tests/it.rs", src));
+        assert!(test_tree.iter().all(|&(_, _, test, _)| test), "{test_tree:?}");
     }
 
     #[test]

@@ -194,7 +194,7 @@ impl SiteMap {
                     return;
                 }
                 let (code, toks) = (s.code, &s.toks);
-                let annotated = s.in_region || s.allowed;
+                let annotated = s.in_region || s.stmt.allowed;
                 let mut push = |kind: SiteKind, step: Option<StepKind>, message: String| {
                     let (class, width) = classify(kind, step);
                     sites.push(LeakSite {

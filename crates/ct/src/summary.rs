@@ -39,7 +39,7 @@
 use crate::graph::{call_tokens, CallForm, CallGraph};
 use crate::lint::{self, Violation};
 use crate::rules::{CallAllowlist, SECRET_SEED_TYPES};
-use crate::scan::{idents, Directive, Stmt, Tok};
+use crate::scan::{idents, is_attribute, Directive, Stmt, Tok};
 use std::collections::BTreeSet;
 
 /// Taint summary of one function (parallel to [`CallGraph::fns`]).
@@ -197,7 +197,7 @@ pub(crate) enum Phase {
 pub(crate) struct BodyStmt<'a> {
     /// Position in the body's statement list (blank statements count).
     pub pos: usize,
-    /// The statement (line number and raw snippet).
+    /// The statement (line number, raw snippet and walk flags).
     pub stmt: &'a Stmt,
     /// Its trimmed, scrubbed code; never empty.
     pub code: &'a str,
@@ -205,8 +205,6 @@ pub(crate) struct BodyStmt<'a> {
     pub toks: Vec<Tok>,
     /// Inside a `ct: secret` … `ct: end` region of the body.
     pub in_region: bool,
-    /// Under a `ct: allow`: trailing it, or on the line before it.
-    pub allowed: bool,
 }
 
 /// Replays fn `i`'s body one statement at a time: the body walk every
@@ -217,8 +215,8 @@ pub(crate) struct BodyStmt<'a> {
 /// statement's directives apply first: `ct: secret(…)` seeds names and
 /// opens a region, `ct: public(…)` declares projections public,
 /// `ct: end` closes the region but leaves the taint live (the
-/// parameters stay secret past it), and `ct: allow` covers its own
-/// statement or, standing alone, the next statement with code.
+/// parameters stay secret past it); whether a `ct: allow` covers the
+/// statement is the walk's `allowed` flag.
 /// Attribute and `debug_assert!` statements are then skipped: they
 /// carry no release-build code, so they neither move the taint nor get
 /// visited (the call graph skips attributes the same way). Every other
@@ -232,12 +230,10 @@ pub(crate) fn replay_body(
 ) {
     let mut local = seed;
     let mut in_region = false;
-    let mut pending_allow = false;
     let (file_idx, stmt_idxs) = (g.body_stmts[i].0, &g.body_stmts[i].1);
     for (pos, &si) in stmt_idxs.iter().enumerate() {
         let stmt = &g.files[file_idx].stmts[si];
         let code = stmt.code.trim();
-        let mut allowed = false;
         for (_, d) in &stmt.directives {
             match d {
                 Directive::Secret(vars) => {
@@ -252,20 +248,19 @@ pub(crate) fn replay_body(
                     }
                 }
                 Directive::End => in_region = false,
-                Directive::Allow(_) if code.is_empty() => pending_allow = true,
-                Directive::Allow(_) => allowed = true,
-                Directive::Bad(_) => {} // the region lint reports these
+                // The walk applies allows; the region lint reports
+                // malformed directives.
+                Directive::Allow(_) | Directive::Bad(_) => {}
             }
         }
         if code.is_empty() {
             continue;
         }
-        allowed |= std::mem::take(&mut pending_allow);
         let toks = idents(code);
-        if lint::is_attribute(code) || lint::is_debug_assert(code, &toks) {
+        if is_attribute(code) || lint::is_debug_assert(code, &toks) {
             continue;
         }
-        let s = BodyStmt { pos, stmt, code, toks, in_region, allowed };
+        let s = BodyStmt { pos, stmt, code, toks, in_region };
         visit(Phase::Before, &s, &mut local);
         local.observe(code, &s.toks);
         visit(Phase::After, &s, &mut local);
@@ -508,7 +503,7 @@ pub fn taint_violations(g: &CallGraph, map: &TaintMap, allow: &CallAllowlist) ->
             continue;
         }
         replay_body(g, i, map.summaries[i].taint(), |phase, s, local| {
-            if phase == Phase::After || s.in_region || s.allowed {
+            if phase == Phase::After || s.in_region || s.stmt.allowed {
                 return;
             }
             lint::check_line(s.code, &s.toks, local, allow, |rule, msg| {

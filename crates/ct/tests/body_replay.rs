@@ -11,10 +11,13 @@
 //!   seeded tainted;
 //! * attribute and `debug_assert!` statements are skipped: they are
 //!   not checked, taint no callee and move no taint, because release
-//!   builds do not run them.
+//!   builds do not run them;
+//! * the braces of an attribute statement still count towards the
+//!   body's extent, so a block opened on its attribute's line does not
+//!   end the body early.
 
 use falcon_ct::summary::taint_violations;
-use falcon_ct::{CallAllowlist, CallGraph, LeakSite, Rule, SiteMap, TaintMap, Violation};
+use falcon_ct::{CallAllowlist, CallGraph, LeakSite, Rule, SiteKind, SiteMap, TaintMap, Violation};
 
 const SRC: &str = r#"
 pub struct SigningKey { f: Vec<u64> }
@@ -108,4 +111,30 @@ fn attribute_and_debug_assert_statements_are_skipped() {
     assert!(!m.summaries[callee].is_tainted(), "{:?}", m.summaries[callee]);
     // …and an assignment inside one taints nothing after it.
     assert!(violations_at(&v, "seen > 17").is_empty(), "{v:#?}");
+}
+
+/// A body whose attributed block opens on the attribute's line.
+const ATTRIBUTED_BLOCK: &str = r#"
+pub struct SigningKey { f: Vec<u64> }
+
+pub fn after_block(sk: &SigningKey) -> u64 {
+    #[cfg(debug_assertions)] {
+        let probe = sk.f.len();
+    }
+    if sk.f[0] > 9 {
+        return 1;
+    }
+    0
+}
+"#;
+
+#[test]
+fn statements_after_an_attributed_block_are_replayed() {
+    let g = CallGraph::from_sources(&[("crates/x/src/attributed.rs", ATTRIBUTED_BLOCK)]);
+    let m = TaintMap::compute(&g);
+    let v = taint_violations(&g, &m, &CallAllowlist::workspace_default());
+    let branch = violations_at(&v, "if sk.f[0] > 9");
+    assert!(branch.iter().any(|x| x.rule == Rule::SecretBranch), "{v:#?}");
+    let s = SiteMap::compute(&g, &m);
+    assert!(sites_at(&s, "if sk.f[0] > 9").iter().any(|x| x.kind == SiteKind::Branch), "{s:#?}");
 }

@@ -5,10 +5,18 @@
 //! `workspace_lint.rs`) never sees them — the scrubber blanks string
 //! contents before any rule runs.
 
-use falcon_ct::{lint_source, CallAllowlist, Rule};
+use falcon_ct::{CallAllowlist, FileOutcome, Rule, SourceFile, Violation};
+
+fn lint_source(file: &str, src: &str, allow: &CallAllowlist) -> FileOutcome {
+    falcon_ct::lint_source(&SourceFile::new(file, src), allow)
+}
+
+fn audit_source(file: &str, src: &str) -> Vec<Violation> {
+    falcon_ct::audit::audit_source(&SourceFile::new(file, src))
+}
 
 fn audit_rules_of(src: &str) -> Vec<Rule> {
-    falcon_ct::audit::audit_source("crates/x/src/fixture.rs", src).iter().map(|v| v.rule).collect()
+    audit_source("crates/x/src/fixture.rs", src).iter().map(|v| v.rule).collect()
 }
 
 fn rules_of(src: &str) -> Vec<Rule> {
@@ -95,7 +103,7 @@ fn unsafe_code_defers_to_audit_in_allowed_modules() {
     let src = "fn f() { let p = unsafe { *ptr }; }\n";
     let out = lint_source("crates/core/src/cpa/simd.rs", src, &CallAllowlist::workspace_default());
     assert!(out.violations.is_empty(), "{:#?}", out.violations);
-    let audit = falcon_ct::audit::audit_source("crates/core/src/cpa/simd.rs", src);
+    let audit = audit_source("crates/core/src/cpa/simd.rs", src);
     assert!(audit.iter().any(|v| v.rule == Rule::UnsafeAudit), "{audit:?}");
 }
 
@@ -176,7 +184,7 @@ fn planted_unsafe_without_safety_comment_is_flagged() {
     // In an allowlisted SIMD module, `unsafe` is admitted only with a
     // `// SAFETY:` justification directly above.
     let bare = "fn load(p: *const f64) -> f64 {\n    unsafe { *p }\n}\n";
-    let v = falcon_ct::audit::audit_source("crates/fpr/src/simd/mod.rs", bare);
+    let v = audit_source("crates/fpr/src/simd/mod.rs", bare);
     assert!(v.iter().any(|x| x.rule == Rule::UnsafeAudit), "{v:?}");
 
     let justified = "\
@@ -185,11 +193,11 @@ fn load(p: *const f64) -> f64 {
     unsafe { *p }
 }
 ";
-    let v = falcon_ct::audit::audit_source("crates/fpr/src/simd/mod.rs", justified);
+    let v = audit_source("crates/fpr/src/simd/mod.rs", justified);
     assert!(v.is_empty(), "{v:?}");
 
     // Outside the allowlist even a justified block is rejected.
-    let v = falcon_ct::audit::audit_source("crates/falcon/src/fft.rs", justified);
+    let v = audit_source("crates/falcon/src/fft.rs", justified);
     assert!(v.iter().any(|x| x.rule == Rule::UnsafeAudit), "{v:?}");
 }
 

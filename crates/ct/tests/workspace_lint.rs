@@ -2,12 +2,11 @@
 //! zero-new-violations contract as the CI `ct-verify` job, so a
 //! secret-dependent branch cannot land even without the binary running.
 //!
-//! Since v2 this covers all three static passes — the `ct: secret`
-//! region lint, the interprocedural taint pass and the
-//! unsafe/determinism audits — merged exactly the way the `ct_lint`
-//! binary merges them.
+//! This covers all three static passes — the `ct: secret` region lint,
+//! the interprocedural taint pass and the unsafe/determinism audits —
+//! through `lint_tree`, the merge the `ct_lint` binary runs.
 
-use falcon_ct::{lint_tree, Baseline, CallAllowlist, CallGraph, Rule, TaintMap, Violation};
+use falcon_ct::{lint_tree, Baseline, CallAllowlist, CallGraph, Rule, TaintMap, TreeOutcome};
 use std::path::Path;
 
 fn workspace_root() -> &'static Path {
@@ -15,23 +14,14 @@ fn workspace_root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap().parent().unwrap()
 }
 
-/// The merged three-pass violation list, mirroring `ct_lint`'s main.
-fn merged_violations(root: &Path) -> Vec<Violation> {
-    let allow = CallAllowlist::workspace_default();
-    let mut violations = lint_tree(root, &allow).expect("scan workspace").violations;
-    let graph = CallGraph::build(root).expect("build call graph");
-    let taint = TaintMap::compute(&graph);
-    violations.extend(falcon_ct::summary::taint_violations(&graph, &taint, &allow));
-    violations.extend(falcon_ct::audit::audit_tree(root).expect("audit workspace"));
-    violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    violations.dedup_by(|a, b| a.fingerprint() == b.fingerprint());
-    violations
+fn lint_workspace() -> TreeOutcome {
+    lint_tree(workspace_root(), &CallAllowlist::workspace_default()).expect("scan workspace")
 }
 
 #[test]
 fn workspace_has_no_new_violations() {
     let root = workspace_root();
-    let outcome = lint_tree(root, &CallAllowlist::workspace_default()).expect("scan workspace");
+    let outcome = lint_workspace();
     assert!(outcome.files > 50, "suspiciously few files scanned: {}", outcome.files);
     assert!(
         outcome.regions >= 15,
@@ -39,7 +29,8 @@ fn workspace_has_no_new_violations() {
         outcome.regions
     );
     let baseline = Baseline::load(&root.join("ct-baseline.jsonl")).expect("baseline parses");
-    let new: Vec<String> = merged_violations(root)
+    let new: Vec<String> = outcome
+        .violations
         .iter()
         .filter(|v| !baseline.contains(v))
         .map(|v| v.to_string())
@@ -63,8 +54,7 @@ fn baseline_is_nonempty_and_exactly_current() {
         "ct-baseline.jsonl is empty; the interprocedural pass should have documented the \
          reference implementation's variable-time surface"
     );
-    let violations = merged_violations(root);
-    let stale = baseline.stale(&violations);
+    let stale = baseline.stale(&lint_workspace().violations);
     assert!(stale.is_empty(), "stale baseline entries (prune with --update-baseline): {stale:?}");
 }
 
@@ -92,8 +82,8 @@ fn workspace_has_no_unsafe_and_no_determinism_findings() {
     // comments — anything else fails here, unbaselined. Determinism
     // and atomics-ordering findings must likewise all be fixed or carry
     // `// ct: allow`.
-    let root = workspace_root();
-    let noisy: Vec<String> = merged_violations(root)
+    let noisy: Vec<String> = lint_workspace()
+        .violations
         .iter()
         .filter(|v| {
             matches!(

@@ -70,6 +70,10 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 }
 
 fn main() {
+    if let Err(e) = falcon_dema::exec::check_env() {
+        eprintln!("falcon_orchestrator: {e}");
+        std::process::exit(2);
+    }
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
