@@ -30,7 +30,7 @@
 
 use crate::acquire::Dataset;
 use crate::cpa::simd::GUESS_BLOCK;
-use crate::cpa::{push_product_column, PearsonSums, SampleSums};
+use crate::cpa::{push_product_column, ColumnTile, PearsonSums, SampleSums};
 use crate::exec;
 use crate::model::{
     assemble_coefficient, hyp_add_hi, hyp_add_lo, product_mask, KnownOperand, SecretHalf,
@@ -628,6 +628,13 @@ fn window_survivors(
 /// the tie exactly, so the joint recovery scores each `(sign, exponent)`
 /// pair with the exact micro-op models of the `OperandLoad`,
 /// `ExponentAdd` and `SignXor` steps together.
+///
+/// The `ExponentAdd` model reads only the exponent and the `SignXor`
+/// model only the sign, so their column tiles are computed once per
+/// exponent (for both signs) and once per sign; only the `OperandLoad`
+/// column is built per candidate. Each candidate still folds its three
+/// columns load → exponent → sign, so its correlation is bit-identical
+/// to scoring the three columns afresh.
 pub fn recover_sign_exponent(
     block: &TargetBlock<'_>,
     c_hi: u64,
@@ -635,70 +642,114 @@ pub fn recover_sign_exponent(
 ) -> (ComponentResult, ComponentResult) {
     let _span = obs::span("attack.sign_exp");
     attack_metrics().correlations.add(2 * 2046);
-    let mantissa = ((c_hi & 0x7FF_FFFF) << 25) | d_lo;
-    // Per-(trace, occurrence) precomputation of everything that does not
-    // depend on the (sign, exponent) guess — struct-of-arrays, so the
-    // per-candidate scoring runs `push_column` tiles over contiguous
-    // hypothesis and sample series.
-    let pre_len = 2 * block.traces();
-    let mut load_low_hw: Vec<u32> = Vec::with_capacity(pre_len);
-    let mut rot_top: Vec<u32> = Vec::with_capacity(pre_len);
-    let mut exp_base: Vec<i32> = Vec::with_capacity(pre_len);
-    let mut k_sign: Vec<u32> = Vec::with_capacity(pre_len);
-    let mut s_load: Vec<f32> = Vec::with_capacity(pre_len);
-    let mut s_exp: Vec<f32> = Vec::with_capacity(pre_len);
-    let mut s_sign: Vec<f32> = Vec::with_capacity(pre_len);
-    for occ in 0..2 {
-        s_load.extend_from_slice(block.sample_column(occ, StepKind::OperandLoad));
-        s_exp.extend_from_slice(block.sample_column(occ, StepKind::ExponentAdd));
-        s_sign.extend_from_slice(block.sample_column(occ, StepKind::SignXor));
-        for &kb in block.known_column(occ) {
-            let k = KnownOperand::new(kb);
-            let rot = kb.rotate_left(32);
-            let mant_mask = (1u64 << 52) - 1;
-            // Carry from the exactly-known mantissa pipeline.
-            let words = crate::model::step_words(
-                crate::model::assemble_coefficient(0, 1023, c_hi, d_lo),
-                &k,
-            );
-            let zu = words[StepKind::StickyFold as usize];
-            let carry = (zu >> 55) as i32;
-            load_low_hw.push(((mantissa ^ rot) & mant_mask).count_ones());
-            rot_top.push((rot >> 52) as u32);
-            exp_base.push(k.exp as i32 - 2100 + carry);
-            k_sign.push(k.sign);
+    let cols = SignExpColumns::new(block, c_hi, d_lo);
+    let [s_load, s_exp, s_sign] = &cols.samples;
+    let [load_sums, exp_sums, sign_sums] = &cols.sums;
+    let mut scratch = Vec::new();
+    let sign_tiles = [0, 1].map(|sign| {
+        cols.sign_hyps(&mut scratch, sign);
+        ColumnTile::new(&scratch, s_sign)
+    });
+    let exponents: Vec<u32> = (1..2047).collect();
+    let scores = exec::map_with(&exponents, Vec::new, |scratch: &mut Vec<f64>, &ef| {
+        cols.exp_hyps(scratch, ef);
+        let exp_tile = ColumnTile::new(scratch, s_exp);
+        [0, 1].map(|sign| {
+            cols.load_hyps(scratch, sign, ef);
+            let mut sums = PearsonSums::default();
+            sums.push_column(scratch, s_load, load_sums);
+            sums.push_tile(&exp_tile, s_exp, exp_sums);
+            sums.push_tile(&sign_tiles[sign as usize], s_sign, sign_sums);
+            sums.corr()
+        })
+    });
+    let scored = (0..2).flat_map(|sign| {
+        exponents.iter().zip(&scores).map(move |(&ef, by_sign)| (sign, ef, by_sign[sign as usize]))
+    });
+    sign_exponent_winner(scored, c_hi, d_lo)
+}
+
+/// The per-(trace, occurrence) inputs of the sign/exponent models that
+/// do not depend on the `(sign, exponent)` guess — struct-of-arrays, so
+/// the scoring runs column tiles over contiguous hypothesis and sample
+/// series — with the `OperandLoad`, `ExponentAdd` and `SignXor` sample
+/// columns and their [`SampleSums`], shared by every candidate.
+struct SignExpColumns {
+    load_low_hw: Vec<u32>,
+    rot_top: Vec<u32>,
+    exp_base: Vec<i32>,
+    k_sign: Vec<u32>,
+    samples: [Vec<f32>; 3],
+    sums: [SampleSums; 3],
+}
+
+impl SignExpColumns {
+    fn new(block: &TargetBlock<'_>, c_hi: u64, d_lo: u64) -> Self {
+        let mantissa = ((c_hi & 0x7FF_FFFF) << 25) | d_lo;
+        let pre_len = 2 * block.traces();
+        let mut load_low_hw: Vec<u32> = Vec::with_capacity(pre_len);
+        let mut rot_top: Vec<u32> = Vec::with_capacity(pre_len);
+        let mut exp_base: Vec<i32> = Vec::with_capacity(pre_len);
+        let mut k_sign: Vec<u32> = Vec::with_capacity(pre_len);
+        let mut samples: [Vec<f32>; 3] = Default::default();
+        let steps = [StepKind::OperandLoad, StepKind::ExponentAdd, StepKind::SignXor];
+        for occ in 0..2 {
+            for (col, step) in samples.iter_mut().zip(steps) {
+                col.extend_from_slice(block.sample_column(occ, step));
+            }
+            for &kb in block.known_column(occ) {
+                let k = KnownOperand::new(kb);
+                let rot = kb.rotate_left(32);
+                let mant_mask = (1u64 << 52) - 1;
+                // Carry from the exactly-known mantissa pipeline.
+                let words = crate::model::step_words(assemble_coefficient(0, 1023, c_hi, d_lo), &k);
+                let zu = words[StepKind::StickyFold as usize];
+                let carry = (zu >> 55) as i32;
+                load_low_hw.push(((mantissa ^ rot) & mant_mask).count_ones());
+                rot_top.push((rot >> 52) as u32);
+                exp_base.push(k.exp as i32 - 2100 + carry);
+                k_sign.push(k.sign);
+            }
         }
+        let sums = samples.each_ref().map(|col| SampleSums::new(col));
+        SignExpColumns { load_low_hw, rot_top, exp_base, k_sign, samples, sums }
     }
-    let cands: Vec<(u32, u32)> =
-        (0u32..2).flat_map(|sign| (1u32..2047).map(move |ef| (sign, ef))).collect();
-    // The three sample columns are shared by all 2×2046 candidates:
-    // accumulate their Σt/Σt² lanes once.
-    let (load_sums, exp_sums, sign_sums) =
-        (SampleSums::new(&s_load), SampleSums::new(&s_exp), SampleSums::new(&s_sign));
-    let scores = exec::map_with(&cands, Vec::new, |scratch: &mut Vec<f64>, &(sign, ef)| {
+
+    /// The `OperandLoad` hypotheses of `(sign, ef)` into `out`.
+    fn load_hyps(&self, out: &mut Vec<f64>, sign: u32, ef: u32) {
         let top = (sign << 11) | ef;
-        let mut sums = PearsonSums::default();
-        scratch.clear();
-        scratch.extend(
-            load_low_hw
+        out.clear();
+        out.extend(
+            self.load_low_hw
                 .iter()
-                .zip(&rot_top)
+                .zip(&self.rot_top)
                 .map(|(&lhw, &rt)| (lhw + (top ^ rt).count_ones()) as f64),
         );
-        sums.push_column(scratch, &s_load, &load_sums);
-        scratch.clear();
-        scratch.extend(exp_base.iter().map(|&eb| ((eb + ef as i32) as u32).count_ones() as f64));
-        sums.push_column(scratch, &s_exp, &exp_sums);
-        scratch.clear();
-        scratch.extend(k_sign.iter().map(|&ks| (sign ^ ks) as f64));
-        sums.push_column(scratch, &s_sign, &sign_sums);
-        sums.corr()
-    });
-    let scored: Vec<(u64, f64)> = cands
-        .into_iter()
-        .zip(scores)
-        .map(|((sign, ef), c)| (crate::model::assemble_coefficient(sign, ef, c_hi, d_lo), c))
-        .collect();
+    }
+
+    /// The `ExponentAdd` hypotheses of exponent field `ef` into `out`.
+    fn exp_hyps(&self, out: &mut Vec<f64>, ef: u32) {
+        out.clear();
+        out.extend(self.exp_base.iter().map(|&eb| ((eb + ef as i32) as u32).count_ones() as f64));
+    }
+
+    /// The `SignXor` hypotheses of `sign` into `out`.
+    fn sign_hyps(&self, out: &mut Vec<f64>, sign: u32) {
+        out.clear();
+        out.extend(self.k_sign.iter().map(|&ks| (sign ^ ks) as f64));
+    }
+}
+
+/// The best `(sign, exponent, corr)` of `scored`, which lists the
+/// candidates sign-major (a tie goes to the first listed), as the sign
+/// and exponent results.
+fn sign_exponent_winner(
+    scored: impl Iterator<Item = (u32, u32, f64)>,
+    c_hi: u64,
+    d_lo: u64,
+) -> (ComponentResult, ComponentResult) {
+    let scored: Vec<(u64, f64)> =
+        scored.map(|(sign, ef, c)| (assemble_coefficient(sign, ef, c_hi, d_lo), c)).collect();
     let best = top_two(&scored);
     let bits = best.value;
     let sign = ComponentResult { value: bits >> 63, ..best };
@@ -1079,6 +1130,55 @@ mod tests {
         let block = ds.target_block(0).unwrap();
         let lo = recover_mantissa_half_monolithic(&block, SecretHalf::Low, Some(c_hi), 25, 0, 64);
         assert_eq!(lo.value, d_lo, "monolithic low {:#x}, truth {:#x}", lo.value, d_lo);
+    }
+
+    /// The sign/exponent scorer as it was before the exponent and sign
+    /// tiles were shared: all three columns built and folded afresh per
+    /// candidate. Kept only as this test's reference.
+    fn sign_exponent_per_candidate(
+        block: &TargetBlock<'_>,
+        c_hi: u64,
+        d_lo: u64,
+    ) -> (ComponentResult, ComponentResult) {
+        let cols = SignExpColumns::new(block, c_hi, d_lo);
+        let [s_load, s_exp, s_sign] = &cols.samples;
+        let [load_sums, exp_sums, sign_sums] = &cols.sums;
+        let mut scratch = Vec::new();
+        let scored: Vec<(u32, u32, f64)> = (0u32..2)
+            .flat_map(|sign| (1u32..2047).map(move |ef| (sign, ef)))
+            .map(|(sign, ef)| {
+                let mut sums = PearsonSums::default();
+                cols.load_hyps(&mut scratch, sign, ef);
+                sums.push_column(&scratch, s_load, load_sums);
+                cols.exp_hyps(&mut scratch, ef);
+                sums.push_column(&scratch, s_exp, exp_sums);
+                cols.sign_hyps(&mut scratch, sign);
+                sums.push_column(&scratch, s_sign, sign_sums);
+                (sign, ef, sums.corr())
+            })
+            .collect();
+        sign_exponent_winner(scored.into_iter(), c_hi, d_lo)
+    }
+
+    #[test]
+    fn shared_sign_exponent_tiles_match_the_per_candidate_scorer() {
+        let bits = |r: ComponentResult| (r.value, r.corr.to_bits(), r.runner_up.to_bits());
+        let mut dev = bench(2.0, b"sign exp tiles");
+        let truth = ground_truth(&dev, 2);
+        let (d_lo, c_hi) = truth_halves(truth);
+        let mut mrng = Prng::from_seed(b"sign exp tile msgs");
+        // Trace counts of every residue mod 4, so the column tails run.
+        for traces in [1usize, 2, 3, 4, 5, 6, 7, 41, 130] {
+            let ds = Dataset::collect(&mut dev, &[2], traces, &mut mrng);
+            let block = ds.target_block(2).unwrap();
+            // The true halves and a wrong high half.
+            for (c_hi, d_lo) in [(c_hi, d_lo), (c_hi ^ 0x40_0010, d_lo)] {
+                let (sign, exp) = recover_sign_exponent(&block, c_hi, d_lo);
+                let (ref_sign, ref_exp) = sign_exponent_per_candidate(&block, c_hi, d_lo);
+                assert_eq!(bits(sign), bits(ref_sign), "traces={traces} c_hi={c_hi:#x}");
+                assert_eq!(bits(exp), bits(ref_exp), "traces={traces} c_hi={c_hi:#x}");
+            }
+        }
     }
 
     /// The beam rank as two full stable sorts, the form `rank_level`

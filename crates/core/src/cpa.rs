@@ -90,10 +90,27 @@ impl PearsonSums {
     /// Panics when the column lengths differ, or when `sums` was built
     /// from a column of a different length.
     pub fn push_column(&mut self, hyps: &[f64], samples: &[f32], sums: &SampleSums) {
+        self.push_tile(&ColumnTile::new(hyps, samples), samples, sums);
+    }
+
+    /// Folds a column whose hypothesis side was tiled once by
+    /// [`ColumnTile::new`] against these `samples`: the same sums as
+    /// [`push_column`](Self::push_column) on the tile's column, so a
+    /// tile shared by many candidates is computed once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the tile or `sums` was built from a column of a
+    /// different length.
+    pub(crate) fn push_tile(&mut self, tile: &ColumnTile, samples: &[f32], sums: &SampleSums) {
+        assert_eq!(samples.len(), tile.len, "ColumnTile built from a different column length");
         assert_eq!(samples.len(), sums.len, "SampleSums built from a different column length");
-        let lanes = simd::tile_lanes_hyp(hyps, samples);
-        let n = hyps.len() - hyps.len() % TILE_LANES;
-        self.fold_column(&lanes, sums, hyps[n..].iter().copied().zip(samples[n..].iter().copied()));
+        let n = samples.len() - samples.len() % TILE_LANES;
+        self.fold_column(
+            &tile.lanes,
+            sums,
+            tile.tail.iter().copied().zip(samples[n..].iter().copied()),
+        );
     }
 
     /// Folds one column into the sums: the lanes in index order (the
@@ -169,6 +186,33 @@ impl PearsonSums {
     /// — a strictly stronger check than comparing the final `corr()`.
     pub fn components(&self) -> [f64; 6] {
         [self.d, self.sh, self.sh2, self.st, self.st2, self.sht]
+    }
+}
+
+/// The hypothesis side of one column: its tile lanes over the aligned
+/// prefix and the hypotheses past it. A column that many candidates
+/// share (the sign/exponent attack's exponent and sign columns) is
+/// tiled once and folded into each candidate by
+/// [`PearsonSums::push_tile`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ColumnTile {
+    lanes: HypLanes,
+    tail: [f64; TILE_LANES - 1],
+    len: usize,
+}
+
+impl ColumnTile {
+    /// Tiles `hyps` against `samples` on the active [`simd`] kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the column lengths differ.
+    pub(crate) fn new(hyps: &[f64], samples: &[f32]) -> ColumnTile {
+        let lanes = simd::tile_lanes_hyp(hyps, samples);
+        let n = hyps.len() - hyps.len() % TILE_LANES;
+        let mut tail = [0f64; TILE_LANES - 1];
+        tail[..hyps.len() - n].copy_from_slice(&hyps[n..]);
+        ColumnTile { lanes, tail, len: hyps.len() }
     }
 }
 

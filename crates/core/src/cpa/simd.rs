@@ -33,22 +33,27 @@
 //! across kernels. AVX-512 and AVX2 run vector kernels; every other
 //! host (aarch64 included) runs the always-compiled scalar reference.
 //!
-//! The AVX-512 fused kernel holds the whole guess block in one 512-bit
-//! register per statistic. Its eight 64-bit lanes map to guess `q` and
-//! scalar lane `j` as
+//! The AVX-512 fused kernel holds the [`GUESS_BLOCK`] = 8 guesses in
+//! four 512-bit registers per statistic, two guesses each. The 64-bit
+//! lanes of register `p` map to guess `q` and scalar lane `j` as
 //!
 //! ```text
-//! zmm lane   0    1    2    3    4    5    6    7
-//! guess q    0    0    0    0    1    1    1    1
-//! lane j     0    1    2    3    0    1    2    3
+//! zmm p, lane   0     1     2     3     4     5     6     7
+//! guess q       2p    2p    2p    2p    2p+1  2p+1  2p+1  2p+1
+//! lane j        0     1     2     3     0     1     2     3
 //! ```
 //!
-//! so each step broadcasts the four-trace known and sample tiles into
-//! both 256-bit halves. Every `(q, j)` keeps its own chain of the
-//! scalar reference's operations in index order — integer adds for Σh
-//! and Σh², a separate multiply then add for Σht — so this kernel is
-//! bit-identical by construction too.
-//!
+//! so each step loads and widens the four-trace known and sample tiles
+//! once, broadcast into both 256-bit halves, and feeds all four
+//! registers from them: four independent Σht add chains per tile. The
+//! AVX2 kernel walks the block as four pairs of guesses, one pass over
+//! the column each, with vector lane `j` as scalar lane `j`. Every
+//! `(q, j)` keeps its own chain of the scalar reference's operations in
+//! index order — integer adds for Σh and Σh², a separate multiply then
+//! add for Σht — so a guess's lanes do not depend on its slot in the
+//! block or on the other guesses, and both kernels are bit-identical
+//! by construction too.
+
 //! # Selection
 //!
 //! The active kernel is resolved once (then cached) from, in order:
@@ -312,9 +317,10 @@ unsafe fn tile_lanes_hyp_avx2(hyps: &[f64], samples: &[f32]) -> HypLanes {
 }
 
 /// Guesses the fused extend kernel scores per pass over a column. Each
-/// guess keeps its own Σht chain, so two guesses give the AVX2 loop two
-/// independent add chains per loaded column tile.
-pub const GUESS_BLOCK: usize = 2;
+/// guess keeps its own Σht chain, so the AVX-512 kernel runs four
+/// independent add chains (two guesses each) per loaded column tile,
+/// and the AVX2 kernel two per pass.
+pub const GUESS_BLOCK: usize = 8;
 
 /// Per-guess lanes of one fused partial-product pass
 /// ([`product_lanes`]): Σh and Σh² as exact integers, Σht in `f64`.
@@ -400,6 +406,10 @@ pub(crate) fn product_lanes_scalar(
 /// 2^52 converts it to `f64` exactly. Σh and Σh² add as integers; Σht is
 /// a separate multiply and add (no FMA), as in the scalar reference.
 ///
+/// The block is walked as pairs of guesses, one pass over the column
+/// each: two accumulator sets fit the sixteen ymm registers beside the
+/// constants and the column tile, where four would spill.
+///
 /// # Safety
 ///
 /// Caller must ensure the host supports AVX2 (runtime-detected in the
@@ -415,6 +425,7 @@ unsafe fn product_lanes_avx2(
 ) -> [ProductLanes; GUESS_BLOCK] {
     use std::arch::x86_64::*;
     let n = knowns.len() - knowns.len() % TILE_LANES;
+    let mut out = [ProductLanes::default(); GUESS_BLOCK];
     // The unaligned loads read TILE_LANES elements at i, with
     // i + TILE_LANES <= n <= both slice lengths; the stores fill
     // TILE_LANES-element arrays.
@@ -428,52 +439,61 @@ unsafe fn product_lanes_avx2(
         let zero = _mm256_setzero_si256();
         let vmask = _mm256_set1_epi64x(mask as i64);
         let two52 = _mm256_set1_epi64x(0x4330_0000_0000_0000);
-        let vg = guesses.map(|g| _mm256_set1_epi64x(g as i64));
-        let mut vsh = [zero; GUESS_BLOCK];
-        let mut vsh2 = [zero; GUESS_BLOCK];
-        let mut vsht = [_mm256_setzero_pd(); GUESS_BLOCK];
-        let mut i = 0usize;
-        while i + TILE_LANES <= n {
-            let k = _mm256_cvtepu32_epi64(_mm_loadu_si128(knowns.as_ptr().add(i).cast()));
-            let t = _mm256_cvtps_pd(_mm_loadu_ps(samples.as_ptr().add(i)));
-            for q in 0..GUESS_BLOCK {
-                let w = _mm256_and_si256(_mm256_mul_epu32(vg[q], k), vmask);
-                let lo = _mm256_and_si256(w, low_nibbles);
-                let hi = _mm256_and_si256(_mm256_srli_epi16(w, 4), low_nibbles);
-                let bytes = _mm256_add_epi8(
-                    _mm256_shuffle_epi8(nibble_hw, lo),
-                    _mm256_shuffle_epi8(nibble_hw, hi),
-                );
-                let h = _mm256_sad_epu8(bytes, zero);
-                vsh[q] = _mm256_add_epi64(vsh[q], h);
-                vsh2[q] = _mm256_add_epi64(vsh2[q], _mm256_mul_epu32(h, h));
-                let hf = _mm256_sub_pd(
-                    _mm256_castsi256_pd(_mm256_or_si256(h, two52)),
-                    _mm256_castsi256_pd(two52),
-                );
-                vsht[q] = _mm256_add_pd(vsht[q], _mm256_mul_pd(hf, t));
+        for (pair, lanes) in guesses.chunks_exact(2).zip(out.chunks_exact_mut(2)) {
+            let vg = [pair[0], pair[1]].map(|g| _mm256_set1_epi64x(g as i64));
+            let mut vsh = [zero; 2];
+            let mut vsh2 = [zero; 2];
+            let mut vsht = [_mm256_setzero_pd(); 2];
+            let mut i = 0usize;
+            while i + TILE_LANES <= n {
+                let k = _mm256_cvtepu32_epi64(_mm_loadu_si128(knowns.as_ptr().add(i).cast()));
+                let t = _mm256_cvtps_pd(_mm_loadu_ps(samples.as_ptr().add(i)));
+                for q in 0..2 {
+                    let w = _mm256_and_si256(_mm256_mul_epu32(vg[q], k), vmask);
+                    let lo = _mm256_and_si256(w, low_nibbles);
+                    let hi = _mm256_and_si256(_mm256_srli_epi16(w, 4), low_nibbles);
+                    let bytes = _mm256_add_epi8(
+                        _mm256_shuffle_epi8(nibble_hw, lo),
+                        _mm256_shuffle_epi8(nibble_hw, hi),
+                    );
+                    let h = _mm256_sad_epu8(bytes, zero);
+                    vsh[q] = _mm256_add_epi64(vsh[q], h);
+                    vsh2[q] = _mm256_add_epi64(vsh2[q], _mm256_mul_epu32(h, h));
+                    let hf = _mm256_sub_pd(
+                        _mm256_castsi256_pd(_mm256_or_si256(h, two52)),
+                        _mm256_castsi256_pd(two52),
+                    );
+                    vsht[q] = _mm256_add_pd(vsht[q], _mm256_mul_pd(hf, t));
+                }
+                i += TILE_LANES;
             }
-            i += TILE_LANES;
+            for (l, q) in lanes.iter_mut().zip(0..2) {
+                _mm256_storeu_si256(l.sh.as_mut_ptr().cast(), vsh[q]);
+                _mm256_storeu_si256(l.sh2.as_mut_ptr().cast(), vsh2[q]);
+                _mm256_storeu_pd(l.sht.as_mut_ptr(), vsht[q]);
+            }
         }
-        let mut out = [ProductLanes::default(); GUESS_BLOCK];
-        for (l, q) in out.iter_mut().zip(0..GUESS_BLOCK) {
-            _mm256_storeu_si256(l.sh.as_mut_ptr().cast(), vsh[q]);
-            _mm256_storeu_si256(l.sh2.as_mut_ptr().cast(), vsh2[q]);
-            _mm256_storeu_pd(l.sht.as_mut_ptr(), vsht[q]);
-        }
-        out
     }
+    out
 }
 
-/// AVX-512 fused tile: both guesses of the block in one 512-bit register
-/// per statistic, guess `q` in 64-bit lanes `4q..4q + 3` (lane `4q + j`
-/// is guess `q`'s scalar lane `j`). Each step broadcasts the four-trace
-/// known and sample tiles into both 256-bit halves; `vpmuludq` forms the
-/// exact 32 × 32 → 64 product (it reads only the low 32 bits of each
-/// lane), `vpandq` applies the mask and native `vpopcntq` counts the
-/// bits. The count converts to `f64` exactly (OR into the mantissa of
-/// 2^52, then subtract 2^52); Σh and Σh² add as integers and Σht is a
-/// separate multiply and add (no FMA), as in the scalar reference.
+/// Guess pairs of the AVX-512 fused kernel: one 512-bit register holds
+/// two guesses' four lanes.
+#[cfg(target_arch = "x86_64")]
+const ZMM_PAIRS: usize = GUESS_BLOCK / 2;
+
+/// AVX-512 fused tile: the block as [`ZMM_PAIRS`] pairs of guesses, one
+/// 512-bit register per pair and statistic, guess `q` in 64-bit lanes
+/// `4(q % 2)..4(q % 2) + 3` of pair `q / 2` (that lane `+ j` is guess
+/// `q`'s scalar lane `j`). Each step loads the four-trace known and
+/// sample tiles once, broadcast into both 256-bit halves, and feeds all
+/// four pairs from them, so the pairs' Σht add chains run side by side.
+/// `vpmuludq` forms the exact 32 × 32 → 64 product (it reads only the
+/// low 32 bits of each lane), `vpandq` applies the mask and native
+/// `vpopcntq` counts the bits. The count converts to `f64` exactly (OR
+/// into the mantissa of 2^52, then subtract 2^52); Σh and Σh² add as
+/// integers and Σht is a separate multiply and add (no FMA), as in the
+/// scalar reference.
 ///
 /// # Safety
 ///
@@ -490,57 +510,57 @@ unsafe fn product_lanes_avx512(
     samples: &[f32],
 ) -> [ProductLanes; GUESS_BLOCK] {
     use std::arch::x86_64::*;
-    const _: () = assert!(GUESS_BLOCK * TILE_LANES == 8, "one zmm holds the whole block");
+    const _: () =
+        assert!(2 * TILE_LANES == 8 && GUESS_BLOCK.is_multiple_of(2), "a zmm holds two guesses");
     let n = knowns.len() - knowns.len() % TILE_LANES;
+    let (mut sh, mut sh2, mut sht) =
+        ([0u64; 8 * ZMM_PAIRS], [0u64; 8 * ZMM_PAIRS], [0f64; 8 * ZMM_PAIRS]);
     // The unaligned loads read TILE_LANES elements at i, with
-    // i + TILE_LANES <= n <= both slice lengths; the stores fill
-    // 8-element arrays.
+    // i + TILE_LANES <= n <= both slice lengths; the stores fill 8
+    // elements at 8p, with 8p + 8 <= 8 * ZMM_PAIRS.
     // SAFETY: (whole body) every access stays in bounds, as above.
     unsafe {
         let vmask = _mm512_set1_epi64(mask as i64);
         let two52 = _mm512_set1_epi64(0x4330_0000_0000_0000);
-        let vg = _mm512_set_epi64(
-            guesses[1] as i64,
-            guesses[1] as i64,
-            guesses[1] as i64,
-            guesses[1] as i64,
-            guesses[0] as i64,
-            guesses[0] as i64,
-            guesses[0] as i64,
-            guesses[0] as i64,
-        );
-        let mut vsh = _mm512_setzero_si512();
-        let mut vsh2 = _mm512_setzero_si512();
-        let mut vsht = _mm512_setzero_pd();
+        let vg: [__m512i; ZMM_PAIRS] = std::array::from_fn(|p| {
+            let (g0, g1) = (guesses[2 * p] as i64, guesses[2 * p + 1] as i64);
+            _mm512_set_epi64(g1, g1, g1, g1, g0, g0, g0, g0)
+        });
+        let mut vsh = [_mm512_setzero_si512(); ZMM_PAIRS];
+        let mut vsh2 = [_mm512_setzero_si512(); ZMM_PAIRS];
+        let mut vsht = [_mm512_setzero_pd(); ZMM_PAIRS];
         let mut i = 0usize;
         while i + TILE_LANES <= n {
             let k4 = _mm_loadu_si128(knowns.as_ptr().add(i).cast());
             let k = _mm512_cvtepu32_epi64(_mm256_broadcastsi128_si256(k4));
             let t4 = _mm_loadu_ps(samples.as_ptr().add(i));
             let t = _mm512_cvtps_pd(_mm256_broadcast_ps(&t4));
-            let h = _mm512_popcnt_epi64(_mm512_and_si512(_mm512_mul_epu32(vg, k), vmask));
-            vsh = _mm512_add_epi64(vsh, h);
-            vsh2 = _mm512_add_epi64(vsh2, _mm512_mul_epu32(h, h));
-            let hf = _mm512_sub_pd(
-                _mm512_castsi512_pd(_mm512_or_si512(h, two52)),
-                _mm512_castsi512_pd(two52),
-            );
-            vsht = _mm512_add_pd(vsht, _mm512_mul_pd(hf, t));
+            for p in 0..ZMM_PAIRS {
+                let h = _mm512_popcnt_epi64(_mm512_and_si512(_mm512_mul_epu32(vg[p], k), vmask));
+                vsh[p] = _mm512_add_epi64(vsh[p], h);
+                vsh2[p] = _mm512_add_epi64(vsh2[p], _mm512_mul_epu32(h, h));
+                let hf = _mm512_sub_pd(
+                    _mm512_castsi512_pd(_mm512_or_si512(h, two52)),
+                    _mm512_castsi512_pd(two52),
+                );
+                vsht[p] = _mm512_add_pd(vsht[p], _mm512_mul_pd(hf, t));
+            }
             i += TILE_LANES;
         }
-        let (mut sh, mut sh2, mut sht) = ([0u64; 8], [0u64; 8], [0f64; 8]);
-        _mm512_storeu_si512(sh.as_mut_ptr().cast(), vsh);
-        _mm512_storeu_si512(sh2.as_mut_ptr().cast(), vsh2);
-        _mm512_storeu_pd(sht.as_mut_ptr(), vsht);
-        std::array::from_fn(|q| {
-            let lanes = q * TILE_LANES..(q + 1) * TILE_LANES;
-            ProductLanes {
-                sh: sh[lanes.clone()].try_into().expect("TILE_LANES lanes"),
-                sh2: sh2[lanes.clone()].try_into().expect("TILE_LANES lanes"),
-                sht: sht[lanes].try_into().expect("TILE_LANES lanes"),
-            }
-        })
+        for p in 0..ZMM_PAIRS {
+            _mm512_storeu_si512(sh.as_mut_ptr().add(8 * p).cast(), vsh[p]);
+            _mm512_storeu_si512(sh2.as_mut_ptr().add(8 * p).cast(), vsh2[p]);
+            _mm512_storeu_pd(sht.as_mut_ptr().add(8 * p), vsht[p]);
+        }
     }
+    std::array::from_fn(|q| {
+        let lanes = q * TILE_LANES..(q + 1) * TILE_LANES;
+        ProductLanes {
+            sh: sh[lanes.clone()].try_into().expect("TILE_LANES lanes"),
+            sh2: sh2[lanes.clone()].try_into().expect("TILE_LANES lanes"),
+            sht: sht[lanes].try_into().expect("TILE_LANES lanes"),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -622,19 +642,19 @@ mod tests {
     /// and payload of a NaN that arithmetic produces unspecified (the
     /// compiler may swap the operands of an add, and `0 · inf` yields
     /// the negative default NaN), so only NaN-ness is comparable.
-    fn product_bits(lanes: &[ProductLanes; GUESS_BLOCK]) -> Vec<u64> {
+    fn product_bits(lanes: &[ProductLanes]) -> Vec<u64> {
         let bits = |v: f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
         lanes.iter().flat_map(|l| l.sh.into_iter().chain(l.sh2).chain(l.sht.map(bits))).collect()
     }
 
-    /// Checks one fused kernel, called directly, against
-    /// [`product_lanes_scalar`] bit for bit: every tail of 0–9 traces
-    /// and a longer column, guesses with bit 27 set and near 2^32,
-    /// every mask width, and NaN, infinite, signed-zero and subnormal
-    /// samples among values spread over many binades.
-    fn product_kernel_matches_scalar(
-        kernel: impl Fn([u64; GUESS_BLOCK], u64, &[u32], &[f32]) -> [ProductLanes; GUESS_BLOCK],
-    ) {
+    /// A fused kernel called directly.
+    type ProductKernel<'a> =
+        &'a dyn Fn([u64; GUESS_BLOCK], u64, &[u32], &[f32]) -> [ProductLanes; GUESS_BLOCK];
+
+    /// A known and a sample column of `len` traces: knowns near 2^32
+    /// and spread over every bit width, and NaN, infinite, signed-zero
+    /// and subnormal samples among values spread over many binades.
+    fn product_columns(len: usize) -> (Vec<u32>, Vec<f32>) {
         let specials = [
             f32::NAN,
             f32::INFINITY,
@@ -644,37 +664,59 @@ mod tests {
             -1.0e-45,
             f32::MAX,
         ];
-        let guess_blocks: [[u64; GUESS_BLOCK]; 5] = [
-            [0, 1],
-            [1 << 27, (1 << 27) | 0x2A_5A5A],
-            [u32::MAX as u64, (1 << 32) - 2],
-            [(1 << 31) | 0x1234_5678, 0x1FF_FFFF],
-            [0x0ABC_DEF1, 0x0FFF_FFFF],
-        ];
+        let mut state = 0xFA57 ^ len as u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let knowns: Vec<u32> = (0..len)
+            .map(|i| match i % 4 {
+                0 => u32::MAX - (next() % 3) as u32,
+                _ => (next() >> (next() % 32)) as u32,
+            })
+            .collect();
+        let samples: Vec<f32> = (0..len)
+            .map(|i| match i % 3 {
+                0 => specials[(next() % specials.len() as u64) as usize],
+                _ => {
+                    let exp = (next() % 40) as i32 - 20;
+                    (next() % 1000) as f32 * 2f32.powi(exp) - 300.0
+                }
+            })
+            .collect();
+        (knowns, samples)
+    }
+
+    /// Guesses of every kind the extend scores: zero, small, bit 27 set
+    /// (a whole high half) and near 2^32.
+    const GUESSES: [u64; 11] = [
+        0,
+        1,
+        1 << 27,
+        (1 << 27) | 0x2A_5A5A,
+        u32::MAX as u64,
+        (1 << 32) - 2,
+        (1 << 31) | 0x1234_5678,
+        0x1FF_FFFF,
+        0x0ABC_DEF1,
+        0x0FFF_FFFF,
+        0xA5,
+    ];
+
+    /// Checks one fused kernel, called directly, against
+    /// [`product_lanes_scalar`] bit for bit: every tail of 0–9 traces
+    /// and a longer column, full blocks of the [`GUESSES`], and every
+    /// mask width.
+    fn product_kernel_matches_scalar(kernel: ProductKernel<'_>) {
+        let guess_blocks: Vec<[u64; GUESS_BLOCK]> = (0..GUESSES.len())
+            .step_by(3)
+            .map(|start| std::array::from_fn(|q| GUESSES[(start + q) % GUESSES.len()]))
+            .collect();
         for len in (0..=9).chain([67]) {
-            let mut state = 0xFA57 ^ len as u64;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            let knowns: Vec<u32> = (0..len)
-                .map(|i| match i % 4 {
-                    0 => u32::MAX - (next() % 3) as u32,
-                    _ => (next() >> (next() % 32)) as u32,
-                })
-                .collect();
-            let samples: Vec<f32> = (0..len)
-                .map(|i| match i % 3 {
-                    0 => specials[(next() % specials.len() as u64) as usize],
-                    _ => {
-                        let exp = (next() % 40) as i32 - 20;
-                        (next() % 1000) as f32 * 2f32.powi(exp) - 300.0
-                    }
-                })
-                .collect();
-            for guesses in guess_blocks {
+            let (knowns, samples) = product_columns(len);
+            for &guesses in &guess_blocks {
                 for width in 0..=64u32 {
                     let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
                     let want = product_lanes_scalar(guesses, mask, &knowns, &samples);
@@ -689,6 +731,40 @@ mod tests {
         }
     }
 
+    /// Checks that one fused kernel, called directly, gives each guess
+    /// the lanes it gets alone: the same bits in every slot of the
+    /// block, whatever the other seven guesses are.
+    fn product_lanes_ignore_slot_and_neighbours(kernel: ProductKernel<'_>) {
+        for len in [5usize, 67] {
+            let (knowns, samples) = product_columns(len);
+            for width in [8u32, 28, 64] {
+                let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+                for (i, &g) in GUESSES.iter().enumerate() {
+                    let alone = kernel([g; GUESS_BLOCK], mask, &knowns, &samples)[0];
+                    for slot in 0..GUESS_BLOCK {
+                        for shift in [1, 5] {
+                            let mut block: [u64; GUESS_BLOCK] = std::array::from_fn(|q| {
+                                GUESSES[(i + shift + q * shift) % GUESSES.len()]
+                            });
+                            block[slot] = g;
+                            let got = kernel(block, mask, &knowns, &samples)[slot];
+                            assert_eq!(
+                                product_bits(&[got]),
+                                product_bits(&[alone]),
+                                "len={len} width={width} guess={g:#x} slot={slot} block={block:#x?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_product_lanes_ignore_slot_and_neighbours() {
+        product_lanes_ignore_slot_and_neighbours(&product_lanes_scalar);
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_product_kernel_matches_scalar_reference_bitwise() {
@@ -698,7 +774,9 @@ mod tests {
         }
         // SAFETY: the closure runs only on this host, which supports
         // avx2 (checked above).
-        product_kernel_matches_scalar(|g, m, k, t| unsafe { product_lanes_avx2(g, m, k, t) });
+        let kernel = |g, m, k: &[u32], t: &[f32]| unsafe { product_lanes_avx2(g, m, k, t) };
+        product_kernel_matches_scalar(&kernel);
+        product_lanes_ignore_slot_and_neighbours(&kernel);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -712,6 +790,8 @@ mod tests {
         }
         // SAFETY: the closure runs only on this host, which supports
         // avx512f and avx512vpopcntdq (checked above).
-        product_kernel_matches_scalar(|g, m, k, t| unsafe { product_lanes_avx512(g, m, k, t) });
+        let kernel = |g, m, k: &[u32], t: &[f32]| unsafe { product_lanes_avx512(g, m, k, t) };
+        product_kernel_matches_scalar(&kernel);
+        product_lanes_ignore_slot_and_neighbours(&kernel);
     }
 }

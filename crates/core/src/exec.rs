@@ -36,8 +36,10 @@ use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 
 /// Below this many items a map stays on the calling thread: the spawn
-/// plus channel round-trip costs more than the work.
-const PAR_THRESHOLD: usize = 256;
+/// plus channel round-trip costs more than the work. The cheapest items
+/// that are worth two workers are the extend's eight-guess blocks: a
+/// beam level of 512 guesses is 64 of them.
+const PAR_THRESHOLD: usize = 64;
 
 /// Smallest chunk handed to a worker; keeps the atomic index and the
 /// per-chunk `Vec` overhead invisible next to the chunk's own work.

@@ -369,8 +369,18 @@ fn fused_extend_matches_two_step_reference() {
     // for the 25-bit low and 28-bit high halves, and past it.
     let widths = [(8, 25), (17, 25), (25, 25), (24, 28), (28, 28), (30, 28)];
     // Guesses: zero, small, bit 27 set (a whole high half), all 28 and
-    // all 32 bits set.
-    let guesses = [0u64, 0xA5, 0x1FF_FFFF, 1 << 27 | 0x35_C0DE, 0xFFF_FFFF, 0xFFFF_FFFF];
+    // all 32 bits set, and mixed words; two full blocks.
+    let guesses = [
+        0u64,
+        0xA5,
+        0x1FF_FFFF,
+        1 << 27 | 0x35_C0DE,
+        0xFFF_FFFF,
+        0xFFFF_FFFF,
+        0x9E3_779B,
+        1 << 31 | 0x1234,
+        0x5A5A_A5A5,
+    ];
     // Lengths covering every tail of 0–3 traces, the empty column
     // included, below and above one tile.
     for len in [0usize, 1, 2, 3, 4, 5, 6, 7, 64, 65, 66, 67, 401, 4099] {
@@ -378,8 +388,8 @@ fn fused_extend_matches_two_step_reference() {
             let seed = 0xF05E ^ (len as u64) << 8 ^ c as u64;
             let cols = vec![(known_column(len, bits, seed), wide_samples(len, seed))];
             for &(m_bits, full_width) in &widths {
-                for pair in guesses.windows(GUESS_BLOCK) {
-                    let g: [u64; GUESS_BLOCK] = pair.try_into().unwrap();
+                for block in guesses.windows(GUESS_BLOCK) {
+                    let g: [u64; GUESS_BLOCK] = block.try_into().unwrap();
                     let scalar = fused(KernelChoice::Scalar, g, m_bits, full_width, &cols);
                     let auto = fused(KernelChoice::Auto, g, m_bits, full_width, &cols);
                     let what = format!("len={len} bits={bits} m={m_bits}/{full_width} g={g:x?}");
@@ -408,7 +418,8 @@ fn fused_extend_accumulates_columns_and_special_samples() {
         cols[3].1[7 * i + 1] = v;
     }
     for (m_bits, full_width) in [(16, 28), (28, 28)] {
-        let g = [0x9E3_779B, 1 << 27 | 0x1234];
+        let g =
+            [0x9E3_779B, 1 << 27 | 0x1234, 0, 0xFFFF_FFFF, 0x1FF_FFFF, 1 << 27, 0xA5, 0x0ABC_DEF1];
         let scalar = fused(KernelChoice::Scalar, g, m_bits, full_width, &cols);
         assert_eq!(scalar, fused(KernelChoice::Auto, g, m_bits, full_width, &cols));
         for (q, &gq) in g.iter().enumerate() {

@@ -529,9 +529,10 @@ fn walk(file: &str, stmts: &mut [Stmt]) {
             let (opens, closes) = (code.matches('{').count(), code.matches('}').count());
             depth = (depth + opens).saturating_sub(closes);
             if is_attribute(code) {
-                let toks = idents(code);
-                after_cfg_test |=
-                    toks.iter().any(|t| t.text == "cfg") && toks.iter().any(|t| t.text == "test");
+                // Only `#[cfg(test)]` itself: `#[cfg(not(test))]` marks
+                // code that runs outside tests.
+                let compact: String = code.split_whitespace().collect();
+                after_cfg_test |= compact.contains("#[cfg(test)]");
             } else if std::mem::take(&mut after_cfg_test) {
                 stmt.test = true;
                 if opens > closes {
@@ -701,6 +702,10 @@ fn helper() {
     let f = 6;
 }
 fn after() {}
+#[cfg(not(test))]
+fn prod() {
+    let g = 7;
+}
 ";
         let flags = |f: SourceFile| -> Vec<(usize, usize, bool, bool)> {
             f.stmts.iter().map(|s| (s.line, s.depth, s.test, s.allowed)).collect()
@@ -712,7 +717,8 @@ fn after() {}
             (7, 1, no, no), (8, 1, no, no), (9, 2, no, no), (10, 2, no, no), (11, 1, no, no),
             (12, 0, no, no), (13, 0, yes, no), (14, 1, yes, no), (15, 1, yes, no),
             (16, 0, no, no), (17, 0, yes, no), (18, 1, yes, no), (19, 1, yes, no),
-            (20, 0, no, no),
+            (20, 0, no, no), (21, 0, no, no), (22, 0, no, no), (23, 1, no, no),
+            (24, 1, no, no),
         ];
         assert_eq!(flags(SourceFile::new("crates/x/src/lib.rs", src)), want);
         let test_tree = flags(SourceFile::new("crates/x/tests/it.rs", src));
