@@ -16,7 +16,7 @@
 //! Panics unless panel (d)'s winner is the true mantissa window and the
 //! true guess's panel (c) peak clears 0.2 (σ ≤ 1) or the 99.99 % CI.
 
-use falcon_bench::report::{arg_or, print_csv, print_table, reject_unread_args};
+use falcon_bench::report::{arg_or, git_rev, host, print_csv, print_table, reject_unread_args};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
 use falcon_dema::attack::{recover_mantissa_half, AttackConfig};
 use falcon_dema::confidence::threshold_9999;
@@ -139,6 +139,7 @@ fn main() {
     let coeff: usize = arg_or("coeff", 0);
     let width: u32 = arg_or("width", 12);
     reject_unread_args();
+    println!("rev {}, host {}", git_rev(), host());
 
     println!(
         "FALCON-{}, noise sigma = {noise}, {traces} traces, target coefficient {coeff}, mantissa window {width} bits",

@@ -7,8 +7,14 @@
 //! cargo run --release -p falcon-bench --bin fig4_evolution \
 //!     [logn=9] [noise=8.6] [traces=10000] [coeff=0]
 //! ```
+//!
+//! Paper reference (EM bench, Cortex-M4): exponent and mantissa
+//! addition leak with ~1k traces, the sign bit is hardest (~9k), and
+//! everything is below 10k. Panics unless every component discloses
+//! within the budget, the sign last and both mantissa components before
+//! the exponent, and the wrong sign guess mirrors the correct one.
 
-use falcon_bench::report::{arg_or, print_csv, print_table, reject_unread_args};
+use falcon_bench::report::{arg_or, git_rev, host, print_csv, print_table, reject_unread_args};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
 use falcon_dema::confidence::{threshold_9999, traces_to_disclosure};
 use falcon_dema::cpa::pearson_evolution;
@@ -26,7 +32,7 @@ fn main() {
     let traces: usize = arg_or("traces", 10_000);
     let coeff: usize = arg_or("coeff", 0);
     reject_unread_args();
-
+    println!("rev {}, host {}", git_rev(), host());
     println!(
         "FALCON-{}, noise sigma = {noise}, up to {traces} traces, coefficient {coeff}",
         1 << logn
@@ -67,17 +73,18 @@ fn main() {
         ),
     ];
 
-    let mut summary = Vec::new();
+    let (mut summary, mut disc) = (Vec::new(), Vec::new());
     for (name, hyps, step) in &panels {
         let samples = block.sample_column(0, *step);
         let evo = pearson_evolution(hyps, samples);
-        let disc = traces_to_disclosure(&evo);
+        let d = traces_to_disclosure(&evo);
         summary.push(vec![
             name.to_string(),
             format!("{:?}", step),
             format!("{:.4}", evo.last().copied().unwrap_or(0.0)),
-            disc.map(|d| d.to_string()).unwrap_or_else(|| format!("> {traces}")),
+            d.map(|d| d.to_string()).unwrap_or_else(|| format!("> {traces}")),
         ]);
+        disc.push(d);
         // A decimated CSV of the evolution plus the CI envelope.
         let stride = (evo.len() / 100).max(1);
         let rows: Vec<Vec<String>> = evo
@@ -104,18 +111,20 @@ fn main() {
         &["panel", "observed step", "final corr", "traces to disclosure"],
         &summary,
     );
-    println!("\npaper reference points (ARM Cortex-M4 EM bench): exponent and");
-    println!("mantissa addition leak with ~1k traces; the sign bit is hardest");
-    println!("(~9k traces); everything is below 10k.");
 
     // A false guess for contrast on the sign panel (paper: symmetric,
     // negative branch).
     let wrong: Vec<f64> = knowns.iter().map(|k| hyp_sign(1 - true_sign, k)).collect();
     let samples = block.sample_column(0, StepKind::SignXor);
-    let evo_wrong = pearson_evolution(&wrong, samples);
+    let right = *pearson_evolution(&panels[0].1, samples).last().unwrap();
+    let wrong = *pearson_evolution(&wrong, samples).last().unwrap();
     println!(
-        "\nsign panel contrast: correct-guess corr {:+.4}, wrong-guess corr {:+.4} (mirror image)",
-        pearson_evolution(&panels[0].1, samples).last().unwrap(),
-        evo_wrong.last().unwrap()
+        "\nsign panel contrast: correct-guess corr {right:+.4}, wrong-guess corr {wrong:+.4} (mirror image)"
     );
+    assert!((right + wrong).abs() < 1e-9, "the wrong sign guess must mirror the correct one");
+    let [Some(sign), Some(exp), Some(mul), Some(add)] = disc[..] else {
+        panic!("every component must disclose within {traces} traces: {disc:?}")
+    };
+    assert!(sign > exp.max(mul).max(add), "the sign must disclose last: {disc:?}");
+    assert!(mul.max(add) < exp, "the mantissa words must disclose before the exponent: {disc:?}");
 }

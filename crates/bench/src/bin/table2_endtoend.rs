@@ -11,7 +11,7 @@
 //! traces=10000` reproduces the paper's regime on FALCON-512 (hours of
 //! compute: 512 coefficients × beam search).
 
-use falcon_bench::report::{arg_or, print_table, reject_unread_args};
+use falcon_bench::report::{arg_or, git_rev, host, print_table, reject_unread_args};
 use falcon_bench::setup::victim;
 use falcon_dema::attack::{recover_all_verified, AttackConfig};
 use falcon_dema::recover::key_from_fft_bits;
@@ -24,6 +24,7 @@ fn main() {
     let noise: f64 = arg_or("noise", 2.0);
     let traces: usize = arg_or("traces", 700);
     reject_unread_args();
+    println!("rev {}, host {}", git_rev(), host());
     let n = 1usize << logn;
 
     let (mut device, vk, truth) = victim(logn, noise, "table2 victim");

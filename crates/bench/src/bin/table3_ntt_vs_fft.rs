@@ -14,8 +14,12 @@
 //! cargo run --release -p falcon-bench --bin table3_ntt_vs_fft \
 //!     [logn=6] [noise=8.6] [traces=10000] [coeffs=3]
 //! ```
+//!
+//! Panics unless every NTT coefficient is recovered and disclosed, each
+//! FFT coefficient needs more traces than its NTT twin, and the median
+//! FFT coefficient at least 10× more.
 
-use falcon_bench::report::{arg_or, print_table, reject_unread_args};
+use falcon_bench::report::{arg_or, git_rev, host, print_table, reject_unread_args};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
 use falcon_dema::confidence::traces_to_disclosure;
 use falcon_dema::cpa::pearson_evolution;
@@ -35,6 +39,7 @@ fn main() {
     let traces: usize = arg_or("traces", 10_000);
     let coeffs: usize = arg_or("coeffs", 3);
     reject_unread_args();
+    println!("rev {}, host {}", git_rev(), host());
     let n = 1usize << logn;
 
     println!("FALCON-{n}, identical leakage model (HW + N(0,{noise})) on both implementations");
@@ -45,9 +50,7 @@ fn main() {
     let mut msgs = Prng::from_seed(b"table3 fft messages");
     let ds = Dataset::collect(&mut device, &targets, traces, &mut msgs);
 
-    let mut rows = Vec::new();
-    let mut fft_all = Vec::new();
-    let mut ntt_all = Vec::new();
+    let (mut rows, mut found) = (Vec::new(), Vec::new());
 
     // NTT twin device with the same secret f.
     let f: Vec<i16> = device.signing_key().f().to_vec();
@@ -89,12 +92,6 @@ fn main() {
 
         let ntt = attack_ntt_coefficient(&mut ntt_dev, t, traces.min(4000), &mut ntt_msgs);
         let ntt_ok = ntt.guess == ntt_dev.f_ntt()[t];
-        if let Some(w) = worst {
-            fft_all.push(w);
-        }
-        if let Some(d) = ntt.disclosure {
-            ntt_all.push(d);
-        }
         rows.push(vec![
             t.to_string(),
             worst.map(|d| d.to_string()).unwrap_or_else(|| format!("> {traces}")),
@@ -102,6 +99,7 @@ fn main() {
             ntt_ok.to_string(),
             format!("{:.3}/{:.3}", ntt.corr, ntt.runner_up),
         ]);
+        found.push((t, ntt_ok, ntt.disclosure, worst));
     }
     print_table(
         "Table 3: traces to full coefficient disclosure, FFT vs NTT",
@@ -109,16 +107,20 @@ fn main() {
         &rows,
     );
 
-    if !fft_all.is_empty() && !ntt_all.is_empty() {
-        fft_all.sort_unstable();
-        ntt_all.sort_unstable();
-        let f = fft_all[fft_all.len() / 2] as f64;
-        let nt = ntt_all[ntt_all.len() / 2] as f64;
-        println!(
-            "\nmedian: FFT {f} traces vs NTT {nt} traces -> the NTT falls ~{:.1}x faster",
-            f / nt
-        );
-        println!("at equal noise, consistent with the paper's §V.C: the integer NTT is the");
-        println!("softer target, while FALCON's FFT needs the full differential campaign.");
+    let (mut fft_all, mut ntt_all) = (Vec::new(), Vec::new());
+    for (t, ntt_ok, ntt_d, fft_d) in found {
+        assert!(ntt_ok, "NTT coefficient {t}: wrong guess");
+        let ntt_d = ntt_d.unwrap_or_else(|| panic!("NTT coefficient {t} not disclosed"));
+        // An FFT coefficient that never discloses ranks above every count.
+        let fft_d = fft_d.unwrap_or(usize::MAX);
+        assert!(fft_d > ntt_d, "coefficient {t}: the NTT ({ntt_d}) does not fall first");
+        fft_all.push(fft_d);
+        ntt_all.push(ntt_d);
     }
+    fft_all.sort_unstable();
+    ntt_all.sort_unstable();
+    let (f, nt) = (fft_all[fft_all.len() / 2], ntt_all[ntt_all.len() / 2]);
+    let ratio = f as f64 / nt as f64;
+    println!("\nmedian: FFT {f} traces vs NTT {nt} traces -> the NTT falls ~{ratio:.1}x faster");
+    assert!(ratio >= 10.0, "the NTT falls only {ratio:.1}x faster than the FFT, not 10x");
 }

@@ -11,18 +11,28 @@
 //! cargo run --release -p falcon-bench --bin tableF_faults \
 //!     [logn=4] [noise=2.0] [budget=4000] [batch=100]
 //! ```
+//!
+//! Panics unless both campaigns recover every coefficient on the clean
+//! bench, screening never costs correct coefficients or captures, and
+//! under misaligning or clipping faults (jitter, saturation, the noisy
+//! bench) the unscreened campaign ends with fewer correct coefficients.
 
-use falcon_bench::report::{arg_or, print_table, reject_unread_args};
+use falcon_bench::report::{arg_or, git_rev, host, print_table, reject_unread_args};
 use falcon_dema::{Campaign, CampaignConfig, ScreenConfig};
 use falcon_emsim::{Device, FaultModel, LeakageModel, MeasurementChain, Scope};
 use falcon_sig::rng::Prng;
 use falcon_sig::{KeyPair, LogN};
 
-fn regimes() -> Vec<(&'static str, FaultModel)> {
+/// `(name, faults, whether unscreened traces mislead the campaign)`.
+fn regimes() -> Vec<(&'static str, FaultModel, bool)> {
     vec![
-        ("clean bench", FaultModel::default()),
-        ("5% dropout", FaultModel { drop_prob: 0.05, ..Default::default() }),
-        ("jitter ±2 @20%", FaultModel { jitter_prob: 0.20, max_jitter: 2, ..Default::default() }),
+        ("clean bench", FaultModel::default(), false),
+        ("5% dropout", FaultModel { drop_prob: 0.05, ..Default::default() }, false),
+        (
+            "jitter ±2 @20%",
+            FaultModel { jitter_prob: 0.20, max_jitter: 2, ..Default::default() },
+            true,
+        ),
         (
             "1% glitch bursts",
             FaultModel {
@@ -31,10 +41,11 @@ fn regimes() -> Vec<(&'static str, FaultModel)> {
                 glitch_len: 5,
                 ..Default::default()
             },
+            false,
         ),
-        ("2% saturation", FaultModel { saturation_prob: 0.02, ..Default::default() }),
-        ("gain drift 1e-4", FaultModel { gain_drift_per_trace: 1e-4, ..Default::default() }),
-        ("noisy bench (all)", FaultModel::noisy_bench()),
+        ("2% saturation", FaultModel { saturation_prob: 0.02, ..Default::default() }, true),
+        ("gain drift 1e-4", FaultModel { gain_drift_per_trace: 1e-4, ..Default::default() }, false),
+        ("noisy bench (all)", FaultModel::noisy_bench(), true),
     ]
 }
 
@@ -44,6 +55,7 @@ fn main() {
     let budget: usize = arg_or("budget", 4000);
     let batch: usize = arg_or("batch", 100);
     reject_unread_args();
+    println!("rev {}, host {}", git_rev(), host());
     let params = LogN::new(logn).expect("logn in 1..=10");
     let n = params.n();
 
@@ -57,8 +69,8 @@ fn main() {
     let sk = kp.into_parts().0;
     let truth: Vec<u64> = sk.f_fft().iter().map(|x| x.to_bits()).collect();
 
-    let mut rows = Vec::new();
-    for (name, fm) in regimes() {
+    let (mut rows, mut cells) = (Vec::new(), Vec::new());
+    for (name, fm, misleads) in regimes() {
         for screened in [true, false] {
             let chain = MeasurementChain {
                 model: LeakageModel::hamming_weight(1.0, noise),
@@ -93,6 +105,7 @@ fn main() {
                 s.realigned.to_string(),
                 s.winsorized.to_string(),
             ]);
+            cells.push((name, misleads, correct, report.traces_requested));
         }
     }
 
@@ -111,9 +124,19 @@ fn main() {
         ],
         &rows,
     );
-    println!("\nscreening turns fault-degraded captures back into usable traces:");
-    println!("realignment undoes trigger jitter, MAD winsorisation absorbs glitch");
-    println!("bursts, and dropout only costs the campaign the missing captures.");
-    println!("unscreened campaigns keep misaligned/glitched traces and stall below");
-    println!("the confidence bar (or converge on the wrong bits) at the same budget.");
+    // `cells` alternates screened and unscreened runs of one regime,
+    // the clean bench first.
+    assert_eq!(
+        (cells[0].2, cells[1].2),
+        (n, n),
+        "clean bench: every coefficient must be recovered"
+    );
+    for pair in cells.chunks(2) {
+        let [(name, misleads, on, on_cost), (_, _, off, off_cost)] = pair else { unreachable!() };
+        assert!(on >= off, "{name}: screening lost correct coefficients ({on} < {off})");
+        assert!(on_cost <= off_cost, "{name}: screening cost captures ({on_cost} > {off_cost})");
+        if *misleads {
+            assert!(on > off, "{name}: the unscreened campaign is not misled ({off} >= {on})");
+        }
+    }
 }

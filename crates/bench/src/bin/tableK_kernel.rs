@@ -197,6 +197,7 @@ fn main() {
     let width: u32 = arg_or("width", 14);
     let full: u64 = arg_or("full", 0);
     reject_unread_args();
+    println!("rev {}, host {}", git_rev(), host());
 
     let simd_host = simd::simd_available();
     simd::set_kernel(Some(KernelChoice::Auto));

@@ -79,6 +79,7 @@ fn main() {
     let noise: f64 = arg_or("noise", 1.0);
     let out: String = arg_or("out", "BENCH_orch.json".to_string());
     reject_unread_args();
+    println!("rev {}, host {}", git_rev(), host());
     let spec = base_spec(logn, noise);
     let n = 1u64 << logn;
     println!(

@@ -47,6 +47,7 @@ fn main() {
     let noise: f64 = arg_or("noise", 1.0);
     let out: String = arg_or("out", "BENCH_stream.json".to_string());
     reject_unread_args();
+    println!("rev {}, host {}", git_rev(), host());
 
     let n = 1usize << logn;
     let targets: Vec<usize> = (0..n).collect();

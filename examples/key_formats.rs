@@ -15,7 +15,13 @@ use falcon_down::sig::rng::Prng;
 use falcon_down::sig::{KeyPair, LogN, Signature, SigningKey, VerifyingKey};
 
 fn main() {
-    let logn = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(9u32);
+    let logn: u32 = match std::env::args().nth(1) {
+        None => 9,
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("invalid value for `logn`: {v:?}");
+            std::process::exit(2)
+        }),
+    };
     let params = LogN::new(logn).expect("logn in 1..=10");
     println!("FALCON-{}", params.n());
 

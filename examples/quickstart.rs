@@ -14,7 +14,13 @@ use falcon_down::sig::{KeyPair, LogN};
 use std::time::Instant;
 
 fn main() {
-    let logn = std::env::args().nth(1).and_then(|s| s.parse::<u32>().ok()).unwrap_or(9);
+    let logn: u32 = match std::env::args().nth(1) {
+        None => 9,
+        Some(v) => v.parse().unwrap_or_else(|_| {
+            eprintln!("invalid value for `logn`: {v:?}");
+            std::process::exit(2)
+        }),
+    };
     let params = LogN::new(logn).expect("logn must be in 1..=10");
     println!("FALCON-{} (n = {})", params.n(), params.n());
     println!("  σ        = {:.6}", params.sigma());
