@@ -15,9 +15,7 @@
 
 use falcon_bench::report::{git_rev, host, print_table, reject_unread_args};
 use falcon_dema::attack::{recover_coefficient, AttackConfig};
-use falcon_dema::confidence::traces_to_disclosure;
-use falcon_dema::cpa::pearson_evolution;
-use falcon_dema::model::{hyp_add_lo, hyp_sign, KnownOperand};
+use falcon_dema::confidence::disclosure;
 use falcon_dema::source::ColumnSource;
 use falcon_dema::Dataset;
 use falcon_emsim::{Device, LeakageModel, MeasurementChain, Scope, StepKind};
@@ -104,8 +102,6 @@ fn chain_sweep() {
     let (logn, traces, coeff) = (6, 6000, 1);
     let sk = key(logn, b"ablation chain key");
     let truth = sk.f_fft()[coeff].to_bits();
-    let d_lo = truth & 0x1FF_FFFF;
-    let sign = (truth >> 63) as u32;
 
     // (name, noise sigma, low-pass, scope bits); the row indices below
     // name these rows.
@@ -127,23 +123,16 @@ fn chain_sweep() {
         let mut msgs = Prng::from_seed(b"ablation chain msgs");
         let ds = Dataset::collect(&mut dev, &[coeff], traces, &mut msgs);
         let block = ds.target_block(coeff).expect("the dataset holds its target");
-        let knowns: Vec<KnownOperand> =
-            block.known_column(0).iter().map(|&kb| KnownOperand::new(kb)).collect();
-        let disclosure = |hyp: &dyn Fn(&KnownOperand) -> f64, step| {
-            let hyps: Vec<f64> = knowns.iter().map(hyp).collect();
-            let evo = pearson_evolution(&hyps, block.sample_column(0, step));
-            (traces_to_disclosure(&evo), evo.last().copied().unwrap_or(0.0))
-        };
-        let (sign_disc, _) = disclosure(&|k| hyp_sign(sign, k), StepKind::SignXor);
-        let (add_disc, add_corr) = disclosure(&|k| hyp_add_lo(d_lo, k), StepKind::AddLoHi);
+        let sign = disclosure(&block, truth, StepKind::SignXor);
+        let mantissa_add = disclosure(&block, truth, StepKind::AddLoHi);
         let show = |d: Option<usize>| d.map_or(format!("> {traces}"), |d| d.to_string());
         rows.push(vec![
             name.to_string(),
-            show(sign_disc),
-            show(add_disc),
-            format!("{add_corr:.3}"),
+            show(sign.traces),
+            show(mantissa_add.traces),
+            format!("{:.3}", mantissa_add.final_corr()),
         ]);
-        add.push(add_disc.unwrap_or(usize::MAX));
+        add.push(mantissa_add.traces.unwrap_or(usize::MAX));
     }
     print_table(
         "Ablation: measurement chain vs attack budget",

@@ -23,7 +23,7 @@ use falcon_dema::confidence::threshold_9999;
 use falcon_dema::cpa::{PearsonSums, SampleSums};
 use falcon_dema::exec;
 use falcon_dema::model::{
-    hyp_add_lo, hyp_exponent_with_carry, hyp_partial_product, hyp_sign, KnownOperand, SecretHalf,
+    assemble_coefficient, hyp_add_lo, hyp_exact, hyp_partial_product, KnownOperand, SecretHalf,
 };
 use falcon_dema::source::ColumnSource;
 use falcon_dema::{Dataset, TargetBlock};
@@ -166,18 +166,24 @@ fn main() {
     );
 
     // Panel (a): sign. Panel (b): exponent (single-step CPA as in the
-    // paper's figure).
-    let sign = Panel::new(&block, vec![0, 1], |g, k| hyp_sign(g as u32, k));
-    let exp = Panel::new(&block, (1..2047).collect(), |g, k| {
-        hyp_exponent_with_carry(g as u32, hi.value, lo.value, k)
-    });
-    panel_report("(a) sign", &sign, truth_bits >> 63, d);
-    panel_report("(b) exponent", &exp, (truth_bits >> 52) & 0x7FF, d);
+    // paper's figure). Each guess varies its component of the attacker's
+    // assembled coefficient; the other component comes from the joint
+    // sign+exponent recovery, and neither step word depends on it.
     // Single-step exponent CPA can leave an affine-aliased family of
     // guesses tied (Pearson is blind to constant hypothesis offsets when
     // the known exponents span a narrow range); the pipeline's joint
     // sign+exponent model resolves it (see EXPERIMENTS.md, deviation D2).
     let (j_sign, j_exp) = falcon_dema::recover_sign_exponent(&block, hi.value, lo.value);
+    let guess =
+        |sign: u64, exp: u64| assemble_coefficient(sign as u32, exp as u32, hi.value, lo.value);
+    let sign = Panel::new(&block, vec![0, 1], |g, k| {
+        hyp_exact(guess(g, j_exp.value), k, StepKind::SignXor)
+    });
+    let exp = Panel::new(&block, (1..2047).collect(), |g, k| {
+        hyp_exact(guess(j_sign.value, g), k, StepKind::ExponentAdd)
+    });
+    panel_report("(a) sign", &sign, truth_bits >> 63, d);
+    panel_report("(b) exponent", &exp, (truth_bits >> 52) & 0x7FF, d);
     println!(
         "\njoint sign+exponent recovery: sign={} exponent={:#05x} (true {}/{:#05x}) corr {:.4} vs runner-up {:.4}",
         j_sign.value,

@@ -16,11 +16,7 @@
 
 use falcon_bench::report::{arg_or, git_rev, host, print_csv, print_table, reject_unread_args};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
-use falcon_dema::confidence::{threshold_9999, traces_to_disclosure};
-use falcon_dema::cpa::pearson_evolution;
-use falcon_dema::model::{
-    hyp_add_lo, hyp_exponent_with_carry, hyp_partial_product, hyp_sign, KnownOperand,
-};
+use falcon_dema::confidence::{disclosure, threshold_9999};
 use falcon_dema::source::ColumnSource;
 use falcon_dema::Dataset;
 use falcon_emsim::StepKind;
@@ -42,52 +38,29 @@ fn main() {
     let ds = Dataset::collect(&mut device, &[coeff], traces, &mut msgs);
 
     let bits = truth[coeff];
-    let tm = (bits & ((1u64 << 52) - 1)) | (1 << 52);
-    let (true_d, true_c) = (tm & 0x1FF_FFFF, tm >> 25);
-    let true_sign = (bits >> 63) as u32;
-    let true_exp = ((bits >> 52) & 0x7FF) as u32;
-
     let block = ds.target_block(coeff).expect("the dataset holds its target");
-    let knowns: Vec<KnownOperand> =
-        block.known_column(0).iter().map(|&kb| KnownOperand::new(kb)).collect();
-
-    // (component name, per-trace hypothesis for the *correct* guess, the
-    // step to observe) — first-occurrence columns give a clean
-    // one-sample-per-trace evolution axis.
-    let panels: Vec<(&str, Vec<f64>, StepKind)> = vec![
-        ("(e) sign", knowns.iter().map(|k| hyp_sign(true_sign, k)).collect(), StepKind::SignXor),
-        (
-            "(f) exponent",
-            knowns.iter().map(|k| hyp_exponent_with_carry(true_exp, true_c, true_d, k)).collect(),
-            StepKind::ExponentAdd,
-        ),
-        (
-            "(g) mantissa multiplication",
-            knowns.iter().map(|k| hyp_partial_product(true_d, 25, k.lo, 25)).collect(),
-            StepKind::PpLoLo,
-        ),
-        (
-            "(h) mantissa addition",
-            knowns.iter().map(|k| hyp_add_lo(true_d, k)).collect(),
-            StepKind::AddLoHi,
-        ),
+    let panels = [
+        ("(e) sign", StepKind::SignXor),
+        ("(f) exponent", StepKind::ExponentAdd),
+        ("(g) mantissa multiplication", StepKind::PpLoLo),
+        ("(h) mantissa addition", StepKind::AddLoHi),
     ];
 
     let (mut summary, mut disc) = (Vec::new(), Vec::new());
-    for (name, hyps, step) in &panels {
-        let samples = block.sample_column(0, *step);
-        let evo = pearson_evolution(hyps, samples);
-        let d = traces_to_disclosure(&evo);
+    for (name, step) in panels {
+        let out = disclosure(&block, bits, step);
         summary.push(vec![
             name.to_string(),
-            format!("{:?}", step),
-            format!("{:.4}", evo.last().copied().unwrap_or(0.0)),
-            d.map(|d| d.to_string()).unwrap_or_else(|| format!("> {traces}")),
+            format!("{step:?}"),
+            format!("{:.4}", out.final_corr()),
+            out.traces.map(|d| d.to_string()).unwrap_or_else(|| format!("> {traces}")),
         ]);
-        disc.push(d);
-        // A decimated CSV of the evolution plus the CI envelope.
-        let stride = (evo.len() / 100).max(1);
-        let rows: Vec<Vec<String>> = evo
+        disc.push(out.traces);
+        // A decimated CSV of the evolution plus the CI envelope, which
+        // counts the two samples each trace adds.
+        let stride = (out.evolution.len() / 100).max(1);
+        let rows: Vec<Vec<String>> = out
+            .evolution
             .iter()
             .enumerate()
             .step_by(stride)
@@ -95,7 +68,7 @@ fn main() {
                 vec![
                     (i + 1).to_string(),
                     format!("{c:.5}"),
-                    format!("{:.5}", threshold_9999((i + 1) as u64)),
+                    format!("{:.5}", threshold_9999(2 * (i + 1) as u64)),
                 ]
             })
             .collect();
@@ -114,10 +87,8 @@ fn main() {
 
     // A false guess for contrast on the sign panel (paper: symmetric,
     // negative branch).
-    let wrong: Vec<f64> = knowns.iter().map(|k| hyp_sign(1 - true_sign, k)).collect();
-    let samples = block.sample_column(0, StepKind::SignXor);
-    let right = *pearson_evolution(&panels[0].1, samples).last().unwrap();
-    let wrong = *pearson_evolution(&wrong, samples).last().unwrap();
+    let right = disclosure(&block, bits, StepKind::SignXor).final_corr();
+    let wrong = disclosure(&block, bits ^ 1 << 63, StepKind::SignXor).final_corr();
     println!(
         "\nsign panel contrast: correct-guess corr {right:+.4}, wrong-guess corr {wrong:+.4} (mirror image)"
     );

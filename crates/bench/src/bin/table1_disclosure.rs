@@ -16,11 +16,7 @@
 
 use falcon_bench::report::{arg_or, git_rev, host, print_table, reject_unread_args};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
-use falcon_dema::confidence::traces_to_disclosure;
-use falcon_dema::cpa::pearson_evolution;
-use falcon_dema::model::{
-    hyp_add_lo, hyp_exponent_with_carry, hyp_partial_product, hyp_sign, KnownOperand,
-};
+use falcon_dema::confidence::disclosure;
 use falcon_dema::source::ColumnSource;
 use falcon_dema::Dataset;
 use falcon_emsim::StepKind;
@@ -45,6 +41,7 @@ fn main() {
 
     let mut per_component: [Vec<Option<usize>>; 4] = Default::default();
     let comp_names = ["sign", "exponent", "mantissa mult", "mantissa add"];
+    let steps = [StepKind::SignXor, StepKind::ExponentAdd, StepKind::PpLoLo, StepKind::AddLoHi];
 
     for key in 0..keys {
         let (mut device, _vk, truth) = victim(logn, noise, &format!("table1 victim {key}"));
@@ -52,32 +49,9 @@ fn main() {
         let mut msgs = Prng::from_seed(format!("table1 msgs {key}").as_bytes());
         let ds = Dataset::collect(&mut device, &targets, traces, &mut msgs);
         for &t in &targets {
-            let bits = truth[t];
-            let tm = (bits & ((1u64 << 52) - 1)) | (1 << 52);
-            let (d_lo, c_hi) = (tm & 0x1FF_FFFF, tm >> 25);
-            let sgn = (bits >> 63) as u32;
-            let exp = ((bits >> 52) & 0x7FF) as u32;
             let block = ds.target_block(t).expect("the dataset holds its targets");
-            let knowns: Vec<KnownOperand> =
-                block.known_column(0).iter().map(|&kb| KnownOperand::new(kb)).collect();
-            let cases: [(usize, Vec<f64>, StepKind); 4] = [
-                (0, knowns.iter().map(|k| hyp_sign(sgn, k)).collect(), StepKind::SignXor),
-                (
-                    1,
-                    knowns.iter().map(|k| hyp_exponent_with_carry(exp, c_hi, d_lo, k)).collect(),
-                    StepKind::ExponentAdd,
-                ),
-                (
-                    2,
-                    knowns.iter().map(|k| hyp_partial_product(d_lo, 25, k.lo, 25)).collect(),
-                    StepKind::PpLoLo,
-                ),
-                (3, knowns.iter().map(|k| hyp_add_lo(d_lo, k)).collect(), StepKind::AddLoHi),
-            ];
-            for (idx, hyps, step) in cases {
-                let samples = block.sample_column(0, step);
-                let evo = pearson_evolution(&hyps, samples);
-                per_component[idx].push(traces_to_disclosure(&evo));
+            for (found, step) in per_component.iter_mut().zip(steps) {
+                found.push(disclosure(&block, truth[t], step).traces);
             }
         }
     }
@@ -127,7 +101,7 @@ fn main() {
     let total = keys * coeffs;
     println!(
         "\nboth mantissa components disclose for all {total} coefficients; the sign and\n\
-         exponent medians fit the paper's {PAPER_BUDGET}-trace budget, but {} sign and {}\n\
+         exponent medians fit the paper's {PAPER_BUDGET}-trace budget; {} sign and {}\n\
          exponent leaks of {total} stay hidden within {traces} traces",
         misses[0], misses[1]
     );

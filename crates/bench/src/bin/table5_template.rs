@@ -17,9 +17,7 @@
 
 use falcon_bench::report::{arg_or, git_rev, host, print_table, reject_unread_args};
 use falcon_bench::setup::{victim, PAPER_NOISE_SIGMA};
-use falcon_dema::confidence::traces_to_disclosure;
-use falcon_dema::cpa::pearson_evolution;
-use falcon_dema::model::{hyp_sign, KnownOperand};
+use falcon_dema::confidence::disclosure;
 use falcon_dema::source::ColumnSource;
 use falcon_dema::template::{profile_step, template_sign_stability};
 use falcon_dema::Dataset;
@@ -63,16 +61,13 @@ fn main() {
         let true_sign = (truth[t] >> 63) as u32;
         // Non-profiled: correlation evolution.
         let block = ds.target_block(t).expect("the dataset holds its targets");
-        let knowns: Vec<KnownOperand> =
-            block.known_column(0).iter().map(|&kb| KnownOperand::new(kb)).collect();
-        let hyps: Vec<f64> = knowns.iter().map(|k| hyp_sign(true_sign, k)).collect();
-        let evo = pearson_evolution(&hyps, block.sample_column(0, StepKind::SignXor));
-        let cpa = traces_to_disclosure(&evo);
+        let sign = disclosure(&block, truth[t], StepKind::SignXor);
+        let cpa = sign.traces;
         // Like-for-like criterion: smallest prefix from which the
         // distinguisher's top guess is (and stays) correct. For CPA the
         // correct sign is the positive-correlation guess.
         let mut cpa_stable: Option<usize> = None;
-        for (i, &r) in evo.iter().enumerate() {
+        for (i, &r) in sign.evolution.iter().enumerate() {
             if r > 0.0 {
                 cpa_stable.get_or_insert(i + 1);
             } else {

@@ -8,9 +8,7 @@
 
 use crate::acquire::Dataset;
 use crate::attack::{recover_coefficient, AttackConfig};
-use crate::confidence::traces_to_disclosure;
-use crate::cpa::pearson_evolution;
-use crate::model::{hyp_sign, KnownOperand};
+use crate::confidence::disclosure;
 use crate::source::ColumnSource;
 use falcon_emsim::{Device, StepKind};
 use falcon_sig::rng::Prng;
@@ -21,7 +19,8 @@ use falcon_sig::rng::Prng;
 pub struct DefenceOutcome {
     /// Did the full coefficient recovery return the true value?
     pub recovered: bool,
-    /// Correlation of the correct sign guess after all traces.
+    /// Correlation of the correct sign guess over every trace, both
+    /// occurrences ([`disclosure`]).
     pub sign_corr: f64,
     /// Traces needed for the sign leak at 99.99 % (None = never stable).
     pub sign_disclosure: Option<usize>,
@@ -40,18 +39,12 @@ pub fn evaluate_device(
     let ds = Dataset::collect(device, &[target], n_traces, msg_rng);
     let result = recover_coefficient(&ds, target, cfg);
 
-    // Sign-leak evolution with the true sign hypothesis (occurrence 0).
-    let true_sign = (truth >> 63) as u32;
     let block = ds.target_block(target).expect("the dataset holds its target");
-    let knowns = block.known_column(0);
-    let samples = block.sample_column(0, StepKind::SignXor);
-    let hyps: Vec<f64> =
-        knowns.iter().map(|&k| hyp_sign(true_sign, &KnownOperand::new(k))).collect();
-    let evo = pearson_evolution(&hyps, samples);
+    let sign = disclosure(&block, truth, StepKind::SignXor);
     DefenceOutcome {
         recovered: result.bits == truth,
-        sign_corr: evo.last().copied().unwrap_or(0.0),
-        sign_disclosure: traces_to_disclosure(&evo),
+        sign_corr: sign.final_corr(),
+        sign_disclosure: sign.traces,
     }
 }
 

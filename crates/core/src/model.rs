@@ -134,33 +134,6 @@ pub fn hyp_add_hi(c: u64, d: u64, known: &KnownOperand) -> f64 {
     zu.count_ones() as f64
 }
 
-/// Sign-step hypothesis: `guess_sign ⊕ known_sign`.
-pub fn hyp_sign(guess_sign: u32, known: &KnownOperand) -> f64 {
-    (guess_sign ^ known.sign) as f64
-}
-
-/// Exponent-step hypothesis with the carry recomputed from fully
-/// recovered mantissas.
-pub fn hyp_exponent_with_carry(ef: u32, c: u64, d: u64, known: &KnownOperand) -> f64 {
-    let (y0, y1) = (known.lo as u64, known.hi as u64);
-    let w_ll = d * y0;
-    let w_lh = d * y1;
-    let mut z1 = ((w_ll >> 25) as u32) + ((w_lh as u32) & 0x1FF_FFFF);
-    let mut z2 = (w_lh >> 25) as u32;
-    let w_hl = c * y0;
-    z1 += (w_hl as u32) & 0x1FF_FFFF;
-    z2 += (w_hl >> 25) as u32;
-    let w_hh = c * y1;
-    z2 += z1 >> 25;
-    let z1m = z1 & 0x1FF_FFFF;
-    let mut zu = w_hh + z2 as u64;
-    let z0 = (w_ll as u32) & 0x1FF_FFFF;
-    zu |= u64::from((z0 | z1m) != 0);
-    let carry = (zu >> 55) as u32;
-    let v = (known.exp as i32 + ef as i32 - 2100 + carry as i32) as u32;
-    v.count_ones() as f64
-}
-
 /// Assembles the full 64-bit coefficient from recovered parts.
 ///
 /// `c_hi` is the 28-bit high mantissa half (implicit bit included), `d_lo`
@@ -240,21 +213,6 @@ mod tests {
         let d = sm & 0x1FF_FFFF;
         let c = sm >> 25;
         assert_eq!(hyp_add_hi(c, d, &known), hyp_exact(secret, &known, StepKind::AddHiHi));
-    }
-
-    #[test]
-    fn exponent_with_carry_matches_exact() {
-        for secret in [0x4012_3456_789A_BCDEu64, 0x3FF0_0000_0000_0001, 0xC1D2_3344_5566_7788] {
-            let known = KnownOperand::new(COEFF);
-            let f = Fpr::from_bits(secret);
-            let sm = f.mantissa_bits() | (1 << 52);
-            let (d, c) = (sm & 0x1FF_FFFF, sm >> 25);
-            assert_eq!(
-                hyp_exponent_with_carry(f.exponent_bits(), c, d, &known),
-                hyp_exact(secret, &known, StepKind::ExponentAdd),
-                "secret {secret:#x}"
-            );
-        }
     }
 
     #[test]
